@@ -23,18 +23,15 @@ from .heisenberg import (
 from .dynamics import (
     BaseFunctionSpec,
     JoiningSystem,
-    PiecewiseLinearTable,
     SkewSystem,
     TrigTerm,
     build_joining,
-    cocycle_Hn_prime,
     cocycle_sum,
     eval_h_lift,
     iterate_T,
     rho,
     star_point,
     step_T,
-    step_Tstar_trivialized,
 )
 from .engine import OrbitSegmentPlan, orbit_stream, orbit_stream_naive
 from .observables import (

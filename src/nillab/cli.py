@@ -1,15 +1,18 @@
 """Command-line experiment runner.
 
-Subcommands: verify, sieve, orbit, correlate, bilinear, reduce-joining, weyl,
-winding, constants, coboundary, run.  Most commands read an INI config
-(``--config``, default the in-repo standard baseline) and accept overrides
-``--out``, ``--workers``, ``--segment-size``, ``--checkpoints``.  The default
-worker count comes from the ``LAB_WORKERS`` environment variable.
+Subcommands: verify, sieve, orbit, reduce-joining, winding, run, and one per
+experiment of the registry ``EXPERIMENTS`` (correlate, bilinear, davenport,
+weyl, constants, coboundary).  Most commands read an INI config (``--config``,
+default the in-repo standard baseline) and accept overrides ``--out``,
+``--workers``, ``--segment-size``, ``--checkpoints``.  The default worker count
+comes from the ``LAB_WORKERS`` environment variable.
 
-``run`` executes every experiment enabled in the config, writes CSV reports
-with JSON sidecars, and finishes with a manifest listing each emitted file
-with its SHA-256.  Report files are byte-identical across reruns of the same
-config; only the manifest carries timestamps.
+An experiment subcommand writes that experiment's reports and prints its
+summary entries and the files written.  ``run`` executes every experiment
+enabled in the config, writes CSV reports with JSON sidecars, and finishes
+with a manifest listing each emitted file with its SHA-256.  Report files are
+byte-identical across reruns of the same config; only the manifest carries
+timestamps.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import dataclasses
 import datetime
 import os
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -92,10 +96,6 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _sieve_for(cfg: ExperimentConfig) -> MobiusTable:
-    return sieve_mobius(max(cfg.sieve_bound, cfg.checkpoints[-1]))
-
-
 def cmd_verify(args) -> int:
     results, ok = run_verify(fault=args.inject_fault)
     for name, passed, detail in results:
@@ -136,49 +136,6 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def cmd_correlate(args) -> int:
-    cfg = _load(args)
-    table = _sieve_for(cfg)
-    rep = correlation_sum(
-        cfg.system(), cfg.observable(), None, list(cfg.checkpoints), table,
-        cfg.plan(cfg.checkpoints[-1]),
-    )
-    out = _outdir(cfg)
-    write_correlation_csv(out / "correlation.csv", rep)
-    write_json(out / "correlation.json", correlation_sidecar(rep))
-    for c in rep.checkpoints:
-        print(f"N={c.n}: |sum| = {c.modulus:.6g}")
-    print(f"wrote {out / 'correlation.csv'}")
-    return 0
-
-
-def cmd_bilinear(args) -> int:
-    cfg = _load(args)
-    obs = cfg.observable()
-    rep = bilinear_sum(
-        cfg.system(), obs, None, cfg.p, cfg.q, list(cfg.checkpoints),
-        cfg.plan(cfg.p * cfg.checkpoints[-1]),
-    )
-    out = _outdir(cfg)
-    write_correlation_csv(out / "bilinear.csv", rep)
-    write_json(out / "bilinear.json", correlation_sidecar(rep))
-    if args.two_route:
-        rep2 = bilinear_sum_reduced(
-            cfg.system(), obs, cfg.p, cfg.q, list(cfg.checkpoints),
-            cfg.plan(cfg.checkpoints[-1]),
-        )
-        write_correlation_csv(out / "bilinear_reduced.csv", rep2)
-        worst = max(
-            abs(a.value - b.value)
-            for a, b in zip(rep.checkpoints, rep2.checkpoints)
-        )
-        print(f"two-route max deviation: {worst:.3e}")
-    for c in rep.checkpoints:
-        print(f"N={c.n}: |sum| = {c.modulus:.6g}")
-    print(f"wrote {out / 'bilinear.csv'}")
-    return 0
-
-
 def cmd_reduce_joining(args) -> int:
     cfg = _load(args)
     js = cfg.joining()
@@ -194,20 +151,6 @@ def cmd_reduce_joining(args) -> int:
     return 0 if ok and w == js.twist * js.base.h.d1 else 1
 
 
-def cmd_weyl(args) -> int:
-    cfg = _load(args)
-    reports = weyl_sums(
-        cfg.joining(), None, cfg.weyl_freqs, list(cfg.checkpoints),
-        cfg.plan(cfg.checkpoints[-1]),
-    )
-    out = _outdir(cfg)
-    write_weyl_csv(out / "weyl.csv", reports)
-    for rep in reports:
-        print(f"k={rep.freq}: final |S|/N = {rep.checkpoints[-1].modulus:.6g}")
-    print(f"wrote {out / 'weyl.csv'}")
-    return 0
-
-
 def cmd_winding(args) -> int:
     cfg = _load(args)
     js = cfg.joining()
@@ -219,97 +162,155 @@ def cmd_winding(args) -> int:
     return 0 if w == expected else 1
 
 
-def cmd_constants(args) -> int:
-    cfg = _load(args)
+# ---------------------------------------------------------------------------
+# the experiments: each builds its reports and its manifest summary entries
+# ---------------------------------------------------------------------------
+
+
+class RunContext:
+    """What the experiments of one invocation share: the Mobius table, sieved
+    on first use."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def table(self) -> MobiusTable:
+        return sieve_mobius(max(self.cfg.sieve_bound, self.cfg.checkpoints[-1]))
+
+
+def _correlation_outputs(stem: str, rep):
+    return [
+        (f"{stem}.csv", write_correlation_csv, rep),
+        (f"{stem}.json", write_json, correlation_sidecar(rep)),
+    ]
+
+
+def _correlate(cfg: ExperimentConfig, run: RunContext):
+    """Mobius correlation along the orbit"""
+    rep = correlation_sum(
+        cfg.system(), cfg.observable(), None, list(cfg.checkpoints), run.table,
+        cfg.plan(cfg.checkpoints[-1]),
+    )
+    return _correlation_outputs("correlation", rep), {
+        "correlation_final_modulus": rep.checkpoints[-1].modulus,
+        "correlation_moduli": {str(c.n): c.modulus for c in rep.checkpoints},
+    }
+
+
+def _bilinear(cfg: ExperimentConfig, run: RunContext):
+    """prime-pair bilinear average"""
+    rep = bilinear_sum(
+        cfg.system(), cfg.observable(), None, cfg.p, cfg.q,
+        list(cfg.checkpoints), cfg.plan(cfg.p * cfg.checkpoints[-1]),
+    )
+    return _correlation_outputs("bilinear", rep), {
+        "bilinear_final_modulus": rep.checkpoints[-1].modulus
+    }
+
+
+def _davenport(cfg: ExperimentConfig, run: RunContext):
+    """Mobius exponential-sum baseline along the rotation"""
+    rep = davenport_baseline(
+        cfg.alpha, list(cfg.checkpoints), run.table, cfg.plan(cfg.checkpoints[-1])
+    )
+    return _correlation_outputs("davenport", rep), {
+        "davenport_final_modulus": rep.checkpoints[-1].modulus
+    }
+
+
+def _weyl(cfg: ExperimentConfig, run: RunContext):
+    """Weyl sums along the reduced orbit"""
+    reports = weyl_sums(
+        cfg.joining(), None, cfg.weyl_freqs, list(cfg.checkpoints),
+        cfg.plan(cfg.checkpoints[-1]),
+    )
+    return [("weyl.csv", write_weyl_csv, reports)], {
+        "weyl_max_modulus": max(r.checkpoints[-1].modulus for r in reports)
+    }
+
+
+def _constants(cfg: ExperimentConfig, run: RunContext):
+    """proof constants delta1 and nu"""
     pc = proof_constants(
         cfg.coboundary_k, cfg.p, cfg.q, cfg.d1, cfg.alpha, cfg.beta,
         cfg.base_function().L,
     )
-    out = _outdir(cfg)
-    write_json(out / "constants.json", constants_payload(pc))
-    print(f"discriminant = {pc.discriminant!r}")
-    print(f"delta1       = {pc.delta1!r}")
-    print(f"nu           = {pc.nu!r}")
-    print(f"wrote {out / 'constants.json'}")
-    return 0
+    return [("constants.json", write_json, constants_payload(pc))], {
+        "delta1": pc.delta1, "nu": pc.nu
+    }
 
 
-def cmd_coboundary(args) -> int:
-    cfg = _load(args)
+def _coboundary(cfg: ExperimentConfig, run: RunContext):
+    """cohomological-equation residual"""
     rep = coboundary_search(cfg.joining(), cfg.coboundary_k, cfg.coboundary_cutoff)
-    out = _outdir(cfg)
-    write_json(out / "coboundary.json", coboundary_payload(rep))
-    print(
-        f"residual = {rep.residual:.6g} over {rep.solved_modes} solved modes "
-        f"({len(rep.skipped_modes)} skipped)"
+    return [("coboundary.json", write_json, coboundary_payload(rep))], {
+        "coboundary_residual": rep.residual
+    }
+
+
+# name -> fn(cfg, run) -> (outputs, summary); outputs are (file name, writer,
+# payload) triples.  ``run`` and every subcommand of the same name dispatch here.
+EXPERIMENTS = {
+    "correlate": _correlate,
+    "bilinear": _bilinear,
+    "davenport": _davenport,
+    "weyl": _weyl,
+    "constants": _constants,
+    "coboundary": _coboundary,
+}
+
+
+def _two_route(cfg: ExperimentConfig, pair):
+    """The reduced route of the bilinear average, and its largest deviation
+    from the pair-route report ``pair``."""
+    rep = bilinear_sum_reduced(
+        cfg.system(), cfg.observable(), cfg.p, cfg.q, list(cfg.checkpoints),
+        cfg.plan(cfg.checkpoints[-1]),
     )
-    print(f"wrote {out / 'coboundary.json'}")
+    worst = max(abs(a.value - b.value) for a, b in zip(pair.checkpoints, rep.checkpoints))
+    return [("bilinear_reduced.csv", write_correlation_csv, rep)], {
+        "two_route_max_deviation": worst
+    }
+
+
+def _write(out: Path, outputs) -> list[Path]:
+    paths = []
+    for name, writer, payload in outputs:
+        writer(out / name, payload)
+        paths.append(out / name)
+    return paths
+
+
+def cmd_experiment(args) -> int:
+    """One registry experiment: print its summary entries and the files written."""
+    cfg = _load(args)
+    outputs, summary = EXPERIMENTS[args.command](cfg, RunContext(cfg))
+    if getattr(args, "two_route", False):
+        extra, entries = _two_route(cfg, outputs[0][2])  # payload of bilinear.csv
+        outputs += extra
+        summary.update(entries)
+    paths = _write(_outdir(cfg), outputs)
+    for key, value in summary.items():
+        print(f"{key} = {value!r}")
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 
 def cmd_run(args) -> int:
     cfg = _load(args)
     out = _outdir(cfg)
-    table = None
+    # a manifest left by an earlier run must not outlive the files it lists
+    (out / "manifest.json").unlink(missing_ok=True)
+    run = RunContext(cfg)
     files = []
     summary = {}
-
-    def emit(name, writer, *payload):
-        path = out / name
-        writer(path, *payload)
-        files.append(path)
-
-    if {"correlate", "davenport"} & set(cfg.experiments):
-        table = _sieve_for(cfg)
-
-    if "correlate" in cfg.experiments:
-        rep = correlation_sum(
-            cfg.system(), cfg.observable(), None, list(cfg.checkpoints), table,
-            cfg.plan(cfg.checkpoints[-1]),
-        )
-        emit("correlation.csv", write_correlation_csv, rep)
-        emit("correlation.json", write_json, correlation_sidecar(rep))
-        summary["correlation_final_modulus"] = rep.checkpoints[-1].modulus
-        summary["correlation_moduli"] = {str(c.n): c.modulus for c in rep.checkpoints}
-
-    if "bilinear" in cfg.experiments:
-        rep = bilinear_sum(
-            cfg.system(), cfg.observable(), None, cfg.p, cfg.q,
-            list(cfg.checkpoints), cfg.plan(cfg.p * cfg.checkpoints[-1]),
-        )
-        emit("bilinear.csv", write_correlation_csv, rep)
-        emit("bilinear.json", write_json, correlation_sidecar(rep))
-        summary["bilinear_final_modulus"] = rep.checkpoints[-1].modulus
-
-    if "davenport" in cfg.experiments:
-        rep = davenport_baseline(
-            cfg.alpha, list(cfg.checkpoints), table, cfg.plan(cfg.checkpoints[-1])
-        )
-        emit("davenport.csv", write_correlation_csv, rep)
-        emit("davenport.json", write_json, correlation_sidecar(rep))
-        summary["davenport_final_modulus"] = rep.checkpoints[-1].modulus
-
-    if "weyl" in cfg.experiments:
-        reports = weyl_sums(
-            cfg.joining(), None, cfg.weyl_freqs, list(cfg.checkpoints),
-            cfg.plan(cfg.checkpoints[-1]),
-        )
-        emit("weyl.csv", write_weyl_csv, reports)
-        summary["weyl_max_modulus"] = max(r.checkpoints[-1].modulus for r in reports)
-
-    if "constants" in cfg.experiments:
-        pc = proof_constants(
-            cfg.coboundary_k, cfg.p, cfg.q, cfg.d1, cfg.alpha, cfg.beta,
-            cfg.base_function().L,
-        )
-        emit("constants.json", write_json, constants_payload(pc))
-        summary["delta1"] = pc.delta1
-        summary["nu"] = pc.nu
-
-    if "coboundary" in cfg.experiments:
-        rep = coboundary_search(cfg.joining(), cfg.coboundary_k, cfg.coboundary_cutoff)
-        emit("coboundary.json", write_json, coboundary_payload(rep))
-        summary["coboundary_residual"] = rep.residual
+    for name, experiment in EXPERIMENTS.items():
+        if name in cfg.experiments:
+            outputs, entries = experiment(cfg, run)
+            files += _write(out, outputs)
+            summary.update(entries)
 
     manifest = {
         "artifact_version": __version__,
@@ -328,7 +329,6 @@ def cmd_run(args) -> int:
     for f in files:
         print(f"  {f.name}")
     return 0
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -351,36 +351,22 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, default=None, help="emit steps 1..n instead")
     p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("correlate", help="Mobius correlation along the orbit")
-    _add_common(p)
-    p.set_defaults(func=cmd_correlate)
-
-    p = sub.add_parser("bilinear", help="prime-pair bilinear average")
-    _add_common(p)
-    p.add_argument("--two-route", action="store_true", help="also run the reduced route")
-    p.set_defaults(func=cmd_bilinear)
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=experiment.__doc__)
+        _add_common(p)
+        p.set_defaults(func=cmd_experiment)
+        if name == "bilinear":
+            p.add_argument("--two-route", action="store_true", help="also run the reduced route")
 
     p = sub.add_parser("reduce-joining", help="summarize the joining reduction")
     _add_common(p)
     p.set_defaults(func=cmd_reduce_joining)
-
-    p = sub.add_parser("weyl", help="Weyl sums along the reduced orbit")
-    _add_common(p)
-    p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("winding", help="winding of the iterated joining cocycle")
     _add_common(p)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--y0", type=float, default=0.37)
     p.set_defaults(func=cmd_winding)
-
-    p = sub.add_parser("constants", help="proof constants delta1 and nu")
-    _add_common(p)
-    p.set_defaults(func=cmd_constants)
-
-    p = sub.add_parser("coboundary", help="cohomological-equation residual")
-    _add_common(p)
-    p.set_defaults(func=cmd_coboundary)
 
     p = sub.add_parser("run", help="run all experiments enabled in the config")
     _add_common(p)

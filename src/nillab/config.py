@@ -52,7 +52,6 @@ class ExperimentConfig:
     sieve_bound: int = 10**7
     segment_size: int = 1 << 16
     workers: int = 1
-    seed: int = 20260811
     out_dir: str = "runs/out"
     experiments: tuple[str, ...] = KNOWN_EXPERIMENTS
     weyl_freqs: tuple[tuple[int, int, int], ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2))
@@ -77,6 +76,9 @@ class ExperimentConfig:
         unknown = set(self.experiments) - set(KNOWN_EXPERIMENTS)
         if unknown:
             raise ValueError(f"unknown experiments: {sorted(unknown)}")
+        for f in self.weyl_freqs:
+            if len(f) != 3 or not all(isinstance(k, int) for k in f) or not any(f):
+                raise ValueError(f"[weyl] freqs entry {f} is not a nonzero integer triple")
         self.observable()  # validates bump geometry / mode choice
         return self
 
@@ -126,7 +128,6 @@ class ExperimentConfig:
             "sieve_bound": str(self.sieve_bound),
             "segment_size": str(self.segment_size),
             "workers": str(self.workers),
-            "seed": str(self.seed),
             "out": self.out_dir,
             "experiments": ",".join(self.experiments),
         }
@@ -164,15 +165,21 @@ def parse_config(text: str) -> ExperimentConfig:
         chunk = chunk.strip()
         if not chunk:
             continue
-        k1, k2, amp, phase = (v.strip() for v in chunk.split(","))
-        terms.append(TrigTerm(int(k1), int(k2), float(amp), float(phase)))
+        try:
+            k1, k2, amp, phase = (v.strip() for v in chunk.split(","))
+            terms.append(TrigTerm(int(k1), int(k2), float(amp), float(phase)))
+        except ValueError:
+            raise ValueError(f"[system] terms entry {chunk!r} is not k1,k2,amplitude,phase") from None
     center = tuple(float(v) for v in get("observable", "bump_center", "0.5,0.5").split(","))
     mode = tuple(int(v) for v in get("observable", "base_mode", "0,0").split(","))
     freqs = []
     for chunk in get("weyl", "freqs", "1,0,0").split(";"):
         chunk = chunk.strip()
         if chunk:
-            freqs.append(tuple(int(v) for v in chunk.split(",")))
+            try:
+                freqs.append(tuple(int(v) for v in chunk.split(",")))
+            except ValueError:
+                raise ValueError(f"[weyl] freqs entry {chunk!r} is not an integer triple") from None
     cfg = ExperimentConfig(
         alpha=parse_real(get("system", "alpha")),
         beta=parse_real(get("system", "beta")),
@@ -189,7 +196,6 @@ def parse_config(text: str) -> ExperimentConfig:
         sieve_bound=int(get("run", "sieve_bound")),
         segment_size=int(get("run", "segment_size", str(1 << 16))),
         workers=int(get("run", "workers", "1")),
-        seed=int(get("run", "seed", "0")),
         out_dir=get("run", "out", "runs/out"),
         experiments=tuple(
             v.strip() for v in get("run", "experiments", ",".join(KNOWN_EXPERIMENTS)).split(",")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import JoiningSystem
-from .engine import OrbitSegmentPlan, orbit_stream_multi
+from .engine import OrbitSegmentPlan, check_checkpoints, orbit_stream_multi, resize_plan
 from .fixedpoint import FixedReal
 
 TWO_PI = 2.0 * math.pi
@@ -58,9 +58,6 @@ class WeylReport:
     checkpoints: tuple[WeylPoint, ...]
     metadata: dict = field(default_factory=dict)
 
-    def max_modulus(self) -> float:
-        return max(p.modulus for p in self.checkpoints)
-
 
 def weyl_sums(
     js: JoiningSystem,
@@ -74,11 +71,8 @@ def weyl_sums(
     for f in freqs:
         if f == (0, 0, 0):
             raise ValueError("Weyl frequencies must be nonzero")
-    checkpoints = sorted(int(c) for c in checkpoints)
-    if plan is None:
-        plan = OrbitSegmentPlan(checkpoints[-1])
-    else:
-        plan = OrbitSegmentPlan(checkpoints[-1], plan.segment_size, plan.worker_count)
+    checkpoints = check_checkpoints(checkpoints)
+    plan = resize_plan(plan, checkpoints[-1])
 
     def make_fn(k):
         k1, k2, k3 = k

@@ -74,70 +74,18 @@ class TrigTerm:
     phase: float = 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class PiecewiseLinearTable:
-    """Z^2-periodic bilinear interpolation of node values on a uniform grid.
-
-    ``values[i, j]`` is the value at (i/m, j/m); the table wraps periodically.
-    Lipschitz in each axis with constant ``max |node difference| * m``.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 2:
-            raise ValueError("table must be square with at least 2 nodes per axis")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("table values must be finite")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-    def slopes(self) -> tuple[float, float]:
-        m = self.size
-        dx = np.abs(np.roll(self.values, -1, axis=0) - self.values).max() * m
-        dy = np.abs(np.roll(self.values, -1, axis=1) - self.values).max() * m
-        return float(dx), float(dy)
-
-    def interp(self, xf, yf):
-        """Bilinear value at fractional coordinates (arrays or scalars)."""
-        m = self.size
-        tx = np.asarray(xf, dtype=np.float64) * m
-        ty = np.asarray(yf, dtype=np.float64) * m
-        i = np.floor(tx).astype(np.int64)
-        j = np.floor(ty).astype(np.int64)
-        fx = tx - i
-        fy = ty - j
-        i %= m
-        j %= m
-        i1 = (i + 1) % m
-        j1 = (j + 1) % m
-        v = self.values
-        out = (
-            v[i, j] * (1 - fx) * (1 - fy)
-            + v[i1, j] * fx * (1 - fy)
-            + v[i, j1] * (1 - fx) * fy
-            + v[i1, j1] * fx * fy
-        )
-        return out
-
-
 @dataclass(frozen=True)
 class BaseFunctionSpec:
     """The fiber function h: winding numbers plus a Z^2-periodic part.
 
     ``d1``/``d2`` are the integer degrees of h in x and y; the periodic part
-    is a finite trigonometric sum and/or a piecewise-linear table.  ``L``
-    bounds the Lipschitz constant of the lift for the sup metric on T^2.
+    is a finite trigonometric sum.  ``L`` bounds the Lipschitz constant of the
+    lift for the sup metric on T^2.
     """
 
     d1: int
     d2: int
     terms: tuple[TrigTerm, ...] = ()
-    table: PiecewiseLinearTable | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -146,24 +94,15 @@ class BaseFunctionSpec:
     def L(self) -> float:
         lx = abs(self.d1) + sum(TWO_PI * abs(t.amplitude) * abs(t.k1) for t in self.terms)
         ly = abs(self.d2) + sum(TWO_PI * abs(t.amplitude) * abs(t.k2) for t in self.terms)
-        if self.table is not None:
-            sx, sy = self.table.slopes()
-            lx += sx
-            ly += sy
         return lx + ly
 
     # -- float path ---------------------------------------------------------
 
     def periodic_value(self, x, y):
-        """Periodic part at real arguments (vectorized; trig terms are
-        automatically periodic, the table is evaluated at fractional parts)."""
+        """Periodic part at real arguments (vectorized)."""
         out = 0.0
         for t in self.terms:
             out = out + t.amplitude * np.sin(TWO_PI * (t.k1 * x + t.k2 * y + t.phase))
-        if self.table is not None:
-            xf = x - np.floor(x)
-            yf = y - np.floor(y)
-            out = out + self.table.interp(xf, yf)
         return out
 
     # -- canonical circle quantization (shared by scalar path and engine) ----
@@ -182,8 +121,6 @@ class BaseFunctionSpec:
         return np.rint(raw * Q53).astype(np.int64)
 
     def as_lift(self) -> "AffineTrigLift":
-        if self.table is not None:
-            raise ValueError("tables have no closed trigonometric lift")
         return AffineTrigLift(float(self.d1), float(self.d2), 0.0, self.terms)
 
 
@@ -244,13 +181,6 @@ class AffineTrigLift:
         terms = tuple(TrigTerm(t.k1 * s, t.k2 * s, t.amplitude, t.phase) for t in self.terms)
         return AffineTrigLift(self.cx * s, self.cy * s, self.const, terms)
 
-    def shift_args(self, dx: float, dy: float) -> "AffineTrigLift":
-        terms = tuple(
-            TrigTerm(t.k1, t.k2, t.amplitude, t.phase + t.k1 * dx + t.k2 * dy)
-            for t in self.terms
-        )
-        return AffineTrigLift(self.cx, self.cy, self.const + self.cx * dx + self.cy * dy, terms)
-
     def plus(self, other: "AffineTrigLift", sign: int = 1) -> "AffineTrigLift":
         terms = tuple(
             TrigTerm(t.k1, t.k2, sign * t.amplitude, t.phase) for t in other.terms
@@ -279,15 +209,6 @@ def collapse_birkhoff(lift: AffineTrigLift, alpha: float, beta: float, n: int) -
     return AffineTrigLift(lift.cx * n, lift.cy * n, const, tuple(terms))
 
 
-def _direct_birkhoff(fn, alpha: float, beta: float, n: int):
-    def lifted(x, y):
-        return sum(fn(x + i * alpha, y + i * beta) for i in range(n)) if n else np.zeros_like(
-            np.asarray(x, dtype=np.float64)
-        )
-
-    return lifted
-
-
 # ---------------------------------------------------------------------------
 # the skew system T and the joining system T_star
 # ---------------------------------------------------------------------------
@@ -312,14 +233,6 @@ class SkewSystem:
     @property
     def beta_f(self) -> float:
         return float(self.beta)
-
-    def hn_lift(self, n: int):
-        """Vectorized float lift of the cocycle h_n."""
-        if self.h.table is None:
-            return collapse_birkhoff(self.h.as_lift(), self.alpha_f, self.beta_f, n)
-        return _direct_birkhoff(
-            lambda u, v: eval_h_lift(self.h, u, v), self.alpha_f, self.beta_f, n
-        )
 
 
 def step_T(sys: SkewSystem, pt: NilPoint) -> NilPoint:
@@ -352,14 +265,19 @@ def iterate_T(sys: SkewSystem, pt: NilPoint, n: int) -> NilPoint:
     if not pt.is_fixed:
         return _iterate_float(sys, pt, n)
     x, y, _ = pt.coords()
+    return canonical_rep(mul(_translation(sys, x, y, n), pt.rep))
+
+
+def _translation(sys: SkewSystem, x: FixedReal, y: FixedReal, m: int) -> GroupElement:
+    """The exact translation (m alpha, m beta, h_m(x, y)) by which T^m acts
+    on points over the base point (x, y)."""
     total = FixedReal(0)
     u, v = x, y
-    for _ in range(n):
+    for _ in range(m):
         total = total + lift_fixed(sys.h, u, v)
         u = u + sys.alpha
         v = v + sys.beta
-    g = GroupElement(sys.alpha * n, sys.beta * n, total, HEISENBERG)
-    return canonical_rep(mul(g, pt.rep))
+    return GroupElement(sys.alpha * m, sys.beta * m, total, HEISENBERG)
 
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
@@ -433,24 +351,27 @@ class JoiningSystem:
 
     # -- scalar evaluation (duck-typed over FixedReal / float) --------------
 
+    def _rotation(self, x, n: int = 1):
+        """(n alpha, n beta) in the number type of x: exact for FixedReal."""
+        if isinstance(x, FixedReal):
+            return self.base.alpha * n, self.base.beta * n
+        return n * self.base.alpha_f, n * self.base.beta_f
+
     def H_value(self, x, y):
         """Lift of H at (x, y): sums of shifted h lifts, p-side minus q-side."""
-        sys = self.base
-        if isinstance(x, FixedReal):
-            alpha, beta = sys.alpha, sys.beta
-        else:
-            alpha, beta = sys.alpha_f, sys.beta_f
+        h = self.base.h
+        alpha, beta = self._rotation(x)
         pos = x * self.p
         vps = y * self.p
-        total = _lift(sys.h, pos, vps)
+        total = _lift(h, pos, vps)
         for _ in range(self.p - 1):
             pos = pos + alpha
             vps = vps + beta
-            total = total + _lift(sys.h, pos, vps)
+            total = total + _lift(h, pos, vps)
         pos = x * self.q
         vps = y * self.q
         for _ in range(self.q):
-            total = total - _lift(sys.h, pos, vps)
+            total = total - _lift(h, pos, vps)
             pos = pos + alpha
             vps = vps + beta
         return total
@@ -459,11 +380,8 @@ class JoiningSystem:
         """Lift of the cocycle H_n(x, y) = sum_{i<n} H(x + i alpha, y + i beta)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        sys = self.base
-        if isinstance(x, FixedReal):
-            alpha, beta, total = sys.alpha, sys.beta, FixedReal(0)
-        else:
-            alpha, beta, total = sys.alpha_f, sys.beta_f, 0.0
+        alpha, beta = self._rotation(x)
+        total = x * 0  # zero in the number type of x
         u, v = x, y
         for _ in range(n):
             total = total + self.H_value(u, v)
@@ -477,10 +395,7 @@ class JoiningSystem:
         H + (p^2-q^2) ((alpha y - beta x) - (x+alpha) floor(y+beta)
                         + floor(x+alpha) (y+beta)).
         """
-        if isinstance(x, FixedReal):
-            alpha, beta = self.base.alpha, self.base.beta
-        else:
-            alpha, beta = self.base.alpha_f, self.base.beta_f
+        alpha, beta = self._rotation(x)
         corr = (
             (alpha * y - beta * x)
             - (x + alpha) * math.floor(y + beta)
@@ -494,10 +409,7 @@ class JoiningSystem:
         H_n + (p^2-q^2) ((n alpha y - n beta x) - (x + n alpha) floor(y + n beta)
                           + floor(x + n alpha) (y + n beta)).
         """
-        if isinstance(x, FixedReal):
-            alpha, beta = self.base.alpha * n, self.base.beta * n
-        else:
-            alpha, beta = n * self.base.alpha_f, n * self.base.beta_f
+        alpha, beta = self._rotation(x, n)
         corr = (
             (alpha * y - beta * x)
             - (x + alpha) * math.floor(y + beta)
@@ -511,10 +423,7 @@ class JoiningSystem:
         for v in (x, y, z):
             if not (0 <= v and v < 1):
                 raise ValueError("trivialized point must lie in [0, 1)^3")
-        if isinstance(x, FixedReal):
-            alpha, beta = self.base.alpha, self.base.beta
-        else:
-            alpha, beta = self.base.alpha_f, self.base.beta_f
+        alpha, beta = self._rotation(x)
         return (
             _frac(x + alpha),
             _frac(y + beta),
@@ -526,42 +435,22 @@ class JoiningSystem:
         if pt.law != self.law:
             raise ValueError("point does not carry this joining's star law")
         x, y, _ = pt.coords()
-        if pt.is_fixed:
-            g = GroupElement(self.base.alpha, self.base.beta, self.H_value(x, y), self.law)
-        else:
-            g = GroupElement(
-                self.base.alpha_f, self.base.beta_f, float(self.H_value(x, y)), self.law
-            )
-        return canonical_rep(mul(g, pt.rep))
+        alpha, beta = self._rotation(x)
+        return canonical_rep(mul(GroupElement(alpha, beta, self.H_value(x, y), self.law), pt.rep))
 
     # -- vectorized float lifts for the growth diagnostics ------------------
 
-    def H_lift(self):
-        """Vectorized float lift of H (collapsed when h is trigonometric)."""
+    def H_lift(self) -> AffineTrigLift:
+        """Vectorized float lift of H, collapsed per trigonometric term."""
         sys = self.base
-        if sys.h.table is None:
-            hp = collapse_birkhoff(sys.h.as_lift(), sys.alpha_f, sys.beta_f, self.p)
-            hq = collapse_birkhoff(sys.h.as_lift(), sys.alpha_f, sys.beta_f, self.q)
-            return hp.scale_args(self.p).plus(hq.scale_args(self.q), sign=-1)
+        lift = sys.h.as_lift()
+        hp = collapse_birkhoff(lift, sys.alpha_f, sys.beta_f, self.p)
+        hq = collapse_birkhoff(lift, sys.alpha_f, sys.beta_f, self.q)
+        return hp.scale_args(self.p).plus(hq.scale_args(self.q), sign=-1)
 
-        def lifted(x, y):
-            af, bf = sys.alpha_f, sys.beta_f
-            out = 0.0
-            for j in range(self.p):
-                out = out + eval_h_lift(sys.h, self.p * x + j * af, self.p * y + j * bf)
-            for j in range(self.q):
-                out = out - eval_h_lift(sys.h, self.q * x + j * af, self.q * y + j * bf)
-            return out
-
-        return lifted
-
-    def Hn_lift(self, n: int):
+    def Hn_lift(self, n: int) -> AffineTrigLift:
         """Vectorized float lift of H_n."""
-        sys = self.base
-        base = self.H_lift()
-        if isinstance(base, AffineTrigLift):
-            return collapse_birkhoff(base, sys.alpha_f, sys.beta_f, n)
-        return _direct_birkhoff(base, sys.alpha_f, sys.beta_f, n)
+        return collapse_birkhoff(self.H_lift(), self.base.alpha_f, self.base.beta_f, n)
 
     def H_prime_arrays(self, x, y):
         """Float H' on arrays of representatives in [0, 1)^2."""
@@ -578,16 +467,6 @@ class JoiningSystem:
 def build_joining(sys: SkewSystem, p: int, q: int) -> JoiningSystem:
     """The joining system for the prime pair p > q (twist p^2 - q^2)."""
     return JoiningSystem(sys, p, q)
-
-
-def step_Tstar_trivialized(js: JoiningSystem, pt3):
-    return js.step_trivialized(pt3)
-
-
-def cocycle_Hn_prime(js: JoiningSystem, x, y, n: int):
-    if n < 1:
-        raise ValueError("n must be positive")
-    return js.Hn_prime(x, y, n)
 
 
 def rho(pt: NilPoint):
@@ -610,9 +489,8 @@ def pair_orbit_element(sys: SkewSystem, p: int, q: int, n: int) -> tuple[GroupEl
     Returned without reduction so the pair satisfies the joining constraint
     q (x1, y1) = p (x2, y2) exactly, as needed by the projection.
     """
-    first = _orbit_group_element(sys, p * n)
-    second = _orbit_group_element(sys, q * n)
-    return first, second
+    zero = FixedReal(0)
+    return _translation(sys, zero, zero, p * n), _translation(sys, zero, zero, q * n)
 
 
 def pair_orbit(sys: SkewSystem, p: int, q: int, n_max: int):
@@ -622,30 +500,9 @@ def pair_orbit(sys: SkewSystem, p: int, q: int, n_max: int):
     translation element evaluated at the current base coordinates, costing
     p + q lift evaluations per n instead of n (p + q).
     """
-
-    def advance(g: GroupElement, m: int) -> GroupElement:
-        total = FixedReal(0)
-        u, v = g.x, g.y
-        for _ in range(m):
-            total = total + lift_fixed(sys.h, u, v)
-            u = u + sys.alpha
-            v = v + sys.beta
-        return mul(GroupElement(sys.alpha * m, sys.beta * m, total, HEISENBERG), g)
-
     first = identity()
     second = identity()
     for _ in range(n_max):
-        first = advance(first, p)
-        second = advance(second, q)
+        first = mul(_translation(sys, first.x, first.y, p), first)
+        second = mul(_translation(sys, second.x, second.y, q), second)
         yield first, second
-
-
-def _orbit_group_element(sys: SkewSystem, m: int) -> GroupElement:
-    total = FixedReal(0)
-    u = FixedReal(0)
-    v = FixedReal(0)
-    for _ in range(m):
-        total = total + lift_fixed(sys.h, u, v)
-        u = u + sys.alpha
-        v = v + sys.beta
-    return GroupElement(sys.alpha * m, sys.beta * m, total, HEISENBERG)

@@ -12,14 +12,14 @@ Streaming is two-pass: pass 1 computes each segment's cocycle total
 independently, an exclusive scan over segment totals yields the z-offsets,
 and pass 2 evaluates observables per segment in a thread pool.  Observable
 values are quantized to 2**-53 and summed in integer arithmetic, which makes
-checkpoint sums bit-identical for any ``worker_count`` at fixed
-``segment_size`` -- and equal to the naive single-loop oracle.
+checkpoint sums bit-identical for any worker count and segment size -- and
+equal to the naive single-loop oracle.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,6 +88,28 @@ class OrbitSegmentPlan:
             raise ValueError("worker_count must be positive")
 
 
+def resize_plan(plan: OrbitSegmentPlan | None, n_total: int) -> OrbitSegmentPlan:
+    """``plan`` (by default one worker and 2**16-step segments) for ``n_total`` steps."""
+    return OrbitSegmentPlan(n_total) if plan is None else replace(plan, n_total=n_total)
+
+
+def check_checkpoints(checkpoints, bound=None) -> list[int]:
+    """``checkpoints`` as ints, strictly increasing and within [1, bound].
+
+    ``bound`` is a step count, or a Mobius table whose ``n_max`` bounds the
+    checkpoints and is named as the sieve bound in the error; None leaves the
+    top open.
+    """
+    cps = [int(c) for c in checkpoints]
+    if not cps or cps[0] < 1 or any(a >= b for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be strictly increasing positive integers")
+    n_max = getattr(bound, "n_max", bound)
+    if n_max is not None and cps[-1] > n_max:
+        limit = "sieve bound" if n_max is not bound else "step count"
+        raise ValueError(f"max checkpoint {cps[-1]} exceeds {limit} {n_max}")
+    return cps
+
+
 # ---------------------------------------------------------------------------
 # lane streams
 # ---------------------------------------------------------------------------
@@ -111,7 +133,10 @@ class _LaneStream:
     """
 
     def __init__(self, alpha: FixedReal, beta: FixedReal, x0: FixedReal, y0: FixedReal,
-                 z0: FixedReal, twist: int):
+                 z0: FixedReal, twist: int, h):
+        self.h = h
+        self.d1u = u64c(h.d1)
+        self.d2u = u64c(h.d2)
         self.a_int = _require_q64_unit(alpha, "alpha")
         self.b_int = _require_q64_unit(beta, "beta")
         self.x0_int = _require_q64_unit(x0, "start x")
@@ -126,6 +151,11 @@ class _LaneStream:
         self.cu = u64c(twist)
         # c*(alpha*y0 - beta*x0) on the 2**-128 grid, wrapped mod 2**128
         self.cross = (twist * (self.a_int * self.y0_int - self.b_int * self.x0_int)) % (1 << 128)
+
+    def _lift(self, xg: np.ndarray, yg: np.ndarray) -> np.ndarray:
+        """The lift of h at u64 torus coordinates, wrapped mod 1."""
+        q = self.h.periodic_q53(xg, yg).astype(np.uint64) << np.uint64(11)
+        return self.d1u * xg + self.d2u * yg + q
 
     def u_values(self, i: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -155,16 +185,10 @@ class _SkewLanes(_LaneStream):
         if not start.is_fixed or start.law != HEISENBERG:
             raise ValueError("engine start must be a fixed-point Heisenberg NilPoint")
         x0, y0, z0 = start.coords()
-        super().__init__(sys.alpha, sys.beta, x0, y0, z0, twist=1)
-        self.h = sys.h
-        self.d1u = u64c(sys.h.d1)
-        self.d2u = u64c(sys.h.d2)
+        super().__init__(sys.alpha, sys.beta, x0, y0, z0, 1, sys.h)
 
     def u_values(self, i: np.ndarray) -> np.ndarray:
-        xg = self.x0u + i * self.au
-        yg = self.y0u + i * self.bu
-        q = self.h.periodic_q53(xg, yg).astype(np.uint64) << np.uint64(11)
-        return self.d1u * xg + self.d2u * yg + q
+        return self._lift(self.x0u + i * self.au, self.y0u + i * self.bu)
 
 
 class _JoiningLanes(_LaneStream):
@@ -176,20 +200,13 @@ class _JoiningLanes(_LaneStream):
 
     def __init__(self, js: JoiningSystem, start):
         x0, y0, z0 = start
-        super().__init__(js.base.alpha, js.base.beta, x0, y0, z0, twist=js.twist)
-        self.h = js.base.h
+        super().__init__(js.base.alpha, js.base.beta, x0, y0, z0, js.twist, js.base.h)
         self.p = js.p
         self.q = js.q
-        self.d1u = u64c(js.base.h.d1)
-        self.d2u = u64c(js.base.h.d2)
         self.px0u = u64c(self.p * self.x0_int)
         self.py0u = u64c(self.p * self.y0_int)
         self.qx0u = u64c(self.q * self.x0_int)
         self.qy0u = u64c(self.q * self.y0_int)
-
-    def _ell(self, xg: np.ndarray, yg: np.ndarray) -> np.ndarray:
-        q = self.h.periodic_q53(xg, yg).astype(np.uint64) << np.uint64(11)
-        return self.d1u * xg + self.d2u * yg + q
 
     def u_values(self, i: np.ndarray) -> np.ndarray:
         acc = np.zeros(i.shape, dtype=np.uint64)
@@ -197,10 +214,10 @@ class _JoiningLanes(_LaneStream):
         qu = u64c(self.q)
         for j in range(self.p):
             idx = i * pu + u64c(j)
-            acc = acc + self._ell(self.px0u + idx * self.au, self.py0u + idx * self.bu)
+            acc = acc + self._lift(self.px0u + idx * self.au, self.py0u + idx * self.bu)
         for j in range(self.q):
             idx = i * qu + u64c(j)
-            acc = acc - self._ell(self.qx0u + idx * self.au, self.qy0u + idx * self.bu)
+            acc = acc - self._lift(self.qx0u + idx * self.au, self.qy0u + idx * self.bu)
         return acc
 
 
@@ -278,25 +295,37 @@ def _segment_bounds(n_total: int, segment_size: int):
     return [(lo, min(lo + segment_size, n_total)) for lo in range(0, n_total, segment_size)]
 
 
+def _map_segments(job, count: int, workers: int) -> list:
+    """``[job(k) for k in range(count)]``, on ``workers`` threads when above 1."""
+    if workers > 1 and count > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(job, range(count)))
+    return [job(k) for k in range(count)]
+
+
 def _segment_offsets(stream: _LaneStream, bounds, workers: int):
     """Pass 1: per-segment cocycle totals and their exclusive scan (mod 1)."""
 
-    def total(seg):
-        lo, hi = seg
+    def total(k):
+        lo, hi = bounds[k]
         i = np.arange(lo, hi, dtype=np.uint64)
         return int(stream.u_values(i).sum(dtype=np.uint64))
 
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = list(pool.map(total, bounds))
-    else:
-        totals = [total(seg) for seg in bounds]
     offsets = []
     acc = 0
-    for t in totals:
+    for t in _map_segments(total, len(bounds), workers):
         offsets.append(acc)
         acc = (acc + t) & MASK64
     return offsets
+
+
+def _segment_lanes(stream: _LaneStream, lo: int, hi: int, offset: int):
+    """Pass 2: step indices n = lo+1 .. hi and their lanes (x, y, z hi, z lo),
+    scanned on from the segment's cocycle offset."""
+    i = np.arange(lo, hi, dtype=np.uint64)
+    s = u64c(offset) + np.cumsum(stream.u_values(i), dtype=np.uint64)
+    n = i + np.uint64(1)
+    return n, stream.lanes(n, s)
 
 
 def orbit_stream_multi(
@@ -317,13 +346,7 @@ def orbit_stream_multi(
     n <= N, exactly accumulated on the 2**-53 grid.
     """
     n_total = plan.n_total
-    if checkpoints is None:
-        checkpoints = [n_total]
-    checkpoints = list(checkpoints)
-    if checkpoints != sorted(checkpoints) or len(set(checkpoints)) != len(checkpoints):
-        raise ValueError("checkpoints must be strictly increasing")
-    if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n_total):
-        raise ValueError("checkpoints must lie in [1, n_total]")
+    checkpoints = check_checkpoints([n_total] if checkpoints is None else checkpoints, n_total)
 
     stream = _make_stream(system, start)
     bounds = _segment_bounds(n_total, plan.segment_size)
@@ -332,11 +355,7 @@ def orbit_stream_multi(
 
     def job(k):
         lo, hi = bounds[k]
-        i = np.arange(lo, hi, dtype=np.uint64)
-        u = stream.u_values(i)
-        s = u64c(offsets[k]) + np.cumsum(u, dtype=np.uint64)
-        n = i + np.uint64(1)
-        fx, fy, z_hi, z_lo = stream.lanes(n, s)
+        n, (fx, fy, z_hi, z_lo) = _segment_lanes(stream, lo, hi, offsets[k])
         w = weights(lo + 1, hi + 1) if weights is not None else None
         floats_cache = [None]
         cuts = [c for c in checkpoints if lo < c <= hi]
@@ -352,12 +371,7 @@ def orbit_stream_multi(
             out.append((cut_sums, _exact_sum_i64(qre), _exact_sum_i64(qim)))
         return out
 
-    if plan.worker_count > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=plan.worker_count) as pool:
-            seg_results = list(pool.map(job, range(len(bounds))))
-    else:
-        seg_results = [job(k) for k in range(len(bounds))]
-
+    seg_results = _map_segments(job, len(bounds), plan.worker_count)
     results = [[] for _ in range(nfns)]
     running = [(0, 0)] * nfns
     for seg in seg_results:
@@ -409,25 +423,19 @@ def orbit_stream_naive(system, start, n_total, value_fn, weights=None, checkpoin
 
 def orbit_points(system, start, ns):
     """Float coordinates of the orbit at the given step indices (exact lanes)."""
-    stream = _make_stream(system, start)
-    out = []
-    s = 0
     want = sorted(set(int(n) for n in ns))
-    if want and want[0] < 1:
+    if not want:
+        return []
+    if want[0] < 1:
         raise ValueError("orbit indices must be >= 1")
-    pos = 0
-    for n in want:
-        while pos < n:
-            block = min(n - pos, 1 << 16)
-            i = np.arange(pos, pos + block, dtype=np.uint64)
-            s = (s + int(stream.u_values(i).sum(dtype=np.uint64))) & MASK64
-            pos += block
-        fx, fy, z_hi, z_lo = stream.lanes(
-            np.array([n], dtype=np.uint64), np.array([s], dtype=np.uint64)
-        )
-        xf, yf, zf = _float_lanes(fx, fy, z_hi, z_lo)
-        out.append((n, float(xf[0]), float(yf[0]), float(zf[0])))
-    return out
+    stream = _make_stream(system, start)
+    # segments end at every wanted index; the empty last one scans to the end
+    edges = sorted(set(range(0, want[-1], 1 << 16)).union(want))
+    offsets = _segment_offsets(stream, list(zip(edges, edges[1:] + edges[-1:])), 1)
+    s = dict(zip(edges, offsets))
+    n = np.array(want, dtype=np.uint64)
+    xf, yf, zf = _float_lanes(*stream.lanes(n, np.array([s[v] for v in want], dtype=np.uint64)))
+    return [(v, float(x), float(y), float(z)) for v, x, y, z in zip(want, xf, yf, zf)]
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +458,8 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
 
     def job(k):
         lo, hi = bounds[k]
-        i = np.arange(lo, hi, dtype=np.uint64)
-        u = stream.u_values(i)
-        s = u64c(offsets[k]) + np.cumsum(u, dtype=np.uint64)
-        n = i + np.uint64(1)
-        fx, fy, z_hi, z_lo = stream.lanes(n, s)
-        n_int = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        n, (fx, fy, z_hi, z_lo) = _segment_lanes(stream, lo, hi, offsets[k])
+        n_int = n.astype(np.int64)
         for stride, sink in ((p, fp), (q, fq)):
             mask = (n_int % stride == 0) & (n_int <= stride * n_pairs)
             if not mask.any():
@@ -463,25 +467,19 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
             xf, yf, zf = _float_lanes(fx[mask], fy[mask], z_hi[mask], z_lo[mask])
             sink[n_int[mask] // stride - 1] = obs.eval_arrays(xf, yf, zf)
 
-    if plan_template.worker_count > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=plan_template.worker_count) as pool:
-            list(pool.map(job, range(len(bounds))))
-    else:
-        for k in range(len(bounds)):
-            job(k)
+    _map_segments(job, len(bounds), plan_template.worker_count)
     return fp, fq
 
 
 def checkpoint_sums(values: np.ndarray, checkpoints) -> list[tuple[int, complex]]:
     """Exact quantized checkpoint sums of 1-indexed per-step values."""
+    checkpoints = check_checkpoints(checkpoints, values.size)
     out = []
     qre, qim = _quantize(values)
     prev = 0
     re_tot = 0
     im_tot = 0
     for c in checkpoints:
-        if not (1 <= c <= values.size):
-            raise ValueError("checkpoint beyond available values")
         re_tot += _exact_sum_i64(qre[prev:c])
         im_tot += _exact_sum_i64(qim[prev:c])
         prev = c

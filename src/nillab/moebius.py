@@ -27,13 +27,15 @@ from .dynamics import SkewSystem, build_joining
 from .engine import (
     OrbitSegmentPlan,
     StarDescentSink,
+    check_checkpoints,
     checkpoint_sums,
     orbit_stream,
     pair_factor_values,
+    resize_plan,
 )
 from .fixedpoint import FixedReal
 from .heisenberg import NilPoint, canonical_rep, identity
-from .observables import JoiningObservable, Observable
+from .observables import Observable
 
 MAX_SIEVE = 10**9
 _BLOCK = 1 << 20
@@ -146,9 +148,6 @@ class CorrelationReport:
     checkpoints: tuple[CorrelationPoint, ...]
     metadata: dict = field(default_factory=dict)
 
-    def moduli(self) -> list[float]:
-        return [c.modulus for c in self.checkpoints]
-
     def value_at(self, n: int) -> complex:
         for c in self.checkpoints:
             if c.n == n:
@@ -159,23 +158,6 @@ class CorrelationReport:
 def _normalize(sums, metadata) -> CorrelationReport:
     pts = tuple(CorrelationPoint(n, s / n) for n, s in sums)
     return CorrelationReport(pts, metadata)
-
-
-def _default_plan(n_total: int, plan: OrbitSegmentPlan | None) -> OrbitSegmentPlan:
-    if plan is None:
-        return OrbitSegmentPlan(n_total)
-    return OrbitSegmentPlan(n_total, plan.segment_size, plan.worker_count)
-
-
-def _check_checkpoints(checkpoints, table: MobiusTable | None):
-    checkpoints = [int(c) for c in checkpoints]
-    if checkpoints != sorted(set(checkpoints)):
-        raise ValueError("checkpoints must be strictly increasing")
-    if table is not None and checkpoints[-1] > table.n_max:
-        raise ValueError(
-            f"max checkpoint {checkpoints[-1]} exceeds sieve bound {table.n_max}"
-        )
-    return checkpoints
 
 
 def correlation_sum(
@@ -189,8 +171,8 @@ def correlation_sum(
     """(1/N) sum_{n<=N} F(T^n x0) mu(n) at each checkpoint N."""
     if not isinstance(obs, Observable):
         raise TypeError("correlation_sum expects a base-system Observable")
-    checkpoints = _check_checkpoints(checkpoints, table)
-    plan = _default_plan(checkpoints[-1], plan)
+    checkpoints = check_checkpoints(checkpoints, table)
+    plan = resize_plan(plan, checkpoints[-1])
     sums = orbit_stream(sys, start, plan, obs, weights=table.mu_slice, checkpoints=checkpoints)
     meta = {
         "estimator": "correlation_sum",
@@ -214,9 +196,9 @@ def bilinear_sum(
 ) -> CorrelationReport:
     """(1/N) sum_{n<=N} F(T^{pn} x0) conj(F(T^{qn} x0)) -- the pair route."""
     js = build_joining(sys, p, q)  # validates the prime pair
-    checkpoints = _check_checkpoints(checkpoints, None)
+    checkpoints = check_checkpoints(checkpoints)
     n_pairs = checkpoints[-1]
-    plan = _default_plan(max(p * n_pairs, 1), plan)
+    plan = resize_plan(plan, p * n_pairs)
     if start is None:
         start = canonical_rep(identity())
     fp, fq = pair_factor_values(sys, start, p, q, n_pairs, plan, obs)
@@ -243,9 +225,8 @@ def bilinear_sum_reduced(
 ) -> CorrelationReport:
     """The same bilinear average computed as (1/N) sum f_star(T_star^n x0*)."""
     js = build_joining(sys, p, q)
-    jobs = JoiningObservable(obs, p, q)
-    checkpoints = _check_checkpoints(checkpoints, None)
-    plan = _default_plan(checkpoints[-1], plan)
+    checkpoints = check_checkpoints(checkpoints)
+    plan = resize_plan(plan, checkpoints[-1])
     sink = StarDescentSink(obs, p, q)
     sums = orbit_stream(js, None, plan, sink, checkpoints=checkpoints)
     meta = {
@@ -254,7 +235,7 @@ def bilinear_sum_reduced(
         "p": p,
         "q": q,
         "twist": js.twist,
-        "xi": jobs.source.xi,
+        "xi": obs.xi,
         "segment_size": plan.segment_size,
     }
     return _normalize(sums, meta)
@@ -270,8 +251,8 @@ def davenport_baseline(
     from .dynamics import BaseFunctionSpec
 
     alpha = FixedReal(alpha)
-    checkpoints = _check_checkpoints(checkpoints, table)
-    plan = _default_plan(checkpoints[-1], plan)
+    checkpoints = check_checkpoints(checkpoints, table)
+    plan = resize_plan(plan, checkpoints[-1])
     sys = SkewSystem(alpha.frac(), FixedReal(0), BaseFunctionSpec(0, 0))
 
     def wave(x, y, z, n):

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from nillab import cli
 from nillab.cli import main
-from nillab.config import load_config, parse_config, standard_config
+from nillab.config import KNOWN_EXPERIMENTS, load_config, parse_config, standard_config
 
 def test_standard_config_round_trip():
     cfg = standard_config()
@@ -49,6 +50,32 @@ def test_parse_error_reports_field():
         parse_config("[system]\nalpha = 0.1\n")
     with pytest.raises(ValueError, match="parse error"):
         parse_config("not an ini at all [")
+
+
+def test_weyl_freqs_must_be_nonzero_integer_triples():
+    text = standard_config().to_ini()
+    line = "freqs = 1,0,0; 0,1,0; 0,0,1; 1,1,2"
+    assert line in text
+    for bad in ("1,0", "0,0,0", "1,0,0; 1,2,3,4", "1,x,0"):
+        with pytest.raises(ValueError, match=r"\[weyl\] freqs"):
+            parse_config(text.replace(line, f"freqs = {bad}"))
+    with pytest.raises(ValueError, match=r"\[weyl\] freqs"):
+        standard_config(weyl_freqs=((1, 0),))
+
+
+def test_malformed_term_names_the_field():
+    text = standard_config().to_ini()
+    line = "terms = 1,0,0.1,0.0"
+    assert line in text
+    for bad in ("1,0,0.1", "1,0,0.1,0.0,7", "1,a,0.1,0.0"):
+        with pytest.raises(ValueError, match=r"\[system\] terms"):
+            parse_config(text.replace(line, f"terms = {bad}"))
+
+
+def test_config_with_retired_seed_key_still_loads():
+    text = standard_config().to_ini().replace("workers = 1\n", "workers = 1\nseed = 20260811\n")
+    assert "seed = 20260811" in text
+    assert parse_config(text) == standard_config()
 
 
 def test_alpha_beta_snap_exact():
@@ -162,3 +189,48 @@ def test_cli_orbit_and_sieve(tmp_path, capsys):
     assert orbit[0] == "n,x,y,z" and len(orbit) == 17
     assert main(["sieve", "--config", str(cfg_path), "--bound", "2000"]) == 0
     assert "M(1000) = " in capsys.readouterr().out
+
+
+def test_registry_order_is_known_experiments():
+    assert tuple(cli.EXPERIMENTS) == KNOWN_EXPERIMENTS
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small")
+    cfg_path = root / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(root / "run")))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    return cfg_path, root / "run"
+
+
+@pytest.mark.parametrize("command", KNOWN_EXPERIMENTS)
+def test_cli_subcommand_matches_run(small_run, tmp_path, capsys, command):
+    cfg_path, run_dir = small_run
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes()
+    # the summary entries, then the files written
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(lines[-len(written):]) == [f"wrote {tmp_path / name}" for name in written]
+    assert all(" = " in line for line in lines[:-len(written)])
+
+
+def test_cli_run_removes_stale_manifest(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}")
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(out)))
+
+    def interrupted(cfg, run):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "bilinear", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(["run", "--config", str(cfg_path)])
+    assert (out / "correlation.csv").exists()
+    assert not (out / "manifest.json").exists()

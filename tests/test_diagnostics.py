@@ -234,6 +234,12 @@ def test_weyl_rejects_zero_frequency(std_js):
         weyl_sums(std_js, None, [(0, 0, 0)], [100])
 
 
+@pytest.mark.parametrize("checkpoints", [[1000, 100], [100, 100]])
+def test_weyl_rejects_unordered_checkpoints(std_js, checkpoints):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        weyl_sums(std_js, None, [(1, 0, 0)], checkpoints)
+
+
 def test_weyl_values_in_unit_interval(std_js):
     reports = weyl_sums(std_js, None, [(1, 0, 0), (0, 0, 1)], [100, 1000])
     for rep in reports:

@@ -6,11 +6,9 @@ import pytest
 from nillab.fixedpoint import FixedReal, sqrt_q64
 from nillab.dynamics import (
     BaseFunctionSpec,
-    PiecewiseLinearTable,
     SkewSystem,
     TrigTerm,
     build_joining,
-    cocycle_Hn_prime,
     cocycle_sum,
     collapse_birkhoff,
     eval_h_lift,
@@ -19,7 +17,6 @@ from nillab.dynamics import (
     rho,
     star_point,
     step_T,
-    step_Tstar_trivialized,
 )
 from nillab.heisenberg import (
     HEISENBERG,
@@ -75,16 +72,6 @@ def test_lipschitz_constant_bounds_lift():
     v1 = eval_h_lift(h, pts[:, 0] + deltas[:, 0], pts[:, 1] + deltas[:, 1])
     sup = np.abs(deltas).max(axis=1)
     assert np.all(np.abs(v1 - v0) <= h.L * sup * (1 + 1e-9) + 1e-12)
-
-
-def test_table_lift():
-    table = PiecewiseLinearTable(np.array([[0.0, 0.5], [0.25, 0.75]]))
-    h = BaseFunctionSpec(0, 0, (), table)
-    assert eval_h_lift(h, 0.0, 0.5) == 0.5
-    assert eval_h_lift(h, 0.5, 0.0) == 0.25
-    # interpolation midpoint and periodic wrap
-    assert math.isclose(eval_h_lift(h, 0.25, 0.0), 0.125)
-    assert math.isclose(eval_h_lift(h, 1.25, 2.0), 0.125)
 
 
 def test_cocycle_sum_examples():
@@ -264,7 +251,7 @@ def test_trivialized_identity_when_trivial():
     sys = SkewSystem(FixedReal(0), FixedReal(0), BaseFunctionSpec(0, 0))
     js = build_joining(sys, 3, 2)
     pt3 = (FixedReal(0.3), FixedReal(0.6), FixedReal(0.9))
-    assert step_Tstar_trivialized(js, pt3) == pt3
+    assert js.step_trivialized(pt3) == pt3
 
 
 def test_conjugacy_exact_and_float(std_js, rng):
@@ -286,11 +273,11 @@ def test_conjugacy_exact_and_float(std_js, rng):
 
 def test_Hn_prime_specializations(std_js):
     x, y = FixedReal(0.21), FixedReal(0.58)
-    assert cocycle_Hn_prime(std_js, x, y, 1) == std_js.H_prime(x, y)
+    assert std_js.Hn_prime(x, y, 1) == std_js.H_prime(x, y)
     sys0 = SkewSystem(FixedReal(0), FixedReal(0), BaseFunctionSpec(0, 0))
     js0 = build_joining(sys0, 3, 2)
     for n in (1, 2, 5):
-        assert float(cocycle_Hn_prime(js0, FixedReal(0.4), FixedReal(0.9), n)) == 0.0
+        assert float(js0.Hn_prime(FixedReal(0.4), FixedReal(0.9), n)) == 0.0
 
 
 def test_Hn_prime_matches_step_accumulation(std_js, rng):
@@ -299,7 +286,7 @@ def test_Hn_prime_matches_step_accumulation(std_js, rng):
         pt = (x0, y0, z0)
         for _ in range(10):
             pt = std_js.step_trivialized(pt)
-        lift = cocycle_Hn_prime(std_js, x0, y0, 10)
+        lift = std_js.Hn_prime(x0, y0, 10)
         expected_z = (z0 + lift).frac()
         assert pt[2] == expected_z  # exact on the fixed path
 

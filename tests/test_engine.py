@@ -29,6 +29,13 @@ def make_sys(terms=(TrigTerm(1, 0, 0.1, 0.0),), d1=1, d2=0):
     return SkewSystem(ALPHA, BETA, BaseFunctionSpec(d1, d2, terms))
 
 
+# every stream must give the same bits for any segment size and worker count
+SEGMENTATIONS = pytest.mark.parametrize(
+    "segment_size, workers",
+    [(s, w) for s in (16, 64, 4096) for w in (1, 3)],
+)
+
+
 # -- lane primitives vs big-int oracles ----------------------------------------
 
 
@@ -96,26 +103,38 @@ def test_worker_count_invariance():
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_engine_equals_naive_loop():
+@pytest.fixture(scope="module")
+def skew_oracle():
     sys = make_sys(terms=(TrigTerm(1, 0, 0.1, 0.0), TrigTerm(1, 1, 0.05, 0.3)), d2=1)
     obs = Observable(xi=2, bump=BumpProfile((0.4, 0.55), 0.2))
     start = canonical_rep(GroupElement.fixed(0.3, 0.8, 0.45))
     cps = [100, 777, 1000]
-    fast = orbit_stream(sys, start, OrbitSegmentPlan(1000, 128, 4), obs, checkpoints=cps)
-    slow = orbit_stream_naive(sys, start, 1000, obs, checkpoints=cps)
-    assert fast == slow
+    return sys, obs, start, cps, orbit_stream_naive(sys, start, 1000, obs, checkpoints=cps)
 
 
-def test_engine_equals_naive_loop_joining():
+@SEGMENTATIONS
+def test_engine_equals_naive_loop(skew_oracle, segment_size, workers):
+    sys, obs, start, cps, slow = skew_oracle
+    plan = OrbitSegmentPlan(1000, segment_size, workers)
+    assert orbit_stream(sys, start, plan, obs, checkpoints=cps) == slow
+
+
+def _wave(x, y, z, n):
+    return np.exp(2j * np.pi * (x - y + 3 * z))
+
+
+@pytest.fixture(scope="module")
+def joining_oracle():
     js = build_joining(make_sys(), 5, 3)
     start = (FixedReal(0.25), FixedReal(0.5), FixedReal(0.125))
+    return js, start, orbit_stream_naive(js, start, 600, _wave, checkpoints=[300, 600])
 
-    def wave(x, y, z, n):
-        return np.exp(2j * np.pi * (x - y + 3 * z))
 
-    fast = orbit_stream(js, start, OrbitSegmentPlan(600, 64, 3), wave, checkpoints=[600])
-    slow = orbit_stream_naive(js, start, 600, wave, checkpoints=[600])
-    assert fast == slow
+@SEGMENTATIONS
+def test_engine_equals_naive_loop_joining(joining_oracle, segment_size, workers):
+    js, start, slow = joining_oracle
+    plan = OrbitSegmentPlan(600, segment_size, workers)
+    assert orbit_stream(js, start, plan, _wave, checkpoints=[300, 600]) == slow
 
 
 def test_weighted_stream_matches_naive():
@@ -160,6 +179,8 @@ def test_checkpoint_validation():
         orbit_stream(sys, None, OrbitSegmentPlan(100), lambda x, y, z, n: x, checkpoints=[50, 200])
     with pytest.raises(ValueError):
         orbit_stream(sys, None, OrbitSegmentPlan(100), lambda x, y, z, n: x, checkpoints=[70, 30])
+    with pytest.raises(ValueError):
+        orbit_stream(sys, None, OrbitSegmentPlan(100), lambda x, y, z, n: x, checkpoints=[30, 30])
 
 
 def test_value_bound_enforced():
@@ -189,6 +210,21 @@ def test_pair_factor_values_match_iterates():
         assert fq[n - 1] == eval_observable(obs, iterate_T(sys, start, 2 * n))
 
 
+@pytest.fixture(scope="module")
+def pair_reference():
+    sys = make_sys()
+    obs = Observable(xi=1, bump=BumpProfile())
+    return sys, obs, pair_factor_values(sys, None, 3, 2, 500, OrbitSegmentPlan(1500), obs)
+
+
+@SEGMENTATIONS
+def test_pair_factor_values_segmentation_invariant(pair_reference, segment_size, workers):
+    sys, obs, (ref_p, ref_q) = pair_reference
+    plan = OrbitSegmentPlan(1500, segment_size, workers)
+    fp, fq = pair_factor_values(sys, None, 3, 2, 500, plan, obs)
+    assert fp.tobytes() == ref_p.tobytes() and fq.tobytes() == ref_q.tobytes()
+
+
 def test_star_descent_exact_z_difference():
     """The descent factors differ from the direct pair factors by a common
     central shift: the z difference agrees exactly, lane for lane."""
@@ -214,3 +250,5 @@ def test_checkpoint_sums_helper():
     assert out[1] == (4, 0.25 + 0.5j)
     with pytest.raises(ValueError):
         checkpoint_sums(vals, [5])
+    with pytest.raises(ValueError):
+        checkpoint_sums(vals, [3, 2])
