@@ -5,7 +5,8 @@ experiment of the registry ``EXPERIMENTS`` (correlate, bilinear, davenport,
 weyl, constants, coboundary).  Most commands read an INI config (``--config``,
 default the in-repo standard baseline) and accept overrides ``--out``,
 ``--workers``, ``--segment-size``, ``--checkpoints``.  The default worker count
-comes from the ``LAB_WORKERS`` environment variable.
+comes from the ``LAB_WORKERS`` environment variable, which must be a positive
+integer when set.
 
 An experiment subcommand writes that experiment's reports and prints its
 summary entries and the files written.  ``run`` executes every experiment
@@ -40,8 +41,6 @@ from .moebius import (
     sieve_mobius,
 )
 from .reports import (
-    coboundary_payload,
-    constants_payload,
     correlation_sidecar,
     file_sha256,
     fmt17,
@@ -51,13 +50,6 @@ from .reports import (
     write_weyl_csv,
 )
 from .verify import run_verify
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("LAB_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -77,10 +69,13 @@ def _load(args) -> ExperimentConfig:
     patch = {}
     if args.out is not None:
         patch["out_dir"] = args.out
+    env_workers = os.environ.get("LAB_WORKERS")
     if args.workers is not None:
         patch["workers"] = args.workers
-    elif os.environ.get("LAB_WORKERS"):
-        patch["workers"] = _default_workers()
+    elif env_workers:
+        if not env_workers.strip().isdecimal() or int(env_workers) < 1:
+            raise ValueError(f"LAB_WORKERS must be a positive integer, got {env_workers!r}")
+        patch["workers"] = int(env_workers)
     if args.segment_size is not None:
         patch["segment_size"] = args.segment_size
     if getattr(args, "checkpoints", None):
@@ -236,7 +231,7 @@ def _constants(cfg: ExperimentConfig, run: RunContext):
         cfg.coboundary_k, cfg.p, cfg.q, cfg.d1, cfg.alpha, cfg.beta,
         cfg.base_function().L,
     )
-    return [("constants.json", write_json, constants_payload(pc))], {
+    return [("constants.json", write_json, dataclasses.asdict(pc))], {
         "delta1": pc.delta1, "nu": pc.nu
     }
 
@@ -244,7 +239,7 @@ def _constants(cfg: ExperimentConfig, run: RunContext):
 def _coboundary(cfg: ExperimentConfig, run: RunContext):
     """cohomological-equation residual"""
     rep = coboundary_search(cfg.joining(), cfg.coboundary_k, cfg.coboundary_cutoff)
-    return [("coboundary.json", write_json, coboundary_payload(rep))], {
+    return [("coboundary.json", write_json, dataclasses.asdict(rep))], {
         "coboundary_residual": rep.residual
     }
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from .dynamics import BaseFunctionSpec, JoiningSystem, SkewSystem, TrigTerm, build_joining
 from .engine import OrbitSegmentPlan
 from .fixedpoint import FixedReal, parse_real, sqrt_q64
-from .heisenberg import is_prime
+from .heisenberg import check_prime_pair
 from .observables import BumpProfile, Observable
 
 KNOWN_EXPERIMENTS = (
@@ -59,8 +59,7 @@ class ExperimentConfig:
     coboundary_cutoff: int = 16
 
     def validate(self) -> "ExperimentConfig":
-        if not (is_prime(self.p) and is_prime(self.q) and self.p > self.q):
-            raise ValueError(f"need primes p > q, got p={self.p}, q={self.q}")
+        check_prime_pair(self.p, self.q)
         cps = list(self.checkpoints)
         if not cps or cps != sorted(set(cps)) or cps[0] < 1:
             raise ValueError("checkpoints must be strictly increasing positive integers")
@@ -146,6 +145,24 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_ini().encode("utf-8")).hexdigest()
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _entries(convert):
+    """A parser of ``;``-separated entries, each read by ``convert``."""
+    return lambda text: tuple(convert(c) for c in text.split(";") if c.strip())
+
+
+def _term(text: str) -> TrigTerm:
+    k1, k2, amp, phase = text.split(",")
+    return TrigTerm(int(k1), int(k2), float(amp), float(phase))
+
+
 def parse_config(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     try:
@@ -153,56 +170,47 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ValueError(f"config parse error: {exc}") from exc
 
-    def get(section, key, default=None):
+    def field(section, key, convert, default=None, arity=None):
+        """[section] key (or ``default``) read by ``convert``; a malformed
+        value, or a tuple of other than ``arity`` values, names the field."""
         if cp.has_option(section, key):
-            return cp.get(section, key)
-        if default is None:
+            raw = cp.get(section, key)
+        elif default is None:
             raise ValueError(f"config missing [{section}] {key}")
-        return default
-
-    terms = []
-    for chunk in get("system", "terms", "").split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+        else:
+            raw = default
         try:
-            k1, k2, amp, phase = (v.strip() for v in chunk.split(","))
-            terms.append(TrigTerm(int(k1), int(k2), float(amp), float(phase)))
-        except ValueError:
-            raise ValueError(f"[system] terms entry {chunk!r} is not k1,k2,amplitude,phase") from None
-    center = tuple(float(v) for v in get("observable", "bump_center", "0.5,0.5").split(","))
-    mode = tuple(int(v) for v in get("observable", "base_mode", "0,0").split(","))
-    freqs = []
-    for chunk in get("weyl", "freqs", "1,0,0").split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            try:
-                freqs.append(tuple(int(v) for v in chunk.split(",")))
-            except ValueError:
-                raise ValueError(f"[weyl] freqs entry {chunk!r} is not an integer triple") from None
+            value = convert(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"[{section}] {key} = {raw!r} is malformed: {exc}") from None
+        if arity is not None and len(value) != arity:
+            raise ValueError(f"[{section}] {key} = {raw!r} needs {arity} comma-separated values")
+        return value
+
     cfg = ExperimentConfig(
-        alpha=parse_real(get("system", "alpha")),
-        beta=parse_real(get("system", "beta")),
-        d1=int(get("system", "d1", "1")),
-        d2=int(get("system", "d2", "0")),
-        terms=tuple(terms),
-        p=int(get("joining", "p", "3")),
-        q=int(get("joining", "q", "2")),
-        xi=int(get("observable", "xi", "1")),
-        bump_center=center,
-        bump_radius=float(get("observable", "bump_radius", "0.25")),
-        base_mode=mode,
-        checkpoints=tuple(int(v) for v in get("run", "checkpoints").split(",")),
-        sieve_bound=int(get("run", "sieve_bound")),
-        segment_size=int(get("run", "segment_size", str(1 << 16))),
-        workers=int(get("run", "workers", "1")),
-        out_dir=get("run", "out", "runs/out"),
-        experiments=tuple(
-            v.strip() for v in get("run", "experiments", ",".join(KNOWN_EXPERIMENTS)).split(",")
+        alpha=field("system", "alpha", parse_real),
+        beta=field("system", "beta", parse_real),
+        d1=field("system", "d1", int, "1"),
+        d2=field("system", "d2", int, "0"),
+        terms=field("system", "terms", _entries(_term), ""),
+        p=field("joining", "p", int, "3"),
+        q=field("joining", "q", int, "2"),
+        xi=field("observable", "xi", int, "1"),
+        bump_center=field("observable", "bump_center", _floats, "0.5,0.5", arity=2),
+        bump_radius=field("observable", "bump_radius", float, "0.25"),
+        base_mode=field("observable", "base_mode", _ints, "0,0", arity=2),
+        checkpoints=field("run", "checkpoints", _ints),
+        sieve_bound=field("run", "sieve_bound", int),
+        segment_size=field("run", "segment_size", int, str(1 << 16)),
+        workers=field("run", "workers", int, "1"),
+        out_dir=field("run", "out", str, "runs/out"),
+        experiments=field(
+            "run", "experiments", lambda v: tuple(e.strip() for e in v.split(",")),
+            ",".join(KNOWN_EXPERIMENTS),
         ),
-        weyl_freqs=tuple(freqs),
-        coboundary_k=int(get("coboundary", "k", "1")),
-        coboundary_cutoff=int(get("coboundary", "cutoff", "16")),
+        weyl_freqs=field("weyl", "freqs", _entries(_ints), "1,0,0"),
+        coboundary_k=field("coboundary", "k", int, "1"),
+        coboundary_cutoff=field("coboundary", "cutoff", int, "16"),
     )
     return cfg.validate()
 

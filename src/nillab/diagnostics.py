@@ -33,6 +33,8 @@ import numpy as np
 from .dynamics import JoiningSystem
 from .engine import OrbitSegmentPlan, check_checkpoints, orbit_stream_multi, resize_plan
 from .fixedpoint import FixedReal
+from .heisenberg import check_prime_pair
+from .moebius import CorrelationPoint
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,19 +45,9 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class WeylPoint:
-    n: int
-    value: complex
-
-    @property
-    def modulus(self) -> float:
-        return abs(self.value)
-
-
-@dataclass(frozen=True)
 class WeylReport:
     freq: tuple[int, int, int]
-    checkpoints: tuple[WeylPoint, ...]
+    checkpoints: tuple[CorrelationPoint, ...]
     metadata: dict = field(default_factory=dict)
 
 
@@ -86,7 +78,7 @@ def weyl_sums(
     all_sums = orbit_stream_multi(js, start, plan, fns, checkpoints=checkpoints)
     reports = []
     for k, sums in zip(freqs, all_sums):
-        pts = tuple(WeylPoint(n, s / n) for n, s in sums)
+        pts = tuple(CorrelationPoint(n, s / n) for n, s in sums)
         reports.append(
             WeylReport(k, pts, {"p": js.p, "q": js.q, "segment_size": plan.segment_size})
         )
@@ -299,10 +291,7 @@ def proof_constants(k: int, p: int, q: int, d1: int, alpha, beta, L: float) -> P
     nu = 6 / discriminant.  A vanishing discriminant means the rational-beta
     resonance and is rejected (the construction assumes beta irrational).
     """
-    from .heisenberg import is_prime
-
-    if not (is_prime(p) and is_prime(q) and p > q):
-        raise ValueError(f"need primes p > q, got p={p}, q={q}")
+    check_prime_pair(p, q)
     if k < 1:
         raise ValueError("k must be a positive integer")
     alpha_f = float(FixedReal(alpha)) if not isinstance(alpha, float) else alpha

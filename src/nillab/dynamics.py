@@ -14,7 +14,10 @@ fundamental-domain coordinates) to an explicit torus map
 
     (x, y, z) -> (x + alpha, y + beta, z + H'(x, y))
 
-whose corrected cocycle H' carries the floor terms written out below.
+whose corrected cocycle H' carries the floor terms written out below.  With
+(p, q) = (1, 0) the same formula gives H = h and twist 1, i.e. T itself, so
+one Birkhoff sum ``_birkhoff`` builds h_n, both sides of H, and H_n, and
+H' is H'_n at n = 1.
 
 Numeric paths.  Every scalar operation is duck-typed over FixedReal (exact)
 and float (mirrored, ~1e-12/op).  On the exact path the periodic part of h is
@@ -44,8 +47,8 @@ from .heisenberg import (
     GroupLaw,
     NilPoint,
     canonical_rep,
+    check_prime_pair,
     identity,
-    is_prime,
     mul,
 )
 
@@ -268,15 +271,20 @@ def iterate_T(sys: SkewSystem, pt: NilPoint, n: int) -> NilPoint:
     return canonical_rep(mul(_translation(sys, x, y, n), pt.rep))
 
 
+def _birkhoff(f, x, y, n: int, alpha, beta):
+    """sum_{i<n} f(x + i alpha, y + i beta), duck-typed over FixedReal and float."""
+    total = x * 0  # zero in the number type of x
+    for _ in range(n):
+        total = total + f(x, y)
+        x = x + alpha
+        y = y + beta
+    return total
+
+
 def _translation(sys: SkewSystem, x: FixedReal, y: FixedReal, m: int) -> GroupElement:
     """The exact translation (m alpha, m beta, h_m(x, y)) by which T^m acts
     on points over the base point (x, y)."""
-    total = FixedReal(0)
-    u, v = x, y
-    for _ in range(m):
-        total = total + lift_fixed(sys.h, u, v)
-        u = u + sys.alpha
-        v = v + sys.beta
+    total = _birkhoff(lambda u, v: lift_fixed(sys.h, u, v), x, y, m, sys.alpha, sys.beta)
     return GroupElement(sys.alpha * m, sys.beta * m, total, HEISENBERG)
 
 
@@ -321,6 +329,12 @@ def _iterate_float(sys: SkewSystem, pt: NilPoint, n: int) -> NilPoint:
     return NilPoint(rep)
 
 
+def _floor_correction(x, y, alpha, beta, floor):
+    """(alpha y - beta x) - (x + alpha) floor(y + beta) + floor(x + alpha) (y + beta):
+    the twist-1 term that carries a star-law cocycle to the torus chart."""
+    return (alpha * y - beta * x) - (x + alpha) * floor(y + beta) + floor(x + alpha) * (y + beta)
+
+
 @dataclass(frozen=True)
 class JoiningSystem:
     """The reduced prime-pair dynamics T_star and its torus trivialization.
@@ -334,8 +348,7 @@ class JoiningSystem:
     q: int
 
     def __post_init__(self):
-        if not (is_prime(self.p) and is_prime(self.q) and self.p > self.q):
-            raise ValueError(f"need primes p > q, got p={self.p}, q={self.q}")
+        check_prime_pair(self.p, self.q)
 
     @property
     def twist(self) -> int:
@@ -359,49 +372,23 @@ class JoiningSystem:
 
     def H_value(self, x, y):
         """Lift of H at (x, y): sums of shifted h lifts, p-side minus q-side."""
-        h = self.base.h
         alpha, beta = self._rotation(x)
-        pos = x * self.p
-        vps = y * self.p
-        total = _lift(h, pos, vps)
-        for _ in range(self.p - 1):
-            pos = pos + alpha
-            vps = vps + beta
-            total = total + _lift(h, pos, vps)
-        pos = x * self.q
-        vps = y * self.q
-        for _ in range(self.q):
-            total = total - _lift(h, pos, vps)
-            pos = pos + alpha
-            vps = vps + beta
-        return total
+
+        def side(m):
+            return _birkhoff(lambda u, v: _lift(self.base.h, u, v), x * m, y * m, m, alpha, beta)
+
+        return side(self.p) - side(self.q)
 
     def H_n_value(self, x, y, n: int):
         """Lift of the cocycle H_n(x, y) = sum_{i<n} H(x + i alpha, y + i beta)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
         alpha, beta = self._rotation(x)
-        total = x * 0  # zero in the number type of x
-        u, v = x, y
-        for _ in range(n):
-            total = total + self.H_value(u, v)
-            u = u + alpha
-            v = v + beta
-        return total
+        return _birkhoff(self.H_value, x, y, n, alpha, beta)
 
     def H_prime(self, x, y):
-        """The trivialized cocycle H'(x, y) on representatives in [0, 1)^2:
-
-        H + (p^2-q^2) ((alpha y - beta x) - (x+alpha) floor(y+beta)
-                        + floor(x+alpha) (y+beta)).
-        """
-        alpha, beta = self._rotation(x)
-        corr = (
-            (alpha * y - beta * x)
-            - (x + alpha) * math.floor(y + beta)
-            + math.floor(x + alpha) * (y + beta)
-        )
-        return self.H_value(x, y) + corr * self.twist
+        """The trivialized cocycle H'(x, y) = H'_1(x, y) on representatives in [0, 1)^2."""
+        return self.Hn_prime(x, y, 1)
 
     def Hn_prime(self, x, y, n: int):
         """Lift of the n-step trivialized cocycle H'_n(x, y):
@@ -410,11 +397,7 @@ class JoiningSystem:
                           + floor(x + n alpha) (y + n beta)).
         """
         alpha, beta = self._rotation(x, n)
-        corr = (
-            (alpha * y - beta * x)
-            - (x + alpha) * math.floor(y + beta)
-            + math.floor(x + alpha) * (y + beta)
-        )
+        corr = _floor_correction(x, y, alpha, beta, math.floor)
         return self.H_n_value(x, y, n) + corr * self.twist
 
     def step_trivialized(self, pt3):
@@ -455,13 +438,7 @@ class JoiningSystem:
     def H_prime_arrays(self, x, y):
         """Float H' on arrays of representatives in [0, 1)^2."""
         af, bf = self.base.alpha_f, self.base.beta_f
-        lift = self.H_lift()
-        corr = (
-            (af * y - bf * x)
-            - (x + af) * np.floor(y + bf)
-            + np.floor(x + af) * (y + bf)
-        )
-        return lift(x, y) + self.twist * corr
+        return self.H_lift()(x, y) + self.twist * _floor_correction(x, y, af, bf, np.floor)
 
 
 def build_joining(sys: SkewSystem, p: int, q: int) -> JoiningSystem:

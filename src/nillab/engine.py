@@ -8,6 +8,10 @@ computation: independent of segmentation, worker count and evaluation order.
 The z lane carries a second 64-bit limb (``z = hi/2**64 + lo/2**128``) because
 cross terms like alpha * y0 live on the 2**-128 grid.
 
+One lane stream serves T and T_star: T_star has fiber function
+H(x, y) = h_p(px, py) - h_q(qx, qy) and twist p^2 - q^2, and T is the side
+pair (p, q) = (1, 0), with H = h and twist 1.
+
 Streaming is two-pass: pass 1 computes each segment's cocycle total
 independently, an exclusive scan over segment totals yields the z-offsets,
 and pass 2 evaluates observables per segment in a thread pool.  Observable
@@ -25,7 +29,7 @@ import numpy as np
 
 from .dynamics import JoiningSystem, SkewSystem
 from .fixedpoint import FixedReal
-from .heisenberg import HEISENBERG, NilPoint
+from .heisenberg import HEISENBERG, canonical_rep, identity
 
 MASK64 = (1 << 64) - 1
 Q53 = 2.0**53
@@ -124,41 +128,54 @@ def _require_q64_unit(v: FixedReal, name: str) -> int:
 
 
 class _LaneStream:
-    """Shared z-lane assembly for the canonical-coordinates orbit formula:
+    """Lanes of the skew product over the rotation by (alpha, beta) with fiber
+    function H(x, y) = h_p(px, py) - h_q(qx, qy) and twist c = p^2 - q^2:
 
     z_n = frac(z0 + S_n + c [n (alpha y0 - beta x0)
                               - (x0 + n alpha) floor(y0 + n beta)
                               + floor(x0 + n alpha) (y0 + n beta)])
-    with S_n the cocycle Birkhoff sum mod 1.
+    with S_n the Birkhoff sum of H mod 1.
     """
 
-    def __init__(self, alpha: FixedReal, beta: FixedReal, x0: FixedReal, y0: FixedReal,
-                 z0: FixedReal, twist: int, h):
+    def __init__(self, alpha: FixedReal, beta: FixedReal, h, start, p: int, q: int):
+        x0, y0, z0 = start
         self.h = h
         self.d1u = u64c(h.d1)
         self.d2u = u64c(h.d2)
-        self.a_int = _require_q64_unit(alpha, "alpha")
-        self.b_int = _require_q64_unit(beta, "beta")
-        self.x0_int = _require_q64_unit(x0, "start x")
-        self.y0_int = _require_q64_unit(y0, "start y")
-        z0f = z0.frac()
-        self.z0_hi, self.z0_lo = z0f.frac_lanes()
-        self.twist = twist
-        self.au = u64c(self.a_int)
-        self.bu = u64c(self.b_int)
-        self.x0u = u64c(self.x0_int)
-        self.y0u = u64c(self.y0_int)
+        a = _require_q64_unit(alpha, "alpha")
+        b = _require_q64_unit(beta, "beta")
+        x = _require_q64_unit(x0, "start x")
+        y = _require_q64_unit(y0, "start y")
+        self.z0_hi, self.z0_lo = z0.frac().frac_lanes()
+        twist = p * p - q * q
+        self.au = u64c(a)
+        self.bu = u64c(b)
+        self.x0u = u64c(x)
+        self.y0u = u64c(y)
         self.cu = u64c(twist)
         # c*(alpha*y0 - beta*x0) on the 2**-128 grid, wrapped mod 2**128
-        self.cross = (twist * (self.a_int * self.y0_int - self.b_int * self.x0_int)) % (1 << 128)
+        self.cross = (twist * (a * y - b * x)) % (1 << 128)
+        # h_m(m x, m y) at x = x0 + i alpha sums h at m x0 + j alpha + i m alpha,
+        # j < m: per shift (subtract, base x, base y, step x, step y), p side first
+        self.shifts = [
+            (minus, u64c(m * x + j * a), u64c(m * y + j * b), u64c(m * a), u64c(m * b))
+            for minus, m in ((False, p), (True, q))
+            for j in range(m)
+        ]
 
     def _lift(self, xg: np.ndarray, yg: np.ndarray) -> np.ndarray:
         """The lift of h at u64 torus coordinates, wrapped mod 1."""
         q = self.h.periodic_q53(xg, yg).astype(np.uint64) << np.uint64(11)
         return self.d1u * xg + self.d2u * yg + q
 
-    def u_values(self, i: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def u_values(self, i: np.ndarray) -> np.ndarray:
+        """H at the base points (x0, y0) + i (alpha, beta), wrapped mod 1."""
+        (_, bx, by, sx, sy), *rest = self.shifts
+        acc = self._lift(bx + i * sx, by + i * sy)
+        for minus, bx, by, sx, sy in rest:
+            v = self._lift(bx + i * sx, by + i * sy)
+            acc = acc - v if minus else acc + v
+        return acc
 
     def lanes(self, n: np.ndarray, s: np.ndarray):
         """(x frac, y frac, z hi, z lo) for step indices n with cocycle sums s."""
@@ -178,60 +195,20 @@ class _LaneStream:
         return fx, fy, z_hi, z_lo
 
 
-class _SkewLanes(_LaneStream):
-    """Lanes of the T-orbit on X from a canonical start point."""
-
-    def __init__(self, sys: SkewSystem, start: NilPoint):
-        if not start.is_fixed or start.law != HEISENBERG:
-            raise ValueError("engine start must be a fixed-point Heisenberg NilPoint")
-        x0, y0, z0 = start.coords()
-        super().__init__(sys.alpha, sys.beta, x0, y0, z0, 1, sys.h)
-
-    def u_values(self, i: np.ndarray) -> np.ndarray:
-        return self._lift(self.x0u + i * self.au, self.y0u + i * self.bu)
-
-
-class _JoiningLanes(_LaneStream):
-    """Lanes of the trivialized joining orbit on T^3.
-
-    The per-step fiber value is H(x0+i a, y0+i b) whose lift is a sum of
-    p + q shifted h lifts evaluated at indices p i + j and q i + j.
-    """
-
-    def __init__(self, js: JoiningSystem, start):
-        x0, y0, z0 = start
-        super().__init__(js.base.alpha, js.base.beta, x0, y0, z0, js.twist, js.base.h)
-        self.p = js.p
-        self.q = js.q
-        self.px0u = u64c(self.p * self.x0_int)
-        self.py0u = u64c(self.p * self.y0_int)
-        self.qx0u = u64c(self.q * self.x0_int)
-        self.qy0u = u64c(self.q * self.y0_int)
-
-    def u_values(self, i: np.ndarray) -> np.ndarray:
-        acc = np.zeros(i.shape, dtype=np.uint64)
-        pu = u64c(self.p)
-        qu = u64c(self.q)
-        for j in range(self.p):
-            idx = i * pu + u64c(j)
-            acc = acc + self._lift(self.px0u + idx * self.au, self.py0u + idx * self.bu)
-        for j in range(self.q):
-            idx = i * qu + u64c(j)
-            acc = acc - self._lift(self.qx0u + idx * self.au, self.qy0u + idx * self.bu)
-        return acc
-
-
 def _make_stream(system, start) -> _LaneStream:
+    """The lanes of a skew system from a canonical start (default: identity),
+    or of a joining from a point of [0, 1)^3 (default: origin)."""
     if isinstance(system, SkewSystem):
         if start is None:
-            from .heisenberg import identity, canonical_rep
-
             start = canonical_rep(identity())
-        return _SkewLanes(system, start)
+        if not start.is_fixed or start.law != HEISENBERG:
+            raise ValueError("engine start must be a fixed-point Heisenberg NilPoint")
+        return _LaneStream(system.alpha, system.beta, system.h, start.coords(), 1, 0)
     if isinstance(system, JoiningSystem):
         if start is None:
             start = (FixedReal(0), FixedReal(0), FixedReal(0))
-        return _JoiningLanes(system, start)
+        base = system.base
+        return _LaneStream(base.alpha, base.beta, base.h, start, system.p, system.q)
     raise TypeError(f"cannot stream orbits of {type(system).__name__}")
 
 

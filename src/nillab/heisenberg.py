@@ -45,6 +45,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime_pair(p: int, q: int) -> None:
+    """Reject anything but a pair of primes p > q."""
+    if not (is_prime(p) and is_prime(q) and p > q):
+        raise ValueError(f"need primes p > q, got p={p}, q={q}")
+
+
 class LawMismatch(ValueError):
     """Operands carry different group laws or mixed numeric paths."""
 
@@ -67,8 +73,7 @@ class GroupLaw:
     @staticmethod
     def star(p: int, q: int) -> "GroupLaw":
         """The twisted law of the prime-pair quotient, twist p^2 - q^2."""
-        if not (is_prime(p) and is_prime(q) and p > q):
-            raise ValueError(f"need primes p > q, got p={p}, q={q}")
+        check_prime_pair(p, q)
         return GroupLaw("star", p * p - q * q)
 
 
@@ -303,8 +308,7 @@ class JoiningPair:
     q: int
 
     def __post_init__(self):
-        if not (is_prime(self.p) and is_prime(self.q) and self.p > self.q):
-            raise ValueError(f"need primes p > q, got p={self.p}, q={self.q}")
+        check_prime_pair(self.p, self.q)
         _check_pair(self.first, self.second)
 
 
@@ -333,10 +337,8 @@ def project_pi(
     satisfy the pair constraint exactly on the fixed-point path, or within
     ``tol`` on the float path.
     """
-    if not (is_prime(p) and is_prime(q) and p > q):
-        raise ValueError(f"need primes p > q, got p={p}, q={q}")
+    law = GroupLaw.star(p, q)  # validates the prime pair
     x1, y1, z1, x2, y2, z2 = (_coerce(v) for v in g6)
-    law = GroupLaw.star(p, q)
     if isinstance(x1, FixedReal):
         if x1 * q != x2 * p or y1 * q != y2 * p:
             raise ValueError("input does not satisfy q(x1,y1) = p(x2,y2) exactly")

@@ -34,7 +34,7 @@ from .engine import (
     resize_plan,
 )
 from .fixedpoint import FixedReal
-from .heisenberg import NilPoint, canonical_rep, identity
+from .heisenberg import NilPoint
 from .observables import Observable
 
 MAX_SIEVE = 10**9
@@ -199,8 +199,6 @@ def bilinear_sum(
     checkpoints = check_checkpoints(checkpoints)
     n_pairs = checkpoints[-1]
     plan = resize_plan(plan, p * n_pairs)
-    if start is None:
-        start = canonical_rep(identity())
     fp, fq = pair_factor_values(sys, start, p, q, n_pairs, plan, obs)
     sums = checkpoint_sums(fp * np.conj(fq), checkpoints)
     meta = {

@@ -11,7 +11,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .diagnostics import CoboundaryReport, ProofConstants, WeylReport
+from .diagnostics import WeylReport
 from .moebius import CorrelationReport
 
 
@@ -61,33 +61,6 @@ def correlation_sidecar(report: CorrelationReport) -> dict:
             {"N": c.n, "re": c.value.real, "im": c.value.imag, "modulus": c.modulus}
             for c in report.checkpoints
         ],
-    }
-
-
-def constants_payload(pc: ProofConstants) -> dict:
-    return {
-        "k": pc.k,
-        "p": pc.p,
-        "q": pc.q,
-        "d1": pc.d1,
-        "alpha": pc.alpha,
-        "beta": pc.beta,
-        "L": pc.L,
-        "discriminant": pc.discriminant,
-        "delta1": pc.delta1,
-        "nu": pc.nu,
-    }
-
-
-def coboundary_payload(rep: CoboundaryReport) -> dict:
-    return {
-        "residual": rep.residual,
-        "k": rep.k,
-        "cutoff": rep.cutoff,
-        "grid": rep.grid,
-        "solved_modes": rep.solved_modes,
-        "skipped_modes": [list(m) for m in rep.skipped_modes],
-        "metadata": rep.metadata,
     }
 
 

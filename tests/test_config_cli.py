@@ -72,6 +72,31 @@ def test_malformed_term_names_the_field():
             parse_config(text.replace(line, f"terms = {bad}"))
 
 
+@pytest.mark.parametrize(
+    "section, key, good, bad",
+    [
+        ("run", "checkpoints", "1000,10000,100000,1000000,10000000", "1e3,1e4"),
+        ("run", "sieve_bound", "10000000", "1e7"),
+        ("observable", "bump_center", "0.5,0.5", "0.5"),
+        ("observable", "bump_center", "0.5,0.5", "0.5,0.5,0.5"),
+        ("observable", "base_mode", "0,0", "1"),
+        ("system", "alpha", "7640891576956012809/2^64", "sqrt(2)"),
+    ],
+)
+def test_malformed_field_is_named(section, key, good, bad):
+    text = standard_config().to_ini()
+    assert f"{key} = {good}\n" in text
+    with pytest.raises(ValueError, match=rf"\[{section}\] {key}"):
+        parse_config(text.replace(f"{key} = {good}\n", f"{key} = {bad}\n"))
+
+
+def test_base_mode_arity_checked_when_xi_is_zero():
+    text = standard_config().to_ini().replace("xi = 1", "xi = 0")
+    assert parse_config(text).base_mode == (0, 0)
+    with pytest.raises(ValueError, match=r"\[observable\] base_mode"):
+        parse_config(text.replace("base_mode = 0,0", "base_mode = 0"))
+
+
 def test_config_with_retired_seed_key_still_loads():
     text = standard_config().to_ini().replace("workers = 1\n", "workers = 1\nseed = 20260811\n")
     assert "seed = 20260811" in text
@@ -161,6 +186,16 @@ def test_cli_workers_env_default(tmp_path, monkeypatch, capsys):
     cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
     assert main(["constants", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "constants.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "two", "-2"])
+def test_cli_workers_env_rejects_bad_values(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("LAB_WORKERS", value)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
+    with pytest.raises(ValueError, match="LAB_WORKERS"):
+        main(["constants", "--config", str(cfg_path)])
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_winding_and_constants(tmp_path, capsys):

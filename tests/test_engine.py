@@ -7,7 +7,9 @@ from nillab.engine import (
     OrbitSegmentPlan,
     StarDescentSink,
     _frac_int_parts,
+    _make_stream,
     _n_times_q128,
+    _segment_lanes,
     checkpoint_sums,
     mulhi_u64,
     orbit_points,
@@ -135,6 +137,28 @@ def test_engine_equals_naive_loop_joining(joining_oracle, segment_size, workers)
     js, start, slow = joining_oracle
     plan = OrbitSegmentPlan(600, segment_size, workers)
     assert orbit_stream(js, start, plan, _wave, checkpoints=[300, 600]) == slow
+
+
+@pytest.mark.parametrize("p, q", [(3, 2), (5, 3)])
+@pytest.mark.parametrize(
+    "h", [(1, 0, (TrigTerm(1, 0, 0.1, 0.0),)),
+          (2, -1, (TrigTerm(1, 0, 0.1, 0.0), TrigTerm(1, 1, 0.05, 0.3)))],
+    ids=["standard", "d2-1"],
+)
+def test_joining_lanes_equal_exact_stepping(p, q, h):
+    """The joining lanes equal the exact torus model stepped from the origin:
+    a check that shares no code with the lane stream."""
+    d1, d2, terms = h
+    js = build_joining(make_sys(terms=terms, d1=d1, d2=d2), p, q)
+    n_max = 300
+    n, lanes = _segment_lanes(_make_stream(js, None), 0, n_max, 0)
+    pt = (FixedReal(0), FixedReal(0), FixedReal(0))
+    for k in range(n_max):
+        pt = js.step_trivialized(pt)
+        x, y, z = pt
+        assert int(n[k]) == k + 1
+        want = (x.frac_u64(), y.frac_u64(), *z.frac_lanes())
+        assert tuple(int(lane[k]) for lane in lanes) == want, f"n={k + 1}"
 
 
 def test_weighted_stream_matches_naive():
