@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import SOFT_THRESHOLDS, ExperimentConfig, load_config, standard_config
+from .config import FIELDS, SOFT_THRESHOLDS, ExperimentConfig, load_config, standard_config
 from .diagnostics import coboundary_search, proof_constants, weyl_sums, winding_in_x
 from .engine import orbit_points
 from .moebius import (
@@ -79,7 +79,7 @@ def _load(args) -> ExperimentConfig:
     if args.segment_size is not None:
         patch["segment_size"] = args.segment_size
     if getattr(args, "checkpoints", None):
-        patch["checkpoints"] = tuple(int(v) for v in args.checkpoints.split(","))
+        patch["checkpoints"] = FIELDS["checkpoints"].read(args.checkpoints, "--checkpoints")
     if patch:
         cfg = dataclasses.replace(cfg, **patch).validate()
     return cfg
@@ -171,7 +171,7 @@ class RunContext:
 
     @cached_property
     def table(self) -> MobiusTable:
-        return sieve_mobius(max(self.cfg.sieve_bound, self.cfg.checkpoints[-1]))
+        return sieve_mobius(self.cfg.sieve_bound)
 
 
 def _correlation_outputs(stem: str, rep):
@@ -256,19 +256,6 @@ EXPERIMENTS = {
 }
 
 
-def _two_route(cfg: ExperimentConfig, pair):
-    """The reduced route of the bilinear average, and its largest deviation
-    from the pair-route report ``pair``."""
-    rep = bilinear_sum_reduced(
-        cfg.system(), cfg.observable(), cfg.p, cfg.q, list(cfg.checkpoints),
-        cfg.plan(cfg.checkpoints[-1]),
-    )
-    worst = max(abs(a.value - b.value) for a, b in zip(pair.checkpoints, rep.checkpoints))
-    return [("bilinear_reduced.csv", write_correlation_csv, rep)], {
-        "two_route_max_deviation": worst
-    }
-
-
 def _write(out: Path, outputs) -> list[Path]:
     paths = []
     for name, writer, payload in outputs:
@@ -280,11 +267,21 @@ def _write(out: Path, outputs) -> list[Path]:
 def cmd_experiment(args) -> int:
     """One registry experiment: print its summary entries and the files written."""
     cfg = _load(args)
-    outputs, summary = EXPERIMENTS[args.command](cfg, RunContext(cfg))
+    reduced = None
     if getattr(args, "two_route", False):
-        extra, entries = _two_route(cfg, outputs[0][2])  # payload of bilinear.csv
-        outputs += extra
-        summary.update(entries)
+        # the reduced route goes first, so a config it cannot descend (xi = 0)
+        # fails before the p times longer pair route streams
+        reduced = bilinear_sum_reduced(
+            cfg.system(), cfg.observable(), cfg.p, cfg.q, list(cfg.checkpoints),
+            cfg.plan(cfg.checkpoints[-1]),
+        )
+    outputs, summary = EXPERIMENTS[args.command](cfg, RunContext(cfg))
+    if reduced is not None:
+        pair = outputs[0][2]  # payload of bilinear.csv
+        summary["two_route_max_deviation"] = max(
+            abs(a.value - b.value) for a, b in zip(pair.checkpoints, reduced.checkpoints)
+        )
+        outputs.append(("bilinear_reduced.csv", write_correlation_csv, reduced))
     paths = _write(_outdir(cfg), outputs)
     for key, value in summary.items():
         print(f"{key} = {value!r}")

@@ -1,10 +1,12 @@
 """Experiment configuration: parsing, validation, and the standard baseline.
 
-Configs are plain INI text (``key = value`` under sections).  Rotation
-parameters accept decimal strings or exact dyadic strings ``n/2^k`` and are
-snapped to the 2**-64 grid; serialization always writes the exact dyadic
-form, so ``parse(serialize(cfg))`` reproduces the configuration bit for bit
-and its SHA-256 hash is stable across reruns.
+Configs are plain INI text (``key = value`` under sections).  ``FIELDS`` gives
+each field's ``[section] key``, parser and formatter; ``ExperimentConfig``
+holds the only defaults, which a key missing from an INI file takes (a field
+without one is required).  Rotation parameters accept decimal strings or exact
+dyadic strings ``n/2^k`` and are snapped to the 2**-64 grid; serialization
+always writes the exact dyadic form, so ``parse(serialize(cfg))`` reproduces
+the configuration bit for bit and its SHA-256 hash is stable across reruns.
 
 The standard baseline uses alpha = sqrt(2) - 1 and beta = sqrt(3) - 1 (their
 nearest dyadics; rational-independence surrogates), the fiber function
@@ -17,10 +19,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Any, Callable, NamedTuple
 
 from .dynamics import BaseFunctionSpec, JoiningSystem, SkewSystem, TrigTerm, build_joining
-from .engine import OrbitSegmentPlan
+from .engine import OrbitSegmentPlan, check_checkpoints
 from .fixedpoint import FixedReal, parse_real, sqrt_q64
 from .heisenberg import check_prime_pair
 from .observables import BumpProfile, Observable
@@ -35,7 +38,77 @@ KNOWN_EXPERIMENTS = (
 )
 
 
-@dataclass(frozen=True)
+class IniField(NamedTuple):
+    """Where one config field lives in the INI text, and how it is read and written."""
+
+    section: str
+    key: str
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
+
+    def read(self, raw: str, label: str | None = None):
+        """``raw`` parsed; a malformed value fails naming ``label`` (default ``[section] key``)."""
+        try:
+            return self.parse(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            label = label or f"[{self.section}] {self.key}"
+            raise ValueError(f"{label} = {raw!r} is malformed: {exc}") from None
+
+
+def _csv(convert, count=None):
+    """A parser of comma-separated values read by ``convert``, exactly ``count`` if given."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(convert(v) for v in text.split(","))
+        if count is not None and len(values) != count:
+            raise ValueError(f"needs {count} comma-separated values")
+        return values
+
+    return parse
+
+
+def _entries(convert):
+    """A parser of ``;``-separated entries, each read by ``convert``."""
+    return lambda text: tuple(convert(c) for c in text.split(";") if c.strip())
+
+
+def _term(text: str) -> TrigTerm:
+    k1, k2, amp, phase = text.split(",")
+    return TrigTerm(int(k1), int(k2), float(amp), float(phase))
+
+
+def _commas(values) -> str:
+    return ",".join(map(str, values))
+
+
+# config field -> its INI declaration, in the order ``to_ini`` writes them
+FIELDS = {
+    "alpha": IniField("system", "alpha", parse_real, FixedReal.dyadic_str),
+    "beta": IniField("system", "beta", parse_real, FixedReal.dyadic_str),
+    "d1": IniField("system", "d1", int, str),
+    "d2": IniField("system", "d2", int, str),
+    "terms": IniField("system", "terms", _entries(_term), lambda terms: "; ".join(
+        f"{t.k1},{t.k2},{t.amplitude!r},{t.phase!r}" for t in terms)),
+    "p": IniField("joining", "p", int, str),
+    "q": IniField("joining", "q", int, str),
+    "xi": IniField("observable", "xi", int, str),
+    "bump_center": IniField("observable", "bump_center", _csv(float, 2), _commas),
+    "bump_radius": IniField("observable", "bump_radius", float, repr),
+    "base_mode": IniField("observable", "base_mode", _csv(int, 2), _commas),
+    "checkpoints": IniField("run", "checkpoints", _csv(int), _commas),
+    "sieve_bound": IniField("run", "sieve_bound", int, str),
+    "segment_size": IniField("run", "segment_size", int, str),
+    "workers": IniField("run", "workers", int, str),
+    "out_dir": IniField("run", "out", str, str),
+    "experiments": IniField("run", "experiments", _csv(str.strip), _commas),
+    "weyl_freqs": IniField("weyl", "freqs", _entries(_csv(int)), lambda freqs: "; ".join(
+        map(_commas, freqs))),
+    "coboundary_k": IniField("coboundary", "k", int, str),
+    "coboundary_cutoff": IniField("coboundary", "cutoff", int, str),
+}
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     alpha: FixedReal
     beta: FixedReal
@@ -48,8 +121,8 @@ class ExperimentConfig:
     bump_center: tuple[float, float] = (0.5, 0.5)
     bump_radius: float = 0.25
     base_mode: tuple[int, int] = (0, 0)
-    checkpoints: tuple[int, ...] = (10**3, 10**4, 10**5, 10**6, 10**7)
-    sieve_bound: int = 10**7
+    checkpoints: tuple[int, ...]
+    sieve_bound: int
     segment_size: int = 1 << 16
     workers: int = 1
     out_dir: str = "runs/out"
@@ -60,21 +133,11 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         check_prime_pair(self.p, self.q)
-        cps = list(self.checkpoints)
-        if not cps or cps != sorted(set(cps)) or cps[0] < 1:
-            raise ValueError("checkpoints must be strictly increasing positive integers")
-        if cps[-1] > self.sieve_bound:
-            raise ValueError(
-                f"max checkpoint {cps[-1]} exceeds sieve bound {self.sieve_bound}"
-            )
-        s = self.segment_size
-        if s < 1 or s & (s - 1):
-            raise ValueError("segment_size must be a power of two")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
-        unknown = set(self.experiments) - set(KNOWN_EXPERIMENTS)
+        cps = check_checkpoints(self.checkpoints, self.sieve_bound)
+        self.plan(cps[-1])  # checks segment_size and workers
+        unknown = [e for e in self.experiments if e not in KNOWN_EXPERIMENTS]
         if unknown:
-            raise ValueError(f"unknown experiments: {sorted(unknown)}")
+            raise ValueError(f"[run] experiments has unknown entries {unknown}")
         for f in self.weyl_freqs:
             if len(f) != 3 or not all(isinstance(k, int) for k in f) or not any(f):
                 raise ValueError(f"[weyl] freqs entry {f} is not a nonzero integer triple")
@@ -106,37 +169,8 @@ class ExperimentConfig:
 
     def to_ini(self) -> str:
         cp = configparser.ConfigParser()
-        cp["system"] = {
-            "alpha": self.alpha.dyadic_str(),
-            "beta": self.beta.dyadic_str(),
-            "d1": str(self.d1),
-            "d2": str(self.d2),
-            "terms": "; ".join(
-                f"{t.k1},{t.k2},{t.amplitude!r},{t.phase!r}" for t in self.terms
-            ),
-        }
-        cp["joining"] = {"p": str(self.p), "q": str(self.q)}
-        cp["observable"] = {
-            "xi": str(self.xi),
-            "bump_center": f"{self.bump_center[0]!r},{self.bump_center[1]!r}",
-            "bump_radius": repr(self.bump_radius),
-            "base_mode": f"{self.base_mode[0]},{self.base_mode[1]}",
-        }
-        cp["run"] = {
-            "checkpoints": ",".join(str(c) for c in self.checkpoints),
-            "sieve_bound": str(self.sieve_bound),
-            "segment_size": str(self.segment_size),
-            "workers": str(self.workers),
-            "out": self.out_dir,
-            "experiments": ",".join(self.experiments),
-        }
-        cp["weyl"] = {
-            "freqs": "; ".join(f"{k1},{k2},{k3}" for k1, k2, k3 in self.weyl_freqs)
-        }
-        cp["coboundary"] = {
-            "k": str(self.coboundary_k),
-            "cutoff": str(self.coboundary_cutoff),
-        }
+        for name, f in FIELDS.items():
+            cp.read_dict({f.section: {f.key: f.format(getattr(self, name))}})
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -145,74 +179,20 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_ini().encode("utf-8")).hexdigest()
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
-
-
-def _entries(convert):
-    """A parser of ``;``-separated entries, each read by ``convert``."""
-    return lambda text: tuple(convert(c) for c in text.split(";") if c.strip())
-
-
-def _term(text: str) -> TrigTerm:
-    k1, k2, amp, phase = text.split(",")
-    return TrigTerm(int(k1), int(k2), float(amp), float(phase))
-
-
 def parse_config(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ValueError(f"config parse error: {exc}") from exc
-
-    def field(section, key, convert, default=None, arity=None):
-        """[section] key (or ``default``) read by ``convert``; a malformed
-        value, or a tuple of other than ``arity`` values, names the field."""
-        if cp.has_option(section, key):
-            raw = cp.get(section, key)
-        elif default is None:
-            raise ValueError(f"config missing [{section}] {key}")
-        else:
-            raw = default
-        try:
-            value = convert(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"[{section}] {key} = {raw!r} is malformed: {exc}") from None
-        if arity is not None and len(value) != arity:
-            raise ValueError(f"[{section}] {key} = {raw!r} needs {arity} comma-separated values")
-        return value
-
-    cfg = ExperimentConfig(
-        alpha=field("system", "alpha", parse_real),
-        beta=field("system", "beta", parse_real),
-        d1=field("system", "d1", int, "1"),
-        d2=field("system", "d2", int, "0"),
-        terms=field("system", "terms", _entries(_term), ""),
-        p=field("joining", "p", int, "3"),
-        q=field("joining", "q", int, "2"),
-        xi=field("observable", "xi", int, "1"),
-        bump_center=field("observable", "bump_center", _floats, "0.5,0.5", arity=2),
-        bump_radius=field("observable", "bump_radius", float, "0.25"),
-        base_mode=field("observable", "base_mode", _ints, "0,0", arity=2),
-        checkpoints=field("run", "checkpoints", _ints),
-        sieve_bound=field("run", "sieve_bound", int),
-        segment_size=field("run", "segment_size", int, str(1 << 16)),
-        workers=field("run", "workers", int, "1"),
-        out_dir=field("run", "out", str, "runs/out"),
-        experiments=field(
-            "run", "experiments", lambda v: tuple(e.strip() for e in v.split(",")),
-            ",".join(KNOWN_EXPERIMENTS),
-        ),
-        weyl_freqs=field("weyl", "freqs", _entries(_ints), "1,0,0"),
-        coboundary_k=field("coboundary", "k", int, "1"),
-        coboundary_cutoff=field("coboundary", "cutoff", int, "16"),
-    )
-    return cfg.validate()
+    values = {}
+    for field in fields(ExperimentConfig):
+        ini = FIELDS[field.name]
+        if cp.has_option(ini.section, ini.key):
+            values[field.name] = ini.read(cp.get(ini.section, ini.key))
+        elif field.default is MISSING:
+            raise ValueError(f"config missing [{ini.section}] {ini.key}")
+    return ExperimentConfig(**values).validate()
 
 
 def load_config(path) -> ExperimentConfig:
@@ -222,22 +202,15 @@ def load_config(path) -> ExperimentConfig:
 
 def standard_config(**overrides) -> ExperimentConfig:
     """The in-repo baseline every report references."""
-    cfg = ExperimentConfig(
+    base = ExperimentConfig(
         alpha=sqrt_q64(2) - 1,
         beta=sqrt_q64(3) - 1,
-        d1=1,
-        d2=0,
         terms=(TrigTerm(1, 0, 0.1, 0.0),),
-        p=3,
-        q=2,
-        xi=1,
         checkpoints=(10**3, 10**4, 10**5, 10**6, 10**7),
         sieve_bound=10**7,
         out_dir="runs/standard",
     )
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    return replace(base, **overrides).validate()
 
 
 # -- soft decay thresholds (recorded in every run manifest) -------------------

@@ -37,6 +37,8 @@ from .heisenberg import check_prime_pair
 from .moebius import CorrelationPoint
 
 TWO_PI = 2.0 * math.pi
+_DENOM_FLOOR = 1e-9  # coboundary modes with |e(m alpha + n beta) - 1| below this are skipped
+_GROWTH_TOL = 1e-6  # how far a float growth-law value may sit from its integer or closed form
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +113,6 @@ def coboundary_residual(
     beta: float,
     k: int,
     cutoff: int,
-    grid: int | None = None,
-    denom_floor: float = 1e-9,
 ) -> CoboundaryReport:
     """Fourier least-squares attack on R(T0 w) = R(w) + k g(w) for sampled g.
 
@@ -127,8 +127,7 @@ def coboundary_residual(
     """
     if cutoff < 1:
         raise ValueError("fourier cutoff must be >= 1")
-    if grid is None:
-        grid = max(64, 4 * cutoff)
+    grid = max(64, 4 * cutoff)
     xs = np.arange(grid) / grid
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     g_c = np.asarray(g_fn(gx, gy), dtype=np.float64)
@@ -145,7 +144,7 @@ def coboundary_residual(
             if abs(n) > cutoff or (m == 0 and n == 0):
                 continue
             denom = np.exp(2j * math.pi * (m * alpha + n * beta)) - 1.0
-            if abs(denom) < denom_floor:
+            if abs(denom) < _DENOM_FLOOR:
                 skipped.append((int(m), int(n)))
                 continue
             solved[i, j] = coeffs[i, j] / denom
@@ -169,9 +168,7 @@ def coboundary_residual(
     )
 
 
-def coboundary_search(
-    js: JoiningSystem, k: int, fourier_cutoff: int, grid: int | None = None
-) -> CoboundaryReport:
+def coboundary_search(js: JoiningSystem, k: int, fourier_cutoff: int) -> CoboundaryReport:
     """Residual of the cohomological equation for the trivialized cocycle k H'."""
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -181,7 +178,6 @@ def coboundary_search(
         js.base.beta_f,
         k,
         fourier_cutoff,
-        grid,
     )
     report.metadata.update({"p": js.p, "q": js.q, "twist": js.twist})
     return report
@@ -192,8 +188,7 @@ def coboundary_search(
 # ---------------------------------------------------------------------------
 
 
-def winding_in_x(lift_fn, y0: float, lip_bound: float, tol: float = 1e-6,
-                 max_refine: int = 24) -> int:
+def winding_in_x(lift_fn, y0: float, lip_bound: float, max_refine: int = 24) -> int:
     """Integer winding of x -> lift(x, y0) over one period.
 
     The mesh is sized so single-interval increments stay below 1/2 (spacing
@@ -208,9 +203,9 @@ def winding_in_x(lift_fn, y0: float, lip_bound: float, tol: float = 1e-6,
         if np.max(np.abs(inc)) < 0.5:
             total = float(vals[-1] - vals[0])
             w = round(total)
-            if abs(total - w) > tol:
+            if abs(total - w) > _GROWTH_TOL:
                 raise ValueError(
-                    f"winding increment {total} is not an integer within {tol}"
+                    f"winding increment {total} is not an integer within {_GROWTH_TOL}"
                 )
             return int(w)
         m *= 2
@@ -229,8 +224,7 @@ def lipschitz_estimate(lift_fn, mesh: int) -> float:
     return float(max(sx, sy))
 
 
-def boundary_increment_Fn(js: JoiningSystem, k: int, n: int, y: float,
-                          tol: float = 1e-6) -> float:
+def boundary_increment_Fn(js: JoiningSystem, k: int, n: int, y: float) -> float:
     """F_n(1, y) - F_n(0, y) from the assembled lift, checked against
     n k (p^2-q^2) d1 - n k (p^2-q^2) beta - floor(n beta).
 
@@ -257,7 +251,7 @@ def boundary_increment_Fn(js: JoiningSystem, k: int, n: int, y: float,
 
     computed = float(f_n(1.0, y) - f_n(0.0, y))
     closed = n * k * c * js.base.h.d1 - n * k * c * bf - fnb
-    if abs(computed - closed) > tol:
+    if abs(computed - closed) > _GROWTH_TOL:
         raise ValueError(
             f"boundary increment {computed} disagrees with closed form {closed}"
         )

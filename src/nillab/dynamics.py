@@ -46,6 +46,7 @@ from .heisenberg import (
     GroupElement,
     GroupLaw,
     NilPoint,
+    _below_one,
     canonical_rep,
     check_prime_pair,
     identity,
@@ -288,14 +289,6 @@ def _translation(sys: SkewSystem, x: FixedReal, y: FixedReal, m: int) -> GroupEl
     return GroupElement(sys.alpha * m, sys.beta * m, total, HEISENBERG)
 
 
-_BELOW_ONE = math.nextafter(1.0, 0.0)
-
-
-def _below_one(f: float) -> float:
-    """A value in [0, 1) after rounding to float, kept below 1."""
-    return f if f < 1.0 else _BELOW_ONE
-
-
 def _iterate_float(sys: SkewSystem, pt: NilPoint, n: int) -> NilPoint:
     # Scaled-integer arithmetic at 2**-bits, fine enough to hold alpha, beta
     # and the float start point exactly.
@@ -323,7 +316,7 @@ def _iterate_float(sys: SkewSystem, pt: NilPoint, n: int) -> NilPoint:
     fiber = Fraction(W & ((1 << 2 * bits) - 1), 1 << 2 * bits) + Fraction(periodic)
     fiber -= math.floor(fiber)
     rep = GroupElement(
-        _below_one((X & mask) / one), _below_one((Y & mask) / one), _below_one(float(fiber)),
+        _below_one((X & mask) / one), _below_one((Y & mask) / one), _below_one(fiber),
         HEISENBERG,
     )
     return NilPoint(rep)

@@ -89,7 +89,7 @@ class OrbitSegmentPlan:
         if s < 1 or (s & (s - 1)) != 0:
             raise ValueError("segment_size must be a power of two")
         if self.worker_count < 1:
-            raise ValueError("worker_count must be positive")
+            raise ValueError("workers must be positive")
 
 
 def resize_plan(plan: OrbitSegmentPlan | None, n_total: int) -> OrbitSegmentPlan:
@@ -97,20 +97,22 @@ def resize_plan(plan: OrbitSegmentPlan | None, n_total: int) -> OrbitSegmentPlan
     return OrbitSegmentPlan(n_total) if plan is None else replace(plan, n_total=n_total)
 
 
-def check_checkpoints(checkpoints, bound=None) -> list[int]:
-    """``checkpoints`` as ints, strictly increasing and within [1, bound].
-
-    ``bound`` is a step count, or a Mobius table whose ``n_max`` bounds the
-    checkpoints and is named as the sieve bound in the error; None leaves the
-    top open.
-    """
+def check_checkpoints(checkpoints, sieve_bound=None) -> list[int]:
+    """``checkpoints`` as ints, strictly increasing and within [1, sieve_bound]
+    (None leaves the top open)."""
     cps = [int(c) for c in checkpoints]
     if not cps or cps[0] < 1 or any(a >= b for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be strictly increasing positive integers")
-    n_max = getattr(bound, "n_max", bound)
-    if n_max is not None and cps[-1] > n_max:
-        limit = "sieve bound" if n_max is not bound else "step count"
-        raise ValueError(f"max checkpoint {cps[-1]} exceeds {limit} {n_max}")
+    if sieve_bound is not None and cps[-1] > sieve_bound:
+        raise ValueError(f"max checkpoint {cps[-1]} exceeds sieve bound {sieve_bound}")
+    return cps
+
+
+def _checkpoints_within(checkpoints, n_steps: int) -> list[int]:
+    """Checked ``checkpoints``, none past the ``n_steps`` a stream covers."""
+    cps = check_checkpoints(checkpoints)
+    if cps[-1] > n_steps:
+        raise ValueError(f"max checkpoint {cps[-1]} exceeds step count {n_steps}")
     return cps
 
 
@@ -323,7 +325,7 @@ def orbit_stream_multi(
     n <= N, exactly accumulated on the 2**-53 grid.
     """
     n_total = plan.n_total
-    checkpoints = check_checkpoints([n_total] if checkpoints is None else checkpoints, n_total)
+    checkpoints = _checkpoints_within([n_total] if checkpoints is None else checkpoints, n_total)
 
     stream = _make_stream(system, start)
     bounds = _segment_bounds(n_total, plan.segment_size)
@@ -450,7 +452,7 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
 
 def checkpoint_sums(values: np.ndarray, checkpoints) -> list[tuple[int, complex]]:
     """Exact quantized checkpoint sums of 1-indexed per-step values."""
-    checkpoints = check_checkpoints(checkpoints, values.size)
+    checkpoints = _checkpoints_within(checkpoints, values.size)
     out = []
     qre, qim = _quantize(values)
     prev = 0

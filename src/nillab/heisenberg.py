@@ -112,9 +112,6 @@ class GroupElement(NamedTuple):
     def floating(x, y, z, law: GroupLaw = HEISENBERG) -> "GroupElement":
         return GroupElement(float(x), float(y), float(z), law)
 
-    def to_float(self) -> "GroupElement":
-        return GroupElement(float(self.x), float(self.y), float(self.z), self.law)
-
     def coords(self) -> tuple[Coord, Coord, Coord]:
         return self[:3]
 
@@ -207,6 +204,15 @@ def lattice_floor(g: GroupElement) -> LatticeElement:
     return LatticeElement(fx, fy, m)
 
 
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def _below_one(v) -> float:
+    """``v`` in [0, 1) as a float, kept below 1 where rounding would reach it."""
+    f = float(v)
+    return f if f < 1.0 else _BELOW_ONE
+
+
 class NilPoint:
     """Canonical fundamental-domain representative of a point of X or X_star.
 
@@ -258,8 +264,8 @@ class NilPoint:
         return self.rep[:3]
 
     def to_float(self) -> "NilPoint":
-        # Exact canonical coords stay in [0, 1) under correct rounding.
-        return NilPoint(self.rep.to_float())
+        # float() rounds a coordinate within 2**-54 of 1 up to 1.0; keep it below 1
+        return NilPoint(GroupElement(*map(_below_one, self.coords()), self.law))
 
 
 _set_rep = NilPoint.rep.__set__
@@ -297,6 +303,8 @@ def nil_point(x, y, z, law: GroupLaw = HEISENBERG, fixed: bool = True) -> NilPoi
 
 # -- prime-pair joining ------------------------------------------------------
 
+_PAIR_TOL = 1e-9  # float slack of the pair constraint q (x1, y1) = p (x2, y2)
+
 
 @dataclass(frozen=True)
 class JoiningPair:
@@ -312,30 +320,29 @@ class JoiningPair:
         _check_pair(self.first, self.second)
 
 
-def _is_integer(v: Coord, tol: float) -> bool:
+def _is_integer(v: Coord) -> bool:
     if isinstance(v, FixedReal):
         return v.frac().scaled == 0
-    return abs(v - round(v)) <= tol
+    return abs(v - round(v)) <= _PAIR_TOL
 
 
-def joining_membership(pair: JoiningPair, tol: float = 1e-9) -> bool:
+def joining_membership(pair: JoiningPair) -> bool:
     """True iff q (x1, y1) - p (x2, y2) is integral (mod 1 membership in X_1)."""
     dx = pair.first.x * pair.q - pair.second.x * pair.p
     dy = pair.first.y * pair.q - pair.second.y * pair.p
-    return _is_integer(dx, tol) and _is_integer(dy, tol)
+    return _is_integer(dx) and _is_integer(dy)
 
 
 def project_pi(
     g6: tuple[Coord, Coord, Coord, Coord, Coord, Coord],
     p: int,
     q: int,
-    tol: float = 1e-9,
 ) -> GroupElement:
     """Project a G_1 point (p x, p y, z1, q x, q y, z2) to (x, y, z1 - z2).
 
     The result carries the star law with twist p^2 - q^2.  The input must
     satisfy the pair constraint exactly on the fixed-point path, or within
-    ``tol`` on the float path.
+    1e-9 on the float path.
     """
     law = GroupLaw.star(p, q)  # validates the prime pair
     x1, y1, z1, x2, y2, z2 = (_coerce(v) for v in g6)
@@ -343,6 +350,6 @@ def project_pi(
         if x1 * q != x2 * p or y1 * q != y2 * p:
             raise ValueError("input does not satisfy q(x1,y1) = p(x2,y2) exactly")
         return GroupElement(x1.exact_div(p), y1.exact_div(p), z1 - z2, law)
-    if abs(q * x1 - p * x2) > tol or abs(q * y1 - p * y2) > tol:
+    if abs(q * x1 - p * x2) > _PAIR_TOL or abs(q * y1 - p * y2) > _PAIR_TOL:
         raise ValueError("input violates q(x1,y1) = p(x2,y2) beyond tolerance")
     return GroupElement(x1 / p, y1 / p, z1 - z2, law)

@@ -171,7 +171,7 @@ def correlation_sum(
     """(1/N) sum_{n<=N} F(T^n x0) mu(n) at each checkpoint N."""
     if not isinstance(obs, Observable):
         raise TypeError("correlation_sum expects a base-system Observable")
-    checkpoints = check_checkpoints(checkpoints, table)
+    checkpoints = check_checkpoints(checkpoints, table.n_max)
     plan = resize_plan(plan, checkpoints[-1])
     sums = orbit_stream(sys, start, plan, obs, weights=table.mu_slice, checkpoints=checkpoints)
     meta = {
@@ -249,7 +249,7 @@ def davenport_baseline(
     from .dynamics import BaseFunctionSpec
 
     alpha = FixedReal(alpha)
-    checkpoints = check_checkpoints(checkpoints, table)
+    checkpoints = check_checkpoints(checkpoints, table.n_max)
     plan = resize_plan(plan, checkpoints[-1])
     sys = SkewSystem(alpha.frac(), FixedReal(0), BaseFunctionSpec(0, 0))
 

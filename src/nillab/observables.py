@@ -24,6 +24,7 @@ import numpy as np
 from .heisenberg import NilPoint
 
 TWO_PI = 2.0 * math.pi
+_MARGIN = 0.125  # bump supports stay inside (1/8, 7/8)^2
 
 
 def _smoothstep(u):
@@ -43,18 +44,14 @@ class BumpProfile:
 
     center: tuple[float, float] = (0.5, 0.5)
     radius: float = 0.25
-    margin: float = 0.125
 
     def __post_init__(self):
         cx, cy = self.center
-        r = self.radius
+        r, m = self.radius, _MARGIN
         if r <= 0:
             raise ValueError("bump radius must be positive")
-        if not (self.margin <= cx - r and cx + r <= 1 - self.margin
-                and self.margin <= cy - r and cy + r <= 1 - self.margin):
-            raise ValueError(
-                f"bump support must stay inside ({self.margin}, {1 - self.margin})^2"
-            )
+        if not (m <= cx - r and cx + r <= 1 - m and m <= cy - r and cy + r <= 1 - m):
+            raise ValueError(f"bump support must stay inside ({m}, {1 - m})^2")
 
     @property
     def lipschitz(self) -> float:

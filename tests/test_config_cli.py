@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,7 +6,13 @@ import pytest
 
 from nillab import cli
 from nillab.cli import main
-from nillab.config import KNOWN_EXPERIMENTS, load_config, parse_config, standard_config
+from nillab.config import (
+    KNOWN_EXPERIMENTS,
+    ExperimentConfig,
+    load_config,
+    parse_config,
+    standard_config,
+)
 
 def test_standard_config_round_trip():
     cfg = standard_config()
@@ -16,6 +23,7 @@ def test_standard_config_round_trip():
 def test_shipped_standard_config_matches_builder():
     path = Path(__file__).resolve().parents[1] / "configs" / "standard.ini"
     assert load_config(path) == standard_config()
+    assert standard_config().to_ini().encode("utf-8") == path.read_bytes()
 
 
 def test_round_trip_with_custom_fields(tmp_path):
@@ -101,6 +109,30 @@ def test_config_with_retired_seed_key_still_loads():
     text = standard_config().to_ini().replace("workers = 1\n", "workers = 1\nseed = 20260811\n")
     assert "seed = 20260811" in text
     assert parse_config(text) == standard_config()
+
+
+def test_optional_keys_take_dataclass_defaults():
+    required = {
+        ("system", "alpha"): "0.25",
+        ("system", "beta"): "0.5",
+        ("run", "checkpoints"): "10,100",
+        ("run", "sieve_bound"): "100",
+    }
+
+    def ini(keys):
+        sections = {}
+        for (section, key), value in keys.items():
+            sections.setdefault(section, []).append(f"{key} = {value}")
+        return "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items())
+
+    cfg = parse_config(ini(required))
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.default is not dataclasses.MISSING:
+            assert getattr(cfg, field.name) == field.default, field.name
+    for section, key in required:
+        rest = {k: v for k, v in required.items() if k != (section, key)}
+        with pytest.raises(ValueError, match=rf"config missing \[{section}\] {key}"):
+            parse_config(ini(rest))
 
 
 def test_alpha_beta_snap_exact():
@@ -195,6 +227,27 @@ def test_cli_workers_env_rejects_bad_values(tmp_path, monkeypatch, value):
     cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
     with pytest.raises(ValueError, match="LAB_WORKERS"):
         main(["constants", "--config", str(cfg_path)])
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_checkpoints_override_names_the_option(tmp_path):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
+    with pytest.raises(ValueError, match="--checkpoints"):
+        main(["constants", "--config", str(cfg_path), "--checkpoints", "1e2,1e3"])
+    assert main(["constants", "--config", str(cfg_path), "--checkpoints", "100,200"]) == 0
+
+
+def test_cli_two_route_rejects_xi_zero_before_streaming(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")).replace("xi = 1", "xi = 0"))
+
+    def pair_route(*args, **kwargs):
+        raise AssertionError("the pair route streamed")
+
+    monkeypatch.setattr(cli, "bilinear_sum", pair_route)
+    with pytest.raises(ValueError, match="nonzero vertical frequency"):
+        main(["bilinear", "--config", str(cfg_path), "--two-route"])
     assert not (tmp_path / "out").exists()
 
 

@@ -202,6 +202,14 @@ def test_float_path_mirrors_fixed(rng):
                 assert min(d, 1 - d) <= 1e-12
 
 
+def test_to_float_keeps_coordinates_below_one():
+    top = FixedReal.from_q64(2**64 - 1)  # 1 - 2**-64 rounds to 1.0 as a float
+    pt = nil_point(top, 0, top).to_float()
+    below = math.nextafter(1.0, 0.0)
+    assert pt.coords() == (below, 0.0, below)
+    assert nil_point(0.5, 0.25, 0).to_float().coords() == (0.5, 0.25, 0.0)
+
+
 # -- projection and the joining constraint ------------------------------------
 
 
