@@ -19,6 +19,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Callable, NamedTuple
 
@@ -26,6 +27,7 @@ from .dynamics import BaseFunctionSpec, JoiningSystem, SkewSystem, TrigTerm, bui
 from .engine import OrbitSegmentPlan, check_checkpoints
 from .fixedpoint import FixedReal, parse_real, sqrt_q64
 from .heisenberg import check_prime_pair
+from .moebius import MAX_SIEVE
 from .observables import BumpProfile, Observable
 
 KNOWN_EXPERIMENTS = (
@@ -81,6 +83,10 @@ def _commas(values) -> str:
     return ",".join(map(str, values))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 # config field -> its INI declaration, in the order ``to_ini`` writes them
 FIELDS = {
     "alpha": IniField("system", "alpha", parse_real, FixedReal.dyadic_str),
@@ -133,6 +139,13 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         check_prime_pair(self.p, self.q)
+        # floats would be written as "1000.0", which the INI parser rejects
+        if not all(map(_is_int, self.checkpoints)):
+            raise ValueError(f"[run] checkpoints must be integers, got {self.checkpoints}")
+        if not (_is_int(self.sieve_bound) and 1 <= self.sieve_bound <= MAX_SIEVE):
+            raise ValueError(
+                f"[run] sieve_bound = {self.sieve_bound!r} must be an integer in [1, {MAX_SIEVE}]"
+            )
         cps = check_checkpoints(self.checkpoints, self.sieve_bound)
         self.plan(cps[-1])  # checks segment_size and workers
         unknown = [e for e in self.experiments if e not in KNOWN_EXPERIMENTS]

@@ -12,16 +12,20 @@ One lane stream serves T and T_star: T_star has fiber function
 H(x, y) = h_p(px, py) - h_q(qx, qy) and twist p^2 - q^2, and T is the side
 pair (p, q) = (1, 0), with H = h and twist 1.
 
-Streaming is two-pass: pass 1 computes each segment's cocycle total
-independently, an exclusive scan over segment totals yields the z-offsets,
-and pass 2 evaluates observables per segment in a thread pool.  Observable
-values are quantized to 2**-53 and summed in integer arithmetic, which makes
-checkpoint sums bit-identical for any worker count and segment size -- and
-equal to the naive single-loop oracle.
+Streaming is a single-pass scan: each segment computes its cocycle values
+once and takes their local prefix sums, then adds the inclusive carry of the
+segment before it, publishes its own carry and evaluates its observables (a
+running offset on one worker, a chained scan on a thread pool).  The prime-pair
+route keeps the cocycle sums only at multiples of p and q, then evaluates
+F(T^{pn} x0) conj F(T^{qn} x0) chunk by chunk.  Observable values are quantized
+to 2**-53 and summed in integer arithmetic, which makes checkpoint sums
+bit-identical for any worker count and segment size -- and equal to the naive
+single-loop oracle.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -266,7 +270,7 @@ def _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache):
 
 
 # ---------------------------------------------------------------------------
-# the two-pass stream
+# the single-pass stream
 # ---------------------------------------------------------------------------
 
 
@@ -275,36 +279,74 @@ def _segment_bounds(n_total: int, segment_size: int):
 
 
 def _map_segments(job, count: int, workers: int) -> list:
-    """``[job(k) for k in range(count)]``, on ``workers`` threads when above 1."""
+    """``[job(k) for k in range(count)]``, on ``workers`` threads when above 1.
+
+    The pool takes jobs in FIFO order, so job k - 1 has started before job k
+    runs: a job may wait on its predecessor without deadlock."""
     if workers > 1 and count > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(job, range(count)))
     return [job(k) for k in range(count)]
 
 
-def _segment_offsets(stream: _LaneStream, bounds, workers: int):
-    """Pass 1: per-segment cocycle totals and their exclusive scan (mod 1)."""
+def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume) -> list:
+    """One pass over steps 1 .. plan.n_total: ``[consume(lo, hi, s)]`` per segment.
 
-    def total(k):
+    ``s`` holds the cocycle prefix sums S_{lo+1} .. S_hi (mod 1).  Segment k
+    computes its ``u_values`` once and takes their local cumsum, then waits for
+    segment k - 1's inclusive carry and publishes its own before it consumes.
+    On one worker this is a running offset; on several it is a chained scan.
+    A failing segment still publishes (an unknown carry) and wakes every later
+    segment, so they raise instead of waiting forever, even on segments the
+    pool cancels once the failure surfaces.
+    """
+    bounds = _segment_bounds(plan.n_total, plan.segment_size)
+    carries = [0] + [None] * len(bounds)
+    ready = [threading.Event() for _ in carries]
+    ready[0].set()
+
+    def job(k):
         lo, hi = bounds[k]
-        i = np.arange(lo, hi, dtype=np.uint64)
-        return int(stream.u_values(i).sum(dtype=np.uint64))
+        try:
+            s = np.cumsum(stream.u_values(np.arange(lo, hi, dtype=np.uint64)), dtype=np.uint64)
+            ready[k].wait()
+            offset = carries[k]
+            if offset is None:
+                raise RuntimeError(f"segment {k - 1} of the cocycle scan failed")
+            carries[k + 1] = (offset + int(s[-1])) & MASK64
+        finally:
+            # publish the carry; an unknown one breaks the chain, so every
+            # later segment is woken to raise
+            stop = k + 2 if carries[k + 1] is not None else len(ready)
+            for event in ready[k + 1 : stop]:
+                event.set()
+        s += u64c(offset)
+        return consume(lo, hi, s)
 
-    offsets = []
-    acc = 0
-    for t in _map_segments(total, len(bounds), workers):
-        offsets.append(acc)
-        acc = (acc + t) & MASK64
-    return offsets
+    return _map_segments(job, len(bounds), plan.worker_count)
 
 
-def _segment_lanes(stream: _LaneStream, lo: int, hi: int, offset: int):
-    """Pass 2: step indices n = lo+1 .. hi and their lanes (x, y, z hi, z lo),
-    scanned on from the segment's cocycle offset."""
-    i = np.arange(lo, hi, dtype=np.uint64)
-    s = u64c(offset) + np.cumsum(stream.u_values(i), dtype=np.uint64)
-    n = i + np.uint64(1)
-    return n, stream.lanes(n, s)
+def _cut_sums(values, lo: int, cuts):
+    """Exact quantized sums of the values of steps lo+1 ..: one prefix sum per
+    checkpoint in ``cuts``, then the totals."""
+    qre, qim = _quantize(values)
+    return (
+        [(c, _exact_sum_i64(qre[: c - lo]), _exact_sum_i64(qim[: c - lo])) for c in cuts],
+        _exact_sum_i64(qre),
+        _exact_sum_i64(qim),
+    )
+
+
+def _running_sums(chunks) -> list[tuple[int, complex]]:
+    """Checkpoint sums from consecutive chunks' ``_cut_sums``."""
+    out = []
+    re0 = im0 = 0
+    for cut_sums, tot_re, tot_im in chunks:
+        for c, cre, cim in cut_sums:
+            out.append((c, complex((re0 + cre) / Q53, (im0 + cim) / Q53)))
+        re0 += tot_re
+        im0 += tot_im
+    return out
 
 
 def orbit_stream_multi(
@@ -326,40 +368,22 @@ def orbit_stream_multi(
     """
     n_total = plan.n_total
     checkpoints = _checkpoints_within([n_total] if checkpoints is None else checkpoints, n_total)
-
     stream = _make_stream(system, start)
-    bounds = _segment_bounds(n_total, plan.segment_size)
-    offsets = _segment_offsets(stream, bounds, plan.worker_count)
-    nfns = len(value_fns)
 
-    def job(k):
-        lo, hi = bounds[k]
-        n, (fx, fy, z_hi, z_lo) = _segment_lanes(stream, lo, hi, offsets[k])
+    def consume(lo, hi, s):
+        n = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        fx, fy, z_hi, z_lo = stream.lanes(n, s)
         w = weights(lo + 1, hi + 1) if weights is not None else None
         floats_cache = [None]
         cuts = [c for c in checkpoints if lo < c <= hi]
         out = []
         for fn in value_fns:
             v = _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache)
-            if w is not None:
-                v = v * w
-            qre, qim = _quantize(v)
-            cut_sums = [
-                (c, _exact_sum_i64(qre[: c - lo]), _exact_sum_i64(qim[: c - lo])) for c in cuts
-            ]
-            out.append((cut_sums, _exact_sum_i64(qre), _exact_sum_i64(qim)))
+            out.append(_cut_sums(v if w is None else v * w, lo, cuts))
         return out
 
-    seg_results = _map_segments(job, len(bounds), plan.worker_count)
-    results = [[] for _ in range(nfns)]
-    running = [(0, 0)] * nfns
-    for seg in seg_results:
-        for f, (cut_sums, tot_re, tot_im) in enumerate(seg):
-            re0, im0 = running[f]
-            for c, cre, cim in cut_sums:
-                results[f].append((c, complex((re0 + cre) / Q53, (im0 + cim) / Q53)))
-            running[f] = (re0 + tot_re, im0 + tot_im)
-    return results
+    segments = _scan_segments(stream, plan, consume)
+    return [_running_sums(seg[f] for seg in segments) for f in range(len(value_fns))]
 
 
 def orbit_stream(system, start, plan, value_fn, weights=None, checkpoints=None):
@@ -402,68 +426,82 @@ def orbit_stream_naive(system, start, n_total, value_fn, weights=None, checkpoin
 
 def orbit_points(system, start, ns):
     """Float coordinates of the orbit at the given step indices (exact lanes)."""
-    want = sorted(set(int(n) for n in ns))
-    if not want:
+    want = np.array(sorted(set(int(n) for n in ns)), dtype=np.int64)
+    if not want.size:
         return []
     if want[0] < 1:
         raise ValueError("orbit indices must be >= 1")
     stream = _make_stream(system, start)
-    # segments end at every wanted index; the empty last one scans to the end
-    edges = sorted(set(range(0, want[-1], 1 << 16)).union(want))
-    offsets = _segment_offsets(stream, list(zip(edges, edges[1:] + edges[-1:])), 1)
-    s = dict(zip(edges, offsets))
-    n = np.array(want, dtype=np.uint64)
-    xf, yf, zf = _float_lanes(*stream.lanes(n, np.array([s[v] for v in want], dtype=np.uint64)))
-    return [(v, float(x), float(y), float(z)) for v, x, y, z in zip(want, xf, yf, zf)]
+
+    def consume(lo, hi, s):
+        return s[want[(want > lo) & (want <= hi)] - lo - 1]
+
+    s = np.concatenate(_scan_segments(stream, OrbitSegmentPlan(int(want[-1])), consume))
+    xf, yf, zf = _float_lanes(*stream.lanes(want.astype(np.uint64), s))
+    return [(int(v), float(x), float(y), float(z)) for v, x, y, z in zip(want, xf, yf, zf)]
 
 
 # ---------------------------------------------------------------------------
-# the prime-pair streams
+# the prime-pair stream
 # ---------------------------------------------------------------------------
+
+
+def _keep_multiples(dst: np.ndarray, stride: int, lo: int, hi: int, s: np.ndarray):
+    """``dst[m - 1] = S_{m stride}`` for the multiples of ``stride`` among the
+    steps lo+1 .. hi whose m is within ``dst``."""
+    first = lo // stride + 1
+    last = min(hi // stride, dst.size)
+    if last >= first:
+        dst[first - 1 : last] = s[first * stride - lo - 1 : last * stride - lo : stride]
 
 
 def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
-                       plan_template: OrbitSegmentPlan, obs):
-    """F(T^{p n} x0) and F(T^{q n} x0) for n = 1..n_pairs, one stream to p*n_pairs.
+                       plan_template: OrbitSegmentPlan, obs, checkpoints=None):
+    """Exact checkpoint sums of F(T^{p n} x0) conj(F(T^{q n} x0)) over
+    n <= N, one cocycle stream to p * n_pairs.
 
-    Lane-exact; the observable is evaluated only at the strided positions.
+    Phase 1 scans the skew cocycle once and keeps S only at the multiples of
+    p and of q (two u64 arrays of length ``n_pairs``).  Phase 2 works on
+    n-chunks of the plan's segment size: it builds the lanes at p n and q n,
+    evaluates the observable there and sums the quantized products, so no
+    per-step array longer than a chunk is formed.  Returns ``(N, sum)`` for
+    each checkpoint N (default ``[n_pairs]``), unnormalized, like
+    :func:`orbit_stream_multi`.
     """
-    total = p * n_pairs
+    checkpoints = _checkpoints_within(
+        [n_pairs] if checkpoints is None else checkpoints, n_pairs
+    )
     stream = _make_stream(sys, start)
-    bounds = _segment_bounds(total, plan_template.segment_size)
-    offsets = _segment_offsets(stream, bounds, plan_template.worker_count)
-    fp = np.zeros(n_pairs, dtype=np.complex128)
-    fq = np.zeros(n_pairs, dtype=np.complex128)
+    s_p = np.empty(n_pairs, dtype=np.uint64)
+    s_q = np.empty(n_pairs, dtype=np.uint64)
+
+    def keep(lo, hi, s):
+        _keep_multiples(s_p, p, lo, hi, s)
+        _keep_multiples(s_q, q, lo, hi, s)
+
+    _scan_segments(stream, resize_plan(plan_template, p * n_pairs), keep)
+    chunks = _segment_bounds(n_pairs, plan_template.segment_size)
 
     def job(k):
-        lo, hi = bounds[k]
-        n, (fx, fy, z_hi, z_lo) = _segment_lanes(stream, lo, hi, offsets[k])
-        n_int = n.astype(np.int64)
-        for stride, sink in ((p, fp), (q, fq)):
-            mask = (n_int % stride == 0) & (n_int <= stride * n_pairs)
-            if not mask.any():
-                continue
-            xf, yf, zf = _float_lanes(fx[mask], fy[mask], z_hi[mask], z_lo[mask])
-            sink[n_int[mask] // stride - 1] = obs.eval_arrays(xf, yf, zf)
+        lo, hi = chunks[k]
+        n = np.arange(lo + 1, hi + 1, dtype=np.uint64)
 
-    _map_segments(job, len(bounds), plan_template.worker_count)
-    return fp, fq
+        def factor(m, s):  # F(T^{m n} x0) for the chunk's n
+            return obs.eval_arrays(*_float_lanes(*stream.lanes(n * u64c(m), s[lo:hi])))
+
+        # conj(F_q) * F_p in this order: under fused multiply-add, swapping
+        # the operands of a complex product changes its rounding, and the
+        # report digests were taken in this order
+        values = np.multiply(np.conj(factor(q, s_q)), factor(p, s_p))
+        return _cut_sums(values, lo, [c for c in checkpoints if lo < c <= hi])
+
+    return _running_sums(_map_segments(job, len(chunks), plan_template.worker_count))
 
 
 def checkpoint_sums(values: np.ndarray, checkpoints) -> list[tuple[int, complex]]:
     """Exact quantized checkpoint sums of 1-indexed per-step values."""
     checkpoints = _checkpoints_within(checkpoints, values.size)
-    out = []
-    qre, qim = _quantize(values)
-    prev = 0
-    re_tot = 0
-    im_tot = 0
-    for c in checkpoints:
-        re_tot += _exact_sum_i64(qre[prev:c])
-        im_tot += _exact_sum_i64(qim[prev:c])
-        prev = c
-        out.append((c, complex(re_tot / Q53, im_tot / Q53)))
-    return out
+    return _running_sums([_cut_sums(values, 0, checkpoints)])
 
 
 class StarDescentSink:

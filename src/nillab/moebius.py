@@ -28,7 +28,6 @@ from .engine import (
     OrbitSegmentPlan,
     StarDescentSink,
     check_checkpoints,
-    checkpoint_sums,
     orbit_stream,
     pair_factor_values,
     resize_plan,
@@ -194,13 +193,16 @@ def bilinear_sum(
     checkpoints,
     plan: OrbitSegmentPlan | None = None,
 ) -> CorrelationReport:
-    """(1/N) sum_{n<=N} F(T^{pn} x0) conj(F(T^{qn} x0)) -- the pair route."""
+    """(1/N) sum_{n<=N} F(T^{pn} x0) conj(F(T^{qn} x0)) -- the pair route.
+
+    One skew-orbit stream to p * max N; :func:`pair_factor_values` returns the
+    exact checkpoint sums, which are normalized here.
+    """
     js = build_joining(sys, p, q)  # validates the prime pair
     checkpoints = check_checkpoints(checkpoints)
     n_pairs = checkpoints[-1]
     plan = resize_plan(plan, p * n_pairs)
-    fp, fq = pair_factor_values(sys, start, p, q, n_pairs, plan, obs)
-    sums = checkpoint_sums(fp * np.conj(fq), checkpoints)
+    sums = pair_factor_values(sys, start, p, q, n_pairs, plan, obs, checkpoints)
     meta = {
         "estimator": "bilinear_sum",
         "route": "pair-orbit",

@@ -2,6 +2,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nillab import cli
@@ -51,6 +52,22 @@ def test_validation_errors():
         standard_config(experiments=("nonsense",))
     with pytest.raises(ValueError):
         standard_config(xi=1, bump_radius=0.5)
+
+
+@pytest.mark.parametrize("bound", [0, -5, 2 * 10**9, 10**7 + 0.5, True])
+def test_sieve_bound_checked_early(bound):
+    """A sieve bound the sieve would refuse fails validation, naming the field,
+    before a run deletes its old manifest or streams anything."""
+    with pytest.raises(ValueError, match=r"\[run\] sieve_bound"):
+        standard_config(sieve_bound=bound)
+
+
+def test_float_checkpoints_rejected_so_the_ini_round_trips():
+    with pytest.raises(ValueError, match=r"\[run\] checkpoints"):
+        standard_config(checkpoints=(1000.0, 10**4))
+    cfg = standard_config(checkpoints=(np.int64(1000), 10**4))
+    assert "checkpoints = 1000,10000\n" in cfg.to_ini()
+    assert parse_config(cfg.to_ini()) == standard_config(checkpoints=(1000, 10**4))
 
 
 def test_parse_error_reports_field():

@@ -1,3 +1,6 @@
+import threading
+from sys import getswitchinterval, setswitchinterval
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,9 @@ from nillab.engine import (
     StarDescentSink,
     _frac_int_parts,
     _make_stream,
+    _LaneStream,
     _n_times_q128,
-    _segment_lanes,
+    _scan_segments,
     checkpoint_sums,
     mulhi_u64,
     orbit_points,
@@ -21,7 +25,7 @@ from nillab.engine import (
 )
 from nillab.fixedpoint import FixedReal, sqrt_q64
 from nillab.heisenberg import GroupElement, canonical_rep, identity
-from nillab.observables import BumpProfile, Observable
+from nillab.observables import BumpProfile, Observable, eval_observable
 
 ALPHA = sqrt_q64(2) - 1
 BETA = sqrt_q64(3) - 1
@@ -151,12 +155,15 @@ def test_joining_lanes_equal_exact_stepping(p, q, h):
     d1, d2, terms = h
     js = build_joining(make_sys(terms=terms, d1=d1, d2=d2), p, q)
     n_max = 300
-    n, lanes = _segment_lanes(_make_stream(js, None), 0, n_max, 0)
+    stream = _make_stream(js, None)
+    (lanes,) = _scan_segments(
+        stream, OrbitSegmentPlan(n_max),
+        lambda lo, hi, s: stream.lanes(np.arange(lo + 1, hi + 1, dtype=np.uint64), s),
+    )
     pt = (FixedReal(0), FixedReal(0), FixedReal(0))
     for k in range(n_max):
         pt = js.step_trivialized(pt)
         x, y, z = pt
-        assert int(n[k]) == k + 1
         want = (x.frac_u64(), y.frac_u64(), *z.frac_lanes())
         assert tuple(int(lane[k]) for lane in lanes) == want, f"n={k + 1}"
 
@@ -223,48 +230,111 @@ def test_engine_requires_unit_interval_rotation():
 
 
 def test_pair_factor_values_match_iterates():
+    """The pair sums at every n <= 50 equal, bit for bit, the checkpoint sums
+    of the products of the observable at the scalar closed-form iterates."""
     sys = make_sys()
     obs = Observable(xi=1, bump=BumpProfile())
     start = canonical_rep(identity())
-    fp, fq = pair_factor_values(sys, start, 3, 2, 50, OrbitSegmentPlan(150, 32, 2), obs)
-    from nillab.observables import eval_observable
+    cps = list(range(1, 51))
+    got = pair_factor_values(sys, start, 3, 2, 50, OrbitSegmentPlan(150, 32, 2), obs, cps)
+    fp, fq = (
+        np.array([eval_observable(obs, iterate_T(sys, start, m * n)) for n in cps])
+        for m in (3, 2)
+    )
+    assert got == checkpoint_sums(np.conj(fq) * fp, cps)
 
-    for n in (1, 7, 50):
-        assert fp[n - 1] == eval_observable(obs, iterate_T(sys, start, 3 * n))
-        assert fq[n - 1] == eval_observable(obs, iterate_T(sys, start, 2 * n))
+
+PAIR_CHECKPOINTS = [1, 16, 17, 250, 499, 500]
 
 
 @pytest.fixture(scope="module")
 def pair_reference():
     sys = make_sys()
     obs = Observable(xi=1, bump=BumpProfile())
-    return sys, obs, pair_factor_values(sys, None, 3, 2, 500, OrbitSegmentPlan(1500), obs)
+    ref = pair_factor_values(sys, None, 3, 2, 500, OrbitSegmentPlan(1500), obs, PAIR_CHECKPOINTS)
+    return sys, obs, ref
 
 
 @SEGMENTATIONS
 def test_pair_factor_values_segmentation_invariant(pair_reference, segment_size, workers):
-    sys, obs, (ref_p, ref_q) = pair_reference
+    sys, obs, ref = pair_reference
     plan = OrbitSegmentPlan(1500, segment_size, workers)
-    fp, fq = pair_factor_values(sys, None, 3, 2, 500, plan, obs)
-    assert fp.tobytes() == ref_p.tobytes() and fq.tobytes() == ref_q.tobytes()
+    assert pair_factor_values(sys, None, 3, 2, 500, plan, obs, PAIR_CHECKPOINTS) == ref
 
 
 def test_star_descent_exact_z_difference():
     """The descent factors differ from the direct pair factors by a common
-    central shift: the z difference agrees exactly, lane for lane."""
+    central shift: the pair and reduced routes agree on the product sums."""
     sys = make_sys()
     js = build_joining(sys, 3, 2)
     obs = Observable(xi=1, bump=BumpProfile())
     sink = StarDescentSink(obs, 3, 2)
-    direct = orbit_stream(
-        sys, None, OrbitSegmentPlan(300, 64),
-        lambda x, y, z, n: np.ones_like(x), checkpoints=[300],
-    )
-    # product route vs pair route, value-level comparison
-    fp, fq = pair_factor_values(sys, None, 3, 2, 300, OrbitSegmentPlan(900, 64), obs)
-    via_pairs = checkpoint_sums(fp * np.conj(fq), [300])
+    via_pairs = pair_factor_values(sys, None, 3, 2, 300, OrbitSegmentPlan(900, 64), obs, [300])
     via_star = orbit_stream(js, None, OrbitSegmentPlan(300, 64), sink, checkpoints=[300])
     assert abs(via_pairs[0][1] - via_star[0][1]) <= 1e-9 * 300
+
+
+def test_chained_scan_under_thread_switching(skew_oracle):
+    """More workers than cores, 16-step segments and a 1 us switch interval:
+    a carry read before it is published would change the sums."""
+    sys, obs, start, cps, slow = skew_oracle
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        fast = orbit_stream(sys, start, OrbitSegmentPlan(1000, 16, 6), obs, checkpoints=cps)
+    finally:
+        setswitchinterval(interval)
+    assert fast == slow
+
+
+# -- the chained scan fails loudly ------------------------------------------------
+
+
+class _Boom(Exception):
+    pass
+
+
+def _finishes(call, seconds=60.0):
+    """What ``call()`` raised, run in a thread that must end within ``seconds``."""
+    raised = []
+
+    def target():
+        try:
+            call()
+        except Exception as exc:  # handed back to the test
+            raised.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "the segment scan deadlocked"
+    return raised
+
+
+def test_scan_value_failure_raises_without_deadlock():
+    def fn(x, y, z, n):
+        if n[0] == 513:  # the segment of steps 513 .. 528
+            raise _Boom("value function failed")
+        return np.ones_like(x)
+
+    raised = _finishes(lambda: orbit_stream(make_sys(), None, OrbitSegmentPlan(1000, 16, 3), fn))
+    assert len(raised) == 1 and isinstance(raised[0], _Boom)
+
+
+def test_scan_cocycle_failure_raises_without_deadlock(monkeypatch):
+    """A segment whose cocycle fails publishes no carry: the later segments,
+    which wait for it, raise instead of hanging, and the first error surfaces."""
+    u_values = _LaneStream.u_values
+
+    def failing(self, i):
+        if int(i[0]) == 512:
+            raise _Boom("cocycle failed")
+        return u_values(self, i)
+
+    monkeypatch.setattr(_LaneStream, "u_values", failing)
+    plan = OrbitSegmentPlan(1000, 16, 3)
+    raised = _finishes(lambda: orbit_stream(make_sys(), None, plan, lambda x, y, z, n: x + 0j))
+    assert len(raised) == 1 and isinstance(raised[0], _Boom)
 
 
 def test_checkpoint_sums_helper():
