@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .config import FIELDS, SOFT_THRESHOLDS, ExperimentConfig, load_config, standard_config
 from .diagnostics import coboundary_search, proof_constants, weyl_sums, winding_in_x
-from .engine import orbit_points
+from .engine import PairScan, orbit_points
 from .moebius import (
     MobiusTable,
     bilinear_sum,
@@ -41,6 +41,7 @@ from .moebius import (
     sieve_mobius,
 )
 from .reports import (
+    _write_lines,
     correlation_sidecar,
     file_sha256,
     fmt17,
@@ -112,8 +113,7 @@ def cmd_sieve(args) -> int:
         n *= 10
     if args.out:
         out = _outdir(dataclasses.replace(cfg, out_dir=args.out))
-        lines = ["N,mertens"] + [f"{n},{m}" for n, m in rows]
-        (out / "mertens.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_lines(out / "mertens.csv", ["N,mertens"] + [f"{n},{m}" for n, m in rows])
         print(f"wrote {out / 'mertens.csv'}")
     return 0
 
@@ -164,10 +164,11 @@ def cmd_winding(args) -> int:
 
 class RunContext:
     """What the experiments of one invocation share: the Mobius table, sieved
-    on first use."""
+    on first use, and the skew scan the pair route leaves for the Weyl sums."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
+        self.pair_scan = PairScan()
 
     @cached_property
     def table(self) -> MobiusTable:
@@ -198,6 +199,7 @@ def _bilinear(cfg: ExperimentConfig, run: RunContext):
     rep = bilinear_sum(
         cfg.system(), cfg.observable(), None, cfg.p, cfg.q,
         list(cfg.checkpoints), cfg.plan(cfg.p * cfg.checkpoints[-1]),
+        pair_scan=run.pair_scan,
     )
     return _correlation_outputs("bilinear", rep), {
         "bilinear_final_modulus": rep.checkpoints[-1].modulus
@@ -218,7 +220,7 @@ def _weyl(cfg: ExperimentConfig, run: RunContext):
     """Weyl sums along the reduced orbit"""
     reports = weyl_sums(
         cfg.joining(), None, cfg.weyl_freqs, list(cfg.checkpoints),
-        cfg.plan(cfg.checkpoints[-1]),
+        cfg.plan(cfg.checkpoints[-1]), pair_scan=run.pair_scan,
     )
     return [("weyl.csv", write_weyl_csv, reports)], {
         "weyl_max_modulus": max(r.checkpoints[-1].modulus for r in reports)
@@ -293,8 +295,10 @@ def cmd_experiment(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load(args)
     out = _outdir(cfg)
-    # a manifest left by an earlier run must not outlive the files it lists
+    # a manifest left by an earlier run must not outlive the files it lists,
+    # and the new one, written last, must not sit beside a stale config.ini
     (out / "manifest.json").unlink(missing_ok=True)
+    _write_lines(out / "config.ini", cfg.to_ini().removesuffix("\n").split("\n"))
     run = RunContext(cfg)
     files = []
     summary = {}
@@ -316,7 +320,6 @@ def cmd_run(args) -> int:
         ],
     }
     write_json(out / "manifest.json", manifest)
-    (out / "config.ini").write_text(cfg.to_ini(), encoding="utf-8")
     print(f"run complete: {len(files)} report files in {out}")
     for f in files:
         print(f"  {f.name}")

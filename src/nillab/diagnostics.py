@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import JoiningSystem
-from .engine import OrbitSegmentPlan, check_checkpoints, orbit_stream_multi, resize_plan
+from .engine import OrbitSegmentPlan, PairScan, check_checkpoints, orbit_stream_multi, resize_plan
 from .fixedpoint import FixedReal
 from .heisenberg import check_prime_pair
 from .moebius import CorrelationPoint
@@ -59,8 +59,16 @@ def weyl_sums(
     freqs,
     checkpoints,
     plan: OrbitSegmentPlan | None = None,
+    *,
+    pair_scan: PairScan | None = None,
 ) -> list[WeylReport]:
-    """|(1/N) sum e(k1 x_n + k2 y_n + k3 z_n)| along the trivialized orbit."""
+    """|(1/N) sum e(k1 x_n + k2 y_n + k3 z_n)| along the trivialized orbit.
+
+    From the origin, with a ``pair_scan`` that a pair route of the same
+    system and pair filled to at least max N (as in ``nillab run``), the
+    cocycle prefixes are read as S_{pn} - S_{qn} from that scan; otherwise
+    the stream scans its own p + q lifts per step.  The sums are the same
+    bits either way."""
     freqs = [tuple(int(k) for k in f) for f in freqs]
     for f in freqs:
         if f == (0, 0, 0):
@@ -77,7 +85,9 @@ def weyl_sums(
         return fn
 
     fns = [make_fn(k) for k in freqs]
-    all_sums = orbit_stream_multi(js, start, plan, fns, checkpoints=checkpoints)
+    all_sums = orbit_stream_multi(
+        js, start, plan, fns, checkpoints=checkpoints, pair_scan=pair_scan
+    )
     reports = []
     for k, sums in zip(freqs, all_sums):
         pts = tuple(CorrelationPoint(n, s / n) for n, s in sums)

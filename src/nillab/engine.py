@@ -17,10 +17,13 @@ once and takes their local prefix sums, then adds the inclusive carry of the
 segment before it, publishes its own carry and evaluates its observables (a
 running offset on one worker, a chained scan on a thread pool).  The prime-pair
 route keeps the cocycle sums only at multiples of p and q, then evaluates
-F(T^{pn} x0) conj F(T^{qn} x0) chunk by chunk.  Observable values are quantized
-to 2**-53 and summed in integer arithmetic, which makes checkpoint sums
-bit-identical for any worker count and segment size -- and equal to the naive
-single-loop oracle.
+F(T^{pn} x0) conj F(T^{qn} x0) chunk by chunk.  From the origin the joining's
+cocycle prefix is S_{pn} - S_{qn} of the skew cocycle, bit for bit, so a
+:class:`PairScan` filled by the pair route lets a later joining stream (the
+Weyl sums of ``nillab run``) read its cocycle instead of scanning its p + q
+lifts.  Observable values are quantized to 2**-53 and summed in integer
+arithmetic, which makes checkpoint sums bit-identical for any worker count and
+segment size -- and equal to the naive single-loop oracle.
 """
 
 from __future__ import annotations
@@ -48,9 +51,18 @@ def u64c(v: int) -> np.uint64:
 
 
 def mulhi_u64(a, b):
-    """High 64 bits of the 64x64 product, elementwise (32-bit split)."""
+    """High 64 bits of the 64x64 product, elementwise (32-bit split).
+
+    When every a is below 2**32 (or b is a scalar below 2**32, by symmetry)
+    two partial products suffice: a (b >> 32) + (a (b & M) >> 32) is at most
+    (2**32 - 1)**2 + 2**32 - 1 < 2**64, so it is exact.  Otherwise four.
+    """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
+    if b.ndim == 0 and b <= _U32MASK:
+        a, b = b, a
+    if np.max(a, initial=0) <= _U32MASK:
+        return (a * (b >> _SH32) + ((a * (b & _U32MASK)) >> _SH32)) >> _SH32
     a_lo = a & _U32MASK
     a_hi = a >> _SH32
     b_lo = b & _U32MASK
@@ -153,6 +165,7 @@ class _LaneStream:
         x = _require_q64_unit(x0, "start x")
         y = _require_q64_unit(y0, "start y")
         self.z0_hi, self.z0_lo = z0.frac().frac_lanes()
+        self.p, self.q = p, q
         twist = p * p - q * q
         self.au = u64c(a)
         self.bu = u64c(b)
@@ -289,7 +302,7 @@ def _map_segments(job, count: int, workers: int) -> list:
     return [job(k) for k in range(count)]
 
 
-def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume) -> list:
+def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, prefixes=None) -> list:
     """One pass over steps 1 .. plan.n_total: ``[consume(lo, hi, s)]`` per segment.
 
     ``s`` holds the cocycle prefix sums S_{lo+1} .. S_hi (mod 1).  Segment k
@@ -298,9 +311,14 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume) -> list
     On one worker this is a running offset; on several it is a chained scan.
     A failing segment still publishes (an unknown carry) and wakes every later
     segment, so they raise instead of waiting forever, even on segments the
-    pool cancels once the failure surfaces.
+    pool cancels once the failure surfaces.  ``prefixes(lo, hi)``, when given,
+    supplies ``s`` from a scan kept earlier, and nothing is scanned.
     """
     bounds = _segment_bounds(plan.n_total, plan.segment_size)
+    if prefixes is not None:
+        return _map_segments(
+            lambda k: consume(*bounds[k], prefixes(*bounds[k])), len(bounds), plan.worker_count
+        )
     carries = [0] + [None] * len(bounds)
     ready = [threading.Event() for _ in carries]
     ready[0].set()
@@ -356,6 +374,8 @@ def orbit_stream_multi(
     value_fns,
     weights=None,
     checkpoints=None,
+    *,
+    pair_scan: PairScan | None = None,
 ):
     """Checkpointed exact sums of several observables along one orbit.
 
@@ -364,7 +384,9 @@ def orbit_stream_multi(
     uint64 lanes.  ``weights`` is an optional callable ``(lo, hi) -> int8``
     giving multiplicative weights for steps lo+1 .. hi.  Returns, per value
     function, a list of ``(N, complex_sum)`` with the *unnormalized* sum over
-    n <= N, exactly accumulated on the 2**-53 grid.
+    n <= N, exactly accumulated on the 2**-53 grid.  A joining from the origin
+    reads its cocycle prefixes from ``pair_scan`` when that holds a scan
+    covering it (see :class:`PairScan`), instead of scanning its p + q lifts.
     """
     n_total = plan.n_total
     checkpoints = _checkpoints_within([n_total] if checkpoints is None else checkpoints, n_total)
@@ -382,7 +404,8 @@ def orbit_stream_multi(
             out.append(_cut_sums(v if w is None else v * w, lo, cuts))
         return out
 
-    segments = _scan_segments(stream, plan, consume)
+    prefixes = pair_scan.prefixes(stream, n_total) if pair_scan is not None else None
+    segments = _scan_segments(stream, plan, consume, prefixes)
     return [_running_sums(seg[f] for seg in segments) for f in range(len(value_fns))]
 
 
@@ -455,8 +478,44 @@ def _keep_multiples(dst: np.ndarray, stride: int, lo: int, hi: int, s: np.ndarra
         dst[first - 1 : last] = s[first * stride - lo - 1 : last * stride - lo : stride]
 
 
+class PairScan:
+    """Holder for the skew cocycle prefixes S_{pn} and S_{qn} (n <= N) that a
+    pair route scanned from the origin, for the rest of one run.
+
+    From x0 = y0 = 0 the joining's cocycle h_p(p., p.) - h_q(q., q.) sums h
+    over the same points k alpha as the skew cocycle, so its prefix at n is
+    S*_n = S_{pn} - S_{qn}, bit for bit on the u64 lanes.  A joining stream
+    of the same rotation, h and pair from the origin reads S* here instead of
+    scanning its p + q lifts.  Each ``nillab run`` owns one holder; the engine
+    keeps none between calls.
+    """
+
+    def __init__(self):
+        self._kept = None
+
+    @staticmethod
+    def _key(stream: _LaneStream, p: int, q: int):
+        return (stream.au, stream.bu, stream.h, p, q)
+
+    def keep(self, stream: _LaneStream, p: int, q: int, s_p: np.ndarray, s_q: np.ndarray):
+        """Hold a skew ``stream``'s S_{pn}, S_{qn} if it starts at x = y = 0."""
+        if stream.x0u == 0 and stream.y0u == 0:
+            self._kept = (self._key(stream, p, q), s_p, s_q)
+
+    def prefixes(self, stream: _LaneStream, n_total: int):
+        """``(lo, hi) -> S*_{lo+1} .. S*_hi`` for a joining ``stream`` to
+        ``n_total``, or None when the held scan does not cover it."""
+        if self._kept is None or stream.x0u != 0 or stream.y0u != 0:
+            return None
+        key, s_p, s_q = self._kept
+        if key != self._key(stream, stream.p, stream.q) or n_total > s_p.size:
+            return None
+        return lambda lo, hi: s_p[lo:hi] - s_q[lo:hi]
+
+
 def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
-                       plan_template: OrbitSegmentPlan, obs, checkpoints=None):
+                       plan_template: OrbitSegmentPlan, obs, checkpoints=None, *,
+                       pair_scan: PairScan | None = None):
     """Exact checkpoint sums of F(T^{p n} x0) conj(F(T^{q n} x0)) over
     n <= N, one cocycle stream to p * n_pairs.
 
@@ -466,7 +525,9 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
     evaluates the observable there and sums the quantized products, so no
     per-step array longer than a chunk is formed.  Returns ``(N, sum)`` for
     each checkpoint N (default ``[n_pairs]``), unnormalized, like
-    :func:`orbit_stream_multi`.
+    :func:`orbit_stream_multi`.  Given ``pair_scan``, phase 1 also leaves
+    S_{pn} and S_{qn} there, from which a joining from the origin (Weyl sums
+    in ``nillab run``) reads its cocycle.
     """
     checkpoints = _checkpoints_within(
         [n_pairs] if checkpoints is None else checkpoints, n_pairs
@@ -480,6 +541,8 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
         _keep_multiples(s_q, q, lo, hi, s)
 
     _scan_segments(stream, resize_plan(plan_template, p * n_pairs), keep)
+    if pair_scan is not None:
+        pair_scan.keep(stream, p, q, s_p, s_q)
     chunks = _segment_bounds(n_pairs, plan_template.segment_size)
 
     def job(k):

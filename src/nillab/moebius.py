@@ -26,6 +26,7 @@ import numpy as np
 from .dynamics import SkewSystem, build_joining
 from .engine import (
     OrbitSegmentPlan,
+    PairScan,
     StarDescentSink,
     check_checkpoints,
     orbit_stream,
@@ -192,17 +193,22 @@ def bilinear_sum(
     q: int,
     checkpoints,
     plan: OrbitSegmentPlan | None = None,
+    *,
+    pair_scan: PairScan | None = None,
 ) -> CorrelationReport:
     """(1/N) sum_{n<=N} F(T^{pn} x0) conj(F(T^{qn} x0)) -- the pair route.
 
     One skew-orbit stream to p * max N; :func:`pair_factor_values` returns the
-    exact checkpoint sums, which are normalized here.
+    exact checkpoint sums, which are normalized here, and leaves its scan in
+    ``pair_scan`` when one is given.
     """
     js = build_joining(sys, p, q)  # validates the prime pair
     checkpoints = check_checkpoints(checkpoints)
     n_pairs = checkpoints[-1]
     plan = resize_plan(plan, p * n_pairs)
-    sums = pair_factor_values(sys, start, p, q, n_pairs, plan, obs, checkpoints)
+    sums = pair_factor_values(
+        sys, start, p, q, n_pairs, plan, obs, checkpoints, pair_scan=pair_scan
+    )
     meta = {
         "estimator": "bilinear_sum",
         "route": "pair-orbit",

@@ -86,11 +86,18 @@ class Observable:
         return 1.0
 
     def eval_arrays(self, x, y, z):
-        """Value at canonical coordinates (vectorized floats)."""
+        """Value at canonical coordinates (vectorized floats).
+
+        With xi != 0 the exponential is taken only where the bump is nonzero;
+        elsewhere the value is +0 (where e(xi z) * 0 gives +-0)."""
         if self.xi == 0:
             k1, k2 = self.base_mode
             return np.exp(2j * math.pi * (k1 * np.asarray(x) + k2 * np.asarray(y)))
-        return np.exp(2j * math.pi * self.xi * np.asarray(z)) * self.bump(x, y)
+        bump = self.bump(x, y)
+        on = bump != 0
+        out = np.zeros(bump.shape, dtype=np.complex128)
+        out[on] = np.exp(2j * math.pi * self.xi * np.asarray(z)[on]) * bump[on]
+        return out
 
     def __call__(self, x, y, z, n=None):
         """Engine sink signature; the step index is ignored."""

@@ -294,6 +294,9 @@ def test_cli_orbit_and_sieve(tmp_path, capsys):
     assert orbit[0] == "n,x,y,z" and len(orbit) == 17
     assert main(["sieve", "--config", str(cfg_path), "--bound", "2000"]) == 0
     assert "M(1000) = " in capsys.readouterr().out
+    assert main(["sieve", "--config", str(cfg_path), "--bound", "2000",
+                 "--out", str(tmp_path / "sieve")]) == 0
+    assert (tmp_path / "sieve" / "mertens.csv").read_text() == "N,mertens\n1000,2\n"
 
 
 def test_registry_order_is_known_experiments():
@@ -339,3 +342,36 @@ def test_cli_run_removes_stale_manifest(tmp_path, monkeypatch, capsys):
         main(["run", "--config", str(cfg_path)])
     assert (out / "correlation.csv").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_cli_run_leaves_no_manifest_when_config_ini_fails(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "config.ini").mkdir(parents=True)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(out)))
+    with pytest.raises(IsADirectoryError):
+        main(["run", "--config", str(cfg_path)])
+    assert not (out / "manifest.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["config.ini"]
+
+
+def test_run_weyl_reads_the_pair_scan(tmp_path, monkeypatch, capsys):
+    """In ``run`` no joining stream scans its own p + q lifts: Weyl reads the
+    pair route's scan.  The ``weyl`` subcommand alone still scans them."""
+    from nillab.engine import _LaneStream
+
+    u_values = _LaneStream.u_values
+    lifted = []
+
+    def counting(self, i):
+        if self.p != 1:
+            lifted.append(i.size)
+        return u_values(self, i)
+
+    monkeypatch.setattr(_LaneStream, "u_values", counting)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert lifted == []
+    assert main(["weyl", "--config", str(cfg_path)]) == 0
+    assert sum(lifted) == 500

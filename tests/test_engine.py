@@ -1,3 +1,4 @@
+import functools
 import threading
 from sys import getswitchinterval, setswitchinterval
 
@@ -8,6 +9,7 @@ from nillab.dynamics import BaseFunctionSpec, SkewSystem, TrigTerm, build_joinin
 from nillab.engine import (
     MASK64,
     OrbitSegmentPlan,
+    PairScan,
     StarDescentSink,
     _frac_int_parts,
     _make_stream,
@@ -21,6 +23,7 @@ from nillab.engine import (
     orbit_stream_multi,
     orbit_stream_naive,
     pair_factor_values,
+    resize_plan,
     u64c,
 )
 from nillab.fixedpoint import FixedReal, sqrt_q64
@@ -51,6 +54,24 @@ def test_mulhi_oracle(rng):
     hi = mulhi_u64(a, b)
     for i in range(500):
         assert int(hi[i]) == (int(a[i]) * int(b[i])) >> 64
+
+
+def test_mulhi_two_product_forms_oracle(rng):
+    """Scalars at and around 2**32 on either side of a full-range array, an
+    array below 2**32 (two partial products), and one straddling 2**32
+    (which must fall back to four)."""
+    full = rng.integers(0, 2**64 - 1, size=400, dtype=np.uint64, endpoint=True)
+    full[:3] = (0, 2**64 - 1, 2**32)
+    small = rng.integers(0, 2**32 - 1, size=400, dtype=np.uint64, endpoint=True)
+    small[:2] = (0, 2**32 - 1)
+    straddling = rng.integers(2**31, 2**33, size=400, dtype=np.uint64)
+    assert (straddling < 2**32).any() and (straddling >= 2**32).any()
+    cases = [(small, full), (straddling, full)]
+    for c in (0, 1, 2**32 - 1, 2**32):
+        cases += [(np.uint64(c), full), (full, np.uint64(c))]
+    for a, b in cases:
+        want = [(int(x) * int(y)) >> 64 for x, y in zip(*np.broadcast_arrays(a, b))]
+        assert [int(v) for v in mulhi_u64(a, b)] == want
 
 
 def test_frac_int_parts_oracle(rng):
@@ -260,6 +281,87 @@ def test_pair_factor_values_segmentation_invariant(pair_reference, segment_size,
     sys, obs, ref = pair_reference
     plan = OrbitSegmentPlan(1500, segment_size, workers)
     assert pair_factor_values(sys, None, 3, 2, 500, plan, obs, PAIR_CHECKPOINTS) == ref
+
+
+# -- the joining cocycle read from the pair route's scan ----------------------------
+
+WEYL_FREQS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)]
+SHARED_N = 300
+SHARED_CHECKPOINTS = [1, 17, 150, SHARED_N]
+SHARED_H = {
+    "standard": (1, 0, (TrigTerm(1, 0, 0.1, 0.0),)),
+    "d2-1": (2, -1, (TrigTerm(1, 0, 0.1, 0.0), TrigTerm(1, 1, 0.05, 0.3))),
+}
+
+
+def _weyl_fn(k):
+    def fn(x, y, z, n):
+        return np.exp(2j * np.pi * (k[0] * x + k[1] * y + k[2] * z))
+
+    return fn
+
+
+@functools.cache
+def _shared_case(p, q, h_id):
+    """The joining and its Weyl sums by the naive (p + q)-lift loop."""
+    d1, d2, terms = SHARED_H[h_id]
+    sys = make_sys(terms=terms, d1=d1, d2=d2)
+    js = build_joining(sys, p, q)
+    naive = [
+        orbit_stream_naive(js, None, SHARED_N, _weyl_fn(k), checkpoints=SHARED_CHECKPOINTS)
+        for k in WEYL_FREQS
+    ]
+    return sys, js, naive
+
+
+def _filled_scan(sys, p, q, n_pairs, plan, start=None):
+    scan = PairScan()
+    pair_factor_values(
+        sys, start, p, q, n_pairs, resize_plan(plan, p * n_pairs),
+        Observable(xi=1, bump=BumpProfile()), pair_scan=scan,
+    )
+    return scan
+
+
+@pytest.mark.parametrize("p, q", [(3, 2), (5, 3), (7, 2)])
+@pytest.mark.parametrize("h_id", list(SHARED_H))
+@SEGMENTATIONS
+def test_joining_reads_pair_scan_bit_for_bit(monkeypatch, p, q, h_id, segment_size, workers):
+    """S*_n = S_{pn} - S_{qn}: Weyl sums from the pair route's kept scan equal
+    the (p + q)-lift stream and the naive loop, for any segmentation."""
+    sys, js, naive = _shared_case(p, q, h_id)
+    plan = OrbitSegmentPlan(SHARED_N, segment_size, workers)
+    fns = [_weyl_fn(k) for k in WEYL_FREQS]
+    own = orbit_stream_multi(js, None, plan, fns, checkpoints=SHARED_CHECKPOINTS)
+    scan = _filled_scan(sys, p, q, SHARED_N, plan)
+
+    def no_lifts(self, i):
+        raise AssertionError("the joining scanned its own lifts")
+
+    monkeypatch.setattr(_LaneStream, "u_values", no_lifts)
+    shared = orbit_stream_multi(
+        js, None, plan, fns, checkpoints=SHARED_CHECKPOINTS, pair_scan=scan
+    )
+    assert shared == own == naive
+
+
+def test_pair_scan_used_only_where_it_covers():
+    """A held scan serves only a joining from the origin of the same rotation,
+    h and pair, to at most the scan's N; anything else scans its own lifts."""
+    sys, js, _ = _shared_case(3, 2, "standard")
+    scan = _filled_scan(sys, 3, 2, 100, OrbitSegmentPlan(100, 64))
+    assert scan.prefixes(_make_stream(js, None), 100) is not None
+    assert scan.prefixes(_make_stream(js, None), 101) is None
+    off_origin = (FixedReal(0.25), FixedReal(0), FixedReal(0))
+    assert scan.prefixes(_make_stream(js, off_origin), 50) is None
+    other_pair = build_joining(sys, 5, 3)
+    assert scan.prefixes(_make_stream(other_pair, None), 50) is None
+    other_h = build_joining(make_sys(d1=2), 3, 2)
+    assert scan.prefixes(_make_stream(other_h, None), 50) is None
+    # a pair route away from x = y = 0 keeps nothing
+    start = canonical_rep(GroupElement.fixed(0.3, 0.8, 0.45))
+    moved = _filled_scan(sys, 3, 2, 100, OrbitSegmentPlan(100, 64), start)
+    assert moved.prefixes(_make_stream(js, None), 100) is None
 
 
 def test_star_descent_exact_z_difference():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nillab.dynamics import rho
+from nillab.engine import _quantize
 from nillab.heisenberg import GroupElement, canonical_rep, mul, nil_point
 from nillab.observables import (
     BumpProfile,
@@ -73,6 +74,31 @@ def test_half_turn_flips_sign():
 def test_outside_support_is_zero():
     obs = Observable(xi=1, bump=BumpProfile())
     assert eval_observable(obs, nil_point(0.1, 0.5, 0.3)) == 0.0
+
+
+def test_eval_arrays_skips_the_bump_zero_set(rng):
+    """On points straddling the support box the values are e(xi z) * bump bit
+    for bit where the bump is nonzero and 0 elsewhere, and quantize alike."""
+    bump = BumpProfile((0.5, 0.375), 0.25)
+    obs = Observable(xi=2, bump=bump)
+    x = rng.uniform(0.15, 0.85, size=2000)
+    y = rng.uniform(0.05, 0.75, size=2000)
+    z = rng.random(2000)
+    x[:4] = (0.25, 0.75, 0.5, 0.2500001)  # the box edges, where the bump is exactly 0
+    y[:4] = 0.375
+    got = obs.eval_arrays(x, y, z)
+    full = np.exp(2j * math.pi * obs.xi * z) * bump(x, y)
+    on = bump(x, y) != 0
+    assert 0.1 < on.mean() < 0.9 and not on[:2].any() and on[2:4].all()
+    assert np.array_equal(got[on].view(np.int64), full[on].view(np.int64))
+    assert not got[~on].view(np.int64).any()  # +0, where e(xi z) * 0 may give -0
+    for a, b in zip(_quantize(got), _quantize(full)):
+        assert np.array_equal(a, b)
+    # the scalar path: one point on the support, one off it
+    assert eval_observable(obs, canonical_rep(GroupElement.fixed(0.45, 0.4, 0.3))) == complex(
+        np.exp(2j * math.pi * obs.xi * 0.3) * bump(0.45, 0.4)
+    )
+    assert eval_observable(obs, canonical_rep(GroupElement.fixed(0.9, 0.5, 0.3))) == 0
 
 
 def test_continuity_across_gluing():
