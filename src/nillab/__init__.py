@@ -6,7 +6,6 @@ from .heisenberg import (
     HEISENBERG,
     GroupElement,
     GroupLaw,
-    JoiningPair,
     LatticeElement,
     LawMismatch,
     NilPoint,
@@ -14,7 +13,6 @@ from .heisenberg import (
     identity,
     inv,
     is_prime,
-    joining_membership,
     lattice_floor,
     mul,
     nil_point,
@@ -30,15 +28,12 @@ from .dynamics import (
     eval_h_lift,
     iterate_T,
     rho,
-    star_point,
     step_T,
 )
 from .engine import OrbitSegmentPlan, orbit_stream, orbit_stream_naive
 from .observables import (
     BumpProfile,
-    JoiningObservable,
     Observable,
-    eval_joining_observable,
     eval_observable,
     fiber_average,
 )

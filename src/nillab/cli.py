@@ -33,6 +33,7 @@ from .config import FIELDS, SOFT_THRESHOLDS, ExperimentConfig, load_config, stan
 from .diagnostics import coboundary_search, proof_constants, weyl_sums, winding_in_x
 from .engine import PairScan, orbit_points
 from .moebius import (
+    MAX_SIEVE,
     MobiusTable,
     bilinear_sum,
     bilinear_sum_reduced,
@@ -102,7 +103,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sieve(args) -> int:
     cfg = _load(args)
-    bound = args.bound or cfg.sieve_bound
+    bound = cfg.sieve_bound if args.bound is None else args.bound
+    if not 1 <= bound <= MAX_SIEVE:
+        raise ValueError(f"--bound = {bound} must be in [1, {MAX_SIEVE}]")
     table = sieve_mobius(bound)
     rows = []
     n = 1000

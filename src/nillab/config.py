@@ -147,7 +147,10 @@ class ExperimentConfig:
                 f"[run] sieve_bound = {self.sieve_bound!r} must be an integer in [1, {MAX_SIEVE}]"
             )
         cps = check_checkpoints(self.checkpoints, self.sieve_bound)
-        self.plan(cps[-1])  # checks segment_size and workers
+        try:
+            self.plan(cps[-1])  # checks segment_size and workers
+        except ValueError as exc:
+            raise ValueError(f"[run] {exc}") from None
         unknown = [e for e in self.experiments if e not in KNOWN_EXPERIMENTS]
         if unknown:
             raise ValueError(f"[run] experiments has unknown entries {unknown}")

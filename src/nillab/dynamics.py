@@ -444,25 +444,6 @@ def rho(pt: NilPoint):
     return pt.coords()
 
 
-def star_point(js: JoiningSystem, x, y, z, fixed: bool = True) -> NilPoint:
-    ge = (
-        GroupElement.fixed(x, y, z, js.law)
-        if fixed
-        else GroupElement.floating(x, y, z, js.law)
-    )
-    return canonical_rep(ge)
-
-
-def pair_orbit_element(sys: SkewSystem, p: int, q: int, n: int) -> tuple[GroupElement, GroupElement]:
-    """Group-level representatives of (T^{pn} x0, T^{qn} x0) from the identity.
-
-    Returned without reduction so the pair satisfies the joining constraint
-    q (x1, y1) = p (x2, y2) exactly, as needed by the projection.
-    """
-    zero = FixedReal(0)
-    return _translation(sys, zero, zero, p * n), _translation(sys, zero, zero, q * n)
-
-
 def pair_orbit(sys: SkewSystem, p: int, q: int, n_max: int):
     """Yield the group-level pair (T^{pn} id, T^{qn} id) for n = 1..n_max.
 

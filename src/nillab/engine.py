@@ -36,7 +36,7 @@ import numpy as np
 
 from .dynamics import JoiningSystem, SkewSystem
 from .fixedpoint import FixedReal
-from .heisenberg import HEISENBERG, canonical_rep, identity
+from .heisenberg import HEISENBERG, canonical_rep, check_prime_pair, identity
 
 MASK64 = (1 << 64) - 1
 Q53 = 2.0**53
@@ -103,9 +103,9 @@ class OrbitSegmentPlan:
             raise ValueError("n_total must be in [1, 2**63)")
         s = self.segment_size
         if s < 1 or (s & (s - 1)) != 0:
-            raise ValueError("segment_size must be a power of two")
+            raise ValueError(f"segment_size = {s!r} must be a power of two")
         if self.worker_count < 1:
-            raise ValueError("workers must be positive")
+            raise ValueError(f"workers = {self.worker_count!r} must be positive")
 
 
 def resize_plan(plan: OrbitSegmentPlan | None, n_total: int) -> OrbitSegmentPlan:
@@ -568,12 +568,13 @@ def checkpoint_sums(values: np.ndarray, checkpoints) -> list[tuple[int, complex]
 
 
 class StarDescentSink:
-    """Lane sink evaluating the descended pair observable f_star on T^3 points.
+    """The pair observable f (x) conj(f) descended to the reduced space X_star.
 
-    For a trivialized joining point (x, y, z) the descent picks the pair
-    representative ((p x, p y, z), (q x, q y, 0)) and evaluates
-    f(first) * conj(f(second)) after exact reduction to the fundamental
-    domain of X.
+    f(x1) conj f(x2) is invariant under the diagonal central shift, so it
+    descends: at a trivialized star point (x, y, z) it is evaluated on the
+    pair representative ((p x, p y, z), (q x, q y, 0)), each factor reduced
+    exactly to the fundamental domain of X on the u64 lanes.  The engine
+    calls it on lanes; :meth:`eval_star` takes float star coordinates.
     """
 
     wants_lanes = True
@@ -581,11 +582,14 @@ class StarDescentSink:
     def __init__(self, obs, p: int, q: int):
         if obs.xi == 0:
             raise ValueError("descent requires a nonzero vertical frequency")
+        check_prime_pair(p, q)
         self.obs = obs
         self.p = p
         self.q = q
 
     def _factor(self, m: int, fx, fy, z_hi, z_lo):
+        """f at the X-reduction of (m x, m y, z): with m x = ka + xa 2**-64
+        and m y = la + ya 2**-64, z loses m x floor(m y) - floor(m x) m y."""
         mu = u64c(m)
         xa = fx * mu
         ka = mulhi_u64(fx, mu)
@@ -600,3 +604,24 @@ class StarDescentSink:
         f1 = self._factor(self.p, fx, fy, z_hi, z_lo)
         f2 = self._factor(self.q, fx, fy, zero, zero)
         return f1 * np.conj(f2)
+
+    def eval_star(self, x, y, z):
+        """f_star at float star coordinates, taken mod 1 (vectorized).
+
+        A coordinate in [0, 1) reaches the lanes exactly when it lies on the
+        2**-64 grid (x, y) or the 2**-128 grid (z), as every float of at
+        least 2**-12 (resp. 2**-76) does."""
+        fx, _ = _q128_lanes(x)
+        fy, _ = _q128_lanes(y)
+        z_hi, z_lo = _q128_lanes(z)
+        with np.errstate(over="ignore"):  # 0-d lanes wrap as numpy scalars, which warn
+            return self(fx, fy, z_hi, z_lo, None)
+
+
+def _q128_lanes(v):
+    """Floats mod 1 as (hi, lo) u64 lanes, v = hi/2**64 + lo/2**128 rounded down."""
+    v = np.asarray(v, dtype=np.float64)
+    s = (v - np.floor(v)) * 2.0**64
+    hi = np.floor(s)
+    lo = np.floor((s - hi) * 2.0**64)
+    return (hi % 2.0**64).astype(np.uint64), lo.astype(np.uint64)

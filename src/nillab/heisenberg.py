@@ -125,13 +125,6 @@ def identity(law: GroupLaw = HEISENBERG, fixed: bool = True) -> GroupElement:
     return GroupElement.fixed(0, 0, 0, law) if fixed else GroupElement.floating(0.0, 0.0, 0.0, law)
 
 
-def _check_pair(a: GroupElement, b: GroupElement):
-    if a.law != b.law:
-        raise LawMismatch(f"law mismatch: {a.law} vs {b.law}")
-    if a.is_fixed != b.is_fixed:
-        raise LawMismatch("cannot mix fixed-point and float elements")
-
-
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product under the common law of ``a`` and ``b``."""
     ax, ay, az, law = a
@@ -304,33 +297,6 @@ def nil_point(x, y, z, law: GroupLaw = HEISENBERG, fixed: bool = True) -> NilPoi
 # -- prime-pair joining ------------------------------------------------------
 
 _PAIR_TOL = 1e-9  # float slack of the pair constraint q (x1, y1) = p (x2, y2)
-
-
-@dataclass(frozen=True)
-class JoiningPair:
-    """A pair of Heisenberg points subject to the q(x1,y1) = p(x2,y2) constraint."""
-
-    first: GroupElement
-    second: GroupElement
-    p: int
-    q: int
-
-    def __post_init__(self):
-        check_prime_pair(self.p, self.q)
-        _check_pair(self.first, self.second)
-
-
-def _is_integer(v: Coord) -> bool:
-    if isinstance(v, FixedReal):
-        return v.frac().scaled == 0
-    return abs(v - round(v)) <= _PAIR_TOL
-
-
-def joining_membership(pair: JoiningPair) -> bool:
-    """True iff q (x1, y1) - p (x2, y2) is integral (mod 1 membership in X_1)."""
-    dx = pair.first.x * pair.q - pair.second.x * pair.p
-    dy = pair.first.y * pair.q - pair.second.y * pair.p
-    return _is_integer(dx) and _is_integer(dy)
 
 
 def project_pi(

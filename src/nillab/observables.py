@@ -8,10 +8,9 @@ bump supported away from the fundamental-domain boundary (inside
 the gluing is multiplied by zero.  Frequency-zero observables are plain base
 torus Fourier modes.
 
-The pair observable f1(x1, x2) = f(x1) conj(f(x2)) is invariant under the
-diagonal central shift (z1, z2) -> (z1+s, z2+s), hence descends to the reduced
-joining space; the descent is evaluated by picking the pair representative
-((p x, p y, z), (q x, q y, 0)) of a star point and reducing each factor to X.
+The pair observable f(x1) conj(f(x2)) descends to the reduced joining space;
+its one implementation is :class:`nillab.engine.StarDescentSink`, which
+evaluates these observables on exactly reduced u64 lanes.
 """
 
 from __future__ import annotations
@@ -122,51 +121,3 @@ def fiber_average(obs: Observable, base: tuple[float, float], m: int) -> complex
     zs = np.arange(m, dtype=np.float64) / m
     vals = obs.eval_arrays(np.full(m, x), np.full(m, y), zs)
     return complex(vals.mean())
-
-
-@dataclass(frozen=True)
-class JoiningObservable:
-    """The product observable f (x) conj(f) descended to the reduced space."""
-
-    source: Observable
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.source.xi == 0:
-            raise ValueError("the descent requires a source of nonzero vertical frequency")
-        if not self.p > self.q > 0:
-            raise ValueError("need p > q > 0")
-
-    def eval_pair(self, first: NilPoint, second: NilPoint) -> complex:
-        """f1 on a pair of Heisenberg points."""
-        return eval_observable(self.source, first) * np.conj(
-            eval_observable(self.source, second)
-        )
-
-    def _factor(self, m: int, x, y, z):
-        """f at the X-reduction of the group point (m x, m y, z), floats."""
-        u = m * np.asarray(x, dtype=np.float64)
-        v = m * np.asarray(y, dtype=np.float64)
-        fu = np.floor(u)
-        fv = np.floor(v)
-        xa = u - fu
-        ya = v - fv
-        za = np.asarray(z, dtype=np.float64) - (u * fv - fu * v)
-        za = za - np.floor(za)
-        return self.source.eval_arrays(xa, ya, za)
-
-    def eval_star(self, x, y, z):
-        """f_star at trivialized star coordinates (vectorized floats)."""
-        return self._factor(self.p, x, y, z) * np.conj(
-            self._factor(self.q, x, y, np.zeros_like(np.asarray(z, dtype=np.float64)))
-        )
-
-    def __call__(self, x, y, z, n=None):
-        return self.eval_star(x, y, z)
-
-
-def eval_joining_observable(jobs: JoiningObservable, star_coords) -> complex:
-    """f_star at a trivialized star point given as a coordinate triple."""
-    x, y, z = (float(v) for v in star_coords)
-    return complex(jobs.eval_star(x, y, z))

@@ -17,7 +17,7 @@ from .dynamics import (
     SkewSystem,
     build_joining,
     iterate_T,
-    pair_orbit_element,
+    pair_orbit,
     rho,
     step_T,
 )
@@ -115,8 +115,7 @@ def suite_commutation(rng, fault=None, n_max=100):
     sys = _standard_system()
     js = build_joining(sys, 3, 2)
     pt3 = (FixedReal(0), FixedReal(0), FixedReal(0))
-    for n in range(1, n_max + 1):
-        first, second = pair_orbit_element(sys, 3, 2, n)
+    for n, (first, second) in enumerate(pair_orbit(sys, 3, 2, n_max), start=1):
         star = canonical_rep(
             project_pi((first.x, first.y, first.z, second.x, second.y, second.z), 3, 2)
         )

@@ -32,7 +32,7 @@ from nillab.diagnostics import (
     weyl_sums,
     winding_in_x,
 )
-from nillab.engine import OrbitSegmentPlan
+from nillab.engine import OrbitSegmentPlan, StarDescentSink
 from nillab.fixedpoint import FixedReal, sqrt_q64
 from nillab.heisenberg import (
     HEISENBERG,
@@ -52,7 +52,7 @@ from nillab.moebius import (
     davenport_baseline,
     sieve_mobius,
 )
-from nillab.observables import BumpProfile, JoiningObservable, Observable, fiber_average
+from nillab.observables import BumpProfile, Observable, fiber_average
 from nillab.reports import write_correlation_csv, write_weyl_csv
 
 RNG_SEED = 20260811
@@ -275,10 +275,10 @@ def test_criterion_09_fiber_orthogonality():
         for base in ((0.5, 0.5), (0.37, 0.61)):
             assert abs(fiber_average(obs, base, 32)) <= 1e-10
     # Monte Carlo integral of f_star over the reduced space
-    jobs = JoiningObservable(Observable(xi=1, bump=BumpProfile()), 3, 2)
+    sink = StarDescentSink(Observable(xi=1, bump=BumpProfile()), 3, 2)
     rng = np.random.default_rng(RNG_SEED)
     pts = rng.random((10**6, 3))
-    vals = jobs.eval_star(pts[:, 0], pts[:, 1], pts[:, 2])
+    vals = sink.eval_star(pts[:, 0], pts[:, 1], pts[:, 2])
     mean = vals.mean()
     se = vals.std() / math.sqrt(len(vals))
     assert abs(mean) <= 3 * se, f"|mean|={abs(mean):.3e} > 3 se={3 * se:.3e}"

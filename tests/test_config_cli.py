@@ -115,6 +115,17 @@ def test_malformed_field_is_named(section, key, good, bad):
         parse_config(text.replace(f"{key} = {good}\n", f"{key} = {bad}\n"))
 
 
+@pytest.mark.parametrize("key, bad", [("workers", 0), ("workers", -3), ("segment_size", 1000)])
+def test_plan_field_is_named(key, bad):
+    good = getattr(standard_config(), key)
+    text = standard_config().to_ini()
+    assert f"{key} = {good}\n" in text
+    with pytest.raises(ValueError, match=rf"\[run\] {key} = {bad}"):
+        parse_config(text.replace(f"{key} = {good}\n", f"{key} = {bad}\n"))
+    with pytest.raises(ValueError, match=rf"\[run\] {key} = {bad}"):
+        standard_config(**{key: bad})
+
+
 def test_base_mode_arity_checked_when_xi_is_zero():
     text = standard_config().to_ini().replace("xi = 1", "xi = 0")
     assert parse_config(text).base_mode == (0, 0)
@@ -297,6 +308,21 @@ def test_cli_orbit_and_sieve(tmp_path, capsys):
     assert main(["sieve", "--config", str(cfg_path), "--bound", "2000",
                  "--out", str(tmp_path / "sieve")]) == 0
     assert (tmp_path / "sieve" / "mertens.csv").read_text() == "N,mertens\n1000,2\n"
+
+
+@pytest.mark.parametrize("bound", ["0", "-5", str(10**9 + 1)])
+def test_cli_sieve_rejects_bound_outside_range(tmp_path, monkeypatch, bound):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
+
+    def sieve(*args, **kwargs):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(cli, "sieve_mobius", sieve)
+    with pytest.raises(ValueError, match="--bound"):
+        main(["sieve", "--config", str(cfg_path), "--bound", bound,
+              "--out", str(tmp_path / "sieve")])
+    assert not (tmp_path / "sieve").exists()
 
 
 def test_registry_order_is_known_experiments():

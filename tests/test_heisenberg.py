@@ -9,13 +9,11 @@ from nillab.heisenberg import (
     HEISENBERG,
     GroupElement,
     GroupLaw,
-    JoiningPair,
     LatticeElement,
     LawMismatch,
     canonical_rep,
     identity,
     inv,
-    joining_membership,
     lattice_floor,
     mul,
     nil_point,
@@ -264,23 +262,6 @@ def test_project_pi_maps_lattice_onto_integers(a, b, m1, c, d, m2):
          FixedReal(q * a), FixedReal(q * b), FixedReal(m2))
     out = project_pi(g, p, q)
     assert all(v.frac().scaled == 0 for v in out.coords())
-
-
-def test_joining_membership_examples():
-    p, q = 3, 2
-    first = GroupElement.fixed(0.3, 0.0, 0.0)
-    second = GroupElement.fixed(0.0, 0.0, 0.0)
-    assert not joining_membership(JoiningPair(first, second, p, q))
-    half = GroupElement.fixed(0.5, 0.0, 0.0)
-    assert joining_membership(JoiningPair(half, second, p, q))
-
-
-def test_joining_membership_base_rotation():
-    # (p alpha, p beta) vs (q alpha, q beta): q p alpha - p q alpha = 0
-    alpha, beta = FixedReal(0.123), FixedReal(0.456)
-    first = GroupElement(alpha * 3, beta * 3, FixedReal(0), HEISENBERG)
-    second = GroupElement(alpha * 2, beta * 2, FixedReal(0), HEISENBERG)
-    assert joining_membership(JoiningPair(first, second, 3, 2))
 
 
 def test_nil_point_validation():

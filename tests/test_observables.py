@@ -4,17 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from nillab.dynamics import rho
-from nillab.engine import _quantize
-from nillab.heisenberg import GroupElement, canonical_rep, mul, nil_point
-from nillab.observables import (
-    BumpProfile,
-    JoiningObservable,
-    Observable,
-    eval_joining_observable,
-    eval_observable,
-    fiber_average,
-)
+from nillab.dynamics import pair_orbit, rho
+from nillab.engine import StarDescentSink, _quantize
+from nillab.heisenberg import GroupElement, canonical_rep, mul, nil_point, project_pi
+from nillab.observables import BumpProfile, Observable, eval_observable, fiber_average
 
 
 def test_bump_geometry_validation():
@@ -138,60 +131,81 @@ def test_base_mode_values():
 # -- the descended pair observable ----------------------------------------------
 
 
+def _pair_value(obs, first, second):
+    """f(first) conj f(second) on a pair of points of X."""
+    return eval_observable(obs, first) * eval_observable(obs, second).conjugate()
+
+
 def test_joining_observable_requires_nonzero_xi():
-    with pytest.raises(ValueError):
-        JoiningObservable(Observable(xi=0, base_mode=(0, 0)), 3, 2)
+    with pytest.raises(ValueError, match="nonzero vertical frequency"):
+        StarDescentSink(Observable(xi=0, base_mode=(0, 0)), 3, 2)
+    obs = Observable(xi=1, bump=BumpProfile())
+    for p, q in ((4, 3), (2, 3), (3, 3), (3, 1)):
+        with pytest.raises(ValueError, match="need primes p > q"):
+            StarDescentSink(obs, p, q)
 
 
 def test_pair_value_at_identity():
     obs = Observable(xi=1, bump=BumpProfile())
-    jobs = JoiningObservable(obs, 3, 2)
     pt = nil_point(0.5, 0.5, 0.0)
-    assert abs(jobs.eval_pair(pt, pt) - abs(eval_observable(obs, pt)) ** 2) < 1e-15
+    assert abs(_pair_value(obs, pt, pt) - abs(eval_observable(obs, pt)) ** 2) < 1e-15
 
 
 def test_diagonal_central_invariance():
     obs = Observable(xi=2, bump=BumpProfile())
-    jobs = JoiningObservable(obs, 3, 2)
     a = nil_point(0.5, 0.5, 0.2)
     b = nil_point(0.45, 0.55, 0.7)
-    base = jobs.eval_pair(a, b)
+    base = _pair_value(obs, a, b)
     for s in (0.3, 0.77):
         sa = canonical_rep(mul(GroupElement.fixed(0, 0, s), a.rep))
         sb = canonical_rep(mul(GroupElement.fixed(0, 0, s), b.rep))
-        assert abs(jobs.eval_pair(sa, sb) - base) < 1e-12
+        assert abs(_pair_value(obs, sa, sb) - base) < 1e-12
+
+
+def test_eval_star_is_the_lane_call(rng):
+    """Float star coordinates on the lane grids reach the lane sink unchanged,
+    z's low limb included."""
+    sink = StarDescentSink(Observable(xi=2, bump=BumpProfile()), 5, 3)
+    x, y, z = rng.random((3, 4096))
+    z[:64] = rng.integers(1, 2**53, size=64) * 2.0**-120  # below 2**-64: low limb only
+    z[64:128] = rng.random(64) * 2.0**-40  # both limbs
+    fx, fy = ((v * 2.0**64).astype(np.uint64) for v in (x, y))
+    s = z * 2.0**64
+    z_hi = np.floor(s).astype(np.uint64)
+    z_lo = ((s - np.floor(s)) * 2.0**64).astype(np.uint64)
+    assert np.all(z_lo[:128] != 0) and np.all(z_hi[64:128] != 0)
+    lanes = sink(fx, fy, z_hi, z_lo, None)
+    stars = sink.eval_star(x, y, z)
+    assert lanes.view(np.uint64).tolist() == stars.view(np.uint64).tolist()
 
 
 def test_descent_agrees_with_pair_route(std_sys, std_js, rng):
-    """f1 on the lifted pair equals f_star at the projected star point."""
-    from nillab.dynamics import pair_orbit_element
-    from nillab.heisenberg import project_pi
-
+    """f(x1) conj f(x2) on the lifted pair equals f_star at the projected star point."""
     obs = Observable(xi=1, bump=BumpProfile())
-    jobs = JoiningObservable(obs, 3, 2)
-    for n in rng.integers(1, 400, size=12):
-        n = int(n)
-        first, second = pair_orbit_element(std_sys, 3, 2, n)
-        f1 = jobs.eval_pair(canonical_rep(first), canonical_rep(second))
+    sink = StarDescentSink(obs, 3, 2)
+    wanted = set(int(n) for n in rng.integers(1, 400, size=12))
+    for n, (first, second) in enumerate(pair_orbit(std_sys, 3, 2, max(wanted)), start=1):
+        if n not in wanted:
+            continue
+        f1 = _pair_value(obs, canonical_rep(first), canonical_rep(second))
         star = canonical_rep(project_pi(
             (first.x, first.y, first.z, second.x, second.y, second.z), 3, 2
         ))
-        fstar = eval_joining_observable(jobs, rho(star))
+        fstar = complex(sink.eval_star(*(float(c) for c in rho(star))))
         assert abs(f1 - fstar) <= 1e-9
 
 
 def test_descent_well_defined_under_star_lattice(std_js, rng):
     """f_star must not depend on the star-coset representative."""
-    obs = Observable(xi=1, bump=BumpProfile())
-    jobs = JoiningObservable(obs, 3, 2)
+    sink = StarDescentSink(Observable(xi=1, bump=BumpProfile()), 3, 2)
     for _ in range(20):
         x, y, z = (float(v) for v in rng.random(3))
-        v1 = eval_joining_observable(jobs, (x, y, z))
+        v1 = complex(sink.eval_star(x, y, z))
         ge = GroupElement.floating(x, y, z, std_js.law)
         gamma = GroupElement.floating(
             int(rng.integers(-3, 4)), int(rng.integers(-3, 4)), int(rng.integers(-3, 4)),
             std_js.law,
         )
         moved = canonical_rep(mul(ge, gamma))
-        v2 = eval_joining_observable(jobs, tuple(float(c) for c in moved.coords()))
+        v2 = complex(sink.eval_star(*(float(c) for c in moved.coords())))
         assert abs(v1 - v2) < 1e-9
