@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .config import FIELDS, SOFT_THRESHOLDS, ExperimentConfig, load_config, standard_config
 from .diagnostics import coboundary_search, proof_constants, weyl_sums, winding_in_x
-from .engine import PairScan, orbit_points
+from .engine import OrbitSegmentPlan, PairScan, orbit_points
 from .moebius import (
     MAX_SIEVE,
     MobiusTable,
@@ -66,6 +66,20 @@ def _add_common(p: argparse.ArgumentParser):
     )
 
 
+def _check_plan_option(option: str, **field) -> None:
+    """Check a segment-plan option with the plan's own rule, naming it as typed."""
+    try:
+        OrbitSegmentPlan(1, **field)
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
+def _count_option(option: str, value: int, least: int) -> int:
+    if value < least:
+        raise ValueError(f"{option} = {value} must be at least {least}")
+    return value
+
+
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else standard_config()
     patch = {}
@@ -73,12 +87,14 @@ def _load(args) -> ExperimentConfig:
         patch["out_dir"] = args.out
     env_workers = os.environ.get("LAB_WORKERS")
     if args.workers is not None:
+        _check_plan_option("--workers", worker_count=args.workers)
         patch["workers"] = args.workers
     elif env_workers:
         if not env_workers.strip().isdecimal() or int(env_workers) < 1:
             raise ValueError(f"LAB_WORKERS must be a positive integer, got {env_workers!r}")
         patch["workers"] = int(env_workers)
     if args.segment_size is not None:
+        _check_plan_option("--segment-size", segment_size=args.segment_size)
         patch["segment_size"] = args.segment_size
     if getattr(args, "checkpoints", None):
         patch["checkpoints"] = FIELDS["checkpoints"].read(args.checkpoints, "--checkpoints")
@@ -124,7 +140,10 @@ def cmd_sieve(args) -> int:
 def cmd_orbit(args) -> int:
     cfg = _load(args)
     sys_ = cfg.system()
-    ns = list(cfg.checkpoints if args.n is None else range(1, args.n + 1))
+    if args.n is None:
+        ns = list(cfg.checkpoints)
+    else:
+        ns = list(range(1, _count_option("--n", args.n, 1) + 1))
     rows = orbit_points(sys_, None, ns)
     out = _outdir(cfg)
     write_orbit_csv(out / "orbit.csv", rows)
@@ -152,7 +171,7 @@ def cmd_reduce_joining(args) -> int:
 def cmd_winding(args) -> int:
     cfg = _load(args)
     js = cfg.joining()
-    n = args.n
+    n = _count_option("--n", args.n, 0)
     lift = js.Hn_lift(n)
     w = winding_in_x(lift, args.y0, n * js.lipschitz_H)
     expected = n * js.twist * cfg.d1

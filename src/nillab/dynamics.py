@@ -23,7 +23,9 @@ Numeric paths.  Every scalar operation is duck-typed over FixedReal (exact)
 and float (mirrored, ~1e-12/op).  On the exact path the periodic part of h is
 quantized once to 2**-53 at evaluation time -- the circle dynamics downstream
 is then pure integer arithmetic, so closed-form iterates, stepping, and the
-orbit engine agree bit for bit.  The float closed-form iterate uses the
+orbit engine agree bit for bit.  The exact closed-form iterate quantizes the
+periodic part at all n base points in one array call and sums the winding
+part in closed form.  The float closed-form iterate uses the
 system's exact alpha and beta, reduces every O(n^2) term exactly mod 1 and
 fsums only the periodic part, so it agrees with the exact orbit to about
 1e-12; n float steps drift from that orbit by O(n^2 2**-53) in z.  Real-valued
@@ -40,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fixedpoint import FRAC_BITS, FixedReal
+from .fixedpoint import FRAC_BITS, FixedReal, frac_u64
 from .heisenberg import (
     HEISENBERG,
     GroupElement,
@@ -133,12 +135,17 @@ def eval_h_lift(h: BaseFunctionSpec, x, y):
     return h.d1 * x + h.d2 * y + h.periodic_value(x, y)
 
 
+def _lift_scaled(h: BaseFunctionSpec, x: int, y: int) -> int:
+    """:func:`lift_fixed` on scaled integers (value * 2**128)."""
+    xu = np.array([frac_u64(x)], dtype=np.uint64)
+    yu = np.array([frac_u64(y)], dtype=np.uint64)
+    q = int(h.periodic_q53(xu, yu)[0])
+    return x * h.d1 + y * h.d2 + (q << _Q53_SHIFT)
+
+
 def lift_fixed(h: BaseFunctionSpec, x: FixedReal, y: FixedReal) -> FixedReal:
     """Exact-path lift: winding part exact, periodic part 2**-53 quantized."""
-    xu = np.array([x.frac().frac_u64()], dtype=np.uint64)
-    yu = np.array([y.frac().frac_u64()], dtype=np.uint64)
-    q = int(h.periodic_q53(xu, yu)[0])
-    return x * h.d1 + y * h.d2 + FixedReal.from_scaled(q << _Q53_SHIFT)
+    return FixedReal.from_scaled(_lift_scaled(h, x.scaled, y.scaled))
 
 
 def _lift(h: BaseFunctionSpec, x, y):
@@ -243,12 +250,14 @@ def step_T(sys: SkewSystem, pt: NilPoint) -> NilPoint:
     """One application of T; exact on the fixed-point path."""
     if pt.law != HEISENBERG:
         raise ValueError("step_T acts on Heisenberg points")
-    x, y, _ = pt.coords()
-    if pt.is_fixed:
-        g = GroupElement(sys.alpha, sys.beta, lift_fixed(sys.h, x, y), HEISENBERG)
+    x, y, _, _, fixed = rep = pt.rep
+    if fixed:
+        g = GroupElement.from_scaled(
+            sys.alpha.scaled, sys.beta.scaled, _lift_scaled(sys.h, x, y), HEISENBERG
+        )
     else:
         g = GroupElement(sys.alpha_f, sys.beta_f, float(eval_h_lift(sys.h, x, y)), HEISENBERG)
-    return canonical_rep(mul(g, pt.rep))
+    return canonical_rep(mul(g, rep))
 
 
 def iterate_T(sys: SkewSystem, pt: NilPoint, n: int) -> NilPoint:
@@ -268,8 +277,8 @@ def iterate_T(sys: SkewSystem, pt: NilPoint, n: int) -> NilPoint:
         raise ValueError("iterate_T acts on Heisenberg points")
     if not pt.is_fixed:
         return _iterate_float(sys, pt, n)
-    x, y, _ = pt.coords()
-    return canonical_rep(mul(_translation(sys, x, y, n), pt.rep))
+    rep = pt.rep
+    return canonical_rep(mul(_translation(sys, rep[0], rep[1], n), rep))
 
 
 def _birkhoff(f, x, y, n: int, alpha, beta):
@@ -282,11 +291,25 @@ def _birkhoff(f, x, y, n: int, alpha, beta):
     return total
 
 
-def _translation(sys: SkewSystem, x: FixedReal, y: FixedReal, m: int) -> GroupElement:
+def _translation(sys: SkewSystem, x: int, y: int, m: int) -> GroupElement:
     """The exact translation (m alpha, m beta, h_m(x, y)) by which T^m acts
-    on points over the base point (x, y)."""
-    total = _birkhoff(lambda u, v: lift_fixed(sys.h, u, v), x, y, m, sys.alpha, sys.beta)
-    return GroupElement(sys.alpha * m, sys.beta * m, total, HEISENBERG)
+    on points over the base point (x, y), all scaled by 2**128.
+
+    The winding part of h_m is summed in closed form and the periodic part by
+    one :meth:`BaseFunctionSpec.periodic_q53` call on the m base points' u64
+    lanes, the same elementwise values m calls of :func:`lift_fixed` give.
+    """
+    a, b, h = sys.alpha.scaled, sys.beta.scaled, sys.h
+    tri = m * (m - 1) // 2
+    total = h.d1 * (m * x + tri * a) + h.d2 * (m * y + tri * b)
+    if m:
+        # the base points (x + i alpha, y + i beta) lie on the 2**-64 grid iff
+        # the start does and, for m > 1, so does the rotation
+        i = np.arange(m, dtype=np.uint64)
+        xu = i * np.uint64(frac_u64(a) if m > 1 else 0) + np.uint64(frac_u64(x))
+        yu = i * np.uint64(frac_u64(b) if m > 1 else 0) + np.uint64(frac_u64(y))
+        total += sum(h.periodic_q53(xu, yu).tolist()) << _Q53_SHIFT
+    return GroupElement.from_scaled(a * m, b * m, total, HEISENBERG)
 
 
 def _iterate_float(sys: SkewSystem, pt: NilPoint, n: int) -> NilPoint:
@@ -454,6 +477,6 @@ def pair_orbit(sys: SkewSystem, p: int, q: int, n_max: int):
     first = identity()
     second = identity()
     for _ in range(n_max):
-        first = mul(_translation(sys, first.x, first.y, p), first)
-        second = mul(_translation(sys, second.x, second.y, q), second)
+        first = mul(_translation(sys, first[0], first[1], p), first)
+        second = mul(_translation(sys, second[0], second[1], q), second)
         yield first, second

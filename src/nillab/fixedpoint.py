@@ -140,10 +140,7 @@ class FixedReal:
 
     def frac_u64(self) -> int:
         """Fractional part as an integer multiple of 2**-64 (requires Q64)."""
-        f = self.scaled & FRAC_MASK
-        if f & _U64:
-            raise FixedPointInexact("fractional part is finer than 2**-64")
-        return f >> 64
+        return frac_u64(self.scaled)
 
     def frac_lanes(self) -> tuple[int, int]:
         """Fractional part as (hi, lo) 64-bit lanes: frac = hi/2**64 + lo/2**128."""
@@ -201,6 +198,13 @@ class FixedReal:
 
 _new = object.__new__
 _fixed = FixedReal.from_scaled  # a plain function: no attribute lookup per call
+
+
+def frac_u64(scaled: int) -> int:
+    """Fractional part of ``scaled / 2**128`` as a multiple of 2**-64 (requires Q64)."""
+    if scaled & _U64:
+        raise FixedPointInexact("fractional part is finer than 2**-64")
+    return (scaled & FRAC_MASK) >> 64
 
 
 def parse_real(text: str) -> FixedReal:

@@ -5,10 +5,14 @@ The group is R^3 with multiplication
     (x, y, z) . (x', y', z') = (x + x', y + y', z + z' + c (x y' - x' y)),
 
 where the twist c is 1 for the Heisenberg group G and c = p^2 - q^2 for the
-quotient group carrying the joining of a prime pair p > q.  All operations are
-duck-typed over two numeric paths: exact :class:`~nillab.fixedpoint.FixedReal`
-coordinates (drift-free, used by every identity test) and plain floats (the
-mirrored evaluation path, tolerance ~1e-12 per operation).
+quotient group carrying the joining of a prime pair p > q.  Every operation
+serves two numeric paths: exact coordinates (drift-free, used by every
+identity test) and plain floats (the mirrored evaluation path, tolerance
+~1e-12 per operation).  An exact element stores its coordinates as the scaled
+integers of :class:`~nillab.fixedpoint.FixedReal` (value * 2**128), so
+``mul``, ``inv``, ``canonical_rep``, ``lattice_floor`` and the lattice
+embedding are plain integer arithmetic; ``FixedReal`` views are built only
+when a coordinate is read (``.x``, ``.y``, ``.z``, ``coords()``).
 
 The box [0, 1)^3 is used as a fundamental domain for both lattices; for the
 twisted law that is the construction the reduction formula was designed for,
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .fixedpoint import FRAC_BITS as _FRAC_BITS
@@ -88,21 +93,35 @@ def _coerce(v) -> Coord:
     raise TypeError(f"coordinate must be FixedReal or float, got {type(v).__name__}")
 
 
-class GroupElement(NamedTuple):
+_tuple_new = tuple.__new__
+_new = object.__new__
+_fixed = FixedReal.from_scaled
+
+
+class GroupElement(tuple):
     """A point of G or G_star; coordinates all-FixedReal or all-float.
 
-    Tuple-backed, so it is immutable, compares and hashes by value, and the
-    hot paths below can unpack it in one step.
+    Tuple-backed as ``(x, y, z, law, is_fixed)``, so it is immutable and
+    compares and hashes by value.  On the fixed path x, y and z are held as
+    scaled integers (value * 2**128) and ``.x``, ``.y``, ``.z`` and
+    :meth:`coords` build :class:`FixedReal` views on access; the float path
+    holds floats.  The ``is_fixed`` slot keeps the two paths apart, so a fixed
+    and a float element never compare equal.
     """
 
-    x: Coord
-    y: Coord
-    z: Coord
-    law: GroupLaw
+    __slots__ = ()
 
-    @property
-    def is_fixed(self) -> bool:
-        return isinstance(self.x, FixedReal)
+    def __new__(cls, x: Coord, y: Coord, z: Coord, law: GroupLaw):
+        if type(x) is FixedReal and type(y) is FixedReal and type(z) is FixedReal:
+            return _tuple_new(cls, (x.scaled, y.scaled, z.scaled, law, True))
+        if FixedReal in (type(x), type(y), type(z)):
+            raise LawMismatch("cannot mix fixed-point and float coordinates")
+        return _tuple_new(cls, (float(x), float(y), float(z), law, False))
+
+    @staticmethod
+    def from_scaled(x: int, y: int, z: int, law: GroupLaw) -> "GroupElement":
+        """The fixed element with coordinates x, y, z given as value * 2**128."""
+        return _tuple_new(GroupElement, (x, y, z, law, True))
 
     @staticmethod
     def fixed(x, y, z, law: GroupLaw = HEISENBERG) -> "GroupElement":
@@ -112,55 +131,70 @@ class GroupElement(NamedTuple):
     def floating(x, y, z, law: GroupLaw = HEISENBERG) -> "GroupElement":
         return GroupElement(float(x), float(y), float(z), law)
 
+    law = property(itemgetter(3), doc="the group law")
+    is_fixed = property(itemgetter(4), doc="True on the exact (FixedReal) path")
+
+    @property
+    def x(self) -> Coord:
+        return _fixed(self[0]) if self[4] else self[0]
+
+    @property
+    def y(self) -> Coord:
+        return _fixed(self[1]) if self[4] else self[1]
+
+    @property
+    def z(self) -> Coord:
+        return _fixed(self[2]) if self[4] else self[2]
+
     def coords(self) -> tuple[Coord, Coord, Coord]:
-        return self[:3]
+        x, y, z, _, fixed = self
+        if not fixed:
+            return x, y, z
+        # three FixedReal.from_scaled calls, inlined: the identity checks read
+        # coords() of every product they compare
+        fx = _new(FixedReal)
+        fx.scaled = x
+        fy = _new(FixedReal)
+        fy.scaled = y
+        fz = _new(FixedReal)
+        fz.scaled = z
+        return fx, fy, fz
 
+    def __repr__(self):
+        x, y, z = self.coords()
+        return f"GroupElement(x={x!r}, y={y!r}, z={z!r}, law={self[3]!r})"
 
-_tuple_new = tuple.__new__
-_new = object.__new__
-_fixed = FixedReal.from_scaled
+    def __reduce__(self):
+        return GroupElement, (*self.coords(), self[3])
 
 
 def identity(law: GroupLaw = HEISENBERG, fixed: bool = True) -> GroupElement:
-    return GroupElement.fixed(0, 0, 0, law) if fixed else GroupElement.floating(0.0, 0.0, 0.0, law)
+    return _tuple_new(GroupElement, (0, 0, 0, law, True) if fixed else (0.0, 0.0, 0.0, law, False))
 
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product under the common law of ``a`` and ``b``."""
-    ax, ay, az, law = a
-    bx, by, bz, blaw = b
+    ax, ay, az, law, fixed = a
+    bx, by, bz, blaw, bfixed = b
     if law is not blaw and law != blaw:
         raise LawMismatch(f"law mismatch: {law} vs {blaw}")
-    if type(ax) is FixedReal:
-        if type(bx) is not FixedReal:
-            raise LawMismatch("cannot mix fixed-point and float elements")
-        # inlined scaled-integer path (hot in the bulk identity suites)
-        axs, ays, bxs, bys = ax.scaled, ay.scaled, bx.scaled, by.scaled
-        comm = axs * bys - bxs * ays
+    if fixed is not bfixed:
+        raise LawMismatch("cannot mix fixed-point and float elements")
+    comm = ax * by - bx * ay
+    if fixed:
         if comm & _FRAC_MASK:
             raise FixedPointInexact(
                 "group commutator has more than 128 fractional bits; "
                 "base coordinates must lie on the 2**-64 grid"
             )
-        return _tuple_new(GroupElement, (
-            _fixed(axs + bxs),
-            _fixed(ays + bys),
-            _fixed(az.scaled + bz.scaled + (comm >> _FRAC_BITS) * law.twist),
-            law,
-        ))
-    if type(bx) is FixedReal:
-        raise LawMismatch("cannot mix fixed-point and float elements")
-    return GroupElement(ax + bx, ay + by, az + bz + (ax * by - bx * ay) * law.twist, law)
+        comm >>= _FRAC_BITS
+    return _tuple_new(GroupElement, (ax + bx, ay + by, az + bz + comm * law.twist, law, fixed))
 
 
 def inv(a: GroupElement) -> GroupElement:
     """Group inverse; (x, y, z)^-1 = (-x, -y, -z) under either law."""
-    x, y, z, law = a
-    if type(x) is FixedReal:
-        return _tuple_new(GroupElement, (
-            _fixed(-x.scaled), _fixed(-y.scaled), _fixed(-z.scaled), law
-        ))
-    return GroupElement(-x, -y, -z, law)
+    x, y, z, law, fixed = a
+    return _tuple_new(GroupElement, (-x, -y, -z, law, fixed))
 
 
 class LatticeElement(NamedTuple):
@@ -174,9 +208,9 @@ class LatticeElement(NamedTuple):
         a, b, m = self
         if fixed:
             return _tuple_new(GroupElement, (
-                _fixed(a << _FRAC_BITS), _fixed(b << _FRAC_BITS), _fixed(m << _FRAC_BITS), law
+                a << _FRAC_BITS, b << _FRAC_BITS, m << _FRAC_BITS, law, True
             ))
-        return GroupElement.floating(a, b, m, law)
+        return _tuple_new(GroupElement, (float(a), float(b), float(m), law, False))
 
 
 def lattice_floor(g: GroupElement) -> LatticeElement:
@@ -184,13 +218,12 @@ def lattice_floor(g: GroupElement) -> LatticeElement:
 
     Formula: (floor x, floor y, floor(z - c (x floor(y) - floor(x) y))).
     """
-    x, y, z, law = g
+    x, y, z, law, fixed = g
     c = law.twist
-    if type(x) is FixedReal:
-        fx = x.scaled >> _FRAC_BITS
-        fy = y.scaled >> _FRAC_BITS
-        m = (z.scaled - (x.scaled * fy - y.scaled * fx) * c) >> _FRAC_BITS
-        return LatticeElement(fx, fy, m)
+    if fixed:
+        fx = x >> _FRAC_BITS
+        fy = y >> _FRAC_BITS
+        return LatticeElement(fx, fy, (z - (x * fy - y * fx) * c) >> _FRAC_BITS)
     fx = math.floor(x)
     fy = math.floor(y)
     m = math.floor(z - (x * fy - y * fx) * c)
@@ -215,14 +248,9 @@ class NilPoint:
     __slots__ = ("rep",)
 
     def __init__(self, rep: GroupElement):
-        if type(rep.x) is FixedReal:
-            for v in rep.coords():
-                if not 0 <= v.scaled < _SCALE:
-                    raise ValueError(f"NilPoint coordinate {v!r} outside [0, 1)")
-        else:
-            for v in rep.coords():
-                if not (0 <= v < 1):
-                    raise ValueError(f"NilPoint coordinate {v!r} outside [0, 1)")
+        end = _SCALE if rep[4] else 1
+        if not all(0 <= v < end for v in rep[:3]):
+            raise ValueError(f"NilPoint coordinates {rep.coords()!r} outside [0, 1)^3")
         _set_rep(self, rep)
 
     def __setattr__(self, name, value):
@@ -251,10 +279,10 @@ class NilPoint:
 
     @property
     def is_fixed(self) -> bool:
-        return self.rep.is_fixed
+        return self.rep[4]
 
     def coords(self):
-        return self.rep[:3]
+        return self.rep.coords()
 
     def to_float(self) -> "NilPoint":
         # float() rounds a coordinate within 2**-54 of 1 up to 1.0; keep it below 1
@@ -273,16 +301,15 @@ def _trusted_point(rep: GroupElement) -> NilPoint:
 
 def canonical_rep(g: GroupElement) -> NilPoint:
     """Reduce to the canonical representative g . floor(g)^-1 in [0, 1)^3."""
-    x, y, z, law = g
-    if type(x) is FixedReal:
+    x, y, z, law, fixed = g
+    if fixed:
         # same composition as below, collapsed to scaled-integer arithmetic:
         # z' = frac(z - c (x floor(y) - floor(x) y)), no grid constraint needed
-        xs, ys = x.scaled, y.scaled
-        a = xs >> _FRAC_BITS
-        b = ys >> _FRAC_BITS
-        w = z.scaled - (xs * b - ys * a) * law.twist
+        a = x >> _FRAC_BITS
+        b = y >> _FRAC_BITS
+        w = z - (x * b - y * a) * law.twist
         return _trusted_point(_tuple_new(GroupElement, (
-            _fixed(xs & _FRAC_MASK), _fixed(ys & _FRAC_MASK), _fixed(w & _FRAC_MASK), law
+            x & _FRAC_MASK, y & _FRAC_MASK, w & _FRAC_MASK, law, True
         )))
     gamma = lattice_floor(g).to_group(law, fixed=False)
     return NilPoint(mul(g, inv(gamma)))

@@ -58,10 +58,19 @@ class BumpProfile:
         return 1.5 / self.radius
 
     def __call__(self, x, y):
+        """Bump value at (x, y) (vectorized); the smoothsteps are evaluated
+        only inside the open support box, and the value is +0 elsewhere."""
         cx, cy = self.center
-        tx = 1.0 - np.abs(np.asarray(x, dtype=np.float64) - cx) / self.radius
-        ty = 1.0 - np.abs(np.asarray(y, dtype=np.float64) - cy) / self.radius
-        return _smoothstep(tx) * _smoothstep(ty)
+        r = self.radius
+        dx, dy = np.broadcast_arrays(
+            np.abs(np.asarray(x, dtype=np.float64) - cx),
+            np.abs(np.asarray(y, dtype=np.float64) - cy),
+        )
+        inside = np.flatnonzero((dx < r) & (dy < r))
+        out = np.zeros(dx.shape)
+        np.put(out, inside, _smoothstep(1.0 - dx.take(inside) / r)
+               * _smoothstep(1.0 - dy.take(inside) / r))
+        return out
 
 
 @dataclass(frozen=True)
@@ -93,9 +102,9 @@ class Observable:
             k1, k2 = self.base_mode
             return np.exp(2j * math.pi * (k1 * np.asarray(x) + k2 * np.asarray(y)))
         bump = self.bump(x, y)
-        on = bump != 0
+        on = np.flatnonzero(bump != 0)
         out = np.zeros(bump.shape, dtype=np.complex128)
-        out[on] = np.exp(2j * math.pi * self.xi * np.asarray(z)[on]) * bump[on]
+        np.put(out, on, np.exp(2j * math.pi * self.xi * np.take(z, on)) * bump.take(on))
         return out
 
     def __call__(self, x, y, z, n=None):

@@ -266,6 +266,25 @@ def test_cli_checkpoints_override_names_the_option(tmp_path):
     assert main(["constants", "--config", str(cfg_path), "--checkpoints", "100,200"]) == 0
 
 
+@pytest.mark.parametrize("option, value", [("--workers", "0"), ("--workers", "-2"),
+                                           ("--segment-size", "1000")])
+def test_cli_plan_overrides_name_the_option(tmp_path, option, value):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
+    with pytest.raises(ValueError, match=f"^{option}: "):
+        main(["correlate", "--config", str(cfg_path), option, value])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, n", [("orbit", "0"), ("orbit", "-3"), ("winding", "-2")])
+def test_cli_step_count_is_checked_before_writing(tmp_path, command, n):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
+    with pytest.raises(ValueError, match="--n"):
+        main([command, "--config", str(cfg_path), "--n", n])
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_two_route_rejects_xi_zero_before_streaming(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(small_cfg_text(str(tmp_path / "out")).replace("xi = 1", "xi = 0"))

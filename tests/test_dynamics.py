@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nillab.fixedpoint import FixedReal, sqrt_q64
+from nillab.fixedpoint import FixedPointInexact, FixedReal, sqrt_q64
 from nillab.dynamics import (
     BaseFunctionSpec,
     SkewSystem,
@@ -13,6 +13,7 @@ from nillab.dynamics import (
     collapse_birkhoff,
     eval_h_lift,
     iterate_T,
+    lift_fixed,
     pair_orbit,
     rho,
     step_T,
@@ -209,6 +210,58 @@ def test_iterate_base_factor_exact(std_sys):
     out = iterate_T(std_sys, pt, n)
     assert out.rep.x == (FixedReal(0.25) + std_sys.alpha * n).frac()
     assert out.rep.y == (FixedReal(0.75) + std_sys.beta * n).frac()
+
+
+TWO_TERMS = SkewSystem(
+    FixedReal.from_q64(0x9E3779B97F4A7C15), FixedReal.from_q64(0x6A09E667F3BCC909),
+    BaseFunctionSpec(2, -3, (TrigTerm(1, 2, 0.13, 0.3), TrigTerm(-3, 1, 0.07, 0.85))),
+)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 97, 300])
+def test_iterate_matches_stepping_two_terms(n):
+    """d2 != 0 and two trigonometric terms: the one-call periodic sum and the
+    closed-form winding part give the bits of n single steps."""
+    pt = canonical_rep(GroupElement.fixed(0.8125, 0.3, 0.6))
+    stepped = pt
+    for _ in range(n):
+        stepped = step_T(TWO_TERMS, stepped)
+    assert iterate_T(TWO_TERMS, pt, n) == stepped
+
+
+def test_pair_orbit_matches_group_level_steps():
+    """Each pair-orbit element is the product of single T translations, and
+    its projection carries the star-law orbit of the trivialized joining."""
+    sys, p, q = TWO_TERMS, 3, 2
+    js = build_joining(sys, p, q)
+    h = sys.h
+
+    def steps(g, m):
+        for _ in range(m):
+            t = lift_fixed(h, g.x, g.y)
+            g = mul(GroupElement(sys.alpha, sys.beta, t, HEISENBERG), g)
+        return g
+
+    first = second = identity()
+    pt3 = (FixedReal(0), FixedReal(0), FixedReal(0))
+    for a, b in pair_orbit(sys, p, q, 12):
+        first, second = steps(first, p), steps(second, q)
+        assert (a, b) == (first, second)
+        star = canonical_rep(project_pi((*a.coords(), *b.coords()), p, q))
+        assert star.law == js.law
+        pt3 = js.step_trivialized(pt3)
+        assert rho(star) == pt3
+
+
+def test_iterate_rejects_off_grid_start():
+    off = canonical_rep(GroupElement(FixedReal.from_scaled(1), FixedReal(0.5), FixedReal(0),
+                                     HEISENBERG))
+    for n in (1, 2, 97):
+        with pytest.raises(FixedPointInexact):
+            iterate_T(TWO_TERMS, off, n)
+    with pytest.raises(FixedPointInexact):
+        step_T(TWO_TERMS, off)
+    assert iterate_T(TWO_TERMS, off, 0) == off
 
 
 # -- the joining ---------------------------------------------------------------

@@ -272,3 +272,70 @@ def test_nil_point_validation():
     assert nil_point(1.5, 0.5, 0.25, STAR5).coords() == (
         FixedReal(0.5), FixedReal(0.5), FixedReal(0.75),
     )
+
+
+# -- storage semantics of the scaled-integer element ---------------------------
+
+
+def _samples():
+    star = GroupLaw.star(3, 2)
+    return [
+        GroupElement.fixed(0.25, -1.5, 3, star),
+        GroupElement.floating(0.25, -1.5, 3.0, star),
+        canonical_rep(GroupElement.fixed(1.25, 0.5, 0.75, star)),
+        canonical_rep(GroupElement.floating(1.25, 0.5, 0.75)),
+    ]
+
+
+def test_fixed_and_float_elements_never_compare_equal():
+    assert GroupElement.fixed(0, 0, 0) != GroupElement.floating(0, 0, 0)
+    assert GroupElement.fixed(0.5, 0.25, 1) != GroupElement.floating(0.5, 0.25, 1)
+    # a scaled integer that equals a float's value as a number
+    tiny = GroupElement(FixedReal.from_scaled(1), FixedReal(0), FixedReal(0), HEISENBERG)
+    assert tiny != GroupElement.floating(1.0, 0.0, 0.0)
+    assert identity() != identity(fixed=False)
+    assert nil_point(0.5, 0.5, 0.5) != nil_point(0.5, 0.5, 0.5, fixed=False)
+
+
+def test_hash_and_pickle_round_trips():
+    import copy
+    import pickle
+
+    for obj in _samples():
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert back == obj and hash(back) == hash(obj)
+            assert type(back) is type(obj) and back.is_fixed == obj.is_fixed
+    assert len(set(_samples())) == 4
+
+
+def test_assignment_raises():
+    g, pt = _samples()[0], _samples()[2]
+    for obj, attr in ((g, "x"), (g, "y"), (g, "z"), (g, "law"), (g, "is_fixed"),
+                      (g, "extra"), (pt, "rep"), (pt, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, 0)
+
+
+def test_coordinates_are_fixed_reals_on_the_exact_path():
+    g = GroupElement.fixed(0.25, -1.5, 3)
+    assert all(type(v) is FixedReal for v in (*g.coords(), g.x, g.y, g.z))
+    assert g.coords() == (FixedReal(0.25), FixedReal(-1.5), FixedReal(3))
+    assert canonical_rep(g).coords() == (FixedReal(0.25), FixedReal(0.5), FixedReal(0.5))
+    f = GroupElement.floating(0.25, -1.5, 3)
+    assert all(type(v) is float for v in (*f.coords(), f.x, f.y, f.z))
+    assert LatticeElement(1, -2, 3).to_group(HEISENBERG).coords() == (
+        FixedReal(1), FixedReal(-2), FixedReal(3)
+    )
+    g = GroupElement.from_scaled(1 << 127, 0, 3, HEISENBERG)
+    assert g.x == FixedReal(0.5) and g.z.scaled == 3 and g.is_fixed
+
+
+def test_mixing_paths_raises_law_mismatch():
+    fixed, floating = GroupElement.fixed(0.5, 0, 0), GroupElement.floating(0.5, 0, 0)
+    for a, b in ((fixed, floating), (floating, fixed)):
+        with pytest.raises(LawMismatch):
+            mul(a, b)
+    with pytest.raises(LawMismatch):
+        GroupElement(FixedReal(0.5), 0.0, 0.0, HEISENBERG)
+    with pytest.raises(LawMismatch):
+        GroupElement(0.5, 0.0, FixedReal(0), HEISENBERG)

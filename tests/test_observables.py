@@ -7,7 +7,13 @@ import pytest
 from nillab.dynamics import pair_orbit, rho
 from nillab.engine import StarDescentSink, _quantize
 from nillab.heisenberg import GroupElement, canonical_rep, mul, nil_point, project_pi
-from nillab.observables import BumpProfile, Observable, eval_observable, fiber_average
+from nillab.observables import (
+    BumpProfile,
+    Observable,
+    _smoothstep,
+    eval_observable,
+    fiber_average,
+)
 
 
 def test_bump_geometry_validation():
@@ -26,6 +32,25 @@ def test_bump_peak_and_support():
     assert bump(0.24, 0.5) == 0.0
     assert bump(0.5, 0.76) == 0.0
     assert 0.0 < bump(0.4, 0.55) < 1.0
+
+
+@pytest.mark.parametrize("center, radius", [((0.5, 0.5), 0.25), ((0.4, 0.6), 0.2),
+                                            ((0.3, 0.55), 0.17)])
+def test_bump_inside_its_box_is_the_full_product_bit_for_bit(rng, center, radius):
+    """The bump evaluates its smoothsteps only inside the support box; the
+    values equal the product of both smoothsteps taken everywhere, +0 outside."""
+    bump = BumpProfile(center, radius)
+    (cx, cy), r = center, radius
+    x, y = rng.random(5000), rng.random(5000)
+    edges = [cx - r, cx + r, np.nextafter(cx - r, 1), np.nextafter(cx + r, 0), cx]
+    x[:25] = np.repeat(edges, 5)
+    y[:25] = np.tile([cy - r, cy + r, np.nextafter(cy - r, 1), np.nextafter(cy + r, 0), cy], 5)
+    full = _smoothstep(1.0 - np.abs(x - cx) / r) * _smoothstep(1.0 - np.abs(y - cy) / r)
+    got = bump(x, y)
+    assert got.shape == x.shape
+    assert np.array_equal(got.view(np.int64), full.view(np.int64))
+    assert 0.1 < (got != 0).mean() < 0.5
+    assert bump(cx, cy) == 1.0 and bump(np.full((2, 3), cx), cy).shape == (2, 3)
 
 
 def test_observable_validation():
