@@ -3,10 +3,12 @@
 Subcommands: verify, sieve, orbit, reduce-joining, winding, run, and one per
 experiment of the registry ``EXPERIMENTS`` (correlate, bilinear, davenport,
 weyl, constants, coboundary).  Most commands read an INI config (``--config``,
-default the in-repo standard baseline) and accept overrides ``--out``,
-``--workers``, ``--segment-size``, ``--checkpoints``.  The default worker count
-comes from the ``LAB_WORKERS`` environment variable, which must be a positive
-integer when set.
+default the in-repo standard baseline) and accept only the overrides they
+read: ``run`` and the experiment subcommands ``--out``, ``--workers``,
+``--segment-size`` and ``--checkpoints``; ``orbit`` ``--out`` and
+``--checkpoints``; ``sieve`` ``--out``; ``reduce-joining`` and ``winding``
+none.  The default worker count comes from the ``LAB_WORKERS`` environment
+variable, which must be a positive integer when set.
 
 An experiment subcommand writes that experiment's reports and prints its
 summary entries and the files written.  ``run`` executes every experiment
@@ -54,16 +56,22 @@ from .reports import (
 from .verify import run_verify
 
 
-def _add_common(p: argparse.ArgumentParser):
+# the overrides a subcommand may accept besides --config
+_OPTIONS = {
+    "--out": dict(type=str, help="output directory"),
+    "--workers": dict(type=int, help="worker threads"),
+    "--segment-size": dict(type=int, help="orbit segment size (power of two)"),
+    "--checkpoints": dict(type=str, help="comma-separated checkpoint list"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, *names: str):
+    """``--config`` plus the overrides ``names``: only those the command reads."""
     p.add_argument("--config", type=str, default=None, help="INI config path")
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--workers", type=int, default=None, help="worker threads")
-    p.add_argument(
-        "--segment-size", type=int, default=None, help="orbit segment size (power of two)"
-    )
-    p.add_argument(
-        "--checkpoints", type=str, default=None, help="comma-separated checkpoint list"
-    )
+    for name in names:
+        p.add_argument(name, **_OPTIONS[name])
+    # an override the command does not accept reads as None in ``_load``
+    p.set_defaults(out=None, workers=None, segment_size=None, checkpoints=None)
 
 
 def _check_plan_option(option: str, **field) -> None:
@@ -96,7 +104,7 @@ def _load(args) -> ExperimentConfig:
     if args.segment_size is not None:
         _check_plan_option("--segment-size", segment_size=args.segment_size)
         patch["segment_size"] = args.segment_size
-    if getattr(args, "checkpoints", None):
+    if args.checkpoints:
         patch["checkpoints"] = FIELDS["checkpoints"].read(args.checkpoints, "--checkpoints")
     if patch:
         cfg = dataclasses.replace(cfg, **patch).validate()
@@ -359,34 +367,34 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sieve", help="sieve mu and print Mertens checkpoints")
-    _add_common(p)
+    _add_options(p, "--out")
     p.add_argument("--bound", type=int, default=None)
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("orbit", help="emit orbit samples at checkpoints")
-    _add_common(p)
+    _add_options(p, "--out", "--checkpoints")
     p.add_argument("--n", type=int, default=None, help="emit steps 1..n instead")
     p.set_defaults(func=cmd_orbit)
 
     for name, experiment in EXPERIMENTS.items():
         p = sub.add_parser(name, help=experiment.__doc__)
-        _add_common(p)
+        _add_options(p, *_OPTIONS)
         p.set_defaults(func=cmd_experiment)
         if name == "bilinear":
             p.add_argument("--two-route", action="store_true", help="also run the reduced route")
 
     p = sub.add_parser("reduce-joining", help="summarize the joining reduction")
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(func=cmd_reduce_joining)
 
     p = sub.add_parser("winding", help="winding of the iterated joining cocycle")
-    _add_common(p)
+    _add_options(p)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--y0", type=float, default=0.37)
     p.set_defaults(func=cmd_winding)
 
     p = sub.add_parser("run", help="run all experiments enabled in the config")
-    _add_common(p)
+    _add_options(p, *_OPTIONS)
     p.set_defaults(func=cmd_run)
 
     args = parser.parse_args(argv)

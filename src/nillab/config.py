@@ -48,13 +48,16 @@ class IniField(NamedTuple):
     parse: Callable[[str], Any]
     format: Callable[[Any], str]
 
+    @property
+    def label(self) -> str:
+        return f"[{self.section}] {self.key}"
+
     def read(self, raw: str, label: str | None = None):
         """``raw`` parsed; a malformed value fails naming ``label`` (default ``[section] key``)."""
         try:
             return self.parse(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            label = label or f"[{self.section}] {self.key}"
-            raise ValueError(f"{label} = {raw!r} is malformed: {exc}") from None
+            raise ValueError(f"{label or self.label} = {raw!r} is malformed: {exc}") from None
 
 
 def _csv(convert, count=None):
@@ -138,6 +141,14 @@ class ExperimentConfig:
     coboundary_cutoff: int = 16
 
     def validate(self) -> "ExperimentConfig":
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ValueError(f"{FIELDS[name].label} = {value!r} must lie in [0, 1)")
+        try:
+            self.base_function()
+        except ValueError as exc:
+            raise ValueError(f"{FIELDS['terms'].label}: {exc}") from None
         check_prime_pair(self.p, self.q)
         # floats would be written as "1000.0", which the INI parser rejects
         if not all(map(_is_int, self.checkpoints)):
@@ -157,7 +168,17 @@ class ExperimentConfig:
         for f in self.weyl_freqs:
             if len(f) != 3 or not all(isinstance(k, int) for k in f) or not any(f):
                 raise ValueError(f"[weyl] freqs entry {f} is not a nonzero integer triple")
-        self.observable()  # validates bump geometry / mode choice
+        for name in ("coboundary_k", "coboundary_cutoff"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ValueError(f"{FIELDS[name].label} = {value!r} must be an integer >= 1")
+        try:
+            self.observable()  # validates bump geometry / mode choice
+        except ValueError as exc:
+            raise ValueError(
+                f"[observable] bump_center = {self.bump_center}, "
+                f"bump_radius = {self.bump_radius!r}: {exc}"
+            ) from None
         return self
 
     # -- builders ------------------------------------------------------------

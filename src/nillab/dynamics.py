@@ -15,22 +15,22 @@ fundamental-domain coordinates) to an explicit torus map
     (x, y, z) -> (x + alpha, y + beta, z + H'(x, y))
 
 whose corrected cocycle H' carries the floor terms written out below.  With
-(p, q) = (1, 0) the same formula gives H = h and twist 1, i.e. T itself, so
-one Birkhoff sum ``_birkhoff`` builds h_n, both sides of H, and H_n, and
-H' is H'_n at n = 1.
+(p, q) = (1, 0) the same formula gives H = h and twist 1, i.e. T itself; the
+reindexing k = ip + j gives H_n(x, y) = h_{pn}(px, py) - h_{qn}(qx, qy), so
+one Birkhoff sum ``cocycle_sum`` builds h_n, H = H_1 and H_n, and H' is H'_n
+at n = 1.
 
 Numeric paths.  Every scalar operation is duck-typed over FixedReal (exact)
-and float (mirrored, ~1e-12/op).  On the exact path the periodic part of h is
-quantized once to 2**-53 at evaluation time -- the circle dynamics downstream
-is then pure integer arithmetic, so closed-form iterates, stepping, and the
-orbit engine agree bit for bit.  The exact closed-form iterate quantizes the
-periodic part at all n base points in one array call and sums the winding
-part in closed form.  The float closed-form iterate uses the
-system's exact alpha and beta, reduces every O(n^2) term exactly mod 1 and
-fsums only the periodic part, so it agrees with the exact orbit to about
-1e-12; n float steps drift from that orbit by O(n^2 2**-53) in z.  Real-valued
-lifts used by the growth diagnostics stay in plain floating point
-(compensated where it matters).
+and float (mirrored, ~1e-12/op).  On the exact path every Birkhoff sum, T's
+step and iterate and the pair orbit included, is one scaled-integer sum that
+quantizes the periodic part of h to 2**-53 at all base points in one array
+call; the circle dynamics downstream is then pure integer arithmetic, so
+closed-form iterates, stepping, and the orbit engine agree bit for bit.  The
+float closed-form iterate uses the system's exact alpha and beta, reduces
+every O(n^2) term exactly mod 1 and fsums only the periodic part, so it
+agrees with the exact orbit to about 1e-12; n float steps drift from that
+orbit by O(n^2 2**-53) in z.  Real-valued lifts used by the growth
+diagnostics stay in plain floating point (compensated where it matters).
 """
 
 from __future__ import annotations
@@ -95,6 +95,12 @@ class BaseFunctionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
+        for t in self.terms:
+            if not (math.isfinite(t.amplitude) and math.isfinite(t.phase)):
+                raise ValueError(f"{t} needs a finite amplitude and phase")
+        total = sum(abs(t.amplitude) for t in self.terms)
+        if total * Q53 >= 2.0**63:  # periodic_q53's values must fit in int64
+            raise ValueError(f"sum of |amplitude| = {total!r} must stay below 2**10")
 
     @property
     def L(self) -> float:
@@ -117,14 +123,14 @@ class BaseFunctionSpec:
         """Quantized periodic part at u64 torus coordinates (units 2**-53).
 
         This single function defines the circle value used by the exact
-        dynamics; the scalar path calls it on length-1 arrays.
+        dynamics, on the engine's lanes and on the base points of every
+        exact Birkhoff sum alike.
         """
+        if not self.terms:  # periodic_value would be the scalar 0.0
+            return np.zeros(xu.shape, dtype=np.int64)
         xf = xu.astype(np.float64) * 2.0**-64
         yf = yu.astype(np.float64) * 2.0**-64
-        raw = np.broadcast_to(
-            np.asarray(self.periodic_value(xf, yf), dtype=np.float64), xf.shape
-        )
-        return np.rint(raw * Q53).astype(np.int64)
+        return np.rint(self.periodic_value(xf, yf) * Q53).astype(np.int64)
 
     def as_lift(self) -> "AffineTrigLift":
         return AffineTrigLift(float(self.d1), float(self.d2), 0.0, self.terms)
@@ -135,29 +141,43 @@ def eval_h_lift(h: BaseFunctionSpec, x, y):
     return h.d1 * x + h.d2 * y + h.periodic_value(x, y)
 
 
-def _lift_scaled(h: BaseFunctionSpec, x: int, y: int) -> int:
-    """:func:`lift_fixed` on scaled integers (value * 2**128)."""
-    xu = np.array([frac_u64(x)], dtype=np.uint64)
-    yu = np.array([frac_u64(y)], dtype=np.uint64)
-    q = int(h.periodic_q53(xu, yu)[0])
-    return x * h.d1 + y * h.d2 + (q << _Q53_SHIFT)
+def _cocycle_scaled(h: BaseFunctionSpec, x: int, y: int, m: int, a: int, b: int) -> int:
+    """h_m(x, y) = sum_{i<m} h(x + i a, y + i b) exactly, on scaled integers
+    (value * 2**128): the winding part in closed form, the periodic part by
+    one :meth:`BaseFunctionSpec.periodic_q53` call on the m base points' u64
+    lanes (its values are elementwise, so h_m is the sum of m one-point sums).
+    A start off the 2**-64 grid, or for m > 1 a rotation, raises
+    :class:`FixedPointInexact`."""
+    tri = m * (m - 1) // 2
+    total = h.d1 * (m * x + tri * a) + h.d2 * (m * y + tri * b)
+    if m:
+        xu = np.array([frac_u64(x)], dtype=np.uint64)
+        yu = np.array([frac_u64(y)], dtype=np.uint64)
+        if m > 1:
+            i = np.arange(m, dtype=np.uint64)
+            xu = xu + i * np.uint64(frac_u64(a))
+            yu = yu + i * np.uint64(frac_u64(b))
+        total += sum(h.periodic_q53(xu, yu).tolist()) << _Q53_SHIFT
+    return total
 
 
 def lift_fixed(h: BaseFunctionSpec, x: FixedReal, y: FixedReal) -> FixedReal:
     """Exact-path lift: winding part exact, periodic part 2**-53 quantized."""
-    return FixedReal.from_scaled(_lift_scaled(h, x.scaled, y.scaled))
+    return FixedReal.from_scaled(_cocycle_scaled(h, x.scaled, y.scaled, 1, 0, 0))
 
 
-def _lift(h: BaseFunctionSpec, x, y):
-    if isinstance(x, FixedReal):
-        return lift_fixed(h, x, y)
-    return float(eval_h_lift(h, x, y))
+def cocycle_sum(h: BaseFunctionSpec, x, y, n: int, alpha, beta):
+    """The Birkhoff sum h_n(x, y) = sum_{i<n} h(x + i alpha, y + i beta); h_0 = 0.
 
-
-def cocycle_sum(h: BaseFunctionSpec, x: float, y: float, n: int, alpha: float, beta: float) -> float:
-    """Float lift of the Birkhoff sum h_n(x, y), compensated; h_0 = 0."""
+    Exact on FixedReal arguments; on floats a compensated sum of the lift at
+    x + i alpha, y + i beta.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if isinstance(x, FixedReal):
+        return FixedReal.from_scaled(
+            _cocycle_scaled(h, x.scaled, y.scaled, n, alpha.scaled, beta.scaled)
+        )
     return math.fsum(float(eval_h_lift(h, x + i * alpha, y + i * beta)) for i in range(n))
 
 
@@ -252,9 +272,7 @@ def step_T(sys: SkewSystem, pt: NilPoint) -> NilPoint:
         raise ValueError("step_T acts on Heisenberg points")
     x, y, _, _, fixed = rep = pt.rep
     if fixed:
-        g = GroupElement.from_scaled(
-            sys.alpha.scaled, sys.beta.scaled, _lift_scaled(sys.h, x, y), HEISENBERG
-        )
+        g = _translation(sys, x, y, 1)
     else:
         g = GroupElement(sys.alpha_f, sys.beta_f, float(eval_h_lift(sys.h, x, y)), HEISENBERG)
     return canonical_rep(mul(g, rep))
@@ -281,34 +299,11 @@ def iterate_T(sys: SkewSystem, pt: NilPoint, n: int) -> NilPoint:
     return canonical_rep(mul(_translation(sys, rep[0], rep[1], n), rep))
 
 
-def _birkhoff(f, x, y, n: int, alpha, beta):
-    """sum_{i<n} f(x + i alpha, y + i beta), duck-typed over FixedReal and float."""
-    total = x * 0  # zero in the number type of x
-    for _ in range(n):
-        total = total + f(x, y)
-        x = x + alpha
-        y = y + beta
-    return total
-
-
 def _translation(sys: SkewSystem, x: int, y: int, m: int) -> GroupElement:
     """The exact translation (m alpha, m beta, h_m(x, y)) by which T^m acts
-    on points over the base point (x, y), all scaled by 2**128.
-
-    The winding part of h_m is summed in closed form and the periodic part by
-    one :meth:`BaseFunctionSpec.periodic_q53` call on the m base points' u64
-    lanes, the same elementwise values m calls of :func:`lift_fixed` give.
-    """
-    a, b, h = sys.alpha.scaled, sys.beta.scaled, sys.h
-    tri = m * (m - 1) // 2
-    total = h.d1 * (m * x + tri * a) + h.d2 * (m * y + tri * b)
-    if m:
-        # the base points (x + i alpha, y + i beta) lie on the 2**-64 grid iff
-        # the start does and, for m > 1, so does the rotation
-        i = np.arange(m, dtype=np.uint64)
-        xu = i * np.uint64(frac_u64(a) if m > 1 else 0) + np.uint64(frac_u64(x))
-        yu = i * np.uint64(frac_u64(b) if m > 1 else 0) + np.uint64(frac_u64(y))
-        total += sum(h.periodic_q53(xu, yu).tolist()) << _Q53_SHIFT
+    on points over the base point (x, y), all scaled by 2**128."""
+    a, b = sys.alpha.scaled, sys.beta.scaled
+    total = _cocycle_scaled(sys.h, x, y, m, a, b)
     return GroupElement.from_scaled(a * m, b * m, total, HEISENBERG)
 
 
@@ -387,20 +382,16 @@ class JoiningSystem:
         return n * self.base.alpha_f, n * self.base.beta_f
 
     def H_value(self, x, y):
-        """Lift of H at (x, y): sums of shifted h lifts, p-side minus q-side."""
-        alpha, beta = self._rotation(x)
-
-        def side(m):
-            return _birkhoff(lambda u, v: _lift(self.base.h, u, v), x * m, y * m, m, alpha, beta)
-
-        return side(self.p) - side(self.q)
+        """Lift of H(x, y) = h_p(px, py) - h_q(qx, qy)."""
+        return self.H_n_value(x, y, 1)
 
     def H_n_value(self, x, y, n: int):
-        """Lift of the cocycle H_n(x, y) = sum_{i<n} H(x + i alpha, y + i beta)."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        """Lift of the cocycle H_n(x, y) = sum_{i<n} H(x + i alpha, y + i beta),
+        which the reindexing k = ip + j makes h_{pn}(px, py) - h_{qn}(qx, qy)."""
         alpha, beta = self._rotation(x)
-        return _birkhoff(self.H_value, x, y, n, alpha, beta)
+        h, p, q = self.base.h, self.p, self.q
+        return (cocycle_sum(h, x * p, y * p, n * p, alpha, beta)
+                - cocycle_sum(h, x * q, y * q, n * q, alpha, beta))
 
     def H_prime(self, x, y):
         """The trivialized cocycle H'(x, y) = H'_1(x, y) on representatives in [0, 1)^2."""

@@ -420,3 +420,82 @@ def test_run_weyl_reads_the_pair_scan(tmp_path, monkeypatch, capsys):
     assert lifted == []
     assert main(["weyl", "--config", str(cfg_path)]) == 0
     assert sum(lifted) == 500
+
+
+# -- bad input fails in validate, naming its field, before run writes ---------------
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("terms = 1,0,0.1,0.0", "terms = 1,0,2000,0.0", r"\[system\] terms"),
+    ("terms = 1,0,0.1,0.0", "terms = 1,0,nan,0.0", r"\[system\] terms"),
+    ("terms = 1,0,0.1,0.0", "terms = 1,0,inf,0.0", r"\[system\] terms"),
+    ("terms = 1,0,0.1,0.0", "terms = 1,0,0.1,nan", r"\[system\] terms"),
+    ("terms = 1,0,0.1,0.0", "terms = 1,0,600,0.0; 0,1,-600,0.0", r"\[system\] terms"),
+    ("alpha = 7640891576956012809/2^64", "alpha = 1.25", r"\[system\] alpha"),
+    ("alpha = 7640891576956012809/2^64", "alpha = -1/2^3", r"\[system\] alpha"),
+    ("beta = 13503953896175478587/2^64", "beta = 1", r"\[system\] beta"),
+    ("k = 1\n", "k = 0\n", r"\[coboundary\] k"),
+    ("cutoff = 8\n", "cutoff = 0\n", r"\[coboundary\] cutoff"),
+    ("cutoff = 8\n", "cutoff = -4\n", r"\[coboundary\] cutoff"),
+    ("bump_radius = 0.25", "bump_radius = 0.5", r"\[observable\] bump_center"),
+    ("bump_radius = 0.25", "bump_radius = -0.1", r"bump_radius = -0.1: bump radius"),
+    ("bump_center = 0.5,0.5", "bump_center = 0.9,0.5", r"\[observable\] bump_center"),
+])
+def test_bad_field_fails_before_run_writes(tmp_path, old, new, field):
+    text = small_cfg_text(str(tmp_path / "out"))
+    assert text.count(old) == 1
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError, match=field):
+        main(["run", "--config", str(cfg_path)])
+    assert not (tmp_path / "out").exists()
+
+
+def test_large_but_bounded_amplitude_is_accepted():
+    text = standard_config().to_ini().replace("terms = 1,0,0.1,0.0", "terms = 1,0,1000,0.0")
+    assert parse_config(text).terms[0].amplitude == 1000.0
+
+
+# -- each subcommand accepts only the options it reads -------------------------------
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("sieve", "--workers", "2"),
+    ("sieve", "--segment-size", "128"),
+    ("sieve", "--checkpoints", "100"),
+    ("orbit", "--workers", "2"),
+    ("orbit", "--segment-size", "128"),
+    ("reduce-joining", "--out", "x"),
+    ("reduce-joining", "--workers", "2"),
+    ("reduce-joining", "--segment-size", "128"),
+    ("reduce-joining", "--checkpoints", "100"),
+    ("winding", "--out", "x"),
+    ("winding", "--workers", "2"),
+    ("winding", "--segment-size", "128"),
+    ("winding", "--checkpoints", "100"),
+])
+def test_cli_option_a_command_ignores_is_an_error(tmp_path, capsys, command, option, value):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path), option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_kept_options_still_work(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
+    assert main(["orbit", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--checkpoints", "3,40"]) == 0
+    rows = (tmp_path / "o" / "orbit.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows] == ["n", "3", "40"]
+    assert main(["sieve", "--config", str(cfg_path), "--bound", "1000",
+                 "--out", str(tmp_path / "s")]) == 0
+    assert (tmp_path / "s" / "mertens.csv").exists()
+    assert main(["winding", "--config", str(cfg_path), "--n", "3", "--y0", "0.5"]) == 0
+    assert main(["correlate", "--config", str(cfg_path), "--out", str(tmp_path / "c"),
+                 "--workers", "1", "--segment-size", "64", "--checkpoints", "100,200"]) == 0
+    assert (tmp_path / "c" / "correlation.csv").read_text().splitlines()[1].startswith("100,")
+    assert not (tmp_path / "out").exists()

@@ -264,6 +264,72 @@ def test_iterate_rejects_off_grid_start():
     assert iterate_T(TWO_TERMS, off, 0) == off
 
 
+# -- the one Birkhoff sum ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 300])
+def test_cocycle_sum_is_the_sum_of_one_point_lifts(m):
+    """The exact sum over m base points is the sum of m one-point lifts at the
+    shifted points, and the float sum stays within 1e-12 m of it."""
+    sys, (x, y) = TWO_TERMS, (FixedReal(0.8125), FixedReal(0.3))
+    a, b = sys.alpha, sys.beta
+    exact = cocycle_sum(sys.h, x, y, m, a, b)
+    assert exact == sum((lift_fixed(sys.h, x + a * i, y + b * i) for i in range(m)), FixedReal(0))
+    fl = cocycle_sum(sys.h, float(x), float(y), m, float(a), float(b))
+    assert abs(fl - float(exact)) <= 1e-12 * max(m, 1)
+
+
+@pytest.mark.parametrize("p, q", [(3, 2), (5, 3), (7, 2)])
+def test_H_n_is_the_sum_of_shifted_H(p, q):
+    js = build_joining(TWO_TERMS, p, q)
+    a, b = TWO_TERMS.alpha, TWO_TERMS.beta
+    x, y = FixedReal(0.40625), FixedReal(0.71875)
+    for n in (0, 1, 2, 7):
+        shifted = (js.H_value(x + a * i, y + b * i) for i in range(n))
+        assert js.H_n_value(x, y, n) == sum(shifted, FixedReal(0))
+
+
+def test_cocycle_sum_rejects_off_grid_points():
+    h, a, b = TWO_TERMS.h, TWO_TERMS.alpha, TWO_TERMS.beta
+    off, half = FixedReal.from_scaled(1), FixedReal(0.5)
+    for m in (1, 2, 7):
+        with pytest.raises(FixedPointInexact):
+            cocycle_sum(h, off, half, m, a, b)
+        with pytest.raises(FixedPointInexact):
+            cocycle_sum(h, half, off, m, a, b)
+    # the rotation enters the base points only from the second one on
+    assert cocycle_sum(h, half, half, 1, off, b) == lift_fixed(h, half, half)
+    for m in (2, 7):
+        with pytest.raises(FixedPointInexact):
+            cocycle_sum(h, half, half, m, off, b)
+        with pytest.raises(FixedPointInexact):
+            cocycle_sum(h, half, half, m, a, off)
+
+
+@pytest.mark.parametrize("terms", [
+    (TrigTerm(1, 0, float("nan"), 0.0),),
+    (TrigTerm(1, 0, 0.1, float("inf")),),
+    (TrigTerm(1, 0, float("-inf"), 0.0),),
+    (TrigTerm(1, 0, 2000.0, 0.0),),
+    (TrigTerm(1, 0, 600.0, 0.0), TrigTerm(0, 1, -600.0, 0.5)),
+])
+def test_periodic_part_must_fit_the_quantization(terms):
+    with pytest.raises(ValueError):
+        BaseFunctionSpec(1, 0, terms)
+
+
+def test_periodic_part_without_terms_quantizes_to_int64_zeros():
+    u = np.arange(5, dtype=np.uint64) << np.uint64(61)
+    q = BaseFunctionSpec(1, 2).periodic_q53(u, u[::-1])
+    assert q.dtype == np.int64 and q.tolist() == [0] * 5
+
+
+def test_large_amplitude_quantizes_without_overflow():
+    h = BaseFunctionSpec(0, 0, (TrigTerm(1, 0, 1000.0, 0.0), TrigTerm(0, 1, 23.0, 0.0)))
+    u = np.array([1 << 62, 3 << 62], dtype=np.uint64)  # x = 1/4, 3/4
+    assert h.periodic_q53(u, u).tolist() == [1023 << 53, -(1023 << 53)]
+
+
 # -- the joining ---------------------------------------------------------------
 
 
