@@ -7,8 +7,9 @@ default the in-repo standard baseline) and accept only the overrides they
 read: ``run`` and the experiment subcommands ``--out``, ``--workers``,
 ``--segment-size`` and ``--checkpoints``; ``orbit`` ``--out`` and
 ``--checkpoints``; ``sieve`` ``--out``; ``reduce-joining`` and ``winding``
-none.  The default worker count comes from the ``LAB_WORKERS`` environment
-variable, which must be a positive integer when set.
+none.  For the commands that accept ``--workers``, the default worker count
+comes from the ``LAB_WORKERS`` environment variable, which must then be a
+positive integer when set; the other commands ignore it.
 
 An experiment subcommand writes that experiment's reports and prints its
 summary entries and the files written.  ``run`` executes every experiment
@@ -70,8 +71,10 @@ def _add_options(p: argparse.ArgumentParser, *names: str):
     p.add_argument("--config", type=str, default=None, help="INI config path")
     for name in names:
         p.add_argument(name, **_OPTIONS[name])
-    # an override the command does not accept reads as None in ``_load``
-    p.set_defaults(out=None, workers=None, segment_size=None, checkpoints=None)
+    # an override the command does not accept reads as None in ``_load``, and
+    # only a command that accepts --workers takes its default from LAB_WORKERS
+    p.set_defaults(out=None, workers=None, segment_size=None, checkpoints=None,
+                   accepts_workers="--workers" in names)
 
 
 def _check_plan_option(option: str, **field) -> None:
@@ -93,7 +96,7 @@ def _load(args) -> ExperimentConfig:
     patch = {}
     if args.out is not None:
         patch["out_dir"] = args.out
-    env_workers = os.environ.get("LAB_WORKERS")
+    env_workers = os.environ.get("LAB_WORKERS") if args.accepts_workers else None
     if args.workers is not None:
         _check_plan_option("--workers", worker_count=args.workers)
         patch["workers"] = args.workers

@@ -1,11 +1,15 @@
 """Mobius sieving and the correlation estimators.
 
 mu(n) is (-1)^k on squarefree n with k prime factors and 0 otherwise.  The
-sieve is segmented and vectorized: within each block, sign flips and products
-of the primes up to sqrt(N) identify squarefree numbers and detect the single
-possible prime factor above sqrt(N) by comparing the accumulated product with
-n itself.  Values are packed two bits per entry (codes mu + 1), a quarter byte
-each, so 10^9 fits comfortably in memory.
+sieve is segmented into blocks of 2^20 and vectorized on one int32 array per
+block: each prime p up to sqrt(N) multiplies its multiples by -p, and the
+multiples of p^2 are zeroed.  sign(product) is then mu up to the single
+possible prime factor above sqrt(N), which shows as |product| != n and flips
+the sign.  Values are packed two bits per entry (codes mu + 1), a quarter
+byte each, so 10^9 fits comfortably in memory.  Reading goes through byte
+tables: ``mu_slice`` looks each packed byte up in a 256 x 4 table of its four
+mu values, and ``mertens`` sums whole bytes through a 256-entry table of
+their mu sums.
 
 Estimators (all streamed through the deterministic orbit engine, hence
 byte-reproducible for any worker count):
@@ -66,37 +70,45 @@ def _base_primes(limit: int) -> np.ndarray:
 
 
 def _sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """mu values for n in [lo, hi) given the primes up to sqrt(global bound)."""
-    size = hi - lo
-    mu = np.ones(size, dtype=np.int8)
-    prod = np.ones(size, dtype=np.int64)
-    for p in base:
-        p = int(p)
-        start = (-lo) % p
-        mu[start::p] = -mu[start::p]
-        prod[start::p] *= p
-        p2 = p * p
-        if p2 < hi:
-            start2 = (-lo) % p2
-            mu[start2::p2] = 0
-    n = np.arange(lo, hi, dtype=np.int64)
-    large = (mu != 0) & (prod != n)
-    mu[large] = -mu[large]
+    """mu values for n in [lo, hi) given the primes up to sqrt(global bound).
+
+    ``prod`` collects the signed product of the distinct base primes dividing
+    n and is zeroed at the multiples of their squares.  Being a product of
+    distinct primes dividing n, ``|prod|`` divides n <= MAX_SIEVE < 2^31, so
+    int32 never overflows.  A squarefree n has at most one prime factor above
+    sqrt(n_max); ``|prod| != n`` flags exactly that factor, which flips the sign.
+    """
+    prod = np.ones(hi - lo, dtype=np.int32)
+    for p in base.tolist():
+        w = prod[(-lo) % p :: p]
+        np.multiply(w, -p, out=w)
+        if p * p < hi:
+            prod[(-lo) % (p * p) :: p * p] = 0
+    mu = np.sign(prod).astype(np.int8)
+    flip = (np.abs(prod) != np.arange(lo, hi, dtype=np.int32)).view(np.int8)
+    mu *= 1 - 2 * flip
     return mu
 
 
 def _pack_into(packed: np.ndarray, lo: int, mu: np.ndarray):
     """OR a block of codes into the 2-bit packed array (blocks never overlap
     except possibly at shared boundary bytes, where OR merges them)."""
-    codes = (mu + 1).astype(np.uint8)  # mu in {-1,0,1} -> {0,1,2}
     hi = lo + mu.size
     b0, b1 = lo // 4, (hi - 1) // 4
     span = np.zeros((b1 - b0 + 1) * 4, dtype=np.uint8)
-    span[lo - b0 * 4 : lo - b0 * 4 + mu.size] = codes
-    quad = span.reshape(-1, 4)
-    packed[b0 : b1 + 1] |= (
-        quad[:, 0] | (quad[:, 1] << 2) | (quad[:, 2] << 4) | (quad[:, 3] << 6)
-    )
+    # codes mu + 1 in {0, 1, 2}, one per byte
+    np.add(mu, 1, out=span[lo - b0 * 4 : hi - b0 * 4], casting="unsafe")
+    # read four code bytes as one little-endian word and gather its codes
+    # (bits 0, 8, 16, 24) into bits 0, 2, 4, 6 of the low byte
+    word = span.view("<u4")
+    word |= word >> 6
+    word |= word >> 12
+    packed[b0 : b1 + 1] |= word.astype(np.uint8)
+
+
+# _DECODE[b] holds the four mu values packed in byte b; _BYTE_SUM[b] their sum
+_DECODE = (((np.arange(256)[:, None] >> np.array([0, 2, 4, 6])) & 3) - 1).astype(np.int8)
+_BYTE_SUM = _DECODE.sum(axis=1).astype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,21 +122,29 @@ class MobiusTable:
         """mu(n) for n in [lo, hi) as an int8 array."""
         if not (1 <= lo <= hi <= self.n_max + 1):
             raise ValueError(f"slice [{lo}, {hi}) outside table range [1, {self.n_max}]")
-        idx = np.arange(lo, hi, dtype=np.int64)
-        codes = (self.packed[idx // 4] >> ((idx % 4) * 2).astype(np.uint8)) & 3
-        return codes.astype(np.int8) - 1
+        b0 = lo // 4
+        quads = np.take(_DECODE, self.packed[b0 : (hi + 3) // 4], axis=0)
+        return quads.reshape(-1)[lo - 4 * b0 : hi - 4 * b0]
 
     def mu(self, n: int) -> int:
         return int(self.mu_slice(n, n + 1)[0])
 
     def mertens(self, n: int) -> int:
-        """M(n) = sum_{k<=n} mu(k), exact."""
+        """M(n) = sum_{k<=n} mu(k), exact.
+
+        Whole bytes inside [1, n] are summed through ``_BYTE_SUM``; the partial
+        bytes at either end are decoded.  Byte 0 holds slot n = 0 and the last
+        byte may hold padding past n_max, which decode as -1 and so are never
+        summed whole.
+        """
         if not (1 <= n <= self.n_max):
             raise ValueError("mertens argument outside table range")
-        total = 0
-        for lo in range(1, n + 1, _BLOCK):
-            hi = min(lo + _BLOCK, n + 1)
-            total += int(self.mu_slice(lo, hi).sum(dtype=np.int64))
+        head = min(4, n + 1)  # [1, head) lies in byte 0
+        tail = max(head, (n + 1) // 4 * 4)  # bytes [1, tail // 4) are whole
+        total = int(self.mu_slice(1, head).sum()) + int(self.mu_slice(tail, n + 1).sum())
+        for b in range(1, tail // 4, _BLOCK):
+            chunk = self.packed[b : min(b + _BLOCK, tail // 4)]
+            total += int(np.take(_BYTE_SUM, chunk).sum(dtype=np.int64))
         return total
 
 

@@ -258,6 +258,19 @@ def test_cli_workers_env_rejects_bad_values(tmp_path, monkeypatch, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_workers_env_reaches_only_commands_with_workers(tmp_path, monkeypatch, capsys):
+    """Commands without --workers ignore LAB_WORKERS; ``run`` still checks it."""
+    monkeypatch.setenv("LAB_WORKERS", "0")
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
+    assert main(["sieve", "--config", str(cfg_path), "--bound", "1000"]) == 0
+    assert "M(1000) = 2" in capsys.readouterr().out
+    assert main(["winding", "--config", str(cfg_path), "--n", "2"]) == 0
+    with pytest.raises(ValueError, match="LAB_WORKERS"):
+        main(["run", "--config", str(cfg_path)])
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_checkpoints_override_names_the_option(tmp_path):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))

@@ -1,9 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from nillab import moebius
 from nillab.engine import OrbitSegmentPlan, orbit_stream_naive
 from nillab.fixedpoint import FixedReal, sqrt_q64
 from nillab.moebius import (
+    _base_primes,
+    _sieve_block,
     bilinear_sum,
     bilinear_sum_reduced,
     correlation_sum,
@@ -90,6 +95,98 @@ def test_slice_block_boundaries():
 def test_packing_quarter_byte():
     table = sieve_mobius(10**5)
     assert table.packed.nbytes <= 10**5 // 4 + 8
+
+
+def mu_reference(n_max: int) -> np.ndarray:
+    """mu(n) for 0 <= n <= n_max by dividing out the primes up to sqrt(n_max):
+    a squarefree n keeps at most one prime factor, which flips the sign."""
+    root = int(n_max**0.5) + 1
+    primes = [p for p in range(2, root + 1) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    rest = np.arange(n_max + 1, dtype=np.int64)
+    mu = np.ones(n_max + 1, dtype=np.int64)
+    for p in primes:
+        rest[::p] //= p
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+    mu[rest > 1] *= -1
+    return mu
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 8, 9, 24, 25, 168, 169, 170, 1000, 3 * 10**6])
+def test_whole_table_matches_reference(n_max):
+    """Every entry, across the 2^20 block edges at 3e6."""
+    ref = mu_reference(n_max)
+    assert [int(v) for v in ref[1:2001]] == [mu_bruteforce(n) for n in range(1, min(n_max, 2000) + 1)]
+    got = sieve_mobius(n_max).mu_slice(1, n_max + 1)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, ref[1:])
+
+
+@pytest.mark.parametrize("n_max, digest", [
+    (10**6, "32d9cfdf2c8c11ea52660ea80df8edfae9edfd5eb35c659cc9175a709e8b1ea1"),
+    (3 * 10**6, "2e8a8350e4673fc7d7e102fa23b3035eb01bd27dfa83cba900661cb7a09b75f1"),
+])
+def test_packed_bytes_pinned(n_max, digest):
+    assert hashlib.sha256(sieve_mobius(n_max).packed.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 64])
+def test_packing_independent_of_block_alignment(monkeypatch, block):
+    """Blocks starting at every residue mod 4 pack to the same bytes."""
+    expected = sieve_mobius(1001).packed.tobytes()
+    monkeypatch.setattr(moebius, "_BLOCK", block)
+    assert sieve_mobius(1001).packed.tobytes() == expected
+
+
+def test_mu_slice_every_offset_and_edge():
+    n_max = 1001
+    table, ref = sieve_mobius(n_max), mu_reference(n_max)
+    for lo in list(range(1, 13)) + list(range(n_max - 8, n_max + 2)):
+        for hi in range(lo, min(lo + 13, n_max + 2)):
+            assert np.array_equal(table.mu_slice(lo, hi), ref[lo:hi]), (lo, hi)
+    assert table.mu_slice(n_max + 1, n_max + 1).size == 0
+    for lo, hi in ((0, 5), (5, 4), (1, n_max + 2)):
+        with pytest.raises(ValueError, match="outside table range"):
+            table.mu_slice(lo, hi)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6, 9, 1000, 1001, 1002])
+def test_mertens_every_residue(monkeypatch, n_max):
+    """M(n) for every n <= n_max, including n_max % 4 != 3 (padding in the
+    last byte), with whole-byte chunks of 5 bytes so chunk edges are crossed."""
+    table = sieve_mobius(n_max)
+    expected = np.cumsum(mu_reference(n_max))
+    monkeypatch.setattr(moebius, "_BLOCK", 5)
+    assert [table.mertens(n) for n in range(1, n_max + 1)] == expected[1:].tolist()
+    with pytest.raises(ValueError):
+        table.mertens(n_max + 1)
+
+
+def test_sieve_block_at_max_sieve():
+    """The last block below MAX_SIEVE stays exact in int32."""
+    hi = moebius.MAX_SIEVE + 1
+    lo = hi - (1 << 20)
+    base = _base_primes(31622)
+    mu = _sieve_block(lo, hi, base)
+    primes = base.tolist()
+
+    def mu_trial(n):
+        val = 1
+        for p in primes:
+            if p * p > n:
+                break
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                val = -val
+        return -val if n > 1 else val
+
+    picks = list(range(hi - 200, hi)) + list(range(lo, lo + 50))
+    picks += np.random.default_rng(11).integers(lo, hi, size=100).tolist()
+    assert {mu_trial(n) for n in picks} == {-1, 0, 1}
+    for n in picks:
+        assert mu[n - lo] == mu_trial(n), n
 
 
 # -- estimators -------------------------------------------------------------------
