@@ -24,6 +24,16 @@ Weyl sums of ``nillab run``) read its cocycle instead of scanning its p + q
 lifts.  Observable values are quantized to 2**-53 and summed in integer
 arithmetic, which makes checkpoint sums bit-identical for any worker count and
 segment size -- and equal to the naive single-loop oracle.
+
+Each worker of a pass over segments holds one :class:`_Workspace`: a few
+segment-length buffers into which the cocycle values, the scan, the lanes,
+their floats and the quantized values are written in place, segment after
+segment.  A workspace lives for one pass of one stream -- at most one per
+worker, dropped when the pass returns -- so the hot arrays are neither
+allocated nor page-faulted again per segment, and the engine keeps no buffer
+between calls.  The kernels (``u_values``, ``lanes``, ``mulhi_u64``) take
+their buffers as optional arguments; without them, as in the naive oracle,
+the same code writes into fresh arrays.
 """
 
 from __future__ import annotations
@@ -50,8 +60,46 @@ def u64c(v: int) -> np.uint64:
     return np.uint64(v & MASK64)
 
 
-def mulhi_u64(a, b):
-    """High 64 bits of the 64x64 product, elementwise (32-bit split).
+class _Workspace:
+    """Segment-length buffers of one worker, for one pass of one stream.
+
+    ``take(name, shape)`` returns the first entries of the buffer ``name``,
+    made on first use at ``size`` and handed out again on every later call,
+    so each segment writes its arrays in place.  What a name holds stays
+    valid until the next ``take`` of that name; ``t1`` and ``t2`` are scratch,
+    read before the next kernel runs.  A buffer serves every dtype of
+    its itemsize.  A shape that is not 1-d within ``size`` -- and every shape
+    when ``size`` is 0, as in ``_FRESH``, the kernels' default -- gets a fresh
+    array instead.  ``steps`` is ``arange(size)``, shared by the workspaces
+    of one pass.
+    """
+
+    def __init__(self, size: int = 0, steps: np.ndarray | None = None):
+        self.size = size
+        self._steps = steps
+        self._bufs = {}
+
+    def take(self, name: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        if len(shape) != 1 or not 0 < shape[0] <= self.size:
+            return np.empty(shape, dtype)
+        buf = self._bufs.get(name)
+        if buf is None or buf.itemsize != dtype.itemsize:
+            buf = self._bufs[name] = np.empty(self.size, dtype)
+        return buf[: shape[0]].view(dtype)
+
+    def steps(self, name: str, lo: int, hi: int) -> np.ndarray:
+        """The step indices lo .. hi - 1 (at most ``size``) as uint64, in the
+        buffer ``name``."""
+        return np.add(self._steps[: hi - lo], u64c(lo), out=self.take(name, (hi - lo,)))
+
+
+_FRESH = _Workspace()
+
+
+def mulhi_u64(a, b, out=None, tmp=None):
+    """High 64 bits of the 64x64 product, elementwise (32-bit split), written
+    into ``out`` when given; ``tmp``, when given, is scratch of the same shape.
 
     When every a is below 2**32 (or b is a scalar below 2**32, by symmetry)
     two partial products suffice: a (b >> 32) + (a (b & M) >> 32) is at most
@@ -61,8 +109,22 @@ def mulhi_u64(a, b):
     b = np.asarray(b, dtype=np.uint64)
     if b.ndim == 0 and b <= _U32MASK:
         a, b = b, a
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    out = np.empty(shape, np.uint64) if out is None else out
     if np.max(a, initial=0) <= _U32MASK:
-        return (a * (b >> _SH32) + ((a * (b & _U32MASK)) >> _SH32)) >> _SH32
+        tmp = np.empty(shape, np.uint64) if tmp is None else tmp
+        if b.ndim == 0:
+            np.multiply(a, b & _U32MASK, out=out)
+            np.multiply(a, b >> _SH32, out=tmp)
+        else:
+            np.bitwise_and(b, _U32MASK, out=out)
+            out *= a
+            np.right_shift(b, _SH32, out=tmp)
+            tmp *= a
+        out >>= _SH32
+        out += tmp
+        out >>= _SH32
+        return out
     a_lo = a & _U32MASK
     a_hi = a >> _SH32
     b_lo = b & _U32MASK
@@ -70,23 +132,29 @@ def mulhi_u64(a, b):
     t = a_lo * b_lo
     w = a_hi * b_lo + (t >> _SH32)
     v = a_lo * b_hi + (w & _U32MASK)
-    return a_hi * b_hi + (w >> _SH32) + (v >> _SH32)
+    return np.add(a_hi * b_hi + (w >> _SH32), v >> _SH32, out=out)
 
 
-def _frac_int_parts(base_u: np.uint64, step_u: np.uint64, n: np.ndarray):
-    """frac and floor of base + n*step, where base, step are Q64 in [0, 1)."""
-    lo = n * step_u
-    frac = base_u + lo
-    carry = (frac < lo).astype(np.uint64)
-    return frac, mulhi_u64(n, step_u) + carry
+def _frac_int_parts(base_u: np.uint64, step_u: np.uint64, n: np.ndarray, frac=None, ip=None):
+    """frac and floor of base + n*step, where base, step are Q64 in [0, 1),
+    written into ``frac`` and ``ip`` when given."""
+    frac = np.empty(n.shape, np.uint64) if frac is None else frac
+    ip = mulhi_u64(n, step_u, out=ip, tmp=frac)
+    np.multiply(n, step_u, out=frac)
+    frac += base_u
+    ip += frac < base_u  # the sum wrapped exactly when it fell below base
+    return frac, ip
 
 
-def _n_times_q128(c128: int, n: np.ndarray):
-    """(hi, lo) lanes of n * c128 mod 2**128 for a fixed 128-bit constant."""
+def _n_times_q128(c128: int, n: np.ndarray, hi=None, lo=None):
+    """(hi, lo) lanes of n * c128 mod 2**128 for a fixed 128-bit constant,
+    written into ``hi`` and ``lo`` when given."""
     c_hi = u64c(c128 >> 64)
     c_lo = u64c(c128)
-    lo = n * c_lo
-    hi = n * c_hi + mulhi_u64(n, c_lo)
+    lo = np.empty(n.shape, np.uint64) if lo is None else lo
+    hi = mulhi_u64(n, c_lo, out=hi, tmp=lo)
+    hi += np.multiply(n, c_hi, out=lo)
+    np.multiply(n, c_lo, out=lo)
     return hi, lo
 
 
@@ -182,35 +250,52 @@ class _LaneStream:
             for j in range(m)
         ]
 
-    def _lift(self, xg: np.ndarray, yg: np.ndarray) -> np.ndarray:
-        """The lift of h at u64 torus coordinates, wrapped mod 1."""
-        q = self.h.periodic_q53(xg, yg).astype(np.uint64) << np.uint64(11)
-        return self.d1u * xg + self.d2u * yg + q
+    def _lift(self, xg: np.ndarray, yg: np.ndarray):
+        """The lift of h at u64 torus coordinates, wrapped mod 1, written over
+        ``xg`` (``yg`` is overwritten too)."""
+        q = self.h.periodic_q53(xg, yg)
+        xg *= self.d1u
+        yg *= self.d2u
+        xg += yg
+        np.copyto(yg, q, casting="unsafe")  # int64 -> uint64 wraps, as astype does
+        yg <<= np.uint64(11)
+        xg += yg
 
-    def u_values(self, i: np.ndarray) -> np.ndarray:
-        """H at the base points (x0, y0) + i (alpha, beta), wrapped mod 1."""
-        (_, bx, by, sx, sy), *rest = self.shifts
-        acc = self._lift(bx + i * sx, by + i * sy)
-        for minus, bx, by, sx, sy in rest:
-            v = self._lift(bx + i * sx, by + i * sy)
-            acc = acc - v if minus else acc + v
+    def u_values(self, i: np.ndarray, ws: _Workspace = _FRESH) -> np.ndarray:
+        """H at the base points (x0, y0) + i (alpha, beta), wrapped mod 1, in
+        ``ws``'s buffer ``u``."""
+        acc, xg, yg = (ws.take(name, i.shape) for name in ("u", "t1", "t2"))
+        for k, (minus, bx, by, sx, sy) in enumerate(self.shifts):
+            x = acc if k == 0 else xg
+            np.multiply(i, sx, out=x)
+            x += bx
+            np.multiply(i, sy, out=yg)
+            yg += by
+            self._lift(x, yg)
+            if k:
+                (np.subtract if minus else np.add)(acc, xg, out=acc)
         return acc
 
-    def lanes(self, n: np.ndarray, s: np.ndarray):
-        """(x frac, y frac, z hi, z lo) for step indices n with cocycle sums s."""
-        t1_hi, t1_lo = _n_times_q128(self.cross, n)
-        fx, kx = _frac_int_parts(self.x0u, self.au, n)
-        fy, m = _frac_int_parts(self.y0u, self.bu, n)
-        z_lo = u64c(self.z0_lo) + t1_lo
-        carry = (z_lo < t1_lo).astype(np.uint64)
-        z_hi = (
-            u64c(self.z0_hi)
-            + s
-            + t1_hi
-            + carry
-            - fx * (m * self.cu)
-            + fy * (kx * self.cu)
+    def lanes(self, n: np.ndarray, s: np.ndarray, ws: _Workspace = _FRESH):
+        """(x frac, y frac, z hi, z lo) for step indices n with cocycle sums s,
+        in ``ws``'s buffers ``fx``, ``fy``, ``z_hi`` and ``z_lo``."""
+        fx, fy, z_hi, z_lo, kx, m = (
+            ws.take(name, n.shape) for name in ("fx", "fy", "z_hi", "z_lo", "t1", "t2")
         )
+        _n_times_q128(self.cross, n, hi=z_hi, lo=z_lo)
+        z0_lo = u64c(self.z0_lo)
+        z_lo += z0_lo
+        z_hi += z_lo < z0_lo  # the carry out of the low limb
+        z_hi += u64c(self.z0_hi)
+        z_hi += s
+        _frac_int_parts(self.x0u, self.au, n, frac=fx, ip=kx)
+        _frac_int_parts(self.y0u, self.bu, n, frac=fy, ip=m)
+        m *= self.cu
+        m *= fx
+        z_hi -= m
+        kx *= self.cu
+        kx *= fy
+        z_hi += kx
         return fx, fy, z_hi, z_lo
 
 
@@ -250,34 +335,37 @@ def _exact_sum_i64(a: np.ndarray) -> int:
     return total
 
 
-def _quantize(values: np.ndarray):
-    v = np.asarray(values)
-    re = np.ascontiguousarray(v.real)
-    im = np.ascontiguousarray(v.imag) if np.iscomplexobj(v) else np.zeros_like(re)
-    peak = max(np.max(np.abs(re), initial=0.0), np.max(np.abs(im), initial=0.0))
-    if not np.isfinite(peak) or peak > _VALUE_BOUND:
-        raise ValueError(
-            f"observable value magnitude {peak} exceeds the accumulation bound "
-            f"{_VALUE_BOUND}"
-        )
-    return (
-        np.rint(re * Q53).astype(np.int64),
-        np.rint(im * Q53).astype(np.int64),
-    )
+def _peak(part: np.ndarray):
+    """max |part| (0 when empty, NaN when any is), without an |part| array."""
+    return max(part.max(initial=0.0), -part.min(initial=0.0))
 
 
-def _float_lanes(fx, fy, z_hi, z_lo):
-    xf = fx.astype(np.float64) * 2.0**-64
-    yf = fy.astype(np.float64) * 2.0**-64
-    zf = z_hi.astype(np.float64) * 2.0**-64 + z_lo.astype(np.float64) * 2.0**-128
+def _quantize(part: np.ndarray, ws: _Workspace = _FRESH) -> np.ndarray:
+    """Real values on the 2**-53 grid, as int64 in ``ws``'s scratch ``t2``."""
+    scaled = np.multiply(part, Q53, out=ws.take("t1", part.shape, np.float64))
+    return np.rint(scaled, out=ws.take("t2", part.shape, np.int64), casting="unsafe")
+
+
+def _float_lanes(fx, fy, z_hi, z_lo, ws: _Workspace = _FRESH):
+    """The lanes as floats in [0, 1), in ``ws``'s buffers ``xf``, ``yf``, ``zf``:
+    each lane cast to float64, then scaled by a power of two (exactly)."""
+    shape = np.broadcast_shapes(fx.shape, fy.shape, z_hi.shape, z_lo.shape)
+    xf, yf, zf, lo = (ws.take(name, shape, np.float64) for name in ("xf", "yf", "zf", "t1"))
+    np.multiply(fx, 2.0**-64, out=xf)
+    np.multiply(fy, 2.0**-64, out=yf)
+    np.multiply(z_hi, 2.0**-64, out=zf)
+    zf += np.multiply(z_lo, 2.0**-128, out=lo)
     return xf, yf, zf
 
 
-def _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache):
+def _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache, ws):
+    """One value function on a segment.  A lane sink also gets ``ws``, and
+    may overwrite any of its buffers but the lanes and ``n`` it is given."""
     if getattr(fn, "wants_lanes", False):
-        return fn(fx, fy, z_hi, z_lo, n)
+        floats_cache[0] = None
+        return fn(fx, fy, z_hi, z_lo, n, ws=ws)
     if floats_cache[0] is None:
-        floats_cache[0] = _float_lanes(fx, fy, z_hi, z_lo)
+        floats_cache[0] = _float_lanes(fx, fy, z_hi, z_lo, ws)
     xf, yf, zf = floats_cache[0]
     return fn(xf, yf, zf, n)
 
@@ -291,42 +379,67 @@ def _segment_bounds(n_total: int, segment_size: int):
     return [(lo, min(lo + segment_size, n_total)) for lo in range(0, n_total, segment_size)]
 
 
-def _map_segments(job, count: int, workers: int) -> list:
-    """``[job(k) for k in range(count)]``, on ``workers`` threads when above 1.
+def _map_segments(job, bounds, workers: int) -> list:
+    """``[job(k, ws) for k in range(len(bounds))]``, on ``workers`` threads
+    when above 1.
 
-    The pool takes jobs in FIFO order, so job k - 1 has started before job k
-    runs: a job may wait on its predecessor without deadlock."""
-    if workers > 1 and count > 1:
+    A running job holds a :class:`_Workspace` sized to the longest segment,
+    and passes it on to a later job when it returns: there are at most
+    ``workers`` of them, and none outlives this call.  The pool takes jobs in
+    FIFO order, so job k - 1 has started before job k runs: a job may wait on
+    its predecessor without deadlock."""
+    size = bounds[0][1] - bounds[0][0]
+    steps = np.arange(size, dtype=np.uint64)
+    idle = []
+
+    def run(k):
+        try:
+            ws = idle.pop()
+        except IndexError:
+            ws = _Workspace(size, steps)
+        try:
+            return job(k, ws)
+        finally:
+            idle.append(ws)
+
+    if workers > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, range(count)))
-    return [job(k) for k in range(count)]
+            return list(pool.map(run, range(len(bounds))))
+    return [run(k) for k in range(len(bounds))]
 
 
 def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, prefixes=None) -> list:
-    """One pass over steps 1 .. plan.n_total: ``[consume(lo, hi, s)]`` per segment.
+    """One pass over steps 1 .. plan.n_total: ``[consume(lo, hi, s, ws)]`` per
+    segment.
 
-    ``s`` holds the cocycle prefix sums S_{lo+1} .. S_hi (mod 1).  Segment k
+    ``s`` holds the cocycle prefix sums S_{lo+1} .. S_hi (mod 1), in the
+    buffer ``u`` of the worker's workspace ``ws``.  Segment k
     computes its ``u_values`` once and takes their local cumsum, then waits for
     segment k - 1's inclusive carry and publishes its own before it consumes.
     On one worker this is a running offset; on several it is a chained scan.
     A failing segment still publishes (an unknown carry) and wakes every later
     segment, so they raise instead of waiting forever, even on segments the
-    pool cancels once the failure surfaces.  ``prefixes(lo, hi)``, when given,
-    supplies ``s`` from a scan kept earlier, and nothing is scanned.
+    pool cancels once the failure surfaces.  ``prefixes(lo, hi, out)``, when
+    given, writes ``s`` into ``out`` from a scan kept earlier, and nothing is
+    scanned.
     """
     bounds = _segment_bounds(plan.n_total, plan.segment_size)
     if prefixes is not None:
-        return _map_segments(
-            lambda k: consume(*bounds[k], prefixes(*bounds[k])), len(bounds), plan.worker_count
-        )
+
+        def read(k, ws):
+            lo, hi = bounds[k]
+            return consume(lo, hi, prefixes(lo, hi, ws.take("u", (hi - lo,))), ws)
+
+        return _map_segments(read, bounds, plan.worker_count)
     carries = [0] + [None] * len(bounds)
     ready = [threading.Event() for _ in carries]
     ready[0].set()
 
-    def job(k):
+    def job(k, ws):
         lo, hi = bounds[k]
         try:
-            s = np.cumsum(stream.u_values(np.arange(lo, hi, dtype=np.uint64)), dtype=np.uint64)
+            s = stream.u_values(ws.steps("n", lo, hi), ws)
+            np.cumsum(s, dtype=np.uint64, out=s)
             ready[k].wait()
             offset = carries[k]
             if offset is None:
@@ -339,20 +452,30 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, prefixe
             for event in ready[k + 1 : stop]:
                 event.set()
         s += u64c(offset)
-        return consume(lo, hi, s)
+        return consume(lo, hi, s, ws)
 
-    return _map_segments(job, len(bounds), plan.worker_count)
+    return _map_segments(job, bounds, plan.worker_count)
 
 
-def _cut_sums(values, lo: int, cuts):
+def _cut_sums(values, lo: int, cuts, ws: _Workspace = _FRESH):
     """Exact quantized sums of the values of steps lo+1 ..: one prefix sum per
     checkpoint in ``cuts``, then the totals."""
-    qre, qim = _quantize(values)
-    return (
-        [(c, _exact_sum_i64(qre[: c - lo]), _exact_sum_i64(qim[: c - lo])) for c in cuts],
-        _exact_sum_i64(qre),
-        _exact_sum_i64(qim),
-    )
+    v = np.asarray(values)
+    complex_v = np.iscomplexobj(v)
+    peak = max(_peak(v.real), _peak(v.imag) if complex_v else 0.0)
+    if not np.isfinite(peak) or peak > _VALUE_BOUND:
+        raise ValueError(
+            f"observable value magnitude {peak} exceeds the accumulation bound "
+            f"{_VALUE_BOUND}"
+        )
+
+    def part_sums(part):
+        q = _quantize(part, ws)  # one part at a time, through one buffer
+        return [_exact_sum_i64(q[: c - lo]) for c in cuts], _exact_sum_i64(q)
+
+    re_cuts, re_tot = part_sums(v.real)
+    im_cuts, im_tot = part_sums(v.imag) if complex_v else ([0] * len(cuts), 0)
+    return list(zip(cuts, re_cuts, im_cuts)), re_tot, im_tot
 
 
 def _running_sums(chunks) -> list[tuple[int, complex]]:
@@ -381,7 +504,9 @@ def orbit_stream_multi(
 
     ``value_fns`` are callables ``fn(x, y, z, n) -> complex ndarray`` (floats
     in [0,1)), or lane sinks with ``wants_lanes = True`` receiving the raw
-    uint64 lanes.  ``weights`` is an optional callable ``(lo, hi) -> int8``
+    uint64 lanes (see :class:`StarDescentSink`).  The arrays a value function
+    is given are valid only during the call: the next segment reuses them.
+    ``weights`` is an optional callable ``(lo, hi) -> int8``
     giving multiplicative weights for steps lo+1 .. hi.  Returns, per value
     function, a list of ``(N, complex_sum)`` with the *unnormalized* sum over
     n <= N, exactly accumulated on the 2**-53 grid.  A joining from the origin
@@ -392,16 +517,18 @@ def orbit_stream_multi(
     checkpoints = _checkpoints_within([n_total] if checkpoints is None else checkpoints, n_total)
     stream = _make_stream(system, start)
 
-    def consume(lo, hi, s):
-        n = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-        fx, fy, z_hi, z_lo = stream.lanes(n, s)
+    def consume(lo, hi, s, ws):
+        n = ws.steps("n", lo + 1, hi + 1)
+        fx, fy, z_hi, z_lo = stream.lanes(n, s, ws)
         w = weights(lo + 1, hi + 1) if weights is not None else None
         floats_cache = [None]
         cuts = [c for c in checkpoints if lo < c <= hi]
         out = []
         for fn in value_fns:
-            v = _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache)
-            out.append(_cut_sums(v if w is None else v * w, lo, cuts))
+            v = _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache, ws)
+            if w is not None:
+                v = np.multiply(v, w, out=ws.take("w", v.shape, np.result_type(v, w)))
+            out.append(_cut_sums(v, lo, cuts, ws))
         return out
 
     prefixes = pair_scan.prefixes(stream, n_total) if pair_scan is not None else None
@@ -436,12 +563,13 @@ def orbit_stream_naive(system, start, n_total, value_fn, weights=None, checkpoin
             np.array([n], dtype=np.uint64), np.array([s], dtype=np.uint64)
         )
         floats_cache = [None]
-        v = _eval_fn(value_fn, fx, fy, z_hi, z_lo, np.array([n], dtype=np.uint64), floats_cache)
+        n_arr = np.array([n], dtype=np.uint64)
+        v = _eval_fn(value_fn, fx, fy, z_hi, z_lo, n_arr, floats_cache, _FRESH)
         if weights is not None:
             v = v * weights(n, n + 1)
-        qre, qim = _quantize(v)
-        re_tot += int(qre[0])
-        im_tot += int(qim[0])
+        _, re, im = _cut_sums(v, i, [])
+        re_tot += re
+        im_tot += im
         if n in cset:
             out.append((n, complex(re_tot / Q53, im_tot / Q53)))
     return out
@@ -456,7 +584,7 @@ def orbit_points(system, start, ns):
         raise ValueError("orbit indices must be >= 1")
     stream = _make_stream(system, start)
 
-    def consume(lo, hi, s):
+    def consume(lo, hi, s, ws):
         return s[want[(want > lo) & (want <= hi)] - lo - 1]
 
     s = np.concatenate(_scan_segments(stream, OrbitSegmentPlan(int(want[-1])), consume))
@@ -503,14 +631,15 @@ class PairScan:
             self._kept = (self._key(stream, p, q), s_p, s_q)
 
     def prefixes(self, stream: _LaneStream, n_total: int):
-        """``(lo, hi) -> S*_{lo+1} .. S*_hi`` for a joining ``stream`` to
-        ``n_total``, or None when the held scan does not cover it."""
+        """``(lo, hi, out) -> S*_{lo+1} .. S*_hi`` written into ``out``, for a
+        joining ``stream`` to ``n_total``, or None when the held scan does not
+        cover it."""
         if self._kept is None or stream.x0u != 0 or stream.y0u != 0:
             return None
         key, s_p, s_q = self._kept
         if key != self._key(stream, stream.p, stream.q) or n_total > s_p.size:
             return None
-        return lambda lo, hi: s_p[lo:hi] - s_q[lo:hi]
+        return lambda lo, hi, out: np.subtract(s_p[lo:hi], s_q[lo:hi], out=out)
 
 
 def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
@@ -536,7 +665,7 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
     s_p = np.empty(n_pairs, dtype=np.uint64)
     s_q = np.empty(n_pairs, dtype=np.uint64)
 
-    def keep(lo, hi, s):
+    def keep(lo, hi, s, ws):
         _keep_multiples(s_p, p, lo, hi, s)
         _keep_multiples(s_q, q, lo, hi, s)
 
@@ -545,20 +674,23 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
         pair_scan.keep(stream, p, q, s_p, s_q)
     chunks = _segment_bounds(n_pairs, plan_template.segment_size)
 
-    def job(k):
+    def job(k, ws):
         lo, hi = chunks[k]
-        n = np.arange(lo + 1, hi + 1, dtype=np.uint64)
 
         def factor(m, s):  # F(T^{m n} x0) for the chunk's n
-            return obs.eval_arrays(*_float_lanes(*stream.lanes(n * u64c(m), s[lo:hi])))
+            mn = ws.steps("n", lo + 1, hi + 1)
+            mn *= u64c(m)
+            return obs.eval_arrays(*_float_lanes(*stream.lanes(mn, s[lo:hi], ws), ws))
 
         # conj(F_q) * F_p in this order: under fused multiply-add, swapping
         # the operands of a complex product changes its rounding, and the
         # report digests were taken in this order
-        values = np.multiply(np.conj(factor(q, s_q)), factor(p, s_p))
-        return _cut_sums(values, lo, [c for c in checkpoints if lo < c <= hi])
+        values = factor(q, s_q)  # a new array, conjugated in place
+        np.conjugate(values, out=values)
+        np.multiply(values, factor(p, s_p), out=values)
+        return _cut_sums(values, lo, [c for c in checkpoints if lo < c <= hi], ws)
 
-    return _running_sums(_map_segments(job, len(chunks), plan_template.worker_count))
+    return _running_sums(_map_segments(job, chunks, plan_template.worker_count))
 
 
 def checkpoint_sums(values: np.ndarray, checkpoints) -> list[tuple[int, complex]]:
@@ -587,23 +719,25 @@ class StarDescentSink:
         self.p = p
         self.q = q
 
-    def _factor(self, m: int, fx, fy, z_hi, z_lo):
+    def _factor(self, m: int, fx, fy, z_hi, z_lo, ws: _Workspace):
         """f at the X-reduction of (m x, m y, z): with m x = ka + xa 2**-64
         and m y = la + ya 2**-64, z loses m x floor(m y) - floor(m x) m y."""
         mu = u64c(m)
-        xa = fx * mu
-        ka = mulhi_u64(fx, mu)
-        ya = fy * mu
-        la = mulhi_u64(fy, mu)
-        za_hi = z_hi - xa * la + ka * ya
-        xf, yf, zf = _float_lanes(xa, ya, za_hi, z_lo)
-        return self.obs.eval_arrays(xf, yf, zf)
+        shape = np.broadcast_shapes(fx.shape, fy.shape, z_hi.shape)
+        xa, ya, za, ka = (ws.take(name, shape) for name in ("star.x", "star.y", "star.z", "t2"))
+        mulhi_u64(fy, mu, out=za, tmp=xa)  # la
+        za *= np.multiply(fx, mu, out=xa)
+        mulhi_u64(fx, mu, out=ka, tmp=ya)
+        ka *= np.multiply(fy, mu, out=ya)
+        np.subtract(z_hi, za, out=za)  # z - xa la + ka ya
+        za += ka
+        return self.obs.eval_arrays(*_float_lanes(xa, ya, za, z_lo, ws))
 
-    def __call__(self, fx, fy, z_hi, z_lo, n):
-        zero = np.zeros_like(z_lo)
-        f1 = self._factor(self.p, fx, fy, z_hi, z_lo)
-        f2 = self._factor(self.q, fx, fy, zero, zero)
-        return f1 * np.conj(f2)
+    def __call__(self, fx, fy, z_hi, z_lo, n, ws: _Workspace = _FRESH):
+        zero = np.broadcast_to(np.uint64(0), z_lo.shape)
+        f1 = self._factor(self.p, fx, fy, z_hi, z_lo, ws)
+        f2 = self._factor(self.q, fx, fy, zero, zero, ws)  # a new array, conjugated in place
+        return np.multiply(f1, np.conjugate(f2, out=f2), out=f2)
 
     def eval_star(self, x, y, z):
         """f_star at float star coordinates, taken mod 1 (vectorized).
@@ -614,8 +748,7 @@ class StarDescentSink:
         fx, _ = _q128_lanes(x)
         fy, _ = _q128_lanes(y)
         z_hi, z_lo = _q128_lanes(z)
-        with np.errstate(over="ignore"):  # 0-d lanes wrap as numpy scalars, which warn
-            return self(fx, fy, z_hi, z_lo, None)
+        return self(fx, fy, z_hi, z_lo, None)
 
 
 def _q128_lanes(v):

@@ -421,10 +421,10 @@ def test_run_weyl_reads_the_pair_scan(tmp_path, monkeypatch, capsys):
     u_values = _LaneStream.u_values
     lifted = []
 
-    def counting(self, i):
+    def counting(self, i, *ws):
         if self.p != 1:
             lifted.append(i.size)
-        return u_values(self, i)
+        return u_values(self, i, *ws)
 
     monkeypatch.setattr(_LaneStream, "u_values", counting)
     cfg_path = tmp_path / "cfg.ini"

@@ -1,5 +1,7 @@
 import functools
+import gc
 import threading
+import tracemalloc
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
@@ -28,6 +30,7 @@ from nillab.engine import (
 )
 from nillab.fixedpoint import FixedReal, sqrt_q64
 from nillab.heisenberg import GroupElement, canonical_rep, identity
+from nillab.moebius import bilinear_sum_reduced
 from nillab.observables import BumpProfile, Observable, eval_observable
 
 ALPHA = sqrt_q64(2) - 1
@@ -58,8 +61,9 @@ def test_mulhi_oracle(rng):
 
 def test_mulhi_two_product_forms_oracle(rng):
     """Scalars at and around 2**32 on either side of a full-range array, an
-    array below 2**32 (two partial products), and one straddling 2**32
-    (which must fall back to four)."""
+    array below 2**32 (two partial products) against a full-range array or
+    scalar, and one straddling 2**32 (which must fall back to four); with
+    and without output buffers."""
     full = rng.integers(0, 2**64 - 1, size=400, dtype=np.uint64, endpoint=True)
     full[:3] = (0, 2**64 - 1, 2**32)
     small = rng.integers(0, 2**32 - 1, size=400, dtype=np.uint64, endpoint=True)
@@ -69,9 +73,13 @@ def test_mulhi_two_product_forms_oracle(rng):
     cases = [(small, full), (straddling, full)]
     for c in (0, 1, 2**32 - 1, 2**32):
         cases += [(np.uint64(c), full), (full, np.uint64(c))]
+    cases += [(small, np.uint64(c)) for c in (2**32, 2**64 - 1, 0x9E3779B97F4A7C15)]
     for a, b in cases:
         want = [(int(x) * int(y)) >> 64 for x, y in zip(*np.broadcast_arrays(a, b))]
         assert [int(v) for v in mulhi_u64(a, b)] == want
+        out, tmp = np.empty(400, np.uint64), np.empty(400, np.uint64)
+        assert mulhi_u64(a, b, out=out, tmp=tmp) is out
+        assert [int(v) for v in out] == want
 
 
 def test_frac_int_parts_oracle(rng):
@@ -179,9 +187,29 @@ def test_joining_lanes_equal_exact_stepping(p, q, h):
     stream = _make_stream(js, None)
     (lanes,) = _scan_segments(
         stream, OrbitSegmentPlan(n_max),
-        lambda lo, hi, s: stream.lanes(np.arange(lo + 1, hi + 1, dtype=np.uint64), s),
+        lambda lo, hi, s, ws: stream.lanes(np.arange(lo + 1, hi + 1, dtype=np.uint64), s),
     )
     pt = (FixedReal(0), FixedReal(0), FixedReal(0))
+    for k in range(n_max):
+        pt = js.step_trivialized(pt)
+        x, y, z = pt
+        want = (x.frac_u64(), y.frac_u64(), *z.frac_lanes())
+        assert tuple(int(lane[k]) for lane in lanes) == want, f"n={k + 1}"
+
+
+def test_joining_lanes_carry_the_low_z_limb():
+    """From a start whose z has a low 2**-128 limb just under 2**-64, that
+    limb wraps on most steps: the lanes still equal exact stepping."""
+    js = build_joining(make_sys(), 3, 2)
+    start = (FixedReal(0.25), FixedReal(0.625), FixedReal.from_scaled((7 << 64) | (2**64 - 5)))
+    n_max = 200
+    stream = _make_stream(js, start)
+    (lanes,) = _scan_segments(
+        stream, OrbitSegmentPlan(n_max),
+        lambda lo, hi, s, ws: stream.lanes(np.arange(lo + 1, hi + 1, dtype=np.uint64), s),
+    )
+    assert (lanes[3] < np.uint64(2**64 - 5)).mean() > 0.5  # the low limb carried
+    pt = start
     for k in range(n_max):
         pt = js.step_trivialized(pt)
         x, y, z = pt
@@ -214,9 +242,12 @@ def test_lanes_match_scalar_iterate():
 
 
 def test_multi_stream_consistency():
+    """Each value function of a multi stream, a lane sink between two float
+    functions among them, sums as it does alone."""
     js = build_joining(make_sys(), 3, 2)
     fns = [
         lambda x, y, z, n: np.exp(2j * np.pi * x),
+        StarDescentSink(Observable(xi=1, bump=BumpProfile()), 3, 2),
         lambda x, y, z, n: np.exp(2j * np.pi * (y + z)),
     ]
     multi = orbit_stream_multi(js, None, OrbitSegmentPlan(500, 64), fns, checkpoints=[250, 500])
@@ -239,6 +270,16 @@ def test_value_bound_enforced():
     sys = make_sys()
     with pytest.raises(ValueError):
         orbit_stream(sys, None, OrbitSegmentPlan(64), lambda x, y, z, n: 100.0 * np.ones_like(x))
+    # one value past the bound, in either part, or not finite in the real part
+    for bad in (2.0000000000000004, -2.5, np.nan, np.inf, -np.inf, 2.5j, -3j, complex(0, np.inf)):
+
+        def fn(x, y, z, n, bad=bad):
+            v = np.full(x.shape, 2.0 + 0j)
+            v[-1] = bad
+            return v
+
+        with pytest.raises(ValueError, match="accumulation bound"):
+            orbit_stream(sys, None, OrbitSegmentPlan(100, 32), fn)
 
 
 def test_engine_requires_unit_interval_rotation():
@@ -428,15 +469,84 @@ def test_scan_cocycle_failure_raises_without_deadlock(monkeypatch):
     which wait for it, raise instead of hanging, and the first error surfaces."""
     u_values = _LaneStream.u_values
 
-    def failing(self, i):
+    def failing(self, i, *ws):
         if int(i[0]) == 512:
             raise _Boom("cocycle failed")
-        return u_values(self, i)
+        return u_values(self, i, *ws)
 
     monkeypatch.setattr(_LaneStream, "u_values", failing)
     plan = OrbitSegmentPlan(1000, 16, 3)
     raised = _finishes(lambda: orbit_stream(make_sys(), None, plan, lambda x, y, z, n: x + 0j))
     assert len(raised) == 1 and isinstance(raised[0], _Boom)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_short_last_segment_matches_naive(workers):
+    """300 steps in 64-step segments end on a 44-step one, which takes the
+    first entries of every workspace buffer: the sums equal the naive loop,
+    for a weighted skew stream, a joining and a descended joining."""
+    sys = make_sys(terms=(TrigTerm(1, 0, 0.1, 0.0), TrigTerm(1, 1, 0.05, 0.3)), d2=1)
+    obs = Observable(xi=1, bump=BumpProfile())
+    signs = np.where(np.arange(301) % 7 == 3, -1, 1).astype(np.int8)
+    js = build_joining(sys, 3, 2)
+    cases = [
+        (sys, obs, lambda lo, hi: signs[lo:hi]),
+        (js, _wave, None),
+        (js, StarDescentSink(obs, 3, 2), None),
+    ]
+    cps = [1, 64, 299, 300]
+    for system, fn, weights in cases:
+        plan = OrbitSegmentPlan(300, 64, workers)
+        got = orbit_stream(system, None, plan, fn, weights, cps)
+        assert got == orbit_stream_naive(system, None, 300, fn, weights, cps)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_nested_stream_has_its_own_workspace(workers):
+    """A value function that runs a whole stream of another system, of the
+    same segment size, between the outer segment's lanes and its use of them,
+    leaves both sums equal to the two streams run apart."""
+    sys = make_sys()
+    obs = Observable(xi=1, bump=BumpProfile())
+    inner_sys = build_joining(make_sys(d1=2), 5, 3)
+    inner_sink = StarDescentSink(obs, 5, 3)
+    inner_plan = OrbitSegmentPlan(300, 128)
+    inner = []
+
+    def nested(x, y, z, n):
+        inner.append(orbit_stream(inner_sys, None, inner_plan, inner_sink, checkpoints=[100, 300]))
+        return _wave(x, y, z, n)
+
+    plan = OrbitSegmentPlan(700, 128, workers)
+    got = orbit_stream_multi(sys, None, plan, [nested, obs], checkpoints=[350, 700])
+    assert got == orbit_stream_multi(sys, None, plan, [_wave, obs], checkpoints=[350, 700])
+    alone = orbit_stream(inner_sys, None, inner_plan, inner_sink, checkpoints=[100, 300])
+    assert len(inner) == 6 and all(sums == alone for sums in inner)
+
+
+def test_streams_keep_no_segment_buffers():
+    """The workspaces of a stream go when it returns: traced memory after
+    each stream is back near its level before the call (numpy reports its
+    buffers to tracemalloc), below half of one 32 KB segment buffer."""
+    sys = make_sys()
+    obs = Observable(xi=1, bump=BumpProfile())
+    plan = OrbitSegmentPlan(3 * 4096 * 3, 4096, 2)
+    streams = {
+        "orbit_stream": lambda: orbit_stream(sys, None, plan, obs),
+        "pair_factor_values": lambda: pair_factor_values(sys, None, 3, 2, 4096 * 3, plan, obs),
+        "bilinear_sum_reduced": lambda: bilinear_sum_reduced(sys, obs, 3, 2, [4096 * 3], plan),
+    }
+    tracemalloc.start()
+    try:
+        for name, call in streams.items():
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+            assert kept < 16384, f"{name} kept {kept} bytes"
+    finally:
+        tracemalloc.stop()
 
 
 def test_checkpoint_sums_helper():
