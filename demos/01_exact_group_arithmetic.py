@@ -60,6 +60,8 @@ print(f"  (ab)c == a(bc): {lhs.coords() == rhs.coords()}")
 print(f"  g g^-1 == e   : {mul(els[0], inv(els[0])).coords() == identity(star).coords()}")
 
 print("\nthe pair projection (p x, p y, z1, q x, q y, z2) -> (x, y, z1 - z2):")
-out = project_pi((0.6, 0.3, 0.7, 0.4, 0.2, 0.3), 3, 2)
-print(f"  pi(0.6, 0.3, 0.7, 0.4, 0.2, 0.3) = {[round(float(v), 12) for v in out.coords()]}")
+# x = 1/4, y = 1/8: (3x, 3y, z1) and (2x, 2y, z2) meet the pair constraint exactly
+g6 = tuple(FixedReal(v) for v in (0.75, 0.375, 0.625, 0.5, 0.25, 0.25))
+out = project_pi(g6, 3, 2)
+print(f"  pi(0.75, 0.375, 0.625, 0.5, 0.25, 0.25) = {[float(v) for v in out.coords()]}")
 print(f"  carries the twisted law: {out.law}")

@@ -25,7 +25,6 @@ from .dynamics import (
     TrigTerm,
     build_joining,
     cocycle_sum,
-    eval_h_lift,
     iterate_T,
     rho,
     step_T,

@@ -20,17 +20,17 @@ reindexing k = ip + j gives H_n(x, y) = h_{pn}(px, py) - h_{qn}(qx, qy), so
 one Birkhoff sum ``cocycle_sum`` builds h_n, H = H_1 and H_n, and H' is H'_n
 at n = 1.
 
-Numeric paths.  Every scalar operation is duck-typed over FixedReal (exact)
-and float (mirrored, ~1e-12/op).  On the exact path every Birkhoff sum, T's
-step and iterate and the pair orbit included, is one scaled-integer sum that
-quantizes the periodic part of h to 2**-53 at all base points in one array
-call; the circle dynamics downstream is then pure integer arithmetic, so
-closed-form iterates, stepping, and the orbit engine agree bit for bit.  The
-float closed-form iterate uses the system's exact alpha and beta, reduces
+Numbers.  Every scalar operation takes and returns FixedReal values (exact
+dyadics on scaled integers).  Every Birkhoff sum, T's step and iterate and
+the pair orbit included, is one scaled-integer sum that quantizes the
+periodic part of h to 2**-53 at all base points in one array call; the circle
+dynamics downstream is then pure integer arithmetic, so closed-form iterates,
+stepping, and the orbit engine agree bit for bit.  Floats appear in two
+places only: the vectorized lifts (``AffineTrigLift``, ``collapse_birkhoff``,
+``JoiningSystem.H_lift`` and friends) that the growth diagnostics evaluate on
+arrays, and the float closed-form iterate ``_iterate_float``, which reduces
 every O(n^2) term exactly mod 1 and fsums only the periodic part, so it
-agrees with the exact orbit to about 1e-12; n float steps drift from that
-orbit by O(n^2 2**-53) in z.  Real-valued lifts used by the growth
-diagnostics stay in plain floating point (compensated where it matters).
+agrees with the exact orbit to about 1e-12.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .heisenberg import (
     GroupElement,
     GroupLaw,
     NilPoint,
-    _below_one,
     canonical_rep,
     check_prime_pair,
     identity,
@@ -58,11 +57,6 @@ from .heisenberg import (
 TWO_PI = 2.0 * math.pi
 Q53 = 2.0**53
 _Q53_SHIFT = 128 - 53  # lift a 2**-53 quantum into the 2**-128 scale
-
-
-def _frac(v):
-    """Fractional part in [0, 1), duck-typed over FixedReal and float."""
-    return v - math.floor(v)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +130,6 @@ class BaseFunctionSpec:
         return AffineTrigLift(float(self.d1), float(self.d2), 0.0, self.terms)
 
 
-def eval_h_lift(h: BaseFunctionSpec, x, y):
-    """Real lift d1 x + d2 y + periodic(x, y) at real arguments (vectorized)."""
-    return h.d1 * x + h.d2 * y + h.periodic_value(x, y)
-
-
 def _cocycle_scaled(h: BaseFunctionSpec, x: int, y: int, m: int, a: int, b: int) -> int:
     """h_m(x, y) = sum_{i<m} h(x + i a, y + i b) exactly, on scaled integers
     (value * 2**128): the winding part in closed form, the periodic part by
@@ -162,23 +151,18 @@ def _cocycle_scaled(h: BaseFunctionSpec, x: int, y: int, m: int, a: int, b: int)
 
 
 def lift_fixed(h: BaseFunctionSpec, x: FixedReal, y: FixedReal) -> FixedReal:
-    """Exact-path lift: winding part exact, periodic part 2**-53 quantized."""
+    """The lift h(x, y): winding part exact, periodic part 2**-53 quantized."""
     return FixedReal.from_scaled(_cocycle_scaled(h, x.scaled, y.scaled, 1, 0, 0))
 
 
-def cocycle_sum(h: BaseFunctionSpec, x, y, n: int, alpha, beta):
-    """The Birkhoff sum h_n(x, y) = sum_{i<n} h(x + i alpha, y + i beta); h_0 = 0.
-
-    Exact on FixedReal arguments; on floats a compensated sum of the lift at
-    x + i alpha, y + i beta.
-    """
+def cocycle_sum(
+    h: BaseFunctionSpec, x: FixedReal, y: FixedReal, n: int, alpha: FixedReal, beta: FixedReal
+) -> FixedReal:
+    """The Birkhoff sum h_n(x, y) = sum_{i<n} h(x + i alpha, y + i beta); h_0 = 0, exact."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if isinstance(x, FixedReal):
-        return FixedReal.from_scaled(
-            _cocycle_scaled(h, x.scaled, y.scaled, n, alpha.scaled, beta.scaled)
-        )
-    return math.fsum(float(eval_h_lift(h, x + i * alpha, y + i * beta)) for i in range(n))
+    total = _cocycle_scaled(h, x.scaled, y.scaled, n, alpha.scaled, beta.scaled)
+    return FixedReal.from_scaled(total)
 
 
 # ---------------------------------------------------------------------------
@@ -267,34 +251,24 @@ class SkewSystem:
 
 
 def step_T(sys: SkewSystem, pt: NilPoint) -> NilPoint:
-    """One application of T; exact on the fixed-point path."""
+    """One application of T, exact."""
     if pt.law != HEISENBERG:
         raise ValueError("step_T acts on Heisenberg points")
-    x, y, _, _, fixed = rep = pt.rep
-    if fixed:
-        g = _translation(sys, x, y, 1)
-    else:
-        g = GroupElement(sys.alpha_f, sys.beta_f, float(eval_h_lift(sys.h, x, y)), HEISENBERG)
-    return canonical_rep(mul(g, rep))
+    rep = pt.rep
+    return canonical_rep(mul(_translation(sys, rep[0], rep[1], 1), rep))
 
 
-def iterate_T(sys: SkewSystem, pt: NilPoint, n: int) -> NilPoint:
-    """Closed-form n-th iterate via the Birkhoff cocycle.
-
-    On the fixed-point path it agrees with n calls of :func:`step_T` bit for
-    bit.  On the float path it is computed from the system's exact alpha and
-    beta and the start point's exact dyadic value: every term that grows like
-    n or n^2 (translation, winding part, Heisenberg commutator, floor
-    correction) is reduced mod 1 exactly, and only the periodic part is summed
-    in float.  The result is within about 1e-12 of the exact orbit; n float
-    steps drift from it by about n 2**-53 in x and y and O(n^2 2**-53) in z.
-    """
+def _check_iterate(pt: NilPoint, n: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if pt.law != HEISENBERG:
         raise ValueError("iterate_T acts on Heisenberg points")
-    if not pt.is_fixed:
-        return _iterate_float(sys, pt, n)
+
+
+def iterate_T(sys: SkewSystem, pt: NilPoint, n: int) -> NilPoint:
+    """Closed-form n-th iterate via the Birkhoff cocycle; it agrees with n
+    calls of :func:`step_T` bit for bit."""
+    _check_iterate(pt, n)
     rep = pt.rep
     return canonical_rep(mul(_translation(sys, rep[0], rep[1], n), rep))
 
@@ -307,10 +281,30 @@ def _translation(sys: SkewSystem, x: int, y: int, m: int) -> GroupElement:
     return GroupElement.from_scaled(a * m, b * m, total, HEISENBERG)
 
 
-def _iterate_float(sys: SkewSystem, pt: NilPoint, n: int) -> NilPoint:
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def _below_one(v) -> float:
+    """``v`` in [0, 1) as a float, kept below 1 where rounding would reach it."""
+    f = float(v)
+    return f if f < 1.0 else _BELOW_ONE
+
+
+def _iterate_float(sys: SkewSystem, pt: NilPoint, n: int) -> tuple[float, float, float]:
+    """The float closed-form n-th iterate of T from the start point rounded to
+    floats (float() rounds a coordinate within 2**-54 of 1 up to 1.0; it is
+    kept below 1).
+
+    It is computed from the system's exact alpha and beta and the rounded
+    start's exact dyadic value: every term that grows like n or n^2
+    (translation, winding part, Heisenberg commutator, floor correction) is
+    reduced mod 1 exactly, and only the periodic part is summed in float.  The
+    result is within about 1e-12 of the exact orbit of :func:`iterate_T`.
+    """
+    _check_iterate(pt, n)
     # Scaled-integer arithmetic at 2**-bits, fine enough to hold alpha, beta
     # and the float start point exactly.
-    dyadic = [v.as_integer_ratio() for v in pt.coords()]
+    dyadic = [_below_one(v).as_integer_ratio() for v in pt.coords()]
     bits = max(FRAC_BITS, *(den.bit_length() - 1 for _, den in dyadic))
     one = 1 << bits
     mask = one - 1
@@ -333,11 +327,7 @@ def _iterate_float(sys: SkewSystem, pt: NilPoint, n: int) -> NilPoint:
     W = ((winding + z + floor_corr) << bits) + n * (a * y - x * b)
     fiber = Fraction(W & ((1 << 2 * bits) - 1), 1 << 2 * bits) + Fraction(periodic)
     fiber -= math.floor(fiber)
-    rep = GroupElement(
-        _below_one((X & mask) / one), _below_one((Y & mask) / one), _below_one(fiber),
-        HEISENBERG,
-    )
-    return NilPoint(rep)
+    return _below_one((X & mask) / one), _below_one((Y & mask) / one), _below_one(fiber)
 
 
 def _floor_correction(x, y, alpha, beta, floor):
@@ -373,60 +363,44 @@ class JoiningSystem:
     def lipschitz_H(self) -> float:
         return (self.p * self.p + self.q * self.q) * self.base.h.L
 
-    # -- scalar evaluation (duck-typed over FixedReal / float) --------------
+    # -- exact scalar evaluation ---------------------------------------------
 
-    def _rotation(self, x, n: int = 1):
-        """(n alpha, n beta) in the number type of x: exact for FixedReal."""
-        if isinstance(x, FixedReal):
-            return self.base.alpha * n, self.base.beta * n
-        return n * self.base.alpha_f, n * self.base.beta_f
-
-    def H_value(self, x, y):
+    def H_value(self, x: FixedReal, y: FixedReal) -> FixedReal:
         """Lift of H(x, y) = h_p(px, py) - h_q(qx, qy)."""
         return self.H_n_value(x, y, 1)
 
-    def H_n_value(self, x, y, n: int):
+    def H_n_value(self, x: FixedReal, y: FixedReal, n: int) -> FixedReal:
         """Lift of the cocycle H_n(x, y) = sum_{i<n} H(x + i alpha, y + i beta),
         which the reindexing k = ip + j makes h_{pn}(px, py) - h_{qn}(qx, qy)."""
-        alpha, beta = self._rotation(x)
+        alpha, beta = self.base.alpha, self.base.beta
         h, p, q = self.base.h, self.p, self.q
         return (cocycle_sum(h, x * p, y * p, n * p, alpha, beta)
                 - cocycle_sum(h, x * q, y * q, n * q, alpha, beta))
 
-    def H_prime(self, x, y):
+    def H_prime(self, x: FixedReal, y: FixedReal) -> FixedReal:
         """The trivialized cocycle H'(x, y) = H'_1(x, y) on representatives in [0, 1)^2."""
         return self.Hn_prime(x, y, 1)
 
-    def Hn_prime(self, x, y, n: int):
+    def Hn_prime(self, x: FixedReal, y: FixedReal, n: int) -> FixedReal:
         """Lift of the n-step trivialized cocycle H'_n(x, y):
 
         H_n + (p^2-q^2) ((n alpha y - n beta x) - (x + n alpha) floor(y + n beta)
                           + floor(x + n alpha) (y + n beta)).
         """
-        alpha, beta = self._rotation(x, n)
+        alpha, beta = self.base.alpha * n, self.base.beta * n
         corr = _floor_correction(x, y, alpha, beta, math.floor)
         return self.H_n_value(x, y, n) + corr * self.twist
 
     def step_trivialized(self, pt3):
         """One step of the torus model: (x, y, z) -> (x+a, y+b, z+H'(x, y)) mod 1."""
         x, y, z = pt3
-        for v in (x, y, z):
-            if not (0 <= v and v < 1):
-                raise ValueError("trivialized point must lie in [0, 1)^3")
-        alpha, beta = self._rotation(x)
+        if not all(0 <= v < 1 for v in pt3):
+            raise ValueError("trivialized point must lie in [0, 1)^3")
         return (
-            _frac(x + alpha),
-            _frac(y + beta),
-            _frac(z + self.H_prime(x, y)),
+            (x + self.base.alpha).frac(),
+            (y + self.base.beta).frac(),
+            (z + self.H_prime(x, y)).frac(),
         )
-
-    def step_star(self, pt: NilPoint) -> NilPoint:
-        """One step of T_star on X_star via the group action."""
-        if pt.law != self.law:
-            raise ValueError("point does not carry this joining's star law")
-        x, y, _ = pt.coords()
-        alpha, beta = self._rotation(x)
-        return canonical_rep(mul(GroupElement(alpha, beta, self.H_value(x, y), self.law), pt.rep))
 
     # -- vectorized float lifts for the growth diagnostics ------------------
 

@@ -305,8 +305,8 @@ def _make_stream(system, start) -> _LaneStream:
     if isinstance(system, SkewSystem):
         if start is None:
             start = canonical_rep(identity())
-        if not start.is_fixed or start.law != HEISENBERG:
-            raise ValueError("engine start must be a fixed-point Heisenberg NilPoint")
+        if start.law != HEISENBERG:
+            raise ValueError("engine start must be a Heisenberg NilPoint")
         return _LaneStream(system.alpha, system.beta, system.h, start.coords(), 1, 0)
     if isinstance(system, JoiningSystem):
         if start is None:
@@ -462,7 +462,8 @@ def _cut_sums(values, lo: int, cuts, ws: _Workspace = _FRESH):
     checkpoint in ``cuts``, then the totals."""
     v = np.asarray(values)
     complex_v = np.iscomplexobj(v)
-    peak = max(_peak(v.real), _peak(v.imag) if complex_v else 0.0)
+    # np.maximum, not max: max(peak, nan) would drop an imaginary part's NaN
+    peak = np.maximum(_peak(v.real), _peak(v.imag) if complex_v else 0.0)
     if not np.isfinite(peak) or peak > _VALUE_BOUND:
         raise ValueError(
             f"observable value magnitude {peak} exceeds the accumulation bound "

@@ -5,14 +5,14 @@ The group is R^3 with multiplication
     (x, y, z) . (x', y', z') = (x + x', y + y', z + z' + c (x y' - x' y)),
 
 where the twist c is 1 for the Heisenberg group G and c = p^2 - q^2 for the
-quotient group carrying the joining of a prime pair p > q.  Every operation
-serves two numeric paths: exact coordinates (drift-free, used by every
-identity test) and plain floats (the mirrored evaluation path, tolerance
-~1e-12 per operation).  An exact element stores its coordinates as the scaled
-integers of :class:`~nillab.fixedpoint.FixedReal` (value * 2**128), so
-``mul``, ``inv``, ``canonical_rep``, ``lattice_floor`` and the lattice
-embedding are plain integer arithmetic; ``FixedReal`` views are built only
-when a coordinate is read (``.x``, ``.y``, ``.z``, ``coords()``).
+quotient group carrying the joining of a prime pair p > q.  Coordinates are
+exact: an element stores them as the scaled integers of
+:class:`~nillab.fixedpoint.FixedReal` (value * 2**128), so ``mul``, ``inv``,
+``canonical_rep``, ``lattice_floor`` and the lattice embedding are plain
+integer arithmetic that never rounds; ``FixedReal`` views are built only when
+a coordinate is read (``.x``, ``.y``, ``.z``, ``coords()``).  Float views of
+points are the business of the callers that need them (the engine's lanes,
+the observables).
 
 The box [0, 1)^3 is used as a fundamental domain for both lattices; for the
 twisted law that is the construction the reduction formula was designed for,
@@ -22,7 +22,6 @@ coset-invariance tests rather than assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -31,8 +30,6 @@ from .fixedpoint import FRAC_BITS as _FRAC_BITS
 from .fixedpoint import FRAC_MASK as _FRAC_MASK
 from .fixedpoint import SCALE as _SCALE
 from .fixedpoint import FixedPointInexact, FixedReal
-
-Coord = FixedReal | float
 
 
 def is_prime(n: int) -> bool:
@@ -57,7 +54,7 @@ def check_prime_pair(p: int, q: int) -> None:
 
 
 class LawMismatch(ValueError):
-    """Operands carry different group laws or mixed numeric paths."""
+    """Operands carry different group laws."""
 
 
 @dataclass(frozen=True)
@@ -85,12 +82,10 @@ class GroupLaw:
 HEISENBERG = GroupLaw("heisenberg", 1)
 
 
-def _coerce(v) -> Coord:
-    if isinstance(v, (FixedReal, float)):
-        return v
-    if isinstance(v, int):
-        return float(v)
-    raise TypeError(f"coordinate must be FixedReal or float, got {type(v).__name__}")
+def _not_fixed(values) -> TypeError:
+    """The error for coordinates of which one is not a FixedReal."""
+    bad = next(v for v in values if type(v) is not FixedReal)
+    return TypeError(f"coordinates must be FixedReal, got {type(bad).__name__}")
 
 
 _tuple_new = tuple.__new__
@@ -99,57 +94,47 @@ _fixed = FixedReal.from_scaled
 
 
 class GroupElement(tuple):
-    """A point of G or G_star; coordinates all-FixedReal or all-float.
+    """A point of G or G_star with FixedReal coordinates.
 
-    Tuple-backed as ``(x, y, z, law, is_fixed)``, so it is immutable and
-    compares and hashes by value.  On the fixed path x, y and z are held as
-    scaled integers (value * 2**128) and ``.x``, ``.y``, ``.z`` and
-    :meth:`coords` build :class:`FixedReal` views on access; the float path
-    holds floats.  The ``is_fixed`` slot keeps the two paths apart, so a fixed
-    and a float element never compare equal.
+    Tuple-backed as ``(x, y, z, law)``, so it is immutable and compares and
+    hashes by value.  x, y and z are held as scaled integers (value * 2**128);
+    ``.x``, ``.y``, ``.z`` and :meth:`coords` build :class:`FixedReal` views on
+    access.  A coordinate of any other type (a float included) raises
+    ``TypeError``, so no rounded value reaches a scaled-integer slot.
     """
 
     __slots__ = ()
 
-    def __new__(cls, x: Coord, y: Coord, z: Coord, law: GroupLaw):
+    def __new__(cls, x: FixedReal, y: FixedReal, z: FixedReal, law: GroupLaw):
         if type(x) is FixedReal and type(y) is FixedReal and type(z) is FixedReal:
-            return _tuple_new(cls, (x.scaled, y.scaled, z.scaled, law, True))
-        if FixedReal in (type(x), type(y), type(z)):
-            raise LawMismatch("cannot mix fixed-point and float coordinates")
-        return _tuple_new(cls, (float(x), float(y), float(z), law, False))
+            return _tuple_new(cls, (x.scaled, y.scaled, z.scaled, law))
+        raise _not_fixed((x, y, z))
 
     @staticmethod
     def from_scaled(x: int, y: int, z: int, law: GroupLaw) -> "GroupElement":
-        """The fixed element with coordinates x, y, z given as value * 2**128."""
-        return _tuple_new(GroupElement, (x, y, z, law, True))
+        """The element with coordinates x, y, z given as value * 2**128."""
+        return _tuple_new(GroupElement, (x, y, z, law))
 
     @staticmethod
     def fixed(x, y, z, law: GroupLaw = HEISENBERG) -> "GroupElement":
         return GroupElement(FixedReal(x), FixedReal(y), FixedReal(z), law)
 
-    @staticmethod
-    def floating(x, y, z, law: GroupLaw = HEISENBERG) -> "GroupElement":
-        return GroupElement(float(x), float(y), float(z), law)
-
     law = property(itemgetter(3), doc="the group law")
-    is_fixed = property(itemgetter(4), doc="True on the exact (FixedReal) path")
 
     @property
-    def x(self) -> Coord:
-        return _fixed(self[0]) if self[4] else self[0]
+    def x(self) -> FixedReal:
+        return _fixed(self[0])
 
     @property
-    def y(self) -> Coord:
-        return _fixed(self[1]) if self[4] else self[1]
+    def y(self) -> FixedReal:
+        return _fixed(self[1])
 
     @property
-    def z(self) -> Coord:
-        return _fixed(self[2]) if self[4] else self[2]
+    def z(self) -> FixedReal:
+        return _fixed(self[2])
 
-    def coords(self) -> tuple[Coord, Coord, Coord]:
-        x, y, z, _, fixed = self
-        if not fixed:
-            return x, y, z
+    def coords(self) -> tuple[FixedReal, FixedReal, FixedReal]:
+        x, y, z, _ = self
         # three FixedReal.from_scaled calls, inlined: the identity checks read
         # coords() of every product they compare
         fx = _new(FixedReal)
@@ -168,33 +153,30 @@ class GroupElement(tuple):
         return GroupElement, (*self.coords(), self[3])
 
 
-def identity(law: GroupLaw = HEISENBERG, fixed: bool = True) -> GroupElement:
-    return _tuple_new(GroupElement, (0, 0, 0, law, True) if fixed else (0.0, 0.0, 0.0, law, False))
+def identity(law: GroupLaw = HEISENBERG) -> GroupElement:
+    return _tuple_new(GroupElement, (0, 0, 0, law))
 
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product under the common law of ``a`` and ``b``."""
-    ax, ay, az, law, fixed = a
-    bx, by, bz, blaw, bfixed = b
+    ax, ay, az, law = a
+    bx, by, bz, blaw = b
     if law is not blaw and law != blaw:
         raise LawMismatch(f"law mismatch: {law} vs {blaw}")
-    if fixed is not bfixed:
-        raise LawMismatch("cannot mix fixed-point and float elements")
     comm = ax * by - bx * ay
-    if fixed:
-        if comm & _FRAC_MASK:
-            raise FixedPointInexact(
-                "group commutator has more than 128 fractional bits; "
-                "base coordinates must lie on the 2**-64 grid"
-            )
-        comm >>= _FRAC_BITS
-    return _tuple_new(GroupElement, (ax + bx, ay + by, az + bz + comm * law.twist, law, fixed))
+    if comm & _FRAC_MASK:
+        raise FixedPointInexact(
+            "group commutator has more than 128 fractional bits; "
+            "base coordinates must lie on the 2**-64 grid"
+        )
+    comm >>= _FRAC_BITS
+    return _tuple_new(GroupElement, (ax + bx, ay + by, az + bz + comm * law.twist, law))
 
 
 def inv(a: GroupElement) -> GroupElement:
     """Group inverse; (x, y, z)^-1 = (-x, -y, -z) under either law."""
-    x, y, z, law, fixed = a
-    return _tuple_new(GroupElement, (-x, -y, -z, law, fixed))
+    x, y, z, law = a
+    return _tuple_new(GroupElement, (-x, -y, -z, law))
 
 
 class LatticeElement(NamedTuple):
@@ -204,13 +186,9 @@ class LatticeElement(NamedTuple):
     b: int
     m: int
 
-    def to_group(self, law: GroupLaw, fixed: bool = True) -> GroupElement:
+    def to_group(self, law: GroupLaw) -> GroupElement:
         a, b, m = self
-        if fixed:
-            return _tuple_new(GroupElement, (
-                a << _FRAC_BITS, b << _FRAC_BITS, m << _FRAC_BITS, law, True
-            ))
-        return _tuple_new(GroupElement, (float(a), float(b), float(m), law, False))
+        return _tuple_new(GroupElement, (a << _FRAC_BITS, b << _FRAC_BITS, m << _FRAC_BITS, law))
 
 
 def lattice_floor(g: GroupElement) -> LatticeElement:
@@ -218,25 +196,10 @@ def lattice_floor(g: GroupElement) -> LatticeElement:
 
     Formula: (floor x, floor y, floor(z - c (x floor(y) - floor(x) y))).
     """
-    x, y, z, law, fixed = g
-    c = law.twist
-    if fixed:
-        fx = x >> _FRAC_BITS
-        fy = y >> _FRAC_BITS
-        return LatticeElement(fx, fy, (z - (x * fy - y * fx) * c) >> _FRAC_BITS)
-    fx = math.floor(x)
-    fy = math.floor(y)
-    m = math.floor(z - (x * fy - y * fx) * c)
-    return LatticeElement(fx, fy, m)
-
-
-_BELOW_ONE = math.nextafter(1.0, 0.0)
-
-
-def _below_one(v) -> float:
-    """``v`` in [0, 1) as a float, kept below 1 where rounding would reach it."""
-    f = float(v)
-    return f if f < 1.0 else _BELOW_ONE
+    x, y, z, law = g
+    fx = x >> _FRAC_BITS
+    fy = y >> _FRAC_BITS
+    return LatticeElement(fx, fy, (z - (x * fy - y * fx) * law.twist) >> _FRAC_BITS)
 
 
 class NilPoint:
@@ -248,8 +211,7 @@ class NilPoint:
     __slots__ = ("rep",)
 
     def __init__(self, rep: GroupElement):
-        end = _SCALE if rep[4] else 1
-        if not all(0 <= v < end for v in rep[:3]):
+        if not all(0 <= v < _SCALE for v in rep[:3]):
             raise ValueError(f"NilPoint coordinates {rep.coords()!r} outside [0, 1)^3")
         _set_rep(self, rep)
 
@@ -277,16 +239,8 @@ class NilPoint:
     def law(self) -> GroupLaw:
         return self.rep.law
 
-    @property
-    def is_fixed(self) -> bool:
-        return self.rep[4]
-
-    def coords(self):
+    def coords(self) -> tuple[FixedReal, FixedReal, FixedReal]:
         return self.rep.coords()
-
-    def to_float(self) -> "NilPoint":
-        # float() rounds a coordinate within 2**-54 of 1 up to 1.0; keep it below 1
-        return NilPoint(GroupElement(*map(_below_one, self.coords()), self.law))
 
 
 _set_rep = NilPoint.rep.__set__
@@ -301,48 +255,37 @@ def _trusted_point(rep: GroupElement) -> NilPoint:
 
 def canonical_rep(g: GroupElement) -> NilPoint:
     """Reduce to the canonical representative g . floor(g)^-1 in [0, 1)^3."""
-    x, y, z, law, fixed = g
-    if fixed:
-        # same composition as below, collapsed to scaled-integer arithmetic:
-        # z' = frac(z - c (x floor(y) - floor(x) y)), no grid constraint needed
-        a = x >> _FRAC_BITS
-        b = y >> _FRAC_BITS
-        w = z - (x * b - y * a) * law.twist
-        return _trusted_point(_tuple_new(GroupElement, (
-            x & _FRAC_MASK, y & _FRAC_MASK, w & _FRAC_MASK, law, True
-        )))
-    gamma = lattice_floor(g).to_group(law, fixed=False)
-    return NilPoint(mul(g, inv(gamma)))
+    x, y, z, law = g
+    # mul(g, inv(lattice_floor(g).to_group(law))) collapsed to scaled-integer
+    # arithmetic: z' = frac(z - c (x floor(y) - floor(x) y)), which needs no
+    # grid constraint
+    a = x >> _FRAC_BITS
+    b = y >> _FRAC_BITS
+    w = z - (x * b - y * a) * law.twist
+    return _trusted_point(_tuple_new(GroupElement, (
+        x & _FRAC_MASK, y & _FRAC_MASK, w & _FRAC_MASK, law
+    )))
 
 
-def nil_point(x, y, z, law: GroupLaw = HEISENBERG, fixed: bool = True) -> NilPoint:
-    """Canonical point of the nilmanifold through the given group coordinates."""
-    ge = GroupElement.fixed(x, y, z, law) if fixed else GroupElement.floating(x, y, z, law)
-    return canonical_rep(ge)
+def nil_point(x, y, z, law: GroupLaw = HEISENBERG) -> NilPoint:
+    """Canonical point of the nilmanifold through the given group coordinates
+    (anything :class:`FixedReal` accepts)."""
+    return canonical_rep(GroupElement.fixed(x, y, z, law))
 
 
 # -- prime-pair joining ------------------------------------------------------
 
-_PAIR_TOL = 1e-9  # float slack of the pair constraint q (x1, y1) = p (x2, y2)
 
-
-def project_pi(
-    g6: tuple[Coord, Coord, Coord, Coord, Coord, Coord],
-    p: int,
-    q: int,
-) -> GroupElement:
+def project_pi(g6: tuple[FixedReal, ...], p: int, q: int) -> GroupElement:
     """Project a G_1 point (p x, p y, z1, q x, q y, z2) to (x, y, z1 - z2).
 
-    The result carries the star law with twist p^2 - q^2.  The input must
-    satisfy the pair constraint exactly on the fixed-point path, or within
-    1e-9 on the float path.
+    The result carries the star law with twist p^2 - q^2.  The six
+    coordinates are FixedReals that satisfy the pair constraint exactly.
     """
     law = GroupLaw.star(p, q)  # validates the prime pair
-    x1, y1, z1, x2, y2, z2 = (_coerce(v) for v in g6)
-    if isinstance(x1, FixedReal):
-        if x1 * q != x2 * p or y1 * q != y2 * p:
-            raise ValueError("input does not satisfy q(x1,y1) = p(x2,y2) exactly")
-        return GroupElement(x1.exact_div(p), y1.exact_div(p), z1 - z2, law)
-    if abs(q * x1 - p * x2) > _PAIR_TOL or abs(q * y1 - p * y2) > _PAIR_TOL:
-        raise ValueError("input violates q(x1,y1) = p(x2,y2) beyond tolerance")
-    return GroupElement(x1 / p, y1 / p, z1 - z2, law)
+    if any(type(v) is not FixedReal for v in g6):
+        raise _not_fixed(g6)
+    x1, y1, z1, x2, y2, z2 = g6
+    if x1 * q != x2 * p or y1 * q != y2 * p:
+        raise ValueError("input does not satisfy q(x1,y1) = p(x2,y2) exactly")
+    return GroupElement(x1.exact_div(p), y1.exact_div(p), z1 - z2, law)

@@ -8,10 +8,10 @@ from nillab.dynamics import (
     BaseFunctionSpec,
     SkewSystem,
     TrigTerm,
+    _iterate_float,
     build_joining,
     cocycle_sum,
     collapse_birkhoff,
-    eval_h_lift,
     iterate_T,
     lift_fixed,
     pair_orbit,
@@ -46,22 +46,20 @@ def circle_dist(a: float, b: float) -> float:
 
 
 def test_eval_h_lift_examples():
-    assert eval_h_lift(BaseFunctionSpec(1, 0), 0.25, 0.9) == 0.25
-    assert eval_h_lift(BaseFunctionSpec(0, 0, (TrigTerm(1, 0, 0.0),)), 0.7, 0.1) == 0.0
-    h = BaseFunctionSpec(1, 0, (TrigTerm(1, 0, 0.1, 0.0),))
-    assert eval_h_lift(h, 0.0, 0.0) == 0.0
+    assert BaseFunctionSpec(1, 0).as_lift()(0.25, 0.9) == 0.25
+    assert BaseFunctionSpec(0, 0, (TrigTerm(1, 0, 0.0),)).as_lift()(0.7, 0.1) == 0.0
+    lift = BaseFunctionSpec(1, 0, (TrigTerm(1, 0, 0.1, 0.0),)).as_lift()
+    assert lift(0.0, 0.0) == 0.0
     # second implementation of the basis function
     x, y = 0.37, 0.81
-    assert math.isclose(
-        eval_h_lift(h, x, y), x + 0.1 * math.sin(2 * math.pi * x), rel_tol=1e-15
-    )
+    assert math.isclose(lift(x, y), x + 0.1 * math.sin(2 * math.pi * x), rel_tol=1e-15)
 
 
 def test_winding_periodicity_of_lift():
-    h = BaseFunctionSpec(2, -1, (TrigTerm(1, 2, 0.05, 0.3),))
+    lift = BaseFunctionSpec(2, -1, (TrigTerm(1, 2, 0.05, 0.3),)).as_lift()
     for (x, y) in [(0.2, 0.7), (0.9, 0.05)]:
-        assert math.isclose(eval_h_lift(h, x + 1, y), eval_h_lift(h, x, y) + 2, abs_tol=1e-12)
-        assert math.isclose(eval_h_lift(h, x, y + 1), eval_h_lift(h, x, y) - 1, abs_tol=1e-12)
+        assert math.isclose(lift(x + 1, y), lift(x, y) + 2, abs_tol=1e-12)
+        assert math.isclose(lift(x, y + 1), lift(x, y) - 1, abs_tol=1e-12)
 
 
 def test_lipschitz_constant_bounds_lift():
@@ -69,30 +67,32 @@ def test_lipschitz_constant_bounds_lift():
     rng = np.random.default_rng(0)
     pts = rng.random((200, 2))
     deltas = rng.uniform(-0.02, 0.02, size=(200, 2))
-    v0 = eval_h_lift(h, pts[:, 0], pts[:, 1])
-    v1 = eval_h_lift(h, pts[:, 0] + deltas[:, 0], pts[:, 1] + deltas[:, 1])
+    lift = h.as_lift()
+    v0 = lift(pts[:, 0], pts[:, 1])
+    v1 = lift(pts[:, 0] + deltas[:, 0], pts[:, 1] + deltas[:, 1])
     sup = np.abs(deltas).max(axis=1)
     assert np.all(np.abs(v1 - v0) <= h.L * sup * (1 + 1e-9) + 1e-12)
 
 
 def test_cocycle_sum_examples():
     h = BaseFunctionSpec(1, 0)
-    af = float(ALPHA)
-    assert cocycle_sum(h, 0.3, 0.4, 0, af, 0.1) == 0.0
-    assert cocycle_sum(h, 0.3, 0.4, 1, af, 0.1) == eval_h_lift(h, 0.3, 0.4)
+    x, y, b, zero = FixedReal(0.3), FixedReal(0.4), FixedReal(0.1), FixedReal(0)
+    assert cocycle_sum(h, x, y, 0, ALPHA, b) == zero
+    assert cocycle_sum(h, x, y, 1, ALPHA, b) == lift_fixed(h, x, y)
+    assert float(cocycle_sum(h, x, y, 1, ALPHA, b)) == h.as_lift()(0.3, 0.4)
     for n in (2, 17, 301):
-        closed = n * (n - 1) * af / 2
-        assert math.isclose(cocycle_sum(h, 0.0, 0.0, n, af, 0.1), closed, rel_tol=1e-12)
+        assert cocycle_sum(h, zero, zero, n, ALPHA, b) == ALPHA * (n * (n - 1) // 2)
 
 
 def test_collapsed_birkhoff_matches_direct():
     h = BaseFunctionSpec(1, 1, (TrigTerm(1, 0, 0.1, 0.0), TrigTerm(2, -1, 0.03, 0.4)))
     af, bf = float(ALPHA), float(BETA)
-    lift = collapse_birkhoff(h.as_lift(), af, bf, 23)
+    lift = h.as_lift()
+    collapsed = collapse_birkhoff(lift, af, bf, 23)
     xs = np.linspace(0, 1, 17)
     ys = np.linspace(0, 1, 17)
-    direct = sum(eval_h_lift(h, xs + i * af, ys + i * bf) for i in range(23))
-    assert np.max(np.abs(lift(xs, ys) - direct)) < 1e-9
+    direct = sum(lift(xs + i * af, ys + i * bf) for i in range(23))
+    assert np.max(np.abs(collapsed(xs, ys) - direct)) < 1e-9
 
 
 # -- the skew map --------------------------------------------------------------
@@ -147,13 +147,13 @@ def test_iterate_matches_stepping_exact(std_sys):
 
 
 def test_iterate_float_path_close(std_sys):
-    pt_f = canonical_rep(GroupElement.floating(0.37, 0.81, 0.12))
-    cur = pt_f
+    pt = canonical_rep(GroupElement.fixed(0.37, 0.81, 0.12))
+    cur = pt
     for _ in range(200):
         cur = step_T(std_sys, cur)
-    closed = iterate_T(std_sys, pt_f, 200)
-    for a, b in zip(cur.coords(), closed.coords()):
-        assert circle_dist(a, b) <= 1e-9
+    closed = _iterate_float(std_sys, pt, 200)
+    for a, b in zip(closed, cur.coords()):
+        assert circle_dist(a, float(b)) <= 1e-9
 
 
 # The two systems of acceptance criterion 2 on which the float closed form,
@@ -184,17 +184,25 @@ def test_iterate_float_matches_exact_orbit(alpha, beta, h, n, start):
     )
     pt = canonical_rep(GroupElement(*(FixedReal.from_q64(v) for v in start), HEISENBERG))
     exact = iterate_T(sys, pt, n)
-    closed = iterate_T(sys, pt.to_float(), n)
-    for a, b in zip(closed.coords(), exact.coords()):
+    closed = _iterate_float(sys, pt, n)
+    for a, b in zip(closed, exact.coords()):
         assert circle_dist(a, float(b)) <= 1e-9
 
 
 def test_iterate_float_stays_in_box():
     # 1 - 2**-64 rounds to 1.0 in float; the closed form keeps it below 1
     sys = SkewSystem(FixedReal.from_q64(2**64 - 1), FixedReal(0), const_h(0.0))
-    out = iterate_T(sys, canonical_rep(GroupElement.floating(0.0, 0.0, 0.0)), 1)
-    assert 0.0 <= out.rep.x < 1.0
-    assert circle_dist(out.rep.x, 1.0) <= 1e-15
+    x, _, _ = _iterate_float(sys, canonical_rep(identity()), 1)
+    assert 0.0 <= x < 1.0
+    assert circle_dist(x, 1.0) <= 1e-15
+
+
+def test_iterate_float_keeps_start_below_one():
+    top = FixedReal.from_q64(2**64 - 1)  # 1 - 2**-64 rounds to 1.0 as a float
+    sys = SkewSystem(ALPHA, BETA, const_h(0.0))
+    below = math.nextafter(1.0, 0.0)
+    assert _iterate_float(sys, nil_point(top, 0, top), 0) == (below, 0.0, below)
+    assert _iterate_float(sys, nil_point(0.5, 0.25, 0), 0) == (0.5, 0.25, 0.0)
 
 
 def test_iterate_cocycle_identity(std_sys):
@@ -270,13 +278,11 @@ def test_iterate_rejects_off_grid_start():
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 300])
 def test_cocycle_sum_is_the_sum_of_one_point_lifts(m):
     """The exact sum over m base points is the sum of m one-point lifts at the
-    shifted points, and the float sum stays within 1e-12 m of it."""
+    shifted points."""
     sys, (x, y) = TWO_TERMS, (FixedReal(0.8125), FixedReal(0.3))
     a, b = sys.alpha, sys.beta
     exact = cocycle_sum(sys.h, x, y, m, a, b)
     assert exact == sum((lift_fixed(sys.h, x + a * i, y + b * i) for i in range(m)), FixedReal(0))
-    fl = cocycle_sum(sys.h, float(x), float(y), m, float(a), float(b))
-    assert abs(fl - float(exact)) <= 1e-12 * max(m, 1)
 
 
 @pytest.mark.parametrize("p, q", [(3, 2), (5, 3), (7, 2)])
@@ -347,7 +353,8 @@ def test_H_for_linear_h_is_5x_plus_2alpha():
     js = build_joining(sys, 3, 2)
     af = float(ALPHA)
     for x, y in [(0.0, 0.0), (0.3, 0.8), (0.99, 0.01)]:
-        assert math.isclose(float(js.H_value(x, y)), 5 * x + 2 * af, abs_tol=1e-12)
+        H = js.H_value(FixedReal(x), FixedReal(y))
+        assert math.isclose(float(H), 5 * x + 2 * af, abs_tol=1e-12)
     lift = js.H_lift()
     xs = np.linspace(0, 1, 9)
     assert np.allclose(lift(xs, xs), 5 * xs + 2 * af, atol=1e-12)
@@ -356,14 +363,16 @@ def test_H_for_linear_h_is_5x_plus_2alpha():
 def test_H_zero_for_zero_h():
     sys = SkewSystem(ALPHA, BETA, BaseFunctionSpec(0, 0))
     js = build_joining(sys, 3, 2)
-    assert float(js.H_value(0.3, 0.7)) == 0.0
-    assert float(js.H_prime(0.3, 0.7)) != 0.0  # the twist correction survives
+    x, y = FixedReal(0.3), FixedReal(0.7)
+    assert float(js.H_value(x, y)) == 0.0
+    assert float(js.H_prime(x, y)) != 0.0  # the twist correction survives
 
 
 def test_Hn_lift_matches_scalar(std_js):
     lift = std_js.Hn_lift(9)
     for x, y in [(0.1, 0.2), (0.7, 0.65)]:
-        assert math.isclose(float(lift(x, y)), float(std_js.H_n_value(x, y, 9)), abs_tol=1e-9)
+        exact = std_js.H_n_value(FixedReal(x), FixedReal(y), 9)
+        assert math.isclose(float(lift(x, y)), float(exact), abs_tol=1e-9)
 
 
 def test_trivialized_identity_when_trivial():
@@ -373,21 +382,28 @@ def test_trivialized_identity_when_trivial():
     assert js.step_trivialized(pt3) == pt3
 
 
+def _step_star(js, pt):
+    """One step of T_star on X_star via the group action."""
+    x, y, _ = pt.coords()
+    g = GroupElement(js.base.alpha, js.base.beta, js.H_value(x, y), js.law)
+    return canonical_rep(mul(g, pt.rep))
+
+
 def test_conjugacy_exact_and_float(std_js, rng):
+    """rho carries T_star to the torus map: exactly, and within 1e-9 through
+    the float H' of the growth diagnostics."""
+    af, bf = std_js.base.alpha_f, std_js.base.beta_f
     for _ in range(100):
         coords = rng.random(3)
         x, y, z = (FixedReal(float(v)).frac() for v in coords)
         pt = nil_point(x, y, z, std_js.law)
-        lhs = rho(std_js.step_star(pt))
+        lhs = rho(_step_star(std_js, pt))
         rhs = std_js.step_trivialized(rho(pt))
         assert tuple(lhs) == tuple(rhs)
-    for _ in range(200):
-        x, y, z = (float(v) for v in rng.random(3))
-        ptf = nil_point(x, y, z, std_js.law, fixed=False)
-        lhs = rho(std_js.step_star(ptf))
-        rhs = std_js.step_trivialized(rho(ptf))
-        for a, b in zip(lhs, rhs):
-            assert circle_dist(a, b) <= 1e-9
+        xf, yf, zf = (float(v) for v in rho(pt))
+        rhs_f = (xf + af, yf + bf, zf + float(std_js.H_prime_arrays(xf, yf)))
+        for a, b in zip(lhs, rhs_f):
+            assert circle_dist(float(a), b) <= 1e-9
 
 
 def test_Hn_prime_specializations(std_js):

@@ -29,7 +29,7 @@ from nillab.engine import (
     u64c,
 )
 from nillab.fixedpoint import FixedReal, sqrt_q64
-from nillab.heisenberg import GroupElement, canonical_rep, identity
+from nillab.heisenberg import GroupElement, GroupLaw, canonical_rep, identity
 from nillab.moebius import bilinear_sum_reduced
 from nillab.observables import BumpProfile, Observable, eval_observable
 
@@ -270,8 +270,9 @@ def test_value_bound_enforced():
     sys = make_sys()
     with pytest.raises(ValueError):
         orbit_stream(sys, None, OrbitSegmentPlan(64), lambda x, y, z, n: 100.0 * np.ones_like(x))
-    # one value past the bound, in either part, or not finite in the real part
-    for bad in (2.0000000000000004, -2.5, np.nan, np.inf, -np.inf, 2.5j, -3j, complex(0, np.inf)):
+    # one value past the bound, in either part, or not finite in either part
+    for bad in (2.0000000000000004, -2.5, np.nan, np.inf, -np.inf, 2.5j, -3j, complex(0, np.inf),
+                complex(0, np.nan), complex(0.5, np.nan)):
 
         def fn(x, y, z, n, bad=bad):
             v = np.full(x.shape, 2.0 + 0j)
@@ -280,6 +281,12 @@ def test_value_bound_enforced():
 
         with pytest.raises(ValueError, match="accumulation bound"):
             orbit_stream(sys, None, OrbitSegmentPlan(100, 32), fn)
+
+
+def test_engine_requires_heisenberg_start():
+    star = canonical_rep(GroupElement.fixed(0.25, 0.5, 0.75, GroupLaw.star(3, 2)))
+    with pytest.raises(ValueError, match="Heisenberg"):
+        orbit_stream(make_sys(), star, OrbitSegmentPlan(10), lambda x, y, z, n: np.ones_like(x))
 
 
 def test_engine_requires_unit_interval_rotation():

@@ -69,10 +69,6 @@ def test_mul_half_example():
 def test_mul_law_mismatch():
     with pytest.raises(LawMismatch):
         mul(GroupElement.fixed(0, 0, 0), GroupElement.fixed(0, 0, 0, STAR5))
-    with pytest.raises(LawMismatch):
-        mul(GroupElement.fixed(0, 0, 0), GroupElement.floating(0, 0, 0))
-    with pytest.raises(LawMismatch):
-        mul(GroupElement.floating(0, 0, 0), GroupElement.fixed(0, 0, 0))
     # equal laws built separately are the same law
     out = mul(GroupElement.fixed(1, 0, 0, GroupLaw.star(3, 2)),
               GroupElement.fixed(0, 1, 0, GroupLaw.star(3, 2)))
@@ -189,33 +185,16 @@ def test_canonical_rep_examples():
     assert pt2.coords() == (FixedReal(0.5), FixedReal(0.5), FixedReal(0.75))
 
 
-def test_float_path_mirrors_fixed(rng):
-    for _ in range(300):
-        x, y, z = (float(v) for v in rng.uniform(-3, 3, size=3))
-        for law in (HEISENBERG, STAR5):
-            pf = canonical_rep(GroupElement.floating(x, y, z, law))
-            pe = canonical_rep(GroupElement.fixed(x, y, z, law)).to_float()
-            for a, b in zip(pf.coords(), pe.coords()):
-                d = abs(a - b)
-                assert min(d, 1 - d) <= 1e-12
-
-
-def test_to_float_keeps_coordinates_below_one():
-    top = FixedReal.from_q64(2**64 - 1)  # 1 - 2**-64 rounds to 1.0 as a float
-    pt = nil_point(top, 0, top).to_float()
-    below = math.nextafter(1.0, 0.0)
-    assert pt.coords() == (below, 0.0, below)
-    assert nil_point(0.5, 0.25, 0).to_float().coords() == (0.5, 0.25, 0.0)
-
-
 # -- projection and the joining constraint ------------------------------------
 
 
 def test_project_pi_example():
-    out = project_pi((0.6, 0.3, 0.7, 0.4, 0.2, 0.3), 3, 2)
+    # x = 1/4, y = 1/8: (3x, 3y) = (0.75, 0.375) and (2x, 2y) = (0.5, 0.25)
+    g6 = tuple(FixedReal(v) for v in (0.75, 0.375, 0.7, 0.5, 0.25, 0.3))
+    out = project_pi(g6, 3, 2)
     assert out.law == STAR5
-    assert math.isclose(float(out.x), 0.2)
-    assert math.isclose(float(out.y), 0.1)
+    assert (out.x, out.y) == (FixedReal(0.25), FixedReal(0.125))
+    assert out.z == FixedReal(0.7) - FixedReal(0.3)
     assert math.isclose(float(out.z), 0.4)
 
 
@@ -229,8 +208,6 @@ def test_project_pi_exact_constraint_violation():
            FixedReal(0.2), FixedReal(0), FixedReal(0))
     with pytest.raises(ValueError):
         project_pi(bad, 3, 2)
-    with pytest.raises(ValueError):
-        project_pi((0.5, 0.0, 0.0, 0.2, 0.0, 0.0), 3, 2)
 
 
 @given(fixed_vals, fixed_vals, fixed_vals, fixed_vals, fixed_vals, fixed_vals)
@@ -281,20 +258,10 @@ def _samples():
     star = GroupLaw.star(3, 2)
     return [
         GroupElement.fixed(0.25, -1.5, 3, star),
-        GroupElement.floating(0.25, -1.5, 3.0, star),
+        GroupElement.fixed(0.25, -1.5, 3),
         canonical_rep(GroupElement.fixed(1.25, 0.5, 0.75, star)),
-        canonical_rep(GroupElement.floating(1.25, 0.5, 0.75)),
+        canonical_rep(GroupElement.fixed(1.25, 0.5, 0.75)),
     ]
-
-
-def test_fixed_and_float_elements_never_compare_equal():
-    assert GroupElement.fixed(0, 0, 0) != GroupElement.floating(0, 0, 0)
-    assert GroupElement.fixed(0.5, 0.25, 1) != GroupElement.floating(0.5, 0.25, 1)
-    # a scaled integer that equals a float's value as a number
-    tiny = GroupElement(FixedReal.from_scaled(1), FixedReal(0), FixedReal(0), HEISENBERG)
-    assert tiny != GroupElement.floating(1.0, 0.0, 0.0)
-    assert identity() != identity(fixed=False)
-    assert nil_point(0.5, 0.5, 0.5) != nil_point(0.5, 0.5, 0.5, fixed=False)
 
 
 def test_hash_and_pickle_round_trips():
@@ -304,13 +271,13 @@ def test_hash_and_pickle_round_trips():
     for obj in _samples():
         for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
             assert back == obj and hash(back) == hash(obj)
-            assert type(back) is type(obj) and back.is_fixed == obj.is_fixed
+            assert type(back) is type(obj)
     assert len(set(_samples())) == 4
 
 
 def test_assignment_raises():
     g, pt = _samples()[0], _samples()[2]
-    for obj, attr in ((g, "x"), (g, "y"), (g, "z"), (g, "law"), (g, "is_fixed"),
+    for obj, attr in ((g, "x"), (g, "y"), (g, "z"), (g, "law"),
                       (g, "extra"), (pt, "rep"), (pt, "extra")):
         with pytest.raises(AttributeError):
             setattr(obj, attr, 0)
@@ -321,21 +288,20 @@ def test_coordinates_are_fixed_reals_on_the_exact_path():
     assert all(type(v) is FixedReal for v in (*g.coords(), g.x, g.y, g.z))
     assert g.coords() == (FixedReal(0.25), FixedReal(-1.5), FixedReal(3))
     assert canonical_rep(g).coords() == (FixedReal(0.25), FixedReal(0.5), FixedReal(0.5))
-    f = GroupElement.floating(0.25, -1.5, 3)
-    assert all(type(v) is float for v in (*f.coords(), f.x, f.y, f.z))
     assert LatticeElement(1, -2, 3).to_group(HEISENBERG).coords() == (
         FixedReal(1), FixedReal(-2), FixedReal(3)
     )
     g = GroupElement.from_scaled(1 << 127, 0, 3, HEISENBERG)
-    assert g.x == FixedReal(0.5) and g.z.scaled == 3 and g.is_fixed
+    assert g.x == FixedReal(0.5) and g.z.scaled == 3
 
 
-def test_mixing_paths_raises_law_mismatch():
-    fixed, floating = GroupElement.fixed(0.5, 0, 0), GroupElement.floating(0.5, 0, 0)
-    for a, b in ((fixed, floating), (floating, fixed)):
-        with pytest.raises(LawMismatch):
-            mul(a, b)
-    with pytest.raises(LawMismatch):
+def test_non_fixed_coordinates_raise_type_error():
+    """No float (nor any other non-FixedReal) reaches a scaled-integer slot."""
+    with pytest.raises(TypeError, match="got float"):
         GroupElement(FixedReal(0.5), 0.0, 0.0, HEISENBERG)
-    with pytest.raises(LawMismatch):
+    with pytest.raises(TypeError, match="got float"):
         GroupElement(0.5, 0.0, FixedReal(0), HEISENBERG)
+    with pytest.raises(TypeError, match="got int"):
+        GroupElement(FixedReal(0), FixedReal(0), 1, HEISENBERG)
+    with pytest.raises(TypeError, match="got float"):
+        project_pi((0.6, 0.3, 0.7, 0.4, 0.2, 0.3), 3, 2)

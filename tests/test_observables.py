@@ -6,7 +6,14 @@ import pytest
 
 from nillab.dynamics import pair_orbit, rho
 from nillab.engine import StarDescentSink, _quantize
-from nillab.heisenberg import GroupElement, canonical_rep, mul, nil_point, project_pi
+from nillab.heisenberg import (
+    GroupElement,
+    LatticeElement,
+    canonical_rep,
+    mul,
+    nil_point,
+    project_pi,
+)
 from nillab.observables import (
     BumpProfile,
     Observable,
@@ -226,11 +233,10 @@ def test_descent_well_defined_under_star_lattice(std_js, rng):
     for _ in range(20):
         x, y, z = (float(v) for v in rng.random(3))
         v1 = complex(sink.eval_star(x, y, z))
-        ge = GroupElement.floating(x, y, z, std_js.law)
-        gamma = GroupElement.floating(
+        ge = GroupElement.fixed(x, y, z, std_js.law)
+        gamma = LatticeElement(
             int(rng.integers(-3, 4)), int(rng.integers(-3, 4)), int(rng.integers(-3, 4)),
-            std_js.law,
-        )
+        ).to_group(std_js.law)
         moved = canonical_rep(mul(ge, gamma))
         v2 = complex(sink.eval_star(*(float(c) for c in moved.coords())))
         assert abs(v1 - v2) < 1e-9
