@@ -35,6 +35,8 @@ from .engine import OrbitSegmentPlan, PairScan, check_checkpoints, orbit_stream_
 from .fixedpoint import FixedReal
 from .heisenberg import check_prime_pair
 from .moebius import CorrelationPoint
+from .observables import fourier_mode
+from .workspace import FRESH
 
 TWO_PI = 2.0 * math.pi
 _DENOM_FLOOR = 1e-9  # coboundary modes with |e(m alpha + n beta) - 1| below this are skipped
@@ -51,6 +53,18 @@ class WeylReport:
     freq: tuple[int, int, int]
     checkpoints: tuple[CorrelationPoint, ...]
     metadata: dict = field(default_factory=dict)
+
+
+def weyl_mode(k):
+    """The engine value function e(k1 x + k2 y + k3 z): the bits of
+    ``np.exp(2j * math.pi * (k1 * x + k2 * y + k3 * z))``, written into the
+    workspace it is given."""
+
+    def fn(x, y, z, n, ws=FRESH):
+        return fourier_mode(k, (x, y, z), ws)
+
+    fn.wants_ws = True
+    return fn
 
 
 def weyl_sums(
@@ -76,15 +90,7 @@ def weyl_sums(
     checkpoints = check_checkpoints(checkpoints)
     plan = resize_plan(plan, checkpoints[-1])
 
-    def make_fn(k):
-        k1, k2, k3 = k
-
-        def fn(x, y, z, n):
-            return np.exp(2j * math.pi * (k1 * x + k2 * y + k3 * z))
-
-        return fn
-
-    fns = [make_fn(k) for k in freqs]
+    fns = [weyl_mode(k) for k in freqs]
     all_sums = orbit_stream_multi(
         js, start, plan, fns, checkpoints=checkpoints, pair_scan=pair_scan
     )

@@ -53,6 +53,7 @@ from .heisenberg import (
     identity,
     mul,
 )
+from .workspace import FRESH, Workspace
 
 TWO_PI = 2.0 * math.pi
 Q53 = 2.0**53
@@ -113,18 +114,55 @@ class BaseFunctionSpec:
 
     # -- canonical circle quantization (shared by scalar path and engine) ----
 
-    def periodic_q53(self, xu: np.ndarray, yu: np.ndarray) -> np.ndarray:
-        """Quantized periodic part at u64 torus coordinates (units 2**-53).
+    def periodic_q53(self, xu: np.ndarray, yu: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
+        """Quantized periodic part at u64 torus coordinates (units 2**-53),
+        as int64: rint(periodic_value(xf, yf) * 2**53) at xf = xu / 2**64,
+        yf = yu / 2**64.
 
         This single function defines the circle value used by the exact
         dynamics, on the engine's lanes and on the base points of every
-        exact Birkhoff sum alike.
+        exact Birkhoff sum alike.  It works a term at a time: in place in
+        ``ws``'s buffers ``h.q``, ``h.t`` and ``h.y`` when a workspace is
+        given (the engine's segments; the result is in ``h.t``), else in
+        fresh arrays, which cost numpy less than in-place writes on the
+        scalar path's length-1 arrays.  Both keep the formula's bits.
+        Scaling by a power of two is exact, so fl(k fl(u) 2**-64) =
+        fl(fl(u) (k 2**-64)) and the 2**53 goes into the amplitude; the other
+        shortcuts change at most the sign of a zero, which rint and the int64
+        cast drop: the y lane is skipped when k2 = 0, ``+ phase`` when the
+        phase is 0, and the leading ``0.0 +``.
         """
         if not self.terms:  # periodic_value would be the scalar 0.0
-            return np.zeros(xu.shape, dtype=np.int64)
-        xf = xu.astype(np.float64) * 2.0**-64
-        yf = yu.astype(np.float64) * 2.0**-64
-        return np.rint(self.periodic_value(xf, yf) * Q53).astype(np.int64)
+            q = ws.take("h.t", xu.shape, np.int64)
+            q.fill(0)
+            return q
+        if ws is FRESH:
+            acc = None
+            for t in self.terms:
+                v = xu * (t.k1 * 2.0**-64)
+                if t.k2:
+                    v = v + yu * (t.k2 * 2.0**-64)
+                if t.phase:
+                    v = v + t.phase
+                v = np.sin(v * TWO_PI) * (t.amplitude * Q53)
+                acc = v if acc is None else acc + v
+            return np.rint(acc).astype(np.int64)
+        acc = ws.take("h.q", xu.shape, np.float64)
+        for i, t in enumerate(self.terms):
+            v = acc if i == 0 else ws.take("h.t", xu.shape, np.float64)
+            np.multiply(xu, t.k1 * 2.0**-64, out=v)
+            if t.k2:
+                v += np.multiply(yu, t.k2 * 2.0**-64, out=ws.take("h.y", yu.shape, np.float64))
+            if t.phase:
+                v += t.phase
+            v *= TWO_PI
+            np.sin(v, out=v)
+            v *= t.amplitude * Q53
+            if i:
+                acc += v
+        q = ws.take("h.t", xu.shape, np.int64)
+        np.copyto(q, np.rint(acc, out=acc), casting="unsafe")
+        return q
 
     def as_lift(self) -> "AffineTrigLift":
         return AffineTrigLift(float(self.d1), float(self.d2), 0.0, self.terms)

@@ -25,15 +25,25 @@ lifts.  Observable values are quantized to 2**-53 and summed in integer
 arithmetic, which makes checkpoint sums bit-identical for any worker count and
 segment size -- and equal to the naive single-loop oracle.
 
-Each worker of a pass over segments holds one :class:`_Workspace`: a few
+Each worker of a pass over segments holds one :class:`Workspace`: a few
 segment-length buffers into which the cocycle values, the scan, the lanes,
-their floats and the quantized values are written in place, segment after
-segment.  A workspace lives for one pass of one stream -- at most one per
-worker, dropped when the pass returns -- so the hot arrays are neither
-allocated nor page-faulted again per segment, and the engine keeps no buffer
-between calls.  The kernels (``u_values``, ``lanes``, ``mulhi_u64``) take
-their buffers as optional arguments; without them, as in the naive oracle,
-the same code writes into fresh arrays.
+their floats, the observable values and the quantized values are written in
+place, segment after segment.  A workspace lives for one pass of one stream
+-- at most one per worker, dropped when the pass returns -- so the hot arrays
+are neither allocated nor page-faulted again per segment, and the engine
+keeps no buffer between calls.  The kernels take their workspace or buffers
+as optional arguments: ``u_values``, ``lanes``, ``mulhi_u64`` and the float
+lanes here, ``BaseFunctionSpec.periodic_q53`` (through ``u_values``),
+``Observable.eval_arrays`` with its bump, and ``observables.fourier_mode``
+(the Weyl modes and the Davenport wave).  Without them, as in the naive
+oracle and on the scalar path, the same code writes into fresh arrays.
+Only the index arrays of a support (``np.flatnonzero``) are still made per
+call.
+
+Both pair products -- the pair route's n-chunks and :class:`StarDescentSink`
+-- evaluate their second factor only where the first is nonzero; the bump
+vanishes on 3/4 of the torus.  Elsewhere the full product would be a signed
+zero, which quantizes to 0, so every checkpoint sum keeps its bits.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ import numpy as np
 from .dynamics import JoiningSystem, SkewSystem
 from .fixedpoint import FixedReal
 from .heisenberg import HEISENBERG, canonical_rep, check_prime_pair, identity
+from .workspace import FRESH, Workspace
 
 MASK64 = (1 << 64) - 1
 Q53 = 2.0**53
@@ -58,43 +69,6 @@ _VALUE_BOUND = 2.0  # |observable value| contract for exact accumulation
 def u64c(v: int) -> np.uint64:
     """A Python integer as a wrapped uint64 constant."""
     return np.uint64(v & MASK64)
-
-
-class _Workspace:
-    """Segment-length buffers of one worker, for one pass of one stream.
-
-    ``take(name, shape)`` returns the first entries of the buffer ``name``,
-    made on first use at ``size`` and handed out again on every later call,
-    so each segment writes its arrays in place.  What a name holds stays
-    valid until the next ``take`` of that name; ``t1`` and ``t2`` are scratch,
-    read before the next kernel runs.  A buffer serves every dtype of
-    its itemsize.  A shape that is not 1-d within ``size`` -- and every shape
-    when ``size`` is 0, as in ``_FRESH``, the kernels' default -- gets a fresh
-    array instead.  ``steps`` is ``arange(size)``, shared by the workspaces
-    of one pass.
-    """
-
-    def __init__(self, size: int = 0, steps: np.ndarray | None = None):
-        self.size = size
-        self._steps = steps
-        self._bufs = {}
-
-    def take(self, name: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        if len(shape) != 1 or not 0 < shape[0] <= self.size:
-            return np.empty(shape, dtype)
-        buf = self._bufs.get(name)
-        if buf is None or buf.itemsize != dtype.itemsize:
-            buf = self._bufs[name] = np.empty(self.size, dtype)
-        return buf[: shape[0]].view(dtype)
-
-    def steps(self, name: str, lo: int, hi: int) -> np.ndarray:
-        """The step indices lo .. hi - 1 (at most ``size``) as uint64, in the
-        buffer ``name``."""
-        return np.add(self._steps[: hi - lo], u64c(lo), out=self.take(name, (hi - lo,)))
-
-
-_FRESH = _Workspace()
 
 
 def mulhi_u64(a, b, out=None, tmp=None):
@@ -141,8 +115,9 @@ def _frac_int_parts(base_u: np.uint64, step_u: np.uint64, n: np.ndarray, frac=No
     frac = np.empty(n.shape, np.uint64) if frac is None else frac
     ip = mulhi_u64(n, step_u, out=ip, tmp=frac)
     np.multiply(n, step_u, out=frac)
-    frac += base_u
-    ip += frac < base_u  # the sum wrapped exactly when it fell below base
+    if base_u:  # adding 0 cannot wrap
+        frac += base_u
+        ip += frac < base_u  # the sum wrapped exactly when it fell below base
     return frac, ip
 
 
@@ -250,10 +225,10 @@ class _LaneStream:
             for j in range(m)
         ]
 
-    def _lift(self, xg: np.ndarray, yg: np.ndarray):
+    def _lift(self, xg: np.ndarray, yg: np.ndarray, ws: Workspace):
         """The lift of h at u64 torus coordinates, wrapped mod 1, written over
         ``xg`` (``yg`` is overwritten too)."""
-        q = self.h.periodic_q53(xg, yg)
+        q = self.h.periodic_q53(xg, yg, ws)
         xg *= self.d1u
         yg *= self.d2u
         xg += yg
@@ -261,7 +236,7 @@ class _LaneStream:
         yg <<= np.uint64(11)
         xg += yg
 
-    def u_values(self, i: np.ndarray, ws: _Workspace = _FRESH) -> np.ndarray:
+    def u_values(self, i: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
         """H at the base points (x0, y0) + i (alpha, beta), wrapped mod 1, in
         ``ws``'s buffer ``u``."""
         acc, xg, yg = (ws.take(name, i.shape) for name in ("u", "t1", "t2"))
@@ -271,23 +246,28 @@ class _LaneStream:
             x += bx
             np.multiply(i, sy, out=yg)
             yg += by
-            self._lift(x, yg)
+            self._lift(x, yg, ws)
             if k:
                 (np.subtract if minus else np.add)(acc, xg, out=acc)
         return acc
 
-    def lanes(self, n: np.ndarray, s: np.ndarray, ws: _Workspace = _FRESH):
+    def lanes(self, n: np.ndarray, s: np.ndarray, ws: Workspace = FRESH):
         """(x frac, y frac, z hi, z lo) for step indices n with cocycle sums s,
         in ``ws``'s buffers ``fx``, ``fy``, ``z_hi`` and ``z_lo``."""
         fx, fy, z_hi, z_lo, kx, m = (
             ws.take(name, n.shape) for name in ("fx", "fy", "z_hi", "z_lo", "t1", "t2")
         )
-        _n_times_q128(self.cross, n, hi=z_hi, lo=z_lo)
-        z0_lo = u64c(self.z0_lo)
-        z_lo += z0_lo
-        z_hi += z_lo < z0_lo  # the carry out of the low limb
+        if self.cross:
+            _n_times_q128(self.cross, n, hi=z_hi, lo=z_lo)
+            z_hi += s
+        else:  # from x0 = y0 = 0, or with no twist: no cross term
+            np.copyto(z_hi, s)
+            z_lo.fill(0)
+        if self.z0_lo:  # adding 0 cannot carry
+            z0_lo = u64c(self.z0_lo)
+            z_lo += z0_lo
+            z_hi += np.less(z_lo, z0_lo, out=ws.take("carry", n.shape, np.bool_))
         z_hi += u64c(self.z0_hi)
-        z_hi += s
         _frac_int_parts(self.x0u, self.au, n, frac=fx, ip=kx)
         _frac_int_parts(self.y0u, self.bu, n, frac=fy, ip=m)
         m *= self.cu
@@ -335,39 +315,71 @@ def _exact_sum_i64(a: np.ndarray) -> int:
     return total
 
 
-def _peak(part: np.ndarray):
-    """max |part| (0 when empty, NaN when any is), without an |part| array."""
-    return max(part.max(initial=0.0), -part.min(initial=0.0))
+def _peak(v: np.ndarray):
+    """max |entry| over both parts of ``v`` (0 when empty, NaN when any is),
+    without an |v| array; a contiguous complex array is read as one float
+    array."""
+    if v.dtype == np.complex128 and v.flags.c_contiguous:
+        v = v.reshape(-1).view(np.float64)
+    if np.iscomplexobj(v):
+        # np.maximum, not max: max(peak, nan) would drop an imaginary part's NaN
+        return np.maximum(_peak(v.real), _peak(v.imag))
+    return max(v.max(initial=0.0), -v.min(initial=0.0))
 
 
-def _quantize(part: np.ndarray, ws: _Workspace = _FRESH) -> np.ndarray:
+def _quantize(part: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
     """Real values on the 2**-53 grid, as int64 in ``ws``'s scratch ``t2``."""
     scaled = np.multiply(part, Q53, out=ws.take("t1", part.shape, np.float64))
-    return np.rint(scaled, out=ws.take("t2", part.shape, np.int64), casting="unsafe")
+    q = ws.take("t2", part.shape, np.int64)
+    np.copyto(q, np.rint(scaled, out=scaled), casting="unsafe")
+    return q
 
 
-def _float_lanes(fx, fy, z_hi, z_lo, ws: _Workspace = _FRESH):
+def _float_lanes(fx, fy, z_hi, z_lo, ws: Workspace = FRESH):
     """The lanes as floats in [0, 1), in ``ws``'s buffers ``xf``, ``yf``, ``zf``:
-    each lane cast to float64, then scaled by a power of two (exactly)."""
+    each lane cast to float64, then scaled by a power of two (exactly).
+
+    z_hi is cast as fl(hi 2**32 + lo) from its 32-bit halves: both terms are
+    exact, so the sum rounds once, to the cast's bits.  Its top bit is
+    unpredictable, which makes numpy's direct uint64 cast slow."""
     shape = np.broadcast_shapes(fx.shape, fy.shape, z_hi.shape, z_lo.shape)
-    xf, yf, zf, lo = (ws.take(name, shape, np.float64) for name in ("xf", "yf", "zf", "t1"))
+    xf, yf, zf, t = (ws.take(name, shape, np.float64) for name in ("xf", "yf", "zf", "t1"))
     np.multiply(fx, 2.0**-64, out=xf)
     np.multiply(fy, 2.0**-64, out=yf)
-    np.multiply(z_hi, 2.0**-64, out=zf)
-    zf += np.multiply(z_lo, 2.0**-128, out=lo)
+    half = t.view(np.uint64)
+    np.multiply(np.right_shift(z_hi, _SH32, out=half), 2.0**32, out=zf)
+    zf += np.bitwise_and(z_hi, _U32MASK, out=half)
+    zf *= 2.0**-64
+    zf += np.multiply(z_lo, 2.0**-128, out=t)
     return xf, yf, zf
 
 
 def _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache, ws):
-    """One value function on a segment.  A lane sink also gets ``ws``, and
-    may overwrite any of its buffers but the lanes and ``n`` it is given."""
+    """One value function on a segment.  A lane sink gets ``ws``, and may
+    overwrite any of its buffers but the lanes and ``n`` it is given; a value
+    function marked ``wants_ws`` gets ``ws`` too, and may overwrite any but
+    those and the float lanes."""
     if getattr(fn, "wants_lanes", False):
         floats_cache[0] = None
         return fn(fx, fy, z_hi, z_lo, n, ws=ws)
     if floats_cache[0] is None:
         floats_cache[0] = _float_lanes(fx, fy, z_hi, z_lo, ws)
     xf, yf, zf = floats_cache[0]
+    if getattr(fn, "wants_ws", False):
+        return fn(xf, yf, zf, n, ws=ws)
     return fn(xf, yf, zf, n)
+
+
+def _times_on(first: np.ndarray, on: np.ndarray, second: np.ndarray, ws: Workspace):
+    """``first`` with ``first[on] * second`` written at its flat indices
+    ``on``, over ``second``.  Where ``first`` is zero off ``on`` the full
+    product would be a signed zero, which quantizes to 0 all the same.  The
+    first factor stays the left operand: under fused multiply-add, swapping
+    the operands of a complex product changes its rounding."""
+    np.multiply(np.take(first, on, out=ws.take("first.on", on.shape, first.dtype)), second,
+                out=second)
+    np.put(first, on, second)
+    return first
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +395,7 @@ def _map_segments(job, bounds, workers: int) -> list:
     """``[job(k, ws) for k in range(len(bounds))]``, on ``workers`` threads
     when above 1.
 
-    A running job holds a :class:`_Workspace` sized to the longest segment,
+    A running job holds a :class:`Workspace` sized to the longest segment,
     and passes it on to a later job when it returns: there are at most
     ``workers`` of them, and none outlives this call.  The pool takes jobs in
     FIFO order, so job k - 1 has started before job k runs: a job may wait on
@@ -396,7 +408,7 @@ def _map_segments(job, bounds, workers: int) -> list:
         try:
             ws = idle.pop()
         except IndexError:
-            ws = _Workspace(size, steps)
+            ws = Workspace(size, steps)
         try:
             return job(k, ws)
         finally:
@@ -457,13 +469,12 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, prefixe
     return _map_segments(job, bounds, plan.worker_count)
 
 
-def _cut_sums(values, lo: int, cuts, ws: _Workspace = _FRESH):
+def _cut_sums(values, lo: int, cuts, ws: Workspace = FRESH):
     """Exact quantized sums of the values of steps lo+1 ..: one prefix sum per
     checkpoint in ``cuts``, then the totals."""
     v = np.asarray(values)
     complex_v = np.iscomplexobj(v)
-    # np.maximum, not max: max(peak, nan) would drop an imaginary part's NaN
-    peak = np.maximum(_peak(v.real), _peak(v.imag) if complex_v else 0.0)
+    peak = _peak(v)
     if not np.isfinite(peak) or peak > _VALUE_BOUND:
         raise ValueError(
             f"observable value magnitude {peak} exceeds the accumulation bound "
@@ -505,8 +516,12 @@ def orbit_stream_multi(
 
     ``value_fns`` are callables ``fn(x, y, z, n) -> complex ndarray`` (floats
     in [0,1)), or lane sinks with ``wants_lanes = True`` receiving the raw
-    uint64 lanes (see :class:`StarDescentSink`).  The arrays a value function
-    is given are valid only during the call: the next segment reuses them.
+    uint64 lanes (see :class:`StarDescentSink`).  A value function marked
+    ``wants_ws = True`` -- an :class:`~nillab.observables.Observable`, a Weyl
+    mode, the Davenport wave -- is called with ``ws=`` the worker's
+    :class:`Workspace` too, and may return one of its buffers.  The arrays a
+    value function is given are valid only during the call: the next segment
+    reuses them.
     ``weights`` is an optional callable ``(lo, hi) -> int8``
     giving multiplicative weights for steps lo+1 .. hi.  Returns, per value
     function, a list of ``(N, complex_sum)`` with the *unnormalized* sum over
@@ -565,7 +580,7 @@ def orbit_stream_naive(system, start, n_total, value_fn, weights=None, checkpoin
         )
         floats_cache = [None]
         n_arr = np.array([n], dtype=np.uint64)
-        v = _eval_fn(value_fn, fx, fy, z_hi, z_lo, n_arr, floats_cache, _FRESH)
+        v = _eval_fn(value_fn, fx, fy, z_hi, z_lo, n_arr, floats_cache, FRESH)
         if weights is not None:
             v = v * weights(n, n + 1)
         _, re, im = _cut_sums(v, i, [])
@@ -651,11 +666,12 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
 
     Phase 1 scans the skew cocycle once and keeps S only at the multiples of
     p and of q (two u64 arrays of length ``n_pairs``).  Phase 2 works on
-    n-chunks of the plan's segment size: it builds the lanes at p n and q n,
-    evaluates the observable there and sums the quantized products, so no
-    per-step array longer than a chunk is formed.  Returns ``(N, sum)`` for
-    each checkpoint N (default ``[n_pairs]``), unnormalized, like
-    :func:`orbit_stream_multi`.  Given ``pair_scan``, phase 1 also leaves
+    n-chunks of the plan's segment size: it builds the lanes at q n and
+    evaluates F there, then the lanes at p n and F only where F(T^{q n} x0)
+    is nonzero (the product is 0 elsewhere), and sums the quantized
+    products, so no per-step array longer than a chunk is formed.  Returns
+    ``(N, sum)`` for each checkpoint N (default ``[n_pairs]``), unnormalized,
+    like :func:`orbit_stream_multi`.  Given ``pair_scan``, phase 1 also leaves
     S_{pn} and S_{qn} there, from which a joining from the origin (Weyl sums
     in ``nillab run``) reads its cocycle.
     """
@@ -678,17 +694,22 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
     def job(k, ws):
         lo, hi = chunks[k]
 
-        def factor(m, s):  # F(T^{m n} x0) for the chunk's n
+        def factor(m, s, out=None, on=None):
+            """F(T^{m n} x0) for the chunk's n, or for those at ``on``."""
             mn = ws.steps("n", lo + 1, hi + 1)
             mn *= u64c(m)
-            return obs.eval_arrays(*_float_lanes(*stream.lanes(mn, s[lo:hi], ws), ws))
+            s = s[lo:hi]
+            if on is not None:
+                mn = np.take(mn, on, out=ws.take("pair.n", on.shape))
+                s = np.take(s, on, out=ws.take("pair.s", on.shape))
+            return obs.eval_arrays(*_float_lanes(*stream.lanes(mn, s, ws), ws), ws, out)
 
-        # conj(F_q) * F_p in this order: under fused multiply-add, swapping
-        # the operands of a complex product changes its rounding, and the
-        # report digests were taken in this order
-        values = factor(q, s_q)  # a new array, conjugated in place
+        # conj(F_q) * F_p in this order (see _times_on); F_p only where F_q
+        # is nonzero
+        values = factor(q, s_q, out=ws.take("pair.f", (hi - lo,), np.complex128))
         np.conjugate(values, out=values)
-        np.multiply(values, factor(p, s_p), out=values)
+        on = np.flatnonzero(values)
+        _times_on(values, on, factor(p, s_p, on=on), ws)
         return _cut_sums(values, lo, [c for c in checkpoints if lo < c <= hi], ws)
 
     return _running_sums(_map_segments(job, chunks, plan_template.worker_count))
@@ -706,8 +727,10 @@ class StarDescentSink:
     f(x1) conj f(x2) is invariant under the diagonal central shift, so it
     descends: at a trivialized star point (x, y, z) it is evaluated on the
     pair representative ((p x, p y, z), (q x, q y, 0)), each factor reduced
-    exactly to the fundamental domain of X on the u64 lanes.  The engine
-    calls it on lanes; :meth:`eval_star` takes float star coordinates.
+    exactly to the fundamental domain of X on the u64 lanes; the q factor is
+    evaluated only where the p factor is nonzero (the product is 0
+    elsewhere).  The engine calls it on lanes; :meth:`eval_star` takes float
+    star coordinates.
     """
 
     wants_lanes = True
@@ -720,9 +743,10 @@ class StarDescentSink:
         self.p = p
         self.q = q
 
-    def _factor(self, m: int, fx, fy, z_hi, z_lo, ws: _Workspace):
-        """f at the X-reduction of (m x, m y, z): with m x = ka + xa 2**-64
-        and m y = la + ya 2**-64, z loses m x floor(m y) - floor(m x) m y."""
+    def _factor(self, m: int, fx, fy, z_hi, z_lo, ws: Workspace, out=None):
+        """f at the X-reduction of (m x, m y, z), into ``out`` (by default
+        ``ws``'s buffer ``obs.v``): with m x = ka + xa 2**-64 and
+        m y = la + ya 2**-64, z loses m x floor(m y) - floor(m x) m y."""
         mu = u64c(m)
         shape = np.broadcast_shapes(fx.shape, fy.shape, z_hi.shape)
         xa, ya, za, ka = (ws.take(name, shape) for name in ("star.x", "star.y", "star.z", "t2"))
@@ -732,13 +756,20 @@ class StarDescentSink:
         ka *= np.multiply(fy, mu, out=ya)
         np.subtract(z_hi, za, out=za)  # z - xa la + ka ya
         za += ka
-        return self.obs.eval_arrays(*_float_lanes(xa, ya, za, z_lo, ws))
+        return self.obs.eval_arrays(*_float_lanes(xa, ya, za, z_lo, ws), ws, out)
 
-    def __call__(self, fx, fy, z_hi, z_lo, n, ws: _Workspace = _FRESH):
-        zero = np.broadcast_to(np.uint64(0), z_lo.shape)
-        f1 = self._factor(self.p, fx, fy, z_hi, z_lo, ws)
-        f2 = self._factor(self.q, fx, fy, zero, zero, ws)  # a new array, conjugated in place
-        return np.multiply(f1, np.conjugate(f2, out=f2), out=f2)
+    def __call__(self, fx, fy, z_hi, z_lo, n, ws: Workspace = FRESH):
+        """f_p conj(f_q) on the lanes, in ``ws``'s buffer ``star.f``; the q
+        factor is evaluated only where the p factor is nonzero."""
+        shape = np.broadcast_shapes(fx.shape, fy.shape, z_hi.shape, z_lo.shape)
+        f1 = self._factor(self.p, fx, fy, z_hi, z_lo, ws,
+                          ws.take("star.f", shape, np.complex128))
+        on = np.flatnonzero(f1)
+        fx, fy = (np.take(v, on, out=ws.take(name, on.shape))
+                  for v, name in ((fx, "star.fx"), (fy, "star.fy")))
+        zero = np.broadcast_to(np.uint64(0), on.shape)
+        f2 = self._factor(self.q, fx, fy, zero, zero, ws)
+        return _times_on(f1, on, np.conjugate(f2, out=f2), ws)
 
     def eval_star(self, x, y, z):
         """f_star at float star coordinates, taken mod 1 (vectorized).

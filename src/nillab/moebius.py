@@ -39,7 +39,8 @@ from .engine import (
 )
 from .fixedpoint import FixedReal
 from .heisenberg import NilPoint
-from .observables import Observable
+from .observables import Observable, fourier_mode
+from .workspace import FRESH
 
 MAX_SIEVE = 10**9
 _BLOCK = 1 << 20
@@ -281,8 +282,10 @@ def davenport_baseline(
     plan = resize_plan(plan, checkpoints[-1])
     sys = SkewSystem(alpha.frac(), FixedReal(0), BaseFunctionSpec(0, 0))
 
-    def wave(x, y, z, n):
-        return np.exp(2j * np.pi * x)
+    def wave(x, y, z, n, ws=FRESH):  # np.exp(2j pi x)
+        return fourier_mode((1,), (x,), ws)
+
+    wave.wants_ws = True
 
     sums = orbit_stream(sys, None, plan, wave, weights=table.mu_slice, checkpoints=checkpoints)
     meta = {

@@ -21,15 +21,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heisenberg import NilPoint
+from .workspace import FRESH, Workspace
 
 TWO_PI = 2.0 * math.pi
 _MARGIN = 0.125  # bump supports stay inside (1/8, 7/8)^2
 
 
-def _smoothstep(u):
-    """Order-3 polynomial step: 0 below 0, 1 above 1, u^2(3-2u) between."""
-    u = np.clip(u, 0.0, 1.0)
-    return u * u * (3.0 - 2.0 * u)
+def _smoothstep(u, tmp=None):
+    """Order-3 polynomial step: 0 below 0, 1 above 1, u^2(3-2u) between;
+    written over ``u`` when ``tmp``, scratch of u's shape, is given."""
+    u = np.clip(u, 0.0, 1.0, out=None if tmp is None else u)
+    tmp = np.subtract(3.0, np.multiply(2.0, u, out=tmp), out=tmp)
+    u *= u
+    u *= tmp
+    return u
+
+
+def fourier_mode(ks, coords, ws: Workspace = FRESH, out=None):
+    """exp(2j pi (k1 c1 + k2 c2 + ...)) elementwise (vectorized floats), into
+    ``out``, by default ``ws``'s buffer ``mode.v``.
+
+    The same floating-point operations in the same order as the expression
+    ``np.exp(2j * math.pi * (k1 * c1 + k2 * c2 + ...))``, so the same bits,
+    with the phase summed in ``ws``'s scratch."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    t = np.multiply(coords[0], ks[0], out=ws.take("t1", shape, np.float64))
+    for k, c in zip(ks[1:], coords[1:]):
+        t += np.multiply(c, k, out=ws.take("t2", shape, np.float64))
+    out = ws.take("mode.v", shape, np.complex128) if out is None else out
+    np.copyto(out, t)  # t + 0j, as the product below would cast it
+    np.multiply(2j * math.pi, out, out=out)
+    return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -57,19 +79,36 @@ class BumpProfile:
         # |smoothstep'| <= 3/2, one factor per axis, product bounded by 1
         return 1.5 / self.radius
 
+    def support(self, x, y, ws: Workspace = FRESH):
+        """``(idx, values)``: the flat indices of the points (x, y) inside the
+        open support box (vectorized), and the bump's values there, in
+        ``ws``'s buffer ``bump.sx``."""
+        cx, cy = self.center
+        r = self.radius
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        dx = np.subtract(x, cx, out=ws.take("t1", shape, np.float64))
+        dy = np.subtract(y, cy, out=ws.take("t2", shape, np.float64))
+        np.abs(dx, out=dx)
+        np.abs(dy, out=dy)
+        inside = np.less(dx, r, out=ws.take("bump.in", shape, np.bool_))
+        inside &= np.less(dy, r, out=ws.take("bump.iny", shape, np.bool_))
+        idx = np.flatnonzero(inside)
+        sx = np.take(dx, idx, out=ws.take("bump.sx", idx.shape, np.float64))
+        sy = np.take(dy, idx, out=ws.take("bump.sy", idx.shape, np.float64))
+        tmp = ws.take("t1", idx.shape, np.float64)  # dx is read
+        for s in (sx, sy):
+            s /= r
+            np.subtract(1.0, s, out=s)
+            _smoothstep(s, tmp)
+        sx *= sy
+        return idx, sx
+
     def __call__(self, x, y):
         """Bump value at (x, y) (vectorized); the smoothsteps are evaluated
         only inside the open support box, and the value is +0 elsewhere."""
-        cx, cy = self.center
-        r = self.radius
-        dx, dy = np.broadcast_arrays(
-            np.abs(np.asarray(x, dtype=np.float64) - cx),
-            np.abs(np.asarray(y, dtype=np.float64) - cy),
-        )
-        inside = np.flatnonzero((dx < r) & (dy < r))
-        out = np.zeros(dx.shape)
-        np.put(out, inside, _smoothstep(1.0 - dx.take(inside) / r)
-               * _smoothstep(1.0 - dy.take(inside) / r))
+        idx, values = self.support(x, y)
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        np.put(out, idx, values)
         return out
 
 
@@ -77,6 +116,7 @@ class BumpProfile:
 class Observable:
     """A vertical-frequency observable, or a base Fourier mode when xi = 0."""
 
+    wants_ws = True  # as an engine value function, it writes into the workspace
     xi: int
     bump: BumpProfile | None = None
     base_mode: tuple[int, int] | None = None
@@ -93,23 +133,32 @@ class Observable:
     def sup(self) -> float:
         return 1.0
 
-    def eval_arrays(self, x, y, z):
-        """Value at canonical coordinates (vectorized floats).
+    def eval_arrays(self, x, y, z, ws: Workspace = FRESH, out=None):
+        """Value at canonical coordinates (vectorized floats), into ``out``,
+        by default ``ws``'s buffer ``obs.v``.
 
         With xi != 0 the exponential is taken only where the bump is nonzero;
         elsewhere the value is +0 (where e(xi z) * 0 gives +-0)."""
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        out = ws.take("obs.v", shape, np.complex128) if out is None else out
         if self.xi == 0:
-            k1, k2 = self.base_mode
-            return np.exp(2j * math.pi * (k1 * np.asarray(x) + k2 * np.asarray(y)))
-        bump = self.bump(x, y)
-        on = np.flatnonzero(bump != 0)
-        out = np.zeros(bump.shape, dtype=np.complex128)
-        np.put(out, on, np.exp(2j * math.pi * self.xi * np.take(z, on)) * bump.take(on))
+            return fourier_mode(self.base_mode, (x, y), ws, out)
+        on, bump = self.bump.support(x, y, ws)
+        if not bump.all():  # a smoothstep that rounded to 0 inside the box
+            keep = np.flatnonzero(bump)
+            on, bump = on[keep], bump[keep]
+        e = ws.take("obs.e", on.shape, np.complex128)
+        np.copyto(e, np.take(z, on, out=ws.take("t2", on.shape, np.float64)))  # dy is read
+        np.multiply(2j * math.pi * self.xi, e, out=e)
+        np.exp(e, out=e)
+        e *= bump
+        out.fill(0)
+        np.put(out, on, e)
         return out
 
-    def __call__(self, x, y, z, n=None):
+    def __call__(self, x, y, z, n=None, ws: Workspace = FRESH):
         """Engine sink signature; the step index is ignored."""
-        return self.eval_arrays(x, y, z)
+        return self.eval_arrays(x, y, z, ws)
 
 
 def eval_observable(obs: Observable, pt: NilPoint) -> complex:

@@ -27,6 +27,7 @@ from nillab.heisenberg import (
     nil_point,
     project_pi,
 )
+from nillab.workspace import Workspace
 
 ALPHA = sqrt_q64(2) - 1
 BETA = sqrt_q64(3) - 1
@@ -328,6 +329,42 @@ def test_periodic_part_without_terms_quantizes_to_int64_zeros():
     u = np.arange(5, dtype=np.uint64) << np.uint64(61)
     q = BaseFunctionSpec(1, 2).periodic_q53(u, u[::-1])
     assert q.dtype == np.int64 and q.tolist() == [0] * 5
+
+
+def _periodic_q53_reference(h: BaseFunctionSpec, xu, yu):
+    """periodic_q53 as it was written before it worked in place."""
+    if not h.terms:
+        return np.zeros(xu.shape, dtype=np.int64)
+    xf = xu.astype(np.float64) * 2.0**-64
+    yf = yu.astype(np.float64) * 2.0**-64
+    return np.rint(h.periodic_value(xf, yf) * 2.0**53).astype(np.int64)
+
+
+def test_periodic_q53_in_place_equals_the_reference_formula(rng):
+    """Term by term in one buffer, with the y lane, the zero phase and the
+    leading 0.0 + skipped, the values keep the reference formula's bits:
+    random specs (k in [-3, 3], phases +-0.0 and nonzero, 0-3 terms), lanes
+    with 0 and 2**64 - 1, lengths 0, 1, 7 and 2**12, with a workspace and
+    without."""
+    ws = Workspace(4096)
+    specs = [BaseFunctionSpec(1, 0)]
+    for _ in range(150):
+        terms = tuple(
+            TrigTerm(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)),
+                     float(rng.uniform(-0.3, 0.3)),
+                     float(rng.choice([0.0, -0.0, rng.uniform(-1.0, 1.0)])))
+            for _ in range(int(rng.integers(1, 4)))
+        )
+        specs.append(BaseFunctionSpec(1, 0, terms))
+    assert any(t.k2 == 0 for h in specs for t in h.terms)
+    assert any(math.copysign(1.0, t.phase) < 0 and t.phase == 0 for h in specs for t in h.terms)
+    for h in specs:
+        for size in (0, 1, 7, 4096):
+            xu, yu = rng.integers(0, 2**64 - 1, size=(2, size), dtype=np.uint64, endpoint=True)
+            xu[:2], yu[:2] = (0, 2**64 - 1)[:size], (2**64 - 1, 0)[:size]
+            want = _periodic_q53_reference(h, xu, yu)
+            for got in (h.periodic_q53(xu, yu), h.periodic_q53(xu, yu, ws)):
+                assert got.dtype == np.int64 and np.array_equal(got, want), h
 
 
 def test_large_amplitude_quantizes_without_overflow():

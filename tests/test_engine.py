@@ -13,10 +13,12 @@ from nillab.engine import (
     OrbitSegmentPlan,
     PairScan,
     StarDescentSink,
+    _float_lanes,
     _frac_int_parts,
     _make_stream,
     _LaneStream,
     _n_times_q128,
+    _quantize,
     _scan_segments,
     checkpoint_sums,
     mulhi_u64,
@@ -30,8 +32,10 @@ from nillab.engine import (
 )
 from nillab.fixedpoint import FixedReal, sqrt_q64
 from nillab.heisenberg import GroupElement, GroupLaw, canonical_rep, identity
-from nillab.moebius import bilinear_sum_reduced
+from nillab.diagnostics import weyl_mode, weyl_sums
+from nillab.moebius import bilinear_sum_reduced, davenport_baseline, sieve_mobius
 from nillab.observables import BumpProfile, Observable, eval_observable
+from nillab.workspace import Workspace
 
 ALPHA = sqrt_q64(2) - 1
 BETA = sqrt_q64(3) - 1
@@ -83,14 +87,14 @@ def test_mulhi_two_product_forms_oracle(rng):
 
 
 def test_frac_int_parts_oracle(rng):
-    base = int(rng.integers(0, 2**64 - 1, dtype=np.uint64, endpoint=True))
     step = int(rng.integers(0, 2**64 - 1, dtype=np.uint64, endpoint=True))
     n = rng.integers(0, 10**7, size=300, dtype=np.uint64)
-    frac, ip = _frac_int_parts(u64c(base), u64c(step), n)
-    for i in range(300):
-        full = base + int(n[i]) * step
-        assert int(frac[i]) == full & MASK64
-        assert int(ip[i]) == full >> 64
+    for base in (int(rng.integers(0, 2**64 - 1, dtype=np.uint64, endpoint=True)), 0):
+        frac, ip = _frac_int_parts(u64c(base), u64c(step), n)
+        for i in range(300):
+            full = base + int(n[i]) * step
+            assert int(frac[i]) == full & MASK64
+            assert int(ip[i]) == full >> 64
 
 
 def test_n_times_q128_oracle(rng):
@@ -313,6 +317,66 @@ def test_pair_factor_values_match_iterates():
     assert got == checkpoint_sums(np.conj(fq) * fp, cps)
 
 
+# the standard bump, one touching the 1/8 margin, and a base mode (nowhere 0)
+SKIP_OBSERVABLES = pytest.mark.parametrize("obs", [
+    Observable(xi=1, bump=BumpProfile()),
+    Observable(xi=2, bump=BumpProfile((0.375, 0.625), 0.25)),
+    Observable(xi=0, base_mode=(2, -1)),
+], ids=["standard", "margin", "base-mode"])
+
+
+@SKIP_OBSERVABLES
+def test_pair_skip_equals_the_full_product(obs):
+    """F_p is evaluated only where F_q is nonzero; the sums at every n <= 60
+    equal those of the full product of the observable at the exact iterates."""
+    sys = make_sys()
+    start = canonical_rep(identity())
+    cps = list(range(1, 61))
+    fp, fq = (
+        np.array([eval_observable(obs, iterate_T(sys, start, m * n)) for n in cps])
+        for m in (3, 2)
+    )
+    if obs.xi:
+        assert 0 < np.count_nonzero(fq) < fq.size  # the skip is taken
+    for plan in (OrbitSegmentPlan(180, 16, 2), OrbitSegmentPlan(180)):
+        got = pair_factor_values(sys, start, 3, 2, 60, plan, obs, cps)
+        assert got == checkpoint_sums(np.conj(fq) * fp, cps)
+
+
+@pytest.mark.parametrize("obs", [
+    Observable(xi=1, bump=BumpProfile()),
+    Observable(xi=2, bump=BumpProfile((0.375, 0.625), 0.25)),
+], ids=["standard", "margin"])
+def test_star_sink_skip_equals_the_full_product(rng, obs):
+    """The descent evaluates its q factor only where the p factor is nonzero:
+    there the values are f_p conj(f_q) bit for bit, elsewhere +0, and both
+    quantize as the full product does, in a workspace or fresh."""
+    sink = StarDescentSink(obs, 3, 2)
+    fx, fy, z_hi, z_lo = rng.integers(0, 2**64 - 1, size=(4, 4096), dtype=np.uint64,
+                                      endpoint=True)
+    zero = np.zeros_like(z_lo)
+    f_p = sink._factor(3, fx, fy, z_hi, z_lo, Workspace())
+    full = f_p * np.conj(sink._factor(2, fx, fy, zero, zero, Workspace()))
+    on = f_p != 0
+    assert 0 < on.mean() < 1
+    for got in (sink(fx, fy, z_hi, z_lo, None), sink(fx, fy, z_hi, z_lo, None, Workspace(4096))):
+        assert np.array_equal(got[on].view(np.uint64), full[on].view(np.uint64))
+        assert not got[~on].view(np.uint64).any()
+        for part in ("real", "imag"):
+            assert np.array_equal(_quantize(getattr(got, part)), _quantize(getattr(full, part)))
+
+
+def test_float_lanes_z_hi_cast_is_exact(rng):
+    """z_hi goes to float through its 32-bit halves: the bits of numpy's
+    uint64 cast on 2**20 random values and on the edge cases."""
+    v = rng.integers(0, 2**64 - 1, size=1 << 20, dtype=np.uint64, endpoint=True)
+    v[:6] = (0, 1, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1)
+    zero = np.zeros_like(v)
+    _, _, zf = _float_lanes(zero, zero, v, zero)
+    want = v.astype(np.float64) * 2.0**-64
+    assert np.array_equal(zf.view(np.uint64), want.view(np.uint64))
+
+
 PAIR_CHECKPOINTS = [1, 16, 17, 250, 499, 500]
 
 
@@ -391,6 +455,20 @@ def test_joining_reads_pair_scan_bit_for_bit(monkeypatch, p, q, h_id, segment_si
         js, None, plan, fns, checkpoints=SHARED_CHECKPOINTS, pair_scan=scan
     )
     assert shared == own == naive
+
+
+@pytest.mark.parametrize("segment_size, workers", [(64, 1), (64, 2), (1 << 16, 1), (1 << 16, 2)])
+def test_weyl_sums_invariant_with_and_without_pair_scan(segment_size, workers):
+    """weyl_sums, whose modes share one set of workspace buffers, gives the
+    naive loop's bits at 1 and 2 workers and segment sizes 64 and 2**16,
+    scanning its own lifts or reading the pair route's scan."""
+    sys, js, naive = _shared_case(3, 2, "d2-1")
+    plan = OrbitSegmentPlan(SHARED_N, segment_size, workers)
+    scan = _filled_scan(sys, 3, 2, SHARED_N, plan)
+    for pair_scan in (None, scan):
+        reports = weyl_sums(js, None, WEYL_FREQS, SHARED_CHECKPOINTS, plan, pair_scan=pair_scan)
+        got = [[(c.n, c.value) for c in r.checkpoints] for r in reports]
+        assert got == [[(n, s / n) for n, s in sums] for sums in naive]
 
 
 def test_pair_scan_used_only_where_it_covers():
@@ -512,7 +590,8 @@ def test_short_last_segment_matches_naive(workers):
 def test_nested_stream_has_its_own_workspace(workers):
     """A value function that runs a whole stream of another system, of the
     same segment size, between the outer segment's lanes and its use of them,
-    leaves both sums equal to the two streams run apart."""
+    leaves both sums equal to the two streams run apart; Weyl modes, which
+    write into the workspace, run in both."""
     sys = make_sys()
     obs = Observable(xi=1, bump=BumpProfile())
     inner_sys = build_joining(make_sys(d1=2), 5, 3)
@@ -520,14 +599,19 @@ def test_nested_stream_has_its_own_workspace(workers):
     inner_plan = OrbitSegmentPlan(300, 128)
     inner = []
 
+    inner_fns = [inner_sink, weyl_mode((1, -1, 2))]
+    outer_mode = weyl_mode((2, 1, -1))
+
     def nested(x, y, z, n):
-        inner.append(orbit_stream(inner_sys, None, inner_plan, inner_sink, checkpoints=[100, 300]))
+        inner.append(orbit_stream_multi(inner_sys, None, inner_plan, inner_fns,
+                                        checkpoints=[100, 300]))
         return _wave(x, y, z, n)
 
     plan = OrbitSegmentPlan(700, 128, workers)
-    got = orbit_stream_multi(sys, None, plan, [nested, obs], checkpoints=[350, 700])
-    assert got == orbit_stream_multi(sys, None, plan, [_wave, obs], checkpoints=[350, 700])
-    alone = orbit_stream(inner_sys, None, inner_plan, inner_sink, checkpoints=[100, 300])
+    got = orbit_stream_multi(sys, None, plan, [outer_mode, nested, obs], checkpoints=[350, 700])
+    assert got == orbit_stream_multi(sys, None, plan, [outer_mode, _wave, obs],
+                                     checkpoints=[350, 700])
+    alone = orbit_stream_multi(inner_sys, None, inner_plan, inner_fns, checkpoints=[100, 300])
     assert len(inner) == 6 and all(sums == alone for sums in inner)
 
 
@@ -538,10 +622,15 @@ def test_streams_keep_no_segment_buffers():
     sys = make_sys()
     obs = Observable(xi=1, bump=BumpProfile())
     plan = OrbitSegmentPlan(3 * 4096 * 3, 4096, 2)
+    js = build_joining(sys, 3, 2)
+    table = sieve_mobius(4096 * 9)
+    cps = [4096 * 9]
     streams = {
         "orbit_stream": lambda: orbit_stream(sys, None, plan, obs),
         "pair_factor_values": lambda: pair_factor_values(sys, None, 3, 2, 4096 * 3, plan, obs),
         "bilinear_sum_reduced": lambda: bilinear_sum_reduced(sys, obs, 3, 2, [4096 * 3], plan),
+        "weyl_sums": lambda: weyl_sums(js, None, WEYL_FREQS, cps, plan),
+        "davenport_baseline": lambda: davenport_baseline(ALPHA, cps, table, plan),
     }
     tracemalloc.start()
     try:

@@ -20,7 +20,9 @@ from nillab.observables import (
     _smoothstep,
     eval_observable,
     fiber_average,
+    fourier_mode,
 )
+from nillab.workspace import Workspace
 
 
 def test_bump_geometry_validation():
@@ -124,6 +126,69 @@ def test_eval_arrays_skips_the_bump_zero_set(rng):
         np.exp(2j * math.pi * obs.xi * 0.3) * bump(0.45, 0.4)
     )
     assert eval_observable(obs, canonical_rep(GroupElement.fixed(0.9, 0.5, 0.3))) == 0
+
+
+def _eval_arrays_reference(obs, x, y, z):
+    """Observable.eval_arrays as it was written before it worked in place."""
+    if obs.xi == 0:
+        k1, k2 = obs.base_mode
+        return np.exp(2j * math.pi * (k1 * np.asarray(x) + k2 * np.asarray(y)))
+    cx, cy = obs.bump.center
+    r = obs.bump.radius
+    dx, dy = np.abs(x - cx), np.abs(y - cy)
+    inside = np.flatnonzero((dx < r) & (dy < r))
+    bump = np.zeros(dx.shape)
+    np.put(bump, inside, _smoothstep(1.0 - dx.take(inside) / r)
+           * _smoothstep(1.0 - dy.take(inside) / r))
+    on = np.flatnonzero(bump != 0)
+    out = np.zeros(bump.shape, dtype=np.complex128)
+    np.put(out, on, np.exp(2j * math.pi * obs.xi * np.take(z, on)) * bump.take(on))
+    return out
+
+
+@pytest.mark.parametrize("obs", [
+    Observable(xi=1, bump=BumpProfile()),
+    Observable(xi=-3, bump=BumpProfile((0.4, 0.55), 0.2)),
+    Observable(xi=2, bump=BumpProfile((0.375, 0.625), 0.25)),  # touches the 1/8 margin
+    Observable(xi=0, base_mode=(2, -1)),
+    Observable(xi=0, base_mode=(0, 3)),
+], ids=["standard", "xi-3", "margin", "mode-2-1", "mode-0-3"])
+def test_eval_arrays_in_place_equals_the_reference_formula(rng, obs):
+    """In a workspace or in fresh arrays, the values keep the bits of the
+    formula they replace, on points straddling the support box and on its
+    edges; a second call through the same workspace gives the same bits."""
+    ws = Workspace(4096)
+    x, y, z = rng.random((3, 4096))
+    if obs.bump is not None:
+        (cx, cy), r = obs.bump.center, obs.bump.radius
+        edges = [cx - r, cx + r, np.nextafter(cx - r, 1), np.nextafter(cx + r, 0), cx]
+        x[:25] = np.repeat(edges, 5)
+        y[:25] = np.tile([cy - r, cy + r, np.nextafter(cy - r, 1), np.nextafter(cy + r, 0), cy], 5)
+    want = _eval_arrays_reference(obs, x, y, z).view(np.uint64)
+    for size in (4096, 7, 1):
+        assert np.array_equal(obs.eval_arrays(x[:size], y[:size], z[:size]).view(np.uint64),
+                              want[: 2 * size])
+    for _ in range(2):
+        got = obs.eval_arrays(x, y, z, ws)
+        assert np.array_equal(got.view(np.uint64), want)
+    assert np.array_equal(obs(x, y, z, None, ws=ws).view(np.uint64), want)
+
+
+@pytest.mark.parametrize("ks", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2), (-1, 2, 0),
+                                (0, 0, -3), (2, -1, 1), (1,), (2, -1)])
+def test_fourier_mode_equals_the_exponential(rng, ks):
+    """fourier_mode, in a workspace or fresh, gives the bits of
+    np.exp(2j pi (k1 x + k2 y + k3 z)), with negative and zero components."""
+    coords = tuple(rng.random((len(ks), 4096)))
+    coords[0][:3] = (0.0, 0.5, np.nextafter(1.0, 0.0))
+    phase = ks[0] * coords[0]
+    for k, c in zip(ks[1:], coords[1:]):
+        phase = phase + k * c
+    want = np.exp(2j * math.pi * phase).view(np.uint64)
+    ws = Workspace(4096)
+    assert np.array_equal(fourier_mode(ks, coords).view(np.uint64), want)
+    for _ in range(2):
+        assert np.array_equal(fourier_mode(ks, coords, ws).view(np.uint64), want)
 
 
 def test_continuity_across_gluing():
