@@ -121,11 +121,9 @@ class BaseFunctionSpec:
 
         This single function defines the circle value used by the exact
         dynamics, on the engine's lanes and on the base points of every
-        exact Birkhoff sum alike.  It works a term at a time: in place in
-        ``ws``'s buffers ``h.q``, ``h.t`` and ``h.y`` when a workspace is
-        given (the engine's segments; the result is in ``h.t``), else in
-        fresh arrays, which cost numpy less than in-place writes on the
-        scalar path's length-1 arrays.  Both keep the formula's bits.
+        exact Birkhoff sum alike.  It works a term at a time, in place in
+        ``ws``'s buffers ``h.q``, ``h.t`` and ``h.y`` (the result is in
+        ``h.t``); ``FRESH``, as on the scalar path, hands out fresh arrays.
         Scaling by a power of two is exact, so fl(k fl(u) 2**-64) =
         fl(fl(u) (k 2**-64)) and the 2**53 goes into the amplitude; the other
         shortcuts change at most the sign of a zero, which rint and the int64
@@ -136,17 +134,6 @@ class BaseFunctionSpec:
             q = ws.take("h.t", xu.shape, np.int64)
             q.fill(0)
             return q
-        if ws is FRESH:
-            acc = None
-            for t in self.terms:
-                v = xu * (t.k1 * 2.0**-64)
-                if t.k2:
-                    v = v + yu * (t.k2 * 2.0**-64)
-                if t.phase:
-                    v = v + t.phase
-                v = np.sin(v * TWO_PI) * (t.amplitude * Q53)
-                acc = v if acc is None else acc + v
-            return np.rint(acc).astype(np.int64)
         acc = ws.take("h.q", xu.shape, np.float64)
         for i, t in enumerate(self.terms):
             v = acc if i == 0 else ws.take("h.t", xu.shape, np.float64)

@@ -266,7 +266,7 @@ class _LaneStream:
         if self.z0_lo:  # adding 0 cannot carry
             z0_lo = u64c(self.z0_lo)
             z_lo += z0_lo
-            z_hi += np.less(z_lo, z0_lo, out=ws.take("carry", n.shape, np.bool_))
+            z_hi += z_lo < z0_lo  # the carry out of the low limb
         z_hi += u64c(self.z0_hi)
         _frac_int_parts(self.x0u, self.au, n, frac=fx, ip=kx)
         _frac_int_parts(self.y0u, self.bu, n, frac=fy, ip=m)
@@ -337,20 +337,13 @@ def _quantize(part: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
 
 def _float_lanes(fx, fy, z_hi, z_lo, ws: Workspace = FRESH):
     """The lanes as floats in [0, 1), in ``ws``'s buffers ``xf``, ``yf``, ``zf``:
-    each lane cast to float64, then scaled by a power of two (exactly).
-
-    z_hi is cast as fl(hi 2**32 + lo) from its 32-bit halves: both terms are
-    exact, so the sum rounds once, to the cast's bits.  Its top bit is
-    unpredictable, which makes numpy's direct uint64 cast slow."""
+    each lane cast to float64, then scaled by a power of two (exactly)."""
     shape = np.broadcast_shapes(fx.shape, fy.shape, z_hi.shape, z_lo.shape)
-    xf, yf, zf, t = (ws.take(name, shape, np.float64) for name in ("xf", "yf", "zf", "t1"))
+    xf, yf, zf, lo = (ws.take(name, shape, np.float64) for name in ("xf", "yf", "zf", "t1"))
     np.multiply(fx, 2.0**-64, out=xf)
     np.multiply(fy, 2.0**-64, out=yf)
-    half = t.view(np.uint64)
-    np.multiply(np.right_shift(z_hi, _SH32, out=half), 2.0**32, out=zf)
-    zf += np.bitwise_and(z_hi, _U32MASK, out=half)
-    zf *= 2.0**-64
-    zf += np.multiply(z_lo, 2.0**-128, out=t)
+    np.multiply(z_hi, 2.0**-64, out=zf)
+    zf += np.multiply(z_lo, 2.0**-128, out=lo)
     return xf, yf, zf
 
 

@@ -13,7 +13,6 @@ from nillab.engine import (
     OrbitSegmentPlan,
     PairScan,
     StarDescentSink,
-    _float_lanes,
     _frac_int_parts,
     _make_stream,
     _LaneStream,
@@ -364,17 +363,6 @@ def test_star_sink_skip_equals_the_full_product(rng, obs):
         assert not got[~on].view(np.uint64).any()
         for part in ("real", "imag"):
             assert np.array_equal(_quantize(getattr(got, part)), _quantize(getattr(full, part)))
-
-
-def test_float_lanes_z_hi_cast_is_exact(rng):
-    """z_hi goes to float through its 32-bit halves: the bits of numpy's
-    uint64 cast on 2**20 random values and on the edge cases."""
-    v = rng.integers(0, 2**64 - 1, size=1 << 20, dtype=np.uint64, endpoint=True)
-    v[:6] = (0, 1, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1)
-    zero = np.zeros_like(v)
-    _, _, zf = _float_lanes(zero, zero, v, zero)
-    want = v.astype(np.float64) * 2.0**-64
-    assert np.array_equal(zf.view(np.uint64), want.view(np.uint64))
 
 
 PAIR_CHECKPOINTS = [1, 16, 17, 250, 499, 500]
