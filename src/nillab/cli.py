@@ -26,6 +26,7 @@ import dataclasses
 import datetime
 import os
 import sys
+import time
 from functools import cached_property
 from pathlib import Path
 
@@ -133,7 +134,10 @@ def cmd_sieve(args) -> int:
     bound = cfg.sieve_bound if args.bound is None else args.bound
     if not 1 <= bound <= MAX_SIEVE:
         raise ValueError(f"--bound = {bound} must be in [1, {MAX_SIEVE}]")
+    t0 = time.perf_counter()
     table = sieve_mobius(bound)
+    secs = time.perf_counter() - t0
+    print(f"sieved mu to {bound} in {secs:.2f} s ({bound / secs:.3g} ints/s)")
     rows = []
     n = 1000
     while n <= bound:

@@ -2,11 +2,19 @@
 
 mu(n) is (-1)^k on squarefree n with k prime factors and 0 otherwise.  The
 sieve is segmented into blocks of 2^20 and vectorized on one int32 array per
-block: each prime p up to sqrt(N) multiplies its multiples by -p, and the
-multiples of p^2 are zeroed.  sign(product) is then mu up to the single
+block holding the signed product of the distinct base primes (those up to
+sqrt(N)) that divide n, each entering as -p.  A block starts from a copy of
+the wheel: one period, 30030 = 2 * 3 * 5 * 7 * 11 * 13, of that product over
+the six smallest primes, tiled in at lo % 30030.  Every other base prime
+multiplies its multiples by -p.  sign(product) is then mu up to the single
 possible prime factor above sqrt(N), which shows as |product| != n and flips
-the sign.  Values are packed two bits per entry (codes mu + 1), a quarter
-byte each, so 10^9 fits comfortably in memory.  Reading goes through byte
+the sign.  int32 stays exact: |product| is a product of distinct primes
+dividing n <= 10^9 < 2^31.  The multiples of the squares p^2 are set to
+mu = 0 last, on the codes: the squares up to the block length one strided
+assignment each, and the larger ones, which have at most one multiple per
+block, all in one indexed assignment.  Values are packed two bits per entry
+(codes mu + 1), a quarter byte each, so 10^9 fits comfortably in memory.
+The buffers of a block are made once per sieve.  Reading goes through byte
 tables: ``mu_slice`` looks each packed byte up in a 256 x 4 table of its four
 mu values, and ``mertens`` sums whole bytes through a 256-entry table of
 their mu sums.
@@ -44,18 +52,35 @@ from .workspace import FRESH
 
 MAX_SIEVE = 10**9
 _BLOCK = 1 << 20
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _wheel() -> np.ndarray:
+    """Entry r is the product of -p over the wheel primes p dividing r, which
+    is the same for every n = r (mod 30030)."""
+    wheel = np.ones(math.prod(_WHEEL_PRIMES), dtype=np.int32)
+    for p in _WHEEL_PRIMES:
+        wheel[::p] *= -p
+    return wheel
+
+
+_WHEEL = _wheel()
+# times a word of four codes (at most 2, at bits 0, 8, 16, 24) this puts them
+# at bits 24, 26, 28, 30; the cross terms below bit 24 sum to less than 2^24
+_GATHER = np.uint32((1 << 24) + (1 << 18) + (1 << 12) + (1 << 6))
 
 
 def sieve_mobius(n_max: int) -> "MobiusTable":
     """Sieve mu(n) for 1 <= n <= n_max into a packed table."""
     if not (1 <= n_max <= MAX_SIEVE):
         raise ValueError(f"sieve bound must be in [1, {MAX_SIEVE}]")
-    base = _base_primes(math.isqrt(n_max))
+    # the table first: buffers made after it can go back to the OS at the end
     packed = np.zeros((n_max + 4) // 4 + 1, dtype=np.uint8)
+    work = _SieveWork(_base_primes(math.isqrt(n_max)), min(_BLOCK, n_max))
     for lo in range(1, n_max + 1, _BLOCK):
         hi = min(lo + _BLOCK, n_max + 1)
-        mu = _sieve_block(lo, hi, base)
-        _pack_into(packed, lo, mu)
+        _sieve_block(lo, hi, work)
+        _pack_into(packed, lo, hi, work)
     return MobiusTable(n_max, packed)
 
 
@@ -70,41 +95,80 @@ def _base_primes(limit: int) -> np.ndarray:
     return np.nonzero(is_p)[0].astype(np.int64)
 
 
-def _sieve_block(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """mu values for n in [lo, hi) given the primes up to sqrt(global bound).
+class _SieveWork:
+    """What one sieve reuses across its blocks of at most ``length`` entries:
+    the base primes by the step that handles them, and the block buffers.
+
+    A square p^2 <= ``length`` may have many multiples in a block, a larger
+    one at most one.  ``codes`` holds a block [lo, hi) at offset lo % 4, so
+    its codes fill whole little-endian words aligned as the packed bytes are.
+    """
+
+    def __init__(self, base: np.ndarray, length: int):
+        # (p, -p), the factor an int32 scalar, which numpy applies faster
+        self.strided = [(p, np.int32(-p)) for p in base[base > _WHEEL_PRIMES[-1]].tolist()]
+        squares = base * base
+        self.small_squares = squares[squares <= length].tolist()
+        self.large_squares = squares[squares > length]
+        self.prod = np.empty(length, dtype=np.int32)
+        self.ramp = np.arange(length, dtype=np.int32)
+        self.positive = np.empty(length, dtype=bool)
+        self.whole = np.empty(length, dtype=bool)
+        self.codes = np.empty(length + 8, dtype=np.uint8)
+
+
+def _sieve_block(lo: int, hi: int, work: _SieveWork) -> np.ndarray:
+    """Codes mu(n) + 1 for n in [lo, hi), as a view of ``work.codes``.
 
     ``prod`` collects the signed product of the distinct base primes dividing
-    n and is zeroed at the multiples of their squares.  Being a product of
-    distinct primes dividing n, ``|prod|`` divides n <= MAX_SIEVE < 2^31, so
-    int32 never overflows.  A squarefree n has at most one prime factor above
-    sqrt(n_max); ``|prod| != n`` flags exactly that factor, which flips the sign.
+    n, starting from the wheel tiled in at lo % 30030; primes of the wheel
+    above sqrt(n_max) only complete the product of the n they divide.  Being
+    a product of distinct primes dividing n <= MAX_SIEVE < 2^31, ``|prod|``
+    never overflows int32.  ``|prod| - ramp == lo`` marks the n whose prime
+    factors all entered (``whole``); elsewhere a squarefree n has exactly one
+    prime factor more, so mu(n) = +1 where ``whole`` equals ``prod > 0``.  The
+    multiples of the squares are set to code 1 (mu = 0) afterwards: one
+    strided assignment per small square, one indexed assignment for all the
+    large ones.
     """
-    prod = np.ones(hi - lo, dtype=np.int32)
-    for p in base.tolist():
+    n = hi - lo
+    prod = work.prod[:n]
+    r = lo % _WHEEL.size
+    head = min(_WHEEL.size - r, n)
+    periods, tail = divmod(n - head, _WHEEL.size)
+    prod[:head] = _WHEEL[r : r + head]
+    prod[head : n - tail].reshape(periods, _WHEEL.size)[...] = _WHEEL
+    prod[n - tail :] = _WHEEL[:tail]
+    for p, minus_p in work.strided:
         w = prod[(-lo) % p :: p]
-        np.multiply(w, -p, out=w)
-        if p * p < hi:
-            prod[(-lo) % (p * p) :: p * p] = 0
-    mu = np.sign(prod).astype(np.int8)
-    flip = (np.abs(prod) != np.arange(lo, hi, dtype=np.int32)).view(np.int8)
-    mu *= 1 - 2 * flip
-    return mu
+        np.multiply(w, minus_p, out=w)
+    positive, whole = work.positive[:n], work.whole[:n]
+    np.greater(prod, 0, out=positive)
+    np.abs(prod, out=prod)
+    np.subtract(prod, work.ramp[:n], out=prod)
+    np.equal(prod, lo, out=whole)
+    np.equal(whole, positive, out=positive)
+    codes = work.codes[lo % 4 : lo % 4 + n]
+    np.left_shift(positive.view(np.uint8), 1, out=codes)
+    for sq in work.small_squares:
+        codes[(-lo) % sq :: sq] = 1
+    first = (-lo) % work.large_squares
+    codes[first[first < n]] = 1
+    return codes
 
 
-def _pack_into(packed: np.ndarray, lo: int, mu: np.ndarray):
-    """OR a block of codes into the 2-bit packed array (blocks never overlap
-    except possibly at shared boundary bytes, where OR merges them)."""
-    hi = lo + mu.size
-    b0, b1 = lo // 4, (hi - 1) // 4
-    span = np.zeros((b1 - b0 + 1) * 4, dtype=np.uint8)
-    # codes mu + 1 in {0, 1, 2}, one per byte
-    np.add(mu, 1, out=span[lo - b0 * 4 : hi - b0 * 4], casting="unsafe")
-    # read four code bytes as one little-endian word and gather its codes
-    # (bits 0, 8, 16, 24) into bits 0, 2, 4, 6 of the low byte
-    word = span.view("<u4")
-    word |= word >> 6
-    word |= word >> 12
-    packed[b0 : b1 + 1] |= word.astype(np.uint8)
+def _pack_into(packed: np.ndarray, lo: int, hi: int, work: _SieveWork):
+    """OR the codes of block [lo, hi) into the 2-bit packed array (blocks never
+    overlap except possibly at shared boundary bytes, where OR merges them;
+    the slots of a word outside the block hold code 0)."""
+    a = lo % 4
+    words = (a + hi - lo + 3) // 4
+    codes = work.codes[: 4 * words]
+    codes[:a] = 0
+    codes[a + hi - lo :] = 0
+    word = codes.view("<u4")
+    np.multiply(word, _GATHER, out=word)
+    packed[lo // 4 : lo // 4 + words] |= codes[3::4]
 
 
 # _DECODE[b] holds the four mu values packed in byte b; _BYTE_SUM[b] their sum

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -336,7 +337,9 @@ def test_cli_orbit_and_sieve(tmp_path, capsys):
     orbit = (tmp_path / "out" / "orbit.csv").read_text().splitlines()
     assert orbit[0] == "n,x,y,z" and len(orbit) == 17
     assert main(["sieve", "--config", str(cfg_path), "--bound", "2000"]) == 0
-    assert "M(1000) = " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "M(1000) = " in out
+    assert re.search(r"^sieved mu to 2000 in \d+\.\d\d s \(\S+ ints/s\)$", out, re.M)
     assert main(["sieve", "--config", str(cfg_path), "--bound", "2000",
                  "--out", str(tmp_path / "sieve")]) == 0
     assert (tmp_path / "sieve" / "mertens.csv").read_text() == "N,mertens\n1000,2\n"

@@ -9,6 +9,7 @@ from nillab.fixedpoint import FixedReal, sqrt_q64
 from nillab.moebius import (
     _base_primes,
     _sieve_block,
+    _SieveWork,
     bilinear_sum,
     bilinear_sum_reduced,
     correlation_sum,
@@ -138,6 +139,18 @@ def test_packing_independent_of_block_alignment(monkeypatch, block):
     assert sieve_mobius(1001).packed.tobytes() == expected
 
 
+@pytest.mark.parametrize("block", [7, 4099, 30031, 2**16])
+def test_blocks_at_many_wheel_residues(monkeypatch, block):
+    """Blocks that start at many residues mod 30030, and whose length moves
+    the split between strided and one-shot squares, sieve the same table."""
+    n_max = 200_003
+    expected = sieve_mobius(n_max).packed.tobytes()
+    monkeypatch.setattr(moebius, "_BLOCK", block)
+    table = sieve_mobius(n_max)
+    assert np.array_equal(table.mu_slice(1, n_max + 1), mu_reference(n_max)[1:])
+    assert table.packed.tobytes() == expected
+
+
 def test_mu_slice_every_offset_and_edge():
     n_max = 1001
     table, ref = sieve_mobius(n_max), mu_reference(n_max)
@@ -167,7 +180,7 @@ def test_sieve_block_at_max_sieve():
     hi = moebius.MAX_SIEVE + 1
     lo = hi - (1 << 20)
     base = _base_primes(31622)
-    mu = _sieve_block(lo, hi, base)
+    mu = _sieve_block(lo, hi, _SieveWork(base, hi - lo)).astype(np.int8) - 1
     primes = base.tolist()
 
     def mu_trial(n):
