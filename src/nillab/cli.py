@@ -146,7 +146,7 @@ def cmd_sieve(args) -> int:
         print(f"M({n}) = {m}")
         n *= 10
     if args.out:
-        out = _outdir(dataclasses.replace(cfg, out_dir=args.out))
+        out = _outdir(cfg)
         _write_lines(out / "mertens.csv", ["N,mertens"] + [f"{n},{m}" for n, m in rows])
         print(f"wrote {out / 'mertens.csv'}")
     return 0

@@ -5,8 +5,9 @@ each field's ``[section] key``, parser and formatter; ``ExperimentConfig``
 holds the only defaults, which a key missing from an INI file takes (a field
 without one is required).  Rotation parameters accept decimal strings or exact
 dyadic strings ``n/2^k`` and are snapped to the 2**-64 grid; serialization
-always writes the exact dyadic form, so ``parse(serialize(cfg))`` reproduces
-the configuration bit for bit and its SHA-256 hash is stable across reruns.
+writes the exact dyadic form.  ``validate`` rejects a field that its INI text
+does not read back equal, so ``parse(serialize(cfg)) == cfg`` holds for every
+valid config, bit for bit, and its SHA-256 hash is stable across reruns.
 
 The standard baseline uses alpha = sqrt(2) - 1 and beta = sqrt(3) - 1 (their
 nearest dyadics; rational-independence surrogates), the fiber function
@@ -19,7 +20,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Callable, NamedTuple
 
@@ -86,10 +86,6 @@ def _commas(values) -> str:
     return ",".join(map(str, values))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 # config field -> its INI declaration, in the order ``to_ini`` writes them
 FIELDS = {
     "alpha": IniField("system", "alpha", parse_real, FixedReal.dyadic_str),
@@ -141,6 +137,14 @@ class ExperimentConfig:
     coboundary_cutoff: int = 16
 
     def validate(self) -> "ExperimentConfig":
+        for name, f in FIELDS.items():
+            value = getattr(self, name)
+            try:
+                if f.read(f.format(value)) == value:
+                    continue
+            except (AttributeError, TypeError, ValueError):
+                pass
+            raise ValueError(f"{f.label} = {value!r} does not read back from its INI text")
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not 0 <= value < 1:
@@ -150,13 +154,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"{FIELDS['terms'].label}: {exc}") from None
         check_prime_pair(self.p, self.q)
-        # floats would be written as "1000.0", which the INI parser rejects
-        if not all(map(_is_int, self.checkpoints)):
-            raise ValueError(f"[run] checkpoints must be integers, got {self.checkpoints}")
-        if not (_is_int(self.sieve_bound) and 1 <= self.sieve_bound <= MAX_SIEVE):
-            raise ValueError(
-                f"[run] sieve_bound = {self.sieve_bound!r} must be an integer in [1, {MAX_SIEVE}]"
-            )
+        if not 1 <= self.sieve_bound <= MAX_SIEVE:
+            raise ValueError(f"[run] sieve_bound = {self.sieve_bound} is not in [1, {MAX_SIEVE}]")
         cps = check_checkpoints(self.checkpoints, self.sieve_bound)
         try:
             self.plan(cps[-1])  # checks segment_size and workers
@@ -165,13 +164,12 @@ class ExperimentConfig:
         unknown = [e for e in self.experiments if e not in KNOWN_EXPERIMENTS]
         if unknown:
             raise ValueError(f"[run] experiments has unknown entries {unknown}")
-        for f in self.weyl_freqs:
-            if len(f) != 3 or not all(isinstance(k, int) for k in f) or not any(f):
-                raise ValueError(f"[weyl] freqs entry {f} is not a nonzero integer triple")
+        if not self.weyl_freqs or not all(len(f) == 3 and any(f) for f in self.weyl_freqs):
+            raise ValueError(f"[weyl] freqs = {self.weyl_freqs} must list nonzero triples")
         for name in ("coboundary_k", "coboundary_cutoff"):
             value = getattr(self, name)
-            if not (_is_int(value) and value >= 1):
-                raise ValueError(f"{FIELDS[name].label} = {value!r} must be an integer >= 1")
+            if value < 1:
+                raise ValueError(f"{FIELDS[name].label} = {value!r} must be >= 1")
         try:
             self.observable()  # validates bump geometry / mode choice
         except ValueError as exc:

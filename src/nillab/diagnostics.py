@@ -84,9 +84,8 @@ def weyl_sums(
     the stream scans its own p + q lifts per step.  The sums are the same
     bits either way."""
     freqs = [tuple(int(k) for k in f) for f in freqs]
-    for f in freqs:
-        if f == (0, 0, 0):
-            raise ValueError("Weyl frequencies must be nonzero")
+    if not freqs or (0, 0, 0) in freqs:
+        raise ValueError("Weyl sums need one or more nonzero frequencies")
     checkpoints = check_checkpoints(checkpoints)
     plan = resize_plan(plan, checkpoints[-1])
 

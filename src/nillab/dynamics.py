@@ -390,10 +390,6 @@ class JoiningSystem:
 
     # -- exact scalar evaluation ---------------------------------------------
 
-    def H_value(self, x: FixedReal, y: FixedReal) -> FixedReal:
-        """Lift of H(x, y) = h_p(px, py) - h_q(qx, qy)."""
-        return self.H_n_value(x, y, 1)
-
     def H_n_value(self, x: FixedReal, y: FixedReal, n: int) -> FixedReal:
         """Lift of the cocycle H_n(x, y) = sum_{i<n} H(x + i alpha, y + i beta),
         which the reindexing k = ip + j makes h_{pn}(px, py) - h_{qn}(qx, qy)."""

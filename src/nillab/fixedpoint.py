@@ -133,11 +133,6 @@ class FixedReal:
     def as_fraction(self) -> Fraction:
         return Fraction(self.scaled, SCALE)
 
-    @property
-    def is_q64(self) -> bool:
-        """True when the value lies on the 2**-64 grid."""
-        return (self.scaled & _U64) == 0
-
     def frac_u64(self) -> int:
         """Fractional part as an integer multiple of 2**-64 (requires Q64)."""
         return frac_u64(self.scaled)

@@ -15,6 +15,8 @@ from nillab.config import (
     parse_config,
     standard_config,
 )
+from nillab.dynamics import TrigTerm
+from nillab.fixedpoint import FixedReal
 
 def test_standard_config_round_trip():
     cfg = standard_config()
@@ -61,6 +63,34 @@ def test_sieve_bound_checked_early(bound):
     before a run deletes its old manifest or streams anything."""
     with pytest.raises(ValueError, match=r"\[run\] sieve_bound"):
         standard_config(sieve_bound=bound)
+
+
+@pytest.mark.parametrize("field, label, value", [
+    ("xi", "[observable] xi", 1.5),
+    ("d1", "[system] d1", 1.5),
+    ("p", "[joining] p", 3.0),
+    ("workers", "[run] workers", True),
+    ("segment_size", "[run] segment_size", 65536.0),
+    ("alpha", "[system] alpha", 0.25),
+    ("alpha", "[system] alpha", FixedReal.from_scaled(2**127 + 1)),
+    ("out_dir", "[run] out", Path("runs")),
+    ("terms", "[system] terms", (TrigTerm(1.0, 0, 0.1, 0.0),)),
+    ("experiments", "[run] experiments", ()),
+], ids=["xi", "d1", "p", "workers", "segment_size", "alpha-float", "alpha-off-grid",
+        "out-path", "terms-float-k1", "experiments-empty"])
+def test_python_value_its_ini_text_cannot_say_is_rejected(field, label, value):
+    with pytest.raises(ValueError, match=re.escape(f"{label} = ")):
+        standard_config(**{field: value})
+
+
+@pytest.mark.parametrize("build", [
+    standard_config,
+    lambda: small_cfg("runs/small"),
+    lambda: standard_config(xi=0, base_mode=(1, 2)),
+], ids=["standard", "small", "xi0"])
+def test_valid_config_is_what_its_ini_text_says(build):
+    cfg = build()
+    assert parse_config(cfg.to_ini()) == cfg
 
 
 def test_float_checkpoints_rejected_so_the_ini_round_trips():
@@ -166,15 +196,15 @@ def test_optional_keys_take_dataclass_defaults():
 
 def test_alpha_beta_snap_exact():
     cfg = standard_config()
-    assert cfg.alpha.is_q64 and cfg.beta.is_q64
+    assert cfg.alpha.scaled % 2**64 == 0 and cfg.beta.scaled % 2**64 == 0
     assert 0 < float(cfg.alpha) < 1 and 0 < float(cfg.beta) < 1
 
 
 # -- CLI ---------------------------------------------------------------------------
 
 
-def small_cfg_text(out_dir: str) -> str:
-    cfg = standard_config(
+def small_cfg(out_dir: str) -> ExperimentConfig:
+    return standard_config(
         checkpoints=(200, 500),
         sieve_bound=500,
         segment_size=128,
@@ -183,7 +213,10 @@ def small_cfg_text(out_dir: str) -> str:
         weyl_freqs=((1, 0, 0), (0, 0, 1)),
         coboundary_cutoff=8,
     )
-    return cfg.to_ini()
+
+
+def small_cfg_text(out_dir: str) -> str:
+    return small_cfg(out_dir).to_ini()
 
 
 def test_cli_verify_passes(capsys):
@@ -456,6 +489,7 @@ def test_run_weyl_reads_the_pair_scan(tmp_path, monkeypatch, capsys):
     ("bump_radius = 0.25", "bump_radius = 0.5", r"\[observable\] bump_center"),
     ("bump_radius = 0.25", "bump_radius = -0.1", r"bump_radius = -0.1: bump radius"),
     ("bump_center = 0.5,0.5", "bump_center = 0.9,0.5", r"\[observable\] bump_center"),
+    ("freqs = 1,0,0; 0,0,1\n", "freqs = \n", r"\[weyl\] freqs"),
 ])
 def test_bad_field_fails_before_run_writes(tmp_path, old, new, field):
     text = small_cfg_text(str(tmp_path / "out"))

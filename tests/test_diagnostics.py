@@ -234,6 +234,11 @@ def test_weyl_rejects_zero_frequency(std_js):
         weyl_sums(std_js, None, [(0, 0, 0)], [100])
 
 
+def test_weyl_rejects_no_frequencies(std_js):
+    with pytest.raises(ValueError, match="one or more nonzero frequencies"):
+        weyl_sums(std_js, None, [], [100])
+
+
 @pytest.mark.parametrize("checkpoints", [[1000, 100], [100, 100]])
 def test_weyl_rejects_unordered_checkpoints(std_js, checkpoints):
     with pytest.raises(ValueError, match="strictly increasing"):

@@ -292,7 +292,7 @@ def test_H_n_is_the_sum_of_shifted_H(p, q):
     a, b = TWO_TERMS.alpha, TWO_TERMS.beta
     x, y = FixedReal(0.40625), FixedReal(0.71875)
     for n in (0, 1, 2, 7):
-        shifted = (js.H_value(x + a * i, y + b * i) for i in range(n))
+        shifted = (js.H_n_value(x + a * i, y + b * i, 1) for i in range(n))
         assert js.H_n_value(x, y, n) == sum(shifted, FixedReal(0))
 
 
@@ -390,7 +390,7 @@ def test_H_for_linear_h_is_5x_plus_2alpha():
     js = build_joining(sys, 3, 2)
     af = float(ALPHA)
     for x, y in [(0.0, 0.0), (0.3, 0.8), (0.99, 0.01)]:
-        H = js.H_value(FixedReal(x), FixedReal(y))
+        H = js.H_n_value(FixedReal(x), FixedReal(y), 1)
         assert math.isclose(float(H), 5 * x + 2 * af, abs_tol=1e-12)
     lift = js.H_lift()
     xs = np.linspace(0, 1, 9)
@@ -401,7 +401,7 @@ def test_H_zero_for_zero_h():
     sys = SkewSystem(ALPHA, BETA, BaseFunctionSpec(0, 0))
     js = build_joining(sys, 3, 2)
     x, y = FixedReal(0.3), FixedReal(0.7)
-    assert float(js.H_value(x, y)) == 0.0
+    assert float(js.H_n_value(x, y, 1)) == 0.0
     assert float(js.H_prime(x, y)) != 0.0  # the twist correction survives
 
 
@@ -422,7 +422,7 @@ def test_trivialized_identity_when_trivial():
 def _step_star(js, pt):
     """One step of T_star on X_star via the group action."""
     x, y, _ = pt.coords()
-    g = GroupElement(js.base.alpha, js.base.beta, js.H_value(x, y), js.law)
+    g = GroupElement(js.base.alpha, js.base.beta, js.H_n_value(x, y, 1), js.law)
     return canonical_rep(mul(g, pt.rep))
 
 

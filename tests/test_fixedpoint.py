@@ -26,7 +26,7 @@ def test_snap_is_nearest_q64():
     # pi is irrational; the snap must land within half a quantum
     x = FixedReal(math.pi)
     assert abs(x.as_fraction() - Fraction(math.pi)) <= Fraction(1, 2**65)
-    assert x.is_q64
+    assert x.scaled % 2**64 == 0
 
 
 @given(q64_scaled, q64_scaled)

@@ -9,6 +9,7 @@ import pytest
 
 import nillab
 import nillab.cli  # noqa: F401  (loads every module the tracer patches)
+from nillab.config import standard_config
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -39,3 +40,22 @@ def test_full_targets_resolve(tracing):
     targets = tracing.full_targets(nillab, tracing.Tracer())
     assert len(targets) > len(tracing.meter_targets(nillab))
     assert _missing(targets) == []
+
+
+def test_run_streams_what_work_per_s_divides(tracing, tmp_path, monkeypatch, capsys):
+    """``work_per_s`` divides the steps the stream spans count: a ``run`` to N
+    makes two skew streams (correlate, davenport), one pair route of p*N steps
+    and one joining stream (Weyl).  Work moved between these calls changes the
+    metric without changing speed, so it must fail here first."""
+    monkeypatch.delenv("LAB_WORKERS", raising=False)
+    cfg = standard_config(checkpoints=(200, 500), sieve_bound=500, segment_size=128,
+                          workers=2, out_dir=str(tmp_path / "out"), coboundary_cutoff=8)
+    (tmp_path / "cfg.ini").write_text(cfg.to_ini())
+    meter = tracing.Tracer()
+    with meter.install(tracing.meter_targets(nillab)):
+        assert nillab.cli.main(["run", "--config", str(tmp_path / "cfg.ini")]) == 0
+    assert sorted(r[2] for r in meter.records) == [
+        "engine.stream.joining", "engine.stream.pair", "engine.stream.skew", "engine.stream.skew",
+    ]
+    n = cfg.checkpoints[-1]
+    assert tracing.stream_time(meter.records)[1] == n + cfg.p * n + n + n
