@@ -35,10 +35,8 @@ from .engine import OrbitSegmentPlan, PairScan, check_checkpoints, orbit_stream_
 from .fixedpoint import FixedReal
 from .heisenberg import check_prime_pair
 from .moebius import CorrelationPoint
-from .observables import fourier_mode
-from .workspace import FRESH
+from .observables import fourier_value
 
-TWO_PI = 2.0 * math.pi
 _DENOM_FLOOR = 1e-9  # coboundary modes with |e(m alpha + n beta) - 1| below this are skipped
 _GROWTH_TOL = 1e-6  # how far a float growth-law value may sit from its integer or closed form
 
@@ -55,18 +53,6 @@ class WeylReport:
     metadata: dict = field(default_factory=dict)
 
 
-def weyl_mode(k):
-    """The engine value function e(k1 x + k2 y + k3 z): the bits of
-    ``np.exp(2j * math.pi * (k1 * x + k2 * y + k3 * z))``, written into the
-    workspace it is given."""
-
-    def fn(x, y, z, n, ws=FRESH):
-        return fourier_mode(k, (x, y, z), ws)
-
-    fn.wants_ws = True
-    return fn
-
-
 def weyl_sums(
     js: JoiningSystem,
     start,
@@ -78,20 +64,21 @@ def weyl_sums(
 ) -> list[WeylReport]:
     """|(1/N) sum e(k1 x_n + k2 y_n + k3 z_n)| along the trivialized orbit.
 
-    From the origin, with a ``pair_scan`` that a pair route of the same
-    system and pair filled to at least max N (as in ``nillab run``), the
-    cocycle prefixes are read as S_{pn} - S_{qn} from that scan; otherwise
-    the stream scans its own p + q lifts per step.  The sums are the same
-    bits either way."""
+    Each frequency is one :func:`~nillab.observables.fourier_value`.  From
+    the origin, with a ``pair_scan`` that a pair route of the same system and
+    pair filled to at least max N (as in ``nillab run``), the cocycle
+    prefixes are the S*_n = S_{pn} - S_{qn} it holds, read as they are;
+    otherwise the stream scans its own p + q lifts per step.  The sums are
+    the same bits either way."""
     freqs = [tuple(int(k) for k in f) for f in freqs]
     if not freqs or (0, 0, 0) in freqs:
         raise ValueError("Weyl sums need one or more nonzero frequencies")
     checkpoints = check_checkpoints(checkpoints)
     plan = resize_plan(plan, checkpoints[-1])
 
-    fns = [weyl_mode(k) for k in freqs]
     all_sums = orbit_stream_multi(
-        js, start, plan, fns, checkpoints=checkpoints, pair_scan=pair_scan
+        js, start, plan, [fourier_value(k) for k in freqs], checkpoints=checkpoints,
+        pair_scan=pair_scan,
     )
     reports = []
     for k, sums in zip(freqs, all_sums):
@@ -149,26 +136,16 @@ def coboundary_residual(
 
     coeffs = np.fft.fft2(k * g_c) / (grid * grid)
     freqs = np.fft.fftfreq(grid, d=1.0 / grid).astype(np.int64)
+    m, n = np.meshgrid(freqs, freqs, indexing="ij")
+    box = (np.abs(m) <= cutoff) & (np.abs(n) <= cutoff) & ((m != 0) | (n != 0))
+    phase = np.exp(2j * math.pi * (freqs[:, None] * alpha + freqs[None, :] * beta))
+    denom = phase - 1.0
+    near = box & (np.abs(denom) < _DENOM_FLOOR)
+    solve = box & ~near
     solved = np.zeros_like(coeffs)
-    skipped = []
-    n_solved = 0
-    for i, m in enumerate(freqs):
-        if abs(m) > cutoff:
-            continue
-        for j, n in enumerate(freqs):
-            if abs(n) > cutoff or (m == 0 and n == 0):
-                continue
-            denom = np.exp(2j * math.pi * (m * alpha + n * beta)) - 1.0
-            if abs(denom) < _DENOM_FLOOR:
-                skipped.append((int(m), int(n)))
-                continue
-            solved[i, j] = coeffs[i, j] / denom
-            n_solved += 1
+    solved[solve] = coeffs[solve] / denom[solve]
 
     r_vals = np.fft.ifft2(solved) * (grid * grid)
-    phase = np.exp(
-        2j * math.pi * (freqs[:, None] * alpha + freqs[None, :] * beta)
-    )
     r_shift = np.fft.ifft2(solved * phase) * (grid * grid)
     defect = np.real(r_shift - r_vals) - k * g_c
     residual = float(np.sqrt(np.mean(_circle_dist(defect) ** 2)))
@@ -177,8 +154,8 @@ def coboundary_residual(
         k=k,
         cutoff=cutoff,
         grid=grid,
-        solved_modes=n_solved,
-        skipped_modes=tuple(skipped),
+        solved_modes=int(solve.sum()),
+        skipped_modes=tuple((int(a), int(b)) for a, b in zip(m[near], n[near])),
         metadata={"alpha": alpha, "beta": beta},
     )
 

@@ -12,18 +12,22 @@ One lane stream serves T and T_star: T_star has fiber function
 H(x, y) = h_p(px, py) - h_q(qx, qy) and twist p^2 - q^2, and T is the side
 pair (p, q) = (1, 0), with H = h and twist 1.
 
-Streaming is a single-pass scan: each segment computes its cocycle values
-once and takes their local prefix sums, then adds the inclusive carry of the
-segment before it, publishes its own carry and evaluates its observables (a
-running offset on one worker, a chained scan on a thread pool).  The prime-pair
-route keeps the cocycle sums only at multiples of p and q, then evaluates
-F(T^{pn} x0) conj F(T^{qn} x0) chunk by chunk.  From the origin the joining's
-cocycle prefix is S_{pn} - S_{qn} of the skew cocycle, bit for bit, so a
-:class:`PairScan` filled by the pair route lets a later joining stream (the
-Weyl sums of ``nillab run``) read its cocycle instead of scanning its p + q
+Streaming is a single-pass scan, and every pass over segments goes through
+the one function :func:`_scan_segments`: each segment computes its cocycle
+values once and takes their local prefix sums, then adds the inclusive carry
+of the segment before it, publishes its own carry and evaluates its
+observables (a running offset on one worker, a chained scan on a thread
+pool).  A pass may instead read its cocycle prefixes from an array kept
+earlier.  The prime-pair route keeps the cocycle sums only at multiples of p
+and q, then makes a second pass over n that reads S_{qn} as its kept prefixes
+and evaluates F(T^{pn} x0) conj F(T^{qn} x0) segment by segment.  From the
+origin the joining's cocycle prefix is S*_n = S_{pn} - S_{qn} of the skew
+cocycle, bit for bit, so the pair route leaves S* (one array) in a
+:class:`PairScan`, and a later joining stream (the Weyl sums of
+``nillab run``) reads it as its kept prefixes instead of scanning its p + q
 lifts.  Observable values are quantized to 2**-53 and summed in integer
-arithmetic, which makes checkpoint sums bit-identical for any worker count and
-segment size -- and equal to the naive single-loop oracle.
+arithmetic, which makes checkpoint sums bit-identical for any worker count
+and segment size -- and equal to the naive single-loop oracle.
 
 Each worker of a pass over segments holds one :class:`Workspace`: a few
 segment-length buffers into which the cocycle values, the scan, the lanes,
@@ -35,15 +39,16 @@ keeps no buffer between calls.  The kernels take their workspace or buffers
 as optional arguments: ``u_values``, ``lanes``, ``mulhi_u64`` and the float
 lanes here, ``BaseFunctionSpec.periodic_q53`` (through ``u_values``),
 ``Observable.eval_arrays`` with its bump, and ``observables.fourier_mode``
-(the Weyl modes and the Davenport wave).  Without them, as in the naive
-oracle and on the scalar path, the same code writes into fresh arrays.
-Only the index arrays of a support (``np.flatnonzero``) are still made per
-call.
+(through ``observables.fourier_value``, the Weyl and Davenport modes).
+Without them, as in the naive oracle and on the scalar path, the same code
+writes into fresh arrays.  Only the index arrays of a support
+(``np.flatnonzero``) are still made per call.
 
-Both pair products -- the pair route's n-chunks and :class:`StarDescentSink`
--- evaluate their second factor only where the first is nonzero; the bump
-vanishes on 3/4 of the torus.  Elsewhere the full product would be a signed
-zero, which quantizes to 0, so every checkpoint sum keeps its bits.
+Both pair products -- the pair route's second pass and
+:class:`StarDescentSink` -- evaluate their second factor only where the first
+is nonzero; the bump vanishes on 3/4 of the torus.  Elsewhere the full
+product would be a signed zero, which quantizes to 0, so every checkpoint sum
+keeps its bits.
 """
 
 from __future__ import annotations
@@ -380,10 +385,6 @@ def _times_on(first: np.ndarray, on: np.ndarray, second: np.ndarray, ws: Workspa
 # ---------------------------------------------------------------------------
 
 
-def _segment_bounds(n_total: int, segment_size: int):
-    return [(lo, min(lo + segment_size, n_total)) for lo in range(0, n_total, segment_size)]
-
-
 def _map_segments(job, bounds, workers: int) -> list:
     """``[job(k, ws) for k in range(len(bounds))]``, on ``workers`` threads
     when above 1.
@@ -413,7 +414,7 @@ def _map_segments(job, bounds, workers: int) -> list:
     return [run(k) for k in range(len(bounds))]
 
 
-def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, prefixes=None) -> list:
+def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=None) -> list:
     """One pass over steps 1 .. plan.n_total: ``[consume(lo, hi, s, ws)]`` per
     segment.
 
@@ -424,16 +425,17 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, prefixe
     On one worker this is a running offset; on several it is a chained scan.
     A failing segment still publishes (an unknown carry) and wakes every later
     segment, so they raise instead of waiting forever, even on segments the
-    pool cancels once the failure surfaces.  ``prefixes(lo, hi, out)``, when
-    given, writes ``s`` into ``out`` from a scan kept earlier, and nothing is
-    scanned.
+    pool cancels once the failure surfaces.  ``kept``, when given, holds
+    S_1 .. S_{plan.n_total} from a scan made earlier: ``s`` is then the view
+    ``kept[lo:hi]``, which ``consume`` only reads, and nothing is scanned.
     """
-    bounds = _segment_bounds(plan.n_total, plan.segment_size)
-    if prefixes is not None:
+    n_total, size = plan.n_total, plan.segment_size
+    bounds = [(lo, min(lo + size, n_total)) for lo in range(0, n_total, size)]
+    if kept is not None:
 
         def read(k, ws):
             lo, hi = bounds[k]
-            return consume(lo, hi, prefixes(lo, hi, ws.take("u", (hi - lo,))), ws)
+            return consume(lo, hi, kept[lo:hi], ws)
 
         return _map_segments(read, bounds, plan.worker_count)
     carries = [0] + [None] * len(bounds)
@@ -510,17 +512,17 @@ def orbit_stream_multi(
     ``value_fns`` are callables ``fn(x, y, z, n) -> complex ndarray`` (floats
     in [0,1)), or lane sinks with ``wants_lanes = True`` receiving the raw
     uint64 lanes (see :class:`StarDescentSink`).  A value function marked
-    ``wants_ws = True`` -- an :class:`~nillab.observables.Observable`, a Weyl
-    mode, the Davenport wave -- is called with ``ws=`` the worker's
-    :class:`Workspace` too, and may return one of its buffers.  The arrays a
-    value function is given are valid only during the call: the next segment
-    reuses them.
-    ``weights`` is an optional callable ``(lo, hi) -> int8``
-    giving multiplicative weights for steps lo+1 .. hi.  Returns, per value
-    function, a list of ``(N, complex_sum)`` with the *unnormalized* sum over
-    n <= N, exactly accumulated on the 2**-53 grid.  A joining from the origin
-    reads its cocycle prefixes from ``pair_scan`` when that holds a scan
-    covering it (see :class:`PairScan`), instead of scanning its p + q lifts.
+    ``wants_ws = True`` -- an :class:`~nillab.observables.Observable`, a
+    :func:`~nillab.observables.fourier_value` -- is called with ``ws=`` the
+    worker's :class:`Workspace` too, and may return one of its buffers.  The
+    arrays a value function is given are valid only during the call: the next
+    segment reuses them.  ``weights`` is an optional callable
+    ``(lo, hi) -> int8`` giving multiplicative weights for steps lo+1 .. hi.
+    Returns, per value function, a list of ``(N, complex_sum)`` with the
+    *unnormalized* sum over n <= N, exactly accumulated on the 2**-53 grid.
+    A joining from the origin reads S* from ``pair_scan`` as its kept
+    prefixes when that holds a scan covering it (see :class:`PairScan`),
+    instead of scanning its p + q lifts.
     """
     n_total = plan.n_total
     checkpoints = _checkpoints_within([n_total] if checkpoints is None else checkpoints, n_total)
@@ -540,8 +542,8 @@ def orbit_stream_multi(
             out.append(_cut_sums(v, lo, cuts, ws))
         return out
 
-    prefixes = pair_scan.prefixes(stream, n_total) if pair_scan is not None else None
-    segments = _scan_segments(stream, plan, consume, prefixes)
+    kept = pair_scan.prefixes(stream, n_total) if pair_scan is not None else None
+    segments = _scan_segments(stream, plan, consume, kept)
     return [_running_sums(seg[f] for seg in segments) for f in range(len(value_fns))]
 
 
@@ -616,8 +618,8 @@ def _keep_multiples(dst: np.ndarray, stride: int, lo: int, hi: int, s: np.ndarra
 
 
 class PairScan:
-    """Holder for the skew cocycle prefixes S_{pn} and S_{qn} (n <= N) that a
-    pair route scanned from the origin, for the rest of one run.
+    """Holder for the joining cocycle prefixes S*_n = S_{pn} - S_{qn} (n <= N)
+    of a pair route scanned from the origin, for the rest of one run.
 
     From x0 = y0 = 0 the joining's cocycle h_p(p., p.) - h_q(q., q.) sums h
     over the same points k alpha as the skew cocycle, so its prefix at n is
@@ -635,20 +637,20 @@ class PairScan:
         return (stream.au, stream.bu, stream.h, p, q)
 
     def keep(self, stream: _LaneStream, p: int, q: int, s_p: np.ndarray, s_q: np.ndarray):
-        """Hold a skew ``stream``'s S_{pn}, S_{qn} if it starts at x = y = 0."""
+        """Hold S* of a skew ``stream``'s S_{pn}, S_{qn} if it starts at
+        x = y = 0; S* is written over ``s_p``, which the holder then owns."""
         if stream.x0u == 0 and stream.y0u == 0:
-            self._kept = (self._key(stream, p, q), s_p, s_q)
+            self._kept = (self._key(stream, p, q), np.subtract(s_p, s_q, out=s_p))
 
     def prefixes(self, stream: _LaneStream, n_total: int):
-        """``(lo, hi, out) -> S*_{lo+1} .. S*_hi`` written into ``out``, for a
-        joining ``stream`` to ``n_total``, or None when the held scan does not
-        cover it."""
+        """S*_1 .. S*_{n_total} for a joining ``stream``, as a view of the
+        held array, or None when the held scan does not cover it."""
         if self._kept is None or stream.x0u != 0 or stream.y0u != 0:
             return None
-        key, s_p, s_q = self._kept
-        if key != self._key(stream, stream.p, stream.q) or n_total > s_p.size:
+        key, star = self._kept
+        if key != self._key(stream, stream.p, stream.q) or n_total > star.size:
             return None
-        return lambda lo, hi, out: np.subtract(s_p[lo:hi], s_q[lo:hi], out=out)
+        return star[:n_total]
 
 
 def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
@@ -658,15 +660,16 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
     n <= N, one cocycle stream to p * n_pairs.
 
     Phase 1 scans the skew cocycle once and keeps S only at the multiples of
-    p and of q (two u64 arrays of length ``n_pairs``).  Phase 2 works on
-    n-chunks of the plan's segment size: it builds the lanes at q n and
-    evaluates F there, then the lanes at p n and F only where F(T^{q n} x0)
-    is nonzero (the product is 0 elsewhere), and sums the quantized
-    products, so no per-step array longer than a chunk is formed.  Returns
-    ``(N, sum)`` for each checkpoint N (default ``[n_pairs]``), unnormalized,
-    like :func:`orbit_stream_multi`.  Given ``pair_scan``, phase 1 also leaves
-    S_{pn} and S_{qn} there, from which a joining from the origin (Weyl sums
-    in ``nillab run``) reads its cocycle.
+    p and of q (two u64 arrays of length ``n_pairs``).  Phase 2 is a second
+    :func:`_scan_segments` pass over n <= N that reads S_{qn} as its kept
+    prefixes: per segment it builds the lanes at q n and evaluates F there,
+    then the lanes at p n and F only where F(T^{q n} x0) is nonzero (the
+    product is 0 elsewhere), and sums the quantized products, so no per-step
+    array longer than a segment is formed.  Returns ``(N, sum)`` for each
+    checkpoint N (default ``[n_pairs]``), unnormalized, like
+    :func:`orbit_stream_multi`.  Given ``pair_scan``, S_{pn} - S_{qn} is left
+    there at the end, from which a joining from the origin (Weyl sums in
+    ``nillab run``) reads its cocycle.
     """
     checkpoints = _checkpoints_within(
         [n_pairs] if checkpoints is None else checkpoints, n_pairs
@@ -680,18 +683,12 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
         _keep_multiples(s_q, q, lo, hi, s)
 
     _scan_segments(stream, resize_plan(plan_template, p * n_pairs), keep)
-    if pair_scan is not None:
-        pair_scan.keep(stream, p, q, s_p, s_q)
-    chunks = _segment_bounds(n_pairs, plan_template.segment_size)
 
-    def job(k, ws):
-        lo, hi = chunks[k]
-
+    def pairs(lo, hi, sq, ws):
         def factor(m, s, out=None, on=None):
-            """F(T^{m n} x0) for the chunk's n, or for those at ``on``."""
+            """F(T^{m n} x0) for the segment's n, or for those at ``on``."""
             mn = ws.steps("n", lo + 1, hi + 1)
             mn *= u64c(m)
-            s = s[lo:hi]
             if on is not None:
                 mn = np.take(mn, on, out=ws.take("pair.n", on.shape))
                 s = np.take(s, on, out=ws.take("pair.s", on.shape))
@@ -699,13 +696,18 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
 
         # conj(F_q) * F_p in this order (see _times_on); F_p only where F_q
         # is nonzero
-        values = factor(q, s_q, out=ws.take("pair.f", (hi - lo,), np.complex128))
+        values = factor(q, sq, out=ws.take("pair.f", (hi - lo,), np.complex128))
         np.conjugate(values, out=values)
         on = np.flatnonzero(values)
-        _times_on(values, on, factor(p, s_p, on=on), ws)
+        _times_on(values, on, factor(p, s_p[lo:hi], on=on), ws)
         return _cut_sums(values, lo, [c for c in checkpoints if lo < c <= hi], ws)
 
-    return _running_sums(_map_segments(job, chunks, plan_template.worker_count))
+    sums = _running_sums(
+        _scan_segments(stream, resize_plan(plan_template, n_pairs), pairs, kept=s_q)
+    )
+    if pair_scan is not None:
+        pair_scan.keep(stream, p, q, s_p, s_q)
+    return sums
 
 
 def checkpoint_sums(values: np.ndarray, checkpoints) -> list[tuple[int, complex]]:

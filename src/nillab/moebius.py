@@ -47,8 +47,7 @@ from .engine import (
 )
 from .fixedpoint import FixedReal
 from .heisenberg import NilPoint
-from .observables import Observable, fourier_mode
-from .workspace import FRESH
+from .observables import Observable, fourier_value
 
 MAX_SIEVE = 10**9
 _BLOCK = 1 << 20
@@ -346,12 +345,8 @@ def davenport_baseline(
     plan = resize_plan(plan, checkpoints[-1])
     sys = SkewSystem(alpha.frac(), FixedReal(0), BaseFunctionSpec(0, 0))
 
-    def wave(x, y, z, n, ws=FRESH):  # np.exp(2j pi x)
-        return fourier_mode((1,), (x,), ws)
-
-    wave.wants_ws = True
-
-    sums = orbit_stream(sys, None, plan, wave, weights=table.mu_slice, checkpoints=checkpoints)
+    sums = orbit_stream(sys, None, plan, fourier_value((1,)), weights=table.mu_slice,
+                        checkpoints=checkpoints)
     meta = {
         "estimator": "davenport_baseline",
         "alpha": alpha.dyadic_str(),

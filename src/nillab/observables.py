@@ -23,7 +23,6 @@ import numpy as np
 from .heisenberg import NilPoint
 from .workspace import FRESH, Workspace
 
-TWO_PI = 2.0 * math.pi
 _MARGIN = 0.125  # bump supports stay inside (1/8, 7/8)^2
 
 
@@ -39,12 +38,13 @@ def _smoothstep(u, tmp=None):
 
 def fourier_mode(ks, coords, ws: Workspace = FRESH, out=None):
     """exp(2j pi (k1 c1 + k2 c2 + ...)) elementwise (vectorized floats), into
-    ``out``, by default ``ws``'s buffer ``mode.v``.
+    ``out``, by default ``ws``'s buffer ``mode.v``; the phase stops at
+    ``len(ks)``, so coordinates past it are not read.
 
     The same floating-point operations in the same order as the expression
     ``np.exp(2j * math.pi * (k1 * c1 + k2 * c2 + ...))``, so the same bits,
     with the phase summed in ``ws``'s scratch."""
-    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords[: len(ks)]))
     t = np.multiply(coords[0], ks[0], out=ws.take("t1", shape, np.float64))
     for k, c in zip(ks[1:], coords[1:]):
         t += np.multiply(c, k, out=ws.take("t2", shape, np.float64))
@@ -52,6 +52,19 @@ def fourier_mode(ks, coords, ws: Workspace = FRESH, out=None):
     np.copyto(out, t)  # t + 0j, as the product below would cast it
     np.multiply(2j * math.pi, out, out=out)
     return np.exp(out, out=out)
+
+
+def fourier_value(ks):
+    """The engine value function e(k1 x + k2 y + k3 z) of the frequencies
+    ``ks`` (one to three of them; Davenport's wave is ``(1,)``): the bits of
+    ``np.exp(2j * math.pi * (k1 * x + ...))``, written into the workspace it
+    is given."""
+
+    def fn(x, y, z, n, ws=FRESH):
+        return fourier_mode(ks, (x, y, z), ws)
+
+    fn.wants_ws = True
+    return fn
 
 
 @dataclass(frozen=True)
@@ -73,11 +86,6 @@ class BumpProfile:
             raise ValueError("bump radius must be positive")
         if not (m <= cx - r and cx + r <= 1 - m and m <= cy - r and cy + r <= 1 - m):
             raise ValueError(f"bump support must stay inside ({m}, {1 - m})^2")
-
-    @property
-    def lipschitz(self) -> float:
-        # |smoothstep'| <= 3/2, one factor per axis, product bounded by 1
-        return 1.5 / self.radius
 
     def support(self, x, y, ws: Workspace = FRESH):
         """``(idx, values)``: the flat indices of the points (x, y) inside the
@@ -128,10 +136,6 @@ class Observable:
         else:
             if self.base_mode is None or self.bump is not None:
                 raise ValueError("zero frequency requires a base mode (and no bump)")
-
-    @property
-    def sup(self) -> float:
-        return 1.0
 
     def eval_arrays(self, x, y, z, ws: Workspace = FRESH, out=None):
         """Value at canonical coordinates (vectorized floats), into ``out``,

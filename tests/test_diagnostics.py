@@ -203,6 +203,52 @@ def test_coboundary_skips_resonant_modes():
     assert (2, 0) in rep.skipped_modes
 
 
+def _coboundary_by_mode_loop(g_fn, alpha, beta, k, cutoff):
+    """Reference: the coboundary residual solved one Fourier mode at a time."""
+    grid = max(64, 4 * cutoff)
+    xs = np.arange(grid) / grid
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    g_c = np.asarray(g_fn(gx, gy), dtype=np.float64)
+    coeffs = np.fft.fft2(k * g_c) / (grid * grid)
+    freqs = np.fft.fftfreq(grid, d=1.0 / grid).astype(np.int64)
+    solved = np.zeros_like(coeffs)
+    skipped = []
+    n_solved = 0
+    for i, m in enumerate(freqs):
+        for j, n in enumerate(freqs):
+            if abs(m) > cutoff or abs(n) > cutoff or (m == 0 and n == 0):
+                continue
+            denom = np.exp(2j * math.pi * (m * alpha + n * beta)) - 1.0
+            if abs(denom) < 1e-9:
+                skipped.append((int(m), int(n)))
+            else:
+                solved[i, j] = coeffs[i, j] / denom
+                n_solved += 1
+    phase = np.exp(2j * math.pi * (freqs[:, None] * alpha + freqs[None, :] * beta))
+    shifted = np.fft.ifft2(solved * phase) * (grid * grid)
+    defect = np.real(shifted - np.fft.ifft2(solved) * (grid * grid)) - k * g_c
+    residual = float(np.sqrt(np.mean(np.abs(defect - np.rint(defect)) ** 2)))
+    return residual, n_solved, tuple(skipped)
+
+
+@pytest.mark.parametrize("case", ["joining", "resonant", "winding"])
+def test_coboundary_matches_the_mode_loop(std_js, case):
+    """The array solve gives the mode loop's residual bits, solved count and
+    skipped modes in loop order, also where near-resonant modes are skipped."""
+    args = {
+        "joining": (std_js.H_prime_arrays, std_js.base.alpha_f, std_js.base.beta_f, 1, 16),
+        "resonant": (lambda x, y: x + 0.3 * np.sin(2 * np.pi * y)
+                     + 0.1 * np.cos(2 * np.pi * (x - y)), 0.25, 0.5, 2, 8),
+        "winding": (lambda x, y: 2 * x + 0.05 * np.sin(2 * np.pi * (3 * x + y)),
+                    0.1234567, 0.7654321, 1, 20),
+    }[case]
+    rep = coboundary_residual(*args)
+    residual, n_solved, skipped = _coboundary_by_mode_loop(*args)
+    assert rep.residual.hex() == residual.hex()
+    assert (rep.solved_modes, rep.skipped_modes) == (n_solved, skipped)
+    assert (case == "resonant") == bool(skipped)
+
+
 def test_coboundary_validation(std_js):
     with pytest.raises(ValueError):
         coboundary_search(std_js, 0, 8)

@@ -7,7 +7,9 @@ from sys import getswitchinterval, setswitchinterval
 import numpy as np
 import pytest
 
-from nillab.dynamics import BaseFunctionSpec, SkewSystem, TrigTerm, build_joining, iterate_T
+from nillab.dynamics import (
+    BaseFunctionSpec, SkewSystem, TrigTerm, build_joining, cocycle_sum, iterate_T,
+)
 from nillab.engine import (
     MASK64,
     OrbitSegmentPlan,
@@ -31,9 +33,9 @@ from nillab.engine import (
 )
 from nillab.fixedpoint import FixedReal, sqrt_q64
 from nillab.heisenberg import GroupElement, GroupLaw, canonical_rep, identity
-from nillab.diagnostics import weyl_mode, weyl_sums
+from nillab.diagnostics import weyl_sums
 from nillab.moebius import bilinear_sum_reduced, davenport_baseline, sieve_mobius
-from nillab.observables import BumpProfile, Observable, eval_observable
+from nillab.observables import BumpProfile, Observable, eval_observable, fourier_value
 from nillab.workspace import Workspace
 
 ALPHA = sqrt_q64(2) - 1
@@ -459,6 +461,44 @@ def test_weyl_sums_invariant_with_and_without_pair_scan(segment_size, workers):
         assert got == [[(n, s / n) for n, s in sums] for sums in naive]
 
 
+def test_pair_scan_holds_star_as_one_array():
+    """A pair route from the origin leaves one array, S*_n = S_{pn} - S_{qn}
+    mod 2**64, each term the exact cocycle sum from x = y = 0; a covered
+    joining reads a view of it."""
+    sys, js, _ = _shared_case(3, 2, "d2-1")
+    scan = _filled_scan(sys, 3, 2, SHARED_N, OrbitSegmentPlan(SHARED_N, 64, 2))
+    _, held = scan._kept
+    star = scan.prefixes(_make_stream(js, None), SHARED_N)
+    assert held.dtype == np.uint64 and held.shape == (SHARED_N,)
+    assert np.shares_memory(star, held) and star.size == SHARED_N
+
+    def s(m):
+        return cocycle_sum(sys.h, FixedReal(0), FixedReal(0), m, sys.alpha, sys.beta).frac_u64()
+
+    for n in (1, 2, 63, 64, 65, 150, SHARED_N):
+        assert int(star[n - 1]) == (s(3 * n) - s(2 * n)) & MASK64
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_weyl_reads_the_held_array_without_writing_it(workers):
+    """Weyl sums read from the held S* twice give the same bits, and the held
+    array, made read-only, is unchanged: the kept path never writes into it."""
+    sys, js, _ = _shared_case(3, 2, "d2-1")
+    plan = OrbitSegmentPlan(SHARED_N, 64, workers)
+    scan = _filled_scan(sys, 3, 2, SHARED_N, plan)
+    held = scan._kept[1]
+    before = held.copy()
+    held.flags.writeable = False
+
+    def bits():
+        reports = weyl_sums(js, None, WEYL_FREQS, SHARED_CHECKPOINTS, plan, pair_scan=scan)
+        return [(c.n, c.value.real.hex(), c.value.imag.hex())
+                for r in reports for c in r.checkpoints]
+
+    assert bits() == bits()
+    assert np.array_equal(held, before)
+
+
 def test_pair_scan_used_only_where_it_covers():
     """A held scan serves only a joining from the origin of the same rotation,
     h and pair, to at most the scan's N; anything else scans its own lifts."""
@@ -587,8 +627,8 @@ def test_nested_stream_has_its_own_workspace(workers):
     inner_plan = OrbitSegmentPlan(300, 128)
     inner = []
 
-    inner_fns = [inner_sink, weyl_mode((1, -1, 2))]
-    outer_mode = weyl_mode((2, 1, -1))
+    inner_fns = [inner_sink, fourier_value((1, -1, 2))]
+    outer_mode = fourier_value((2, 1, -1))
 
     def nested(x, y, z, n):
         inner.append(orbit_stream_multi(inner_sys, None, inner_plan, inner_fns,

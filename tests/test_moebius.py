@@ -226,8 +226,8 @@ def test_correlation_naive_oracle(table10k, std_sys):
 def test_correlation_modulus_bounded(table10k, std_sys):
     obs = Observable(xi=1, bump=BumpProfile())
     rep = correlation_sum(std_sys, obs, None, [100, 10**4], table10k)
-    for cp in rep.checkpoints:
-        assert cp.modulus <= obs.sup * (1 + 1e-12)
+    for cp in rep.checkpoints:  # |F| <= the bump's peak 1 times |e(xi z)| = 1
+        assert cp.modulus <= 1.0 * (1 + 1e-12)
 
 
 def test_correlation_checkpoint_validation(table10k, std_sys):

@@ -21,6 +21,7 @@ from nillab.observables import (
     eval_observable,
     fiber_average,
     fourier_mode,
+    fourier_value,
 )
 from nillab.workspace import Workspace
 
@@ -178,7 +179,9 @@ def test_eval_arrays_in_place_equals_the_reference_formula(rng, obs):
                                 (0, 0, -3), (2, -1, 1), (1,), (2, -1)])
 def test_fourier_mode_equals_the_exponential(rng, ks):
     """fourier_mode, in a workspace or fresh, gives the bits of
-    np.exp(2j pi (k1 x + k2 y + k3 z)), with negative and zero components."""
+    np.exp(2j pi (k1 x + k2 y + k3 z)), with negative and zero components;
+    so does the engine value function fourier_value on (x, y, z), whose phase
+    stops at len(ks) (Davenport's (1,) is np.exp(2j pi x))."""
     coords = tuple(rng.random((len(ks), 4096)))
     coords[0][:3] = (0.0, 0.5, np.nextafter(1.0, 0.0))
     phase = ks[0] * coords[0]
@@ -189,6 +192,8 @@ def test_fourier_mode_equals_the_exponential(rng, ks):
     assert np.array_equal(fourier_mode(ks, coords).view(np.uint64), want)
     for _ in range(2):
         assert np.array_equal(fourier_mode(ks, coords, ws).view(np.uint64), want)
+    xyz = coords + tuple(rng.random((3 - len(ks), 4096)))
+    assert np.array_equal(fourier_value(ks)(*xyz, None, ws=ws).view(np.uint64), want)
 
 
 def test_continuity_across_gluing():
