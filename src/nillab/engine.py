@@ -18,16 +18,18 @@ values once and takes their local prefix sums, then adds the inclusive carry
 of the segment before it, publishes its own carry and evaluates its
 observables (a running offset on one worker, a chained scan on a thread
 pool).  A pass may instead read its cocycle prefixes from an array kept
-earlier.  The prime-pair route keeps the cocycle sums only at multiples of p
-and q, then makes a second pass over n that reads S_{qn} as its kept prefixes
-and evaluates F(T^{pn} x0) conj F(T^{qn} x0) segment by segment.  From the
-origin the joining's cocycle prefix is S*_n = S_{pn} - S_{qn} of the skew
-cocycle, bit for bit, so the pair route leaves S* (one array) in a
-:class:`PairScan`, and a later joining stream (the Weyl sums of
-``nillab run``) reads it as its kept prefixes instead of scanning its p + q
-lifts.  Observable values are quantized to 2**-53 and summed in integer
-arithmetic, which makes checkpoint sums bit-identical for any worker count
-and segment size -- and equal to the naive single-loop oracle.
+earlier.  The prime-pair route is one pass at stride p over chunks of n: a
+chunk scans the skew steps p n of its n, keeps S at the multiples of q among
+them in one array of length N, and evaluates F(T^{pn} x0) conj F(T^{qn} x0)
+from S_{pn}, read in the steps it has just scanned, and S_{qn}, read from
+that array.  From the origin the joining's cocycle prefix is
+S*_n = S_{pn} - S_{qn} of the skew cocycle, bit for bit; the pass writes S*
+over the S_{qn} it has read and leaves that array in a :class:`PairScan`,
+and a later joining stream (the Weyl sums of ``nillab run``) reads it as its
+kept prefixes instead of scanning its p + q lifts.  Observable values are
+quantized to 2**-53 and summed in integer arithmetic, which makes checkpoint
+sums bit-identical for any worker count and segment size -- and equal to the
+naive single-loop oracle.
 
 Each worker of a pass over segments holds one :class:`Workspace`: a few
 segment-length buffers into which the cocycle values, the scan, the lanes,
@@ -42,13 +44,14 @@ lanes here, ``BaseFunctionSpec.periodic_q53`` (through ``u_values``),
 (through ``observables.fourier_value``, the Weyl and Davenport modes).
 Without them, as in the naive oracle and on the scalar path, the same code
 writes into fresh arrays.  Only the index arrays of a support
-(``np.flatnonzero``) are still made per call.
+(``np.flatnonzero``) are still made per call.  A gather into a buffer is
+``np.take(..., mode="clip")``: its indices come from ``np.flatnonzero``, so
+clipping never acts, and the default mode would copy through a temporary.
 
-Both pair products -- the pair route's second pass and
-:class:`StarDescentSink` -- evaluate their second factor only where the first
-is nonzero; the bump vanishes on 3/4 of the torus.  Elsewhere the full
-product would be a signed zero, which quantizes to 0, so every checkpoint sum
-keeps its bits.
+Both pair products -- the pair route and :class:`StarDescentSink` --
+evaluate their second factor only where the first is nonzero; the bump
+vanishes on 3/4 of the torus.  Elsewhere the full product would be a signed
+zero, which quantizes to 0, so every checkpoint sum keeps its bits.
 """
 
 from __future__ import annotations
@@ -374,8 +377,8 @@ def _times_on(first: np.ndarray, on: np.ndarray, second: np.ndarray, ws: Workspa
     product would be a signed zero, which quantizes to 0 all the same.  The
     first factor stays the left operand: under fused multiply-add, swapping
     the operands of a complex product changes its rounding."""
-    np.multiply(np.take(first, on, out=ws.take("first.on", on.shape, first.dtype)), second,
-                out=second)
+    at_on = np.take(first, on, out=ws.take("first.on", on.shape, first.dtype), mode="clip")
+    np.multiply(at_on, second, out=second)
     np.put(first, on, second)
     return first
 
@@ -385,16 +388,15 @@ def _times_on(first: np.ndarray, on: np.ndarray, second: np.ndarray, ws: Workspa
 # ---------------------------------------------------------------------------
 
 
-def _map_segments(job, bounds, workers: int) -> list:
-    """``[job(k, ws) for k in range(len(bounds))]``, on ``workers`` threads
-    when above 1.
+def _map_segments(job, n_jobs: int, size: int, workers: int) -> list:
+    """``[job(k, ws) for k in range(n_jobs)]``, on ``workers`` threads when
+    above 1.
 
-    A running job holds a :class:`Workspace` sized to the longest segment,
-    and passes it on to a later job when it returns: there are at most
-    ``workers`` of them, and none outlives this call.  The pool takes jobs in
-    FIFO order, so job k - 1 has started before job k runs: a job may wait on
-    its predecessor without deadlock."""
-    size = bounds[0][1] - bounds[0][0]
+    A running job holds a :class:`Workspace` of ``size`` entries, and passes
+    it on to a later job when it returns: there are at most ``workers`` of
+    them, and none outlives this call.  The pool takes jobs in FIFO order, so
+    job k - 1 has started before job k runs: a job may wait on its
+    predecessor without deadlock."""
     steps = np.arange(size, dtype=np.uint64)
     idle = []
 
@@ -408,36 +410,42 @@ def _map_segments(job, bounds, workers: int) -> list:
         finally:
             idle.append(ws)
 
-    if workers > 1 and len(bounds) > 1:
+    if workers > 1 and n_jobs > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, range(len(bounds))))
-    return [run(k) for k in range(len(bounds))]
+            return list(pool.map(run, range(n_jobs)))
+    return [run(k) for k in range(n_jobs)]
 
 
-def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=None) -> list:
-    """One pass over steps 1 .. plan.n_total: ``[consume(lo, hi, s, ws)]`` per
-    segment.
+def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=None,
+                   keep=None, stride: int = 1) -> list:
+    """One pass over the n-chunks (lo, hi] of 1 .. plan.n_total, a segment
+    long each: ``[consume(lo, hi, s, ws)]`` per chunk.
 
-    ``s`` holds the cocycle prefix sums S_{lo+1} .. S_hi (mod 1), in the
-    buffer ``u`` of the worker's workspace ``ws``.  Segment k
-    computes its ``u_values`` once and takes their local cumsum, then waits for
-    segment k - 1's inclusive carry and publishes its own before it consumes.
-    On one worker this is a running offset; on several it is a chained scan.
-    A failing segment still publishes (an unknown carry) and wakes every later
-    segment, so they raise instead of waiting forever, even on segments the
-    pool cancels once the failure surfaces.  ``kept``, when given, holds
-    S_1 .. S_{plan.n_total} from a scan made earlier: ``s`` is then the view
+    With stride m the chunk (lo, hi] scans the steps m lo + 1 .. m hi: ``s``
+    holds their cocycle prefix sums S_{m lo + 1} .. S_{m hi} (mod 1), in the
+    buffer ``u`` of the worker's workspace ``ws``, which is sized to m
+    segments.  Chunk k computes its ``u_values`` once and takes their local
+    cumsum, then waits for chunk k - 1's inclusive carry, adds it and
+    publishes its own before it consumes.  On one worker this is a running
+    offset; on several it is a chained scan.  ``keep(lo, hi, s)``, when
+    given, runs before chunk k's carry is published: once chunk k + 1 has
+    its carry, every chunk up to k has kept its values.  A failing chunk
+    still publishes (an unknown carry) and wakes every later chunk, so they
+    raise instead of waiting forever, even on chunks the pool cancels once
+    the failure surfaces.  ``kept``, when given, holds S_1 .. S_{plan.n_total}
+    from a scan made earlier (stride 1): ``s`` is then the view
     ``kept[lo:hi]``, which ``consume`` only reads, and nothing is scanned.
     """
     n_total, size = plan.n_total, plan.segment_size
     bounds = [(lo, min(lo + size, n_total)) for lo in range(0, n_total, size)]
+    ws_size = stride * (bounds[0][1] - bounds[0][0])
     if kept is not None:
 
         def read(k, ws):
             lo, hi = bounds[k]
             return consume(lo, hi, kept[lo:hi], ws)
 
-        return _map_segments(read, bounds, plan.worker_count)
+        return _map_segments(read, len(bounds), ws_size, plan.worker_count)
     carries = [0] + [None] * len(bounds)
     ready = [threading.Event() for _ in carries]
     ready[0].set()
@@ -445,23 +453,25 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=No
     def job(k, ws):
         lo, hi = bounds[k]
         try:
-            s = stream.u_values(ws.steps("n", lo, hi), ws)
+            s = stream.u_values(ws.steps("n", stride * lo, stride * hi), ws)
             np.cumsum(s, dtype=np.uint64, out=s)
             ready[k].wait()
             offset = carries[k]
             if offset is None:
                 raise RuntimeError(f"segment {k - 1} of the cocycle scan failed")
-            carries[k + 1] = (offset + int(s[-1])) & MASK64
+            s += u64c(offset)
+            if keep is not None:
+                keep(lo, hi, s)
+            carries[k + 1] = int(s[-1])
         finally:
             # publish the carry; an unknown one breaks the chain, so every
-            # later segment is woken to raise
+            # later chunk is woken to raise
             stop = k + 2 if carries[k + 1] is not None else len(ready)
             for event in ready[k + 1 : stop]:
                 event.set()
-        s += u64c(offset)
         return consume(lo, hi, s, ws)
 
-    return _map_segments(job, bounds, plan.worker_count)
+    return _map_segments(job, len(bounds), ws_size, plan.worker_count)
 
 
 def _cut_sums(values, lo: int, cuts, ws: Workspace = FRESH):
@@ -636,11 +646,11 @@ class PairScan:
     def _key(stream: _LaneStream, p: int, q: int):
         return (stream.au, stream.bu, stream.h, p, q)
 
-    def keep(self, stream: _LaneStream, p: int, q: int, s_p: np.ndarray, s_q: np.ndarray):
-        """Hold S* of a skew ``stream``'s S_{pn}, S_{qn} if it starts at
-        x = y = 0; S* is written over ``s_p``, which the holder then owns."""
+    def keep(self, stream: _LaneStream, p: int, q: int, star: np.ndarray):
+        """Hold ``star``, the S* of a skew ``stream``'s pair route, if the
+        stream starts at x = y = 0; the holder then owns the array."""
         if stream.x0u == 0 and stream.y0u == 0:
-            self._kept = (self._key(stream, p, q), np.subtract(s_p, s_q, out=s_p))
+            self._kept = (self._key(stream, p, q), star)
 
     def prefixes(self, stream: _LaneStream, n_total: int):
         """S*_1 .. S*_{n_total} for a joining ``stream``, as a view of the
@@ -659,54 +669,56 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
     """Exact checkpoint sums of F(T^{p n} x0) conj(F(T^{q n} x0)) over
     n <= N, one cocycle stream to p * n_pairs.
 
-    Phase 1 scans the skew cocycle once and keeps S only at the multiples of
-    p and of q (two u64 arrays of length ``n_pairs``).  Phase 2 is a second
-    :func:`_scan_segments` pass over n <= N that reads S_{qn} as its kept
-    prefixes: per segment it builds the lanes at q n and evaluates F there,
-    then the lanes at p n and F only where F(T^{q n} x0) is nonzero (the
-    product is 0 elsewhere), and sums the quantized products, so no per-step
-    array longer than a segment is formed.  Returns ``(N, sum)`` for each
-    checkpoint N (default ``[n_pairs]``), unnormalized, like
-    :func:`orbit_stream_multi`.  Given ``pair_scan``, S_{pn} - S_{qn} is left
-    there at the end, from which a joining from the origin (Weyl sums in
-    ``nillab run``) reads its cocycle.
+    One :func:`_scan_segments` pass at stride p over the n-chunks of
+    ``plan_template``'s segment size: the chunk (lo, hi] scans the skew steps
+    p lo + 1 .. p hi, keeps S at the multiples of q among them in ``kept``
+    (one u64 array of length ``n_pairs``), and then reads S_{pn} from the
+    steps it has just scanned and S_{qn} as ``kept[lo:hi]``, which this chunk
+    or an earlier one wrote, since q n < p n.  It builds the lanes at q n and
+    evaluates F there, then the lanes at p n and F only where F(T^{q n} x0)
+    is nonzero (the product is 0 elsewhere), and sums the quantized products,
+    so no per-step array longer than a chunk is formed.  Last it writes
+    S*_n = S_{pn} - S_{qn} over ``kept[lo:hi]``, which no chunk reads again.
+    Returns ``(N, sum)`` for each checkpoint N (default ``[n_pairs]``),
+    unnormalized, like :func:`orbit_stream_multi`.  Given ``pair_scan``, that
+    array of S* is left there at the end, from which a joining from the
+    origin (Weyl sums in ``nillab run``) reads its cocycle.
     """
     checkpoints = _checkpoints_within(
         [n_pairs] if checkpoints is None else checkpoints, n_pairs
     )
     stream = _make_stream(sys, start)
-    s_p = np.empty(n_pairs, dtype=np.uint64)
-    s_q = np.empty(n_pairs, dtype=np.uint64)
+    kept = np.empty(n_pairs, dtype=np.uint64)
 
-    def keep(lo, hi, s, ws):
-        _keep_multiples(s_p, p, lo, hi, s)
-        _keep_multiples(s_q, q, lo, hi, s)
+    def keep(lo, hi, s):
+        _keep_multiples(kept, q, p * lo, p * hi, s)
 
-    _scan_segments(stream, resize_plan(plan_template, p * n_pairs), keep)
+    def pairs(lo, hi, s, ws):
+        s_p, s_q = s[p - 1 :: p], kept[lo:hi]
 
-    def pairs(lo, hi, sq, ws):
         def factor(m, s, out=None, on=None):
-            """F(T^{m n} x0) for the segment's n, or for those at ``on``."""
+            """F(T^{m n} x0) for the chunk's n, or for those at ``on``."""
             mn = ws.steps("n", lo + 1, hi + 1)
             mn *= u64c(m)
             if on is not None:
-                mn = np.take(mn, on, out=ws.take("pair.n", on.shape))
-                s = np.take(s, on, out=ws.take("pair.s", on.shape))
+                mn = np.take(mn, on, out=ws.take("pair.n", on.shape), mode="clip")
+                s = np.take(s, on, out=ws.take("pair.s", on.shape), mode="clip")
             return obs.eval_arrays(*_float_lanes(*stream.lanes(mn, s, ws), ws), ws, out)
 
         # conj(F_q) * F_p in this order (see _times_on); F_p only where F_q
         # is nonzero
-        values = factor(q, sq, out=ws.take("pair.f", (hi - lo,), np.complex128))
+        values = factor(q, s_q, out=ws.take("pair.f", (hi - lo,), np.complex128))
         np.conjugate(values, out=values)
         on = np.flatnonzero(values)
-        _times_on(values, on, factor(p, s_p[lo:hi], on=on), ws)
+        _times_on(values, on, factor(p, s_p, on=on), ws)
+        np.subtract(s_p, s_q, out=s_q)
         return _cut_sums(values, lo, [c for c in checkpoints if lo < c <= hi], ws)
 
-    sums = _running_sums(
-        _scan_segments(stream, resize_plan(plan_template, n_pairs), pairs, kept=s_q)
-    )
+    sums = _running_sums(_scan_segments(
+        stream, resize_plan(plan_template, n_pairs), pairs, keep=keep, stride=p
+    ))
     if pair_scan is not None:
-        pair_scan.keep(stream, p, q, s_p, s_q)
+        pair_scan.keep(stream, p, q, kept)
     return sums
 
 
@@ -760,7 +772,7 @@ class StarDescentSink:
         f1 = self._factor(self.p, fx, fy, z_hi, z_lo, ws,
                           ws.take("star.f", shape, np.complex128))
         on = np.flatnonzero(f1)
-        fx, fy = (np.take(v, on, out=ws.take(name, on.shape))
+        fx, fy = (np.take(v, on, out=ws.take(name, on.shape), mode="clip")
                   for v, name in ((fx, "star.fx"), (fy, "star.fy")))
         zero = np.broadcast_to(np.uint64(0), on.shape)
         f2 = self._factor(self.q, fx, fy, zero, zero, ws)

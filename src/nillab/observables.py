@@ -101,8 +101,8 @@ class BumpProfile:
         inside = np.less(dx, r, out=ws.take("bump.in", shape, np.bool_))
         inside &= np.less(dy, r, out=ws.take("bump.iny", shape, np.bool_))
         idx = np.flatnonzero(inside)
-        sx = np.take(dx, idx, out=ws.take("bump.sx", idx.shape, np.float64))
-        sy = np.take(dy, idx, out=ws.take("bump.sy", idx.shape, np.float64))
+        sx = np.take(dx, idx, out=ws.take("bump.sx", idx.shape, np.float64), mode="clip")
+        sy = np.take(dy, idx, out=ws.take("bump.sy", idx.shape, np.float64), mode="clip")
         tmp = ws.take("t1", idx.shape, np.float64)  # dx is read
         for s in (sx, sy):
             s /= r
@@ -152,10 +152,14 @@ class Observable:
             keep = np.flatnonzero(bump)
             on, bump = on[keep], bump[keep]
         e = ws.take("obs.e", on.shape, np.complex128)
-        np.copyto(e, np.take(z, on, out=ws.take("t2", on.shape, np.float64)))  # dy is read
+        z_on = np.take(z, on, out=ws.take("t2", on.shape, np.float64), mode="clip")  # dy is read
+        np.copyto(e, z_on)
         np.multiply(2j * math.pi * self.xi, e, out=e)
         np.exp(e, out=e)
-        e *= bump
+        # part by part, with no complex cast of the bump: only a zero's sign
+        # can differ from e * bump, and the quantization drops it
+        e.real *= bump
+        e.imag *= bump
         out.fill(0)
         np.put(out, on, e)
         return out

@@ -1,12 +1,14 @@
 import functools
 import gc
 import threading
+import time
 import tracemalloc
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
 
+from nillab import engine
 from nillab.dynamics import (
     BaseFunctionSpec, SkewSystem, TrigTerm, build_joining, cocycle_sum, iterate_T,
 )
@@ -305,17 +307,20 @@ def test_engine_requires_unit_interval_rotation():
 
 def test_pair_factor_values_match_iterates():
     """The pair sums at every n <= 50 equal, bit for bit, the checkpoint sums
-    of the products of the observable at the scalar closed-form iterates."""
+    of the products of the observable at the scalar closed-form iterates, at
+    the strides p = 3, 5 and 7 of the pair route's scan."""
     sys = make_sys()
     obs = Observable(xi=1, bump=BumpProfile())
     start = canonical_rep(identity())
     cps = list(range(1, 51))
-    got = pair_factor_values(sys, start, 3, 2, 50, OrbitSegmentPlan(150, 32, 2), obs, cps)
-    fp, fq = (
-        np.array([eval_observable(obs, iterate_T(sys, start, m * n)) for n in cps])
-        for m in (3, 2)
-    )
-    assert got == checkpoint_sums(np.conj(fq) * fp, cps)
+    for p, q, plan in [(3, 2, OrbitSegmentPlan(150, 32, 2)), (5, 3, OrbitSegmentPlan(250, 16, 2)),
+                       (7, 2, OrbitSegmentPlan(350, 16))]:
+        got = pair_factor_values(sys, start, p, q, 50, plan, obs, cps)
+        fp, fq = (
+            np.array([eval_observable(obs, iterate_T(sys, start, m * n)) for n in cps])
+            for m in (p, q)
+        )
+        assert got == checkpoint_sums(np.conj(fq) * fp, cps), (p, q)
 
 
 # the standard bump, one touching the 1/8 margin, and a base mode (nowhere 0)
@@ -543,6 +548,77 @@ def test_chained_scan_under_thread_switching(skew_oracle):
     assert fast == slow
 
 
+def _pair_sums_and_star(plan):
+    """The pair route's sums at PAIR_CHECKPOINTS and the S* it leaves."""
+    scan, obs = PairScan(), Observable(xi=1, bump=BumpProfile())
+    sums = pair_factor_values(make_sys(), None, 3, 2, 500, plan, obs, PAIR_CHECKPOINTS,
+                              pair_scan=scan)
+    return sums, scan._kept[1]
+
+
+@pytest.fixture(scope="module")
+def pair_star_reference():
+    return _pair_sums_and_star(OrbitSegmentPlan(500))
+
+
+def test_pair_scan_under_thread_switching(pair_star_reference):
+    """The pair route's one pass with more workers than cores, 16-step
+    n-chunks and a 1 us switch interval: an S_{qn} read before its chunk kept
+    it, or a carry read before it is published, would change the sums."""
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        sums, star = _pair_sums_and_star(OrbitSegmentPlan(500, 16, 6))
+    finally:
+        setswitchinterval(interval)
+    ref_sums, ref_star = pair_star_reference
+    assert sums == ref_sums
+    assert np.array_equal(star, ref_star)
+
+
+def test_pair_scan_waits_for_a_slow_keep(monkeypatch, pair_star_reference):
+    """One early chunk keeps its S_{qn} slowly: the chunks after it, which
+    read those entries, must wait for them, so the sums do not change."""
+    keep_multiples = engine._keep_multiples
+
+    def slow(dst, stride, lo, hi, s):
+        if lo == 3 * 16:  # the second 16-pair chunk, skew steps 49 .. 96
+            time.sleep(0.2)
+        keep_multiples(dst, stride, lo, hi, s)
+
+    monkeypatch.setattr(engine, "_keep_multiples", slow)
+    sums, star = _pair_sums_and_star(OrbitSegmentPlan(500, 16, 3))
+    ref_sums, ref_star = pair_star_reference
+    assert sums == ref_sums
+    assert np.array_equal(star, ref_star)
+
+
+def test_pair_streams_hold_one_n_long_array():
+    """The pair route to N pairs holds one u64 array of N entries, and the
+    PairScan keeps that array: numpy reports its buffers to tracemalloc, so
+    the traced peak stays below 1.75 arrays (two arrays of S_{pn} and S_{qn}
+    would pass 2) and about one array is held after the call."""
+    n_pairs = 1 << 18
+    one_array = 8 * n_pairs
+    sys = make_sys()
+    obs = Observable(xi=1, bump=BumpProfile())
+    scan = PairScan()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pair_factor_values(sys, None, 3, 2, n_pairs, OrbitSegmentPlan(n_pairs, 1024), obs,
+                           pair_scan=scan)
+        gc.collect()
+        held, peak = (v - before for v in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * one_array, f"peak {peak / one_array:.2f} arrays"
+    assert one_array <= held < 1.1 * one_array, f"held {held / one_array:.2f} arrays"
+    assert scan._kept[1].nbytes == one_array
+
+
 # -- the chained scan fails loudly ------------------------------------------------
 
 
@@ -590,6 +666,23 @@ def test_scan_cocycle_failure_raises_without_deadlock(monkeypatch):
     monkeypatch.setattr(_LaneStream, "u_values", failing)
     plan = OrbitSegmentPlan(1000, 16, 3)
     raised = _finishes(lambda: orbit_stream(make_sys(), None, plan, lambda x, y, z, n: x + 0j))
+    assert len(raised) == 1 and isinstance(raised[0], _Boom)
+
+
+def test_pair_keep_failure_raises_without_deadlock(monkeypatch):
+    """A chunk whose keep fails publishes no carry: the later chunks raise
+    instead of hanging, and the first error surfaces."""
+    keep_multiples = engine._keep_multiples
+
+    def failing(dst, stride, lo, hi, s):
+        if lo == 3 * 32:  # the third 16-pair chunk
+            raise _Boom("keep failed")
+        keep_multiples(dst, stride, lo, hi, s)
+
+    monkeypatch.setattr(engine, "_keep_multiples", failing)
+    obs = Observable(xi=1, bump=BumpProfile())
+    plan = OrbitSegmentPlan(500, 16, 3)
+    raised = _finishes(lambda: pair_factor_values(make_sys(), None, 3, 2, 500, plan, obs))
     assert len(raised) == 1 and isinstance(raised[0], _Boom)
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,25 @@ def test_eval_arrays_skips_the_bump_zero_set(rng):
         np.exp(2j * math.pi * obs.xi * 0.3) * bump(0.45, 0.4)
     )
     assert eval_observable(obs, canonical_rep(GroupElement.fixed(0.9, 0.5, 0.3))) == 0
+
+
+def test_warm_eval_arrays_allocates_only_the_support_indices(rng):
+    """Once its workspace is warm, eval_arrays on 2**16 points allocates
+    little beyond the support's index array (np.flatnonzero): no complex cast
+    of the bump and no temporary behind a gather, 128 KB each here (numpy
+    reports its buffers to tracemalloc)."""
+    obs = Observable(xi=1, bump=BumpProfile())
+    x, y, z = rng.random((3, 1 << 16))
+    ws = Workspace(1 << 16)
+    obs.eval_arrays(x, y, z, ws)
+    indices = 8 * np.count_nonzero((abs(x - 0.5) < 0.25) & (abs(y - 0.5) < 0.25))
+    tracemalloc.start()
+    try:
+        obs.eval_arrays(x, y, z, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < indices + 32768, f"peak {peak} bytes, indices {indices}"
 
 
 def _eval_arrays_reference(obs, x, y, z):
