@@ -201,11 +201,16 @@ def cmd_winding(args) -> int:
 
 class RunContext:
     """What the experiments of one invocation share: the Mobius table, sieved
-    on first use, and the skew scan the pair route leaves for the Weyl sums."""
+    on first use, and the skew scan the pair route leaves for the Weyl sums.
+    ``names`` are the experiments the invocation runs, in registry order; only
+    when ``weyl`` follows ``bilinear`` among them is there a scan to hold, for
+    holding it costs the pair route an N-long array instead of its ring."""
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, names):
         self.cfg = cfg
-        self.pair_scan = PairScan()
+        names = list(names)
+        weyl_reads = "bilinear" in names and "weyl" in names[names.index("bilinear"):]
+        self.pair_scan = PairScan() if weyl_reads else None
 
     @cached_property
     def table(self) -> MobiusTable:
@@ -314,7 +319,7 @@ def cmd_experiment(args) -> int:
             cfg.system(), cfg.observable(), cfg.p, cfg.q, list(cfg.checkpoints),
             cfg.plan(cfg.checkpoints[-1]),
         )
-    outputs, summary = EXPERIMENTS[args.command](cfg, RunContext(cfg))
+    outputs, summary = EXPERIMENTS[args.command](cfg, RunContext(cfg, [args.command]))
     if reduced is not None:
         pair = outputs[0][2]  # payload of bilinear.csv
         summary["two_route_max_deviation"] = max(
@@ -336,14 +341,14 @@ def cmd_run(args) -> int:
     # and the new one, written last, must not sit beside a stale config.ini
     (out / "manifest.json").unlink(missing_ok=True)
     _write_lines(out / "config.ini", cfg.to_ini().removesuffix("\n").split("\n"))
-    run = RunContext(cfg)
+    names = [name for name in EXPERIMENTS if name in cfg.experiments]
+    run = RunContext(cfg, names)
     files = []
     summary = {}
-    for name, experiment in EXPERIMENTS.items():
-        if name in cfg.experiments:
-            outputs, entries = experiment(cfg, run)
-            files += _write(out, outputs)
-            summary.update(entries)
+    for name in names:
+        outputs, entries = EXPERIMENTS[name](cfg, run)
+        files += _write(out, outputs)
+        summary.update(entries)
 
     manifest = {
         "artifact_version": __version__,

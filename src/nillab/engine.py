@@ -20,13 +20,15 @@ observables (a running offset on one worker, a chained scan on a thread
 pool).  A pass may instead read its cocycle prefixes from an array kept
 earlier.  The prime-pair route is one pass at stride p over chunks of n: a
 chunk scans the skew steps p n of its n, keeps S at the multiples of q among
-them in one array of length N, and evaluates F(T^{pn} x0) conj F(T^{qn} x0)
-from S_{pn}, read in the steps it has just scanned, and S_{qn}, read from
-that array.  From the origin the joining's cocycle prefix is
-S*_n = S_{pn} - S_{qn} of the skew cocycle, bit for bit; the pass writes S*
-over the S_{qn} it has read and leaves that array in a :class:`PairScan`,
-and a later joining stream (the Weyl sums of ``nillab run``) reads it as its
-kept prefixes instead of scanning its p + q lifts.  Observable values are
+them in a ring of about N (p - q) / p entries, and evaluates
+F(T^{pn} x0) conj F(T^{qn} x0) from S_{pn}, read in the steps it has just
+scanned, and S_{qn}, copied out of the ring before any later chunk can
+overwrite it.  From the origin the joining's cocycle prefix is
+S*_n = S_{pn} - S_{qn} of the skew cocycle, bit for bit.  Only when a later
+joining stream (the Weyl sums of ``nillab run``) will read it does the ring
+span N: the pass then writes S* over the S_{qn} it has read and leaves that
+array in a :class:`PairScan`, which the joining reads as its kept prefixes
+instead of scanning its p + q lifts.  Observable values are
 quantized to 2**-53 and summed in integer arithmetic, which makes checkpoint
 sums bit-identical for any worker count and segment size -- and equal to the
 naive single-loop oracle.
@@ -373,13 +375,15 @@ def _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache, ws):
 
 def _times_on(first: np.ndarray, on: np.ndarray, second: np.ndarray, ws: Workspace):
     """``first`` with ``first[on] * second`` written at its flat indices
-    ``on``, over ``second``.  Where ``first`` is zero off ``on`` the full
-    product would be a signed zero, which quantizes to 0 all the same.  The
-    first factor stays the left operand: under fused multiply-add, swapping
-    the operands of a complex product changes its rounding."""
+    ``on``.  Where ``first`` is zero off ``on`` the full product would be a
+    signed zero, which quantizes to 0 all the same.  The first factor stays
+    the left operand: under fused multiply-add, swapping the operands of a
+    complex product changes its rounding.  The product goes to a buffer that
+    aliases neither factor: numpy rounds an in-place complex product of one
+    element without the fused multiply-add it uses at every other length, so
+    a support of one point would change the bits."""
     at_on = np.take(first, on, out=ws.take("first.on", on.shape, first.dtype), mode="clip")
-    np.multiply(at_on, second, out=second)
-    np.put(first, on, second)
+    np.put(first, on, np.multiply(at_on, second, out=ws.take("product", on.shape, first.dtype)))
     return first
 
 
@@ -388,11 +392,12 @@ def _times_on(first: np.ndarray, on: np.ndarray, second: np.ndarray, ws: Workspa
 # ---------------------------------------------------------------------------
 
 
-def _map_segments(job, n_jobs: int, size: int, workers: int) -> list:
+def _map_segments(job, n_jobs: int, size: int, segment: int, workers: int) -> list:
     """``[job(k, ws) for k in range(n_jobs)]``, on ``workers`` threads when
     above 1.
 
-    A running job holds a :class:`Workspace` of ``size`` entries, and passes
+    A running job holds a :class:`Workspace` of buffers ``segment`` entries
+    long, or up to ``size`` for the requests that need it, and passes
     it on to a later job when it returns: there are at most ``workers`` of
     them, and none outlives this call.  The pool takes jobs in FIFO order, so
     job k - 1 has started before job k runs: a job may wait on its
@@ -404,7 +409,7 @@ def _map_segments(job, n_jobs: int, size: int, workers: int) -> list:
         try:
             ws = idle.pop()
         except IndexError:
-            ws = Workspace(size, steps)
+            ws = Workspace(size, steps, segment)
         try:
             return job(k, ws)
         finally:
@@ -423,29 +428,28 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=No
 
     With stride m the chunk (lo, hi] scans the steps m lo + 1 .. m hi: ``s``
     holds their cocycle prefix sums S_{m lo + 1} .. S_{m hi} (mod 1), in the
-    buffer ``u`` of the worker's workspace ``ws``, which is sized to m
-    segments.  Chunk k computes its ``u_values`` once and takes their local
-    cumsum, then waits for chunk k - 1's inclusive carry, adds it and
-    publishes its own before it consumes.  On one worker this is a running
-    offset; on several it is a chained scan.  ``keep(lo, hi, s)``, when
-    given, runs before chunk k's carry is published: once chunk k + 1 has
-    its carry, every chunk up to k has kept its values.  A failing chunk
-    still publishes (an unknown carry) and wakes every later chunk, so they
-    raise instead of waiting forever, even on chunks the pool cancels once
-    the failure surfaces.  ``kept``, when given, holds S_1 .. S_{plan.n_total}
+    buffer ``u`` of the worker's workspace ``ws``, m segments long.  Chunk k
+    computes its ``u_values`` once and takes their local cumsum, then waits
+    for chunk k - 1's inclusive carry, adds it and publishes its own before
+    it consumes.  On one worker this is a running offset; on several it is
+    a chained scan.  ``keep(lo, hi, s)``, when given, runs before chunk k's
+    carry is published: once chunk k + 1 has its carry, every chunk up to k
+    has kept its values.  A failing chunk still publishes (an unknown carry)
+    and wakes every later chunk, so they raise instead of waiting forever,
+    even on chunks the pool cancels once the failure surfaces.  ``kept``, when given, holds S_1 .. S_{plan.n_total}
     from a scan made earlier (stride 1): ``s`` is then the view
     ``kept[lo:hi]``, which ``consume`` only reads, and nothing is scanned.
     """
     n_total, size = plan.n_total, plan.segment_size
     bounds = [(lo, min(lo + size, n_total)) for lo in range(0, n_total, size)]
-    ws_size = stride * (bounds[0][1] - bounds[0][0])
+    segment = bounds[0][1] - bounds[0][0]
     if kept is not None:
 
         def read(k, ws):
             lo, hi = bounds[k]
             return consume(lo, hi, kept[lo:hi], ws)
 
-        return _map_segments(read, len(bounds), ws_size, plan.worker_count)
+        return _map_segments(read, len(bounds), segment, segment, plan.worker_count)
     carries = [0] + [None] * len(bounds)
     ready = [threading.Event() for _ in carries]
     ready[0].set()
@@ -471,7 +475,7 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=No
                 event.set()
         return consume(lo, hi, s, ws)
 
-    return _map_segments(job, len(bounds), ws_size, plan.worker_count)
+    return _map_segments(job, len(bounds), stride * segment, segment, plan.worker_count)
 
 
 def _cut_sums(values, lo: int, cuts, ws: Workspace = FRESH):
@@ -619,12 +623,35 @@ def orbit_points(system, start, ns):
 
 
 def _keep_multiples(dst: np.ndarray, stride: int, lo: int, hi: int, s: np.ndarray):
-    """``dst[m - 1] = S_{m stride}`` for the multiples of ``stride`` among the
-    steps lo+1 .. hi whose m is within ``dst``."""
+    """``S_{m stride}`` for the multiples of ``stride`` among the steps
+    lo+1 .. hi (none when hi <= lo) into the ring ``dst``, at slot
+    (m - 1) mod ``dst.size``; there are at most ``dst.size`` of them, so
+    they wrap at most once."""
     first = lo // stride + 1
-    last = min(hi // stride, dst.size)
-    if last >= first:
-        dst[first - 1 : last] = s[first * stride - lo - 1 : last * stride - lo : stride]
+    src = s[first * stride - lo - 1 : max(hi - lo, 0) : stride]
+    at = (first - 1) % dst.size
+    head = min(src.size, dst.size - at)
+    dst[at : at + head] = src[:head]
+    dst[: src.size - head] = src[head:]
+
+
+def _ring_size(p: int, q: int, n_pairs: int, size: int) -> int:
+    """Slots the pair route needs for S_{qn}, n <= N, in n-chunks of ``size``.
+
+    The n-chunk (lo, hi] writes S_{qm} for m up to min(N, p hi / q) and then
+    reads m in (lo, hi], so the ring must span min(N, p hi / q) - lo entries.
+    That span grows with lo until p hi / q reaches N and falls after, so the
+    chunk where it does and the one before bound it.  Rounded up to whole
+    chunks, a chunk's entries never wrap, and at most N: about N (p - q) / p.
+    """
+
+    def span(k):
+        lo = k * size
+        return min(n_pairs, p * min(n_pairs, lo + size) // q) - lo
+
+    k = -(-q * n_pairs // (p * size)) - 1  # the first chunk whose p hi / q reaches N
+    slots = max(span(j) for j in (k - 1, k) if j >= 0)
+    return min(n_pairs, -(-slots // size) * size)
 
 
 class PairScan:
@@ -635,8 +662,10 @@ class PairScan:
     over the same points k alpha as the skew cocycle, so its prefix at n is
     S*_n = S_{pn} - S_{qn}, bit for bit on the u64 lanes.  A joining stream
     of the same rotation, h and pair from the origin reads S* here instead of
-    scanning its p + q lifts.  Each ``nillab run`` owns one holder; the engine
-    keeps none between calls.
+    scanning its p + q lifts.  Holding S* costs the pair route an N-long
+    array instead of its ring of about N (p - q) / p entries, so only a run
+    whose Weyl sums follow its pair route makes one.  Each such run owns one
+    holder; the engine keeps none between calls.
     """
 
     def __init__(self):
@@ -646,16 +675,20 @@ class PairScan:
     def _key(stream: _LaneStream, p: int, q: int):
         return (stream.au, stream.bu, stream.h, p, q)
 
+    @staticmethod
+    def at_origin(stream: _LaneStream) -> bool:
+        """Whether ``stream`` starts at x = y = 0, where S* is the joining's."""
+        return stream.x0u == 0 and stream.y0u == 0
+
     def keep(self, stream: _LaneStream, p: int, q: int, star: np.ndarray):
-        """Hold ``star``, the S* of a skew ``stream``'s pair route, if the
-        stream starts at x = y = 0; the holder then owns the array."""
-        if stream.x0u == 0 and stream.y0u == 0:
-            self._kept = (self._key(stream, p, q), star)
+        """Hold ``star``, the S* of the pair route of a skew ``stream`` from
+        the origin; the holder then owns the array."""
+        self._kept = (self._key(stream, p, q), star)
 
     def prefixes(self, stream: _LaneStream, n_total: int):
         """S*_1 .. S*_{n_total} for a joining ``stream``, as a view of the
         held array, or None when the held scan does not cover it."""
-        if self._kept is None or stream.x0u != 0 or stream.y0u != 0:
+        if self._kept is None or not self.at_origin(stream):
             return None
         key, star = self._kept
         if key != self._key(stream, stream.p, stream.q) or n_total > star.size:
@@ -671,30 +704,42 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
 
     One :func:`_scan_segments` pass at stride p over the n-chunks of
     ``plan_template``'s segment size: the chunk (lo, hi] scans the skew steps
-    p lo + 1 .. p hi, keeps S at the multiples of q among them in ``kept``
-    (one u64 array of length ``n_pairs``), and then reads S_{pn} from the
-    steps it has just scanned and S_{qn} as ``kept[lo:hi]``, which this chunk
-    or an earlier one wrote, since q n < p n.  It builds the lanes at q n and
-    evaluates F there, then the lanes at p n and F only where F(T^{q n} x0)
-    is nonzero (the product is 0 elsewhere), and sums the quantized products,
-    so no per-step array longer than a chunk is formed.  Last it writes
-    S*_n = S_{pn} - S_{qn} over ``kept[lo:hi]``, which no chunk reads again.
+    p lo + 1 .. p hi.  Its keep, which runs in chunk order, writes S at the
+    multiples q m of q among them into a ring of u64 slots, slot (m - 1) mod
+    R, and then copies this chunk's S_{qn}, n in (lo, hi], out of the ring
+    into ``s[::p]``, whose own entries (S at the steps p n - p + 1) nothing
+    reads after the keep; this chunk or an earlier one wrote them, since
+    q n < p n.  Later keeps may then overwrite those slots, however far a
+    slower chunk lags.  The chunk builds the lanes at q n and evaluates F
+    there, then the lanes at p n (S_{pn} is ``s[p-1::p]``) and F only where
+    F(T^{q n} x0) is nonzero (the product is 0 elsewhere), and sums the
+    quantized products, so no per-step array longer than a chunk is formed.
     Returns ``(N, sum)`` for each checkpoint N (default ``[n_pairs]``),
-    unnormalized, like :func:`orbit_stream_multi`.  Given ``pair_scan``, that
-    array of S* is left there at the end, from which a joining from the
-    origin (Weyl sums in ``nillab run``) reads its cocycle.
+    unnormalized, like :func:`orbit_stream_multi`.
+
+    The ring spans about N (p - q) / p entries (:func:`_ring_size`).  Given
+    ``pair_scan`` and a start at the origin it spans N instead: each chunk
+    then writes S*_n = S_{pn} - S_{qn} over the ring's entries n in
+    (lo, hi], which no chunk reads again, and the array is left in the
+    holder, from which a joining from the origin (Weyl sums in
+    ``nillab run``) reads its cocycle.
     """
     checkpoints = _checkpoints_within(
         [n_pairs] if checkpoints is None else checkpoints, n_pairs
     )
     stream = _make_stream(sys, start)
-    kept = np.empty(n_pairs, dtype=np.uint64)
+    plan = resize_plan(plan_template, n_pairs)
+    holds = pair_scan is not None and PairScan.at_origin(stream)
+    ring = np.empty(n_pairs if holds else _ring_size(p, q, n_pairs, plan.segment_size),
+                    dtype=np.uint64)
 
     def keep(lo, hi, s):
-        _keep_multiples(kept, q, p * lo, p * hi, s)
+        _keep_multiples(ring, q, p * lo, min(p * hi, q * n_pairs), s)
+        at = lo % ring.size  # a whole chunk of slots: lo .. hi - 1 do not wrap
+        np.copyto(s[::p], ring[at : at + hi - lo])
 
     def pairs(lo, hi, s, ws):
-        s_p, s_q = s[p - 1 :: p], kept[lo:hi]
+        s_p, s_q = s[p - 1 :: p], s[::p]
 
         def factor(m, s, out=None, on=None):
             """F(T^{m n} x0) for the chunk's n, or for those at ``on``."""
@@ -711,14 +756,13 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
         np.conjugate(values, out=values)
         on = np.flatnonzero(values)
         _times_on(values, on, factor(p, s_p, on=on), ws)
-        np.subtract(s_p, s_q, out=s_q)
+        if holds:
+            np.subtract(s_p, s_q, out=ring[lo:hi])
         return _cut_sums(values, lo, [c for c in checkpoints if lo < c <= hi], ws)
 
-    sums = _running_sums(_scan_segments(
-        stream, resize_plan(plan_template, n_pairs), pairs, keep=keep, stride=p
-    ))
-    if pair_scan is not None:
-        pair_scan.keep(stream, p, q, kept)
+    sums = _running_sums(_scan_segments(stream, plan, pairs, keep=keep, stride=p))
+    if holds:
+        pair_scan.keep(stream, p, q, ring)
     return sums
 
 

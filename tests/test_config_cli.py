@@ -471,6 +471,19 @@ def test_run_weyl_reads_the_pair_scan(tmp_path, monkeypatch, capsys):
     assert sum(lifted) == 500
 
 
+@pytest.mark.parametrize("names, holds", [
+    (list(KNOWN_EXPERIMENTS), True),
+    (["bilinear", "weyl"], True),
+    (["bilinear"], False),
+    (["weyl"], False),
+    (["correlate", "bilinear", "davenport"], False),
+])
+def test_run_holds_a_pair_scan_only_for_weyl_after_bilinear(std_cfg, names, holds):
+    """Holding S* makes the pair route keep an N-long array instead of its
+    ring, so only an invocation whose Weyl sums follow its pair route does."""
+    assert (cli.RunContext(std_cfg, names).pair_scan is not None) == holds
+
+
 # -- bad input fails in validate, naming its field, before run writes ---------------
 
 

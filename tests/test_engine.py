@@ -323,6 +323,44 @@ def test_pair_factor_values_match_iterates():
         assert got == checkpoint_sums(np.conj(fq) * fp, cps), (p, q)
 
 
+# every power-of-two segment size to 256, so that some chunk's support holds
+# one point, at 1 and 3 workers
+SMALL_SEGMENTATIONS = [(s, w) for s in (1 << k for k in range(9)) for w in (1, 3)]
+
+
+def test_pair_sums_at_one_point_supports_keep_their_bits():
+    """At (7, 2) the pair sums at every n <= 50 equal those of the products
+    at the exact iterates for every segment size: where F(T^{2n} x0) is
+    nonzero at one n of a chunk, the product of one element rounds as at any
+    other length (an in-place one-element complex product would not)."""
+    sys = make_sys()
+    obs = Observable(xi=1, bump=BumpProfile())
+    start = canonical_rep(identity())
+    cps = list(range(1, 51))
+    fp, fq = (
+        np.array([eval_observable(obs, iterate_T(sys, start, m * n)) for n in cps])
+        for m in (7, 2)
+    )
+    want = checkpoint_sums(np.conj(fq) * fp, cps)
+    wrong = [(size, workers) for size, workers in SMALL_SEGMENTATIONS
+             if pair_factor_values(sys, start, 7, 2, 50, OrbitSegmentPlan(350, size, workers),
+                                   obs, cps) != want]
+    assert wrong == []
+
+
+def test_reduced_route_equals_naive_loop_at_every_segment_size():
+    """The (5, 3) descent over 200 steps equals the naive loop, which
+    multiplies one point at a time, at every checkpoint and segment size."""
+    js = build_joining(make_sys(), 5, 3)
+    sink = StarDescentSink(Observable(xi=1, bump=BumpProfile()), 5, 3)
+    cps = list(range(1, 201))
+    want = orbit_stream_naive(js, None, 200, sink, checkpoints=cps)
+    wrong = [(size, workers) for size, workers in SMALL_SEGMENTATIONS
+             if orbit_stream(js, None, OrbitSegmentPlan(200, size, workers), sink,
+                             checkpoints=cps) != want]
+    assert wrong == []
+
+
 # the standard bump, one touching the 1/8 margin, and a base mode (nowhere 0)
 SKIP_OBSERVABLES = pytest.mark.parametrize("obs", [
     Observable(xi=1, bump=BumpProfile()),
@@ -617,6 +655,111 @@ def test_pair_streams_hold_one_n_long_array():
     assert peak < 1.75 * one_array, f"peak {peak / one_array:.2f} arrays"
     assert one_array <= held < 1.1 * one_array, f"held {held / one_array:.2f} arrays"
     assert scan._kept[1].nbytes == one_array
+
+
+RING_PAIRS = [(3, 2), (5, 3), (7, 2), (5, 2), (13, 11)]
+RING_N = 997
+
+
+@pytest.mark.parametrize("turn, p, q", [(i, p, q) for i, (p, q) in enumerate(RING_PAIRS)])
+def test_pair_ring_sums_equal_the_held_scan(turn, p, q):
+    """Without a PairScan the route keeps S_{qn} in its ring; with one, in an
+    N-long array.  The sums are the same bits at every segment size to 1024
+    under a 1 us switch interval.  Each pair takes the sizes at 1, 3 and 6
+    workers in turn, from its own offset, so the five pairs together run
+    every size at every worker count."""
+    sys = make_sys()
+    obs = Observable(xi=1, bump=BumpProfile())
+    cps = [1, 2, 100, 500, 996, RING_N]
+    scan = PairScan()
+    want = pair_factor_values(sys, None, p, q, RING_N, OrbitSegmentPlan(RING_N), obs, cps,
+                              pair_scan=scan)
+    assert scan._kept[1].size == RING_N
+    plans = [OrbitSegmentPlan(RING_N, 1 << k, (1, 3, 6)[(k + turn) % 3]) for k in range(11)]
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        wrong = [plan for plan in plans
+                 if pair_factor_values(sys, None, p, q, RING_N, plan, obs, cps) != want]
+    finally:
+        setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_ring_size_bounds_every_chunk():
+    """The ring spans what each n-chunk (lo, hi] writes and then reads,
+    min(N, p hi / q) - lo entries, in whole chunks, and at most N."""
+    for p, q in RING_PAIRS:
+        for n_pairs in (1, 2, 15, 16, 17, 100, RING_N, 4096):
+            for size in (1, 2, 4, 16, 64, 1024):
+                ring = engine._ring_size(p, q, n_pairs, size)
+                need = max(min(n_pairs, p * min(n_pairs, lo + size) // q) - lo
+                           for lo in range(0, n_pairs, size))
+                assert need <= ring <= n_pairs, (p, q, n_pairs, size)
+                assert ring == n_pairs or ring % size == 0
+                assert ring < need + size
+
+
+def test_pair_ring_survives_a_lagging_reader(monkeypatch, pair_star_reference):
+    """The second 16-pair chunk sleeps before it builds its lanes, while the
+    later chunks keep theirs and wrap the ring of about N / 3 slots over the
+    slots it read its S_{qn} from; it copied them out first, so the sums do
+    not change."""
+    lanes = _LaneStream.lanes
+
+    def lagging(self, n, s, *ws):
+        if int(n[0]) == 2 * 17:  # the lanes at q n of the chunk n = 17 .. 32
+            time.sleep(0.2)
+        return lanes(self, n, s, *ws)
+
+    monkeypatch.setattr(_LaneStream, "lanes", lagging)
+    assert engine._ring_size(3, 2, 500, 16) < 200
+    sums = pair_factor_values(make_sys(), None, 3, 2, 500, OrbitSegmentPlan(500, 16, 3),
+                              Observable(xi=1, bump=BumpProfile()), PAIR_CHECKPOINTS)
+    assert sums == pair_star_reference[0]
+
+
+def test_pair_ring_peak_is_a_third_of_n():
+    """Without a PairScan the (3, 2) route to N pairs holds a ring of about
+    N / 3 u64 slots: the traced peak stays below the ring and 20 chunks of
+    3 * 4096 u64 entries (the stride-3 workspace and the chunk bookkeeping),
+    against more than N entries for an N-long array."""
+    n_pairs, size = 1 << 19, 4096
+    ring = engine._ring_size(3, 2, n_pairs, size)
+    assert ring < n_pairs // 3 + 2 * size
+    sys = make_sys()
+    obs = Observable(xi=1, bump=BumpProfile())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pair_factor_values(sys, None, 3, 2, n_pairs, OrbitSegmentPlan(n_pairs, size), obs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (ring + 20 * 3 * size), f"peak {peak / (8 * n_pairs):.3f} N-long arrays"
+
+
+def test_stride_pass_sizes_each_buffer_to_its_longest_request(monkeypatch):
+    """In the stride-3 pass only the buffers the scan asks for are 3 segments
+    long; every other buffer, support-sized or not, is one segment, made
+    once on first use."""
+    made = []
+
+    class Recorded(Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "Workspace", Recorded)
+    size = 1024
+    pair_factor_values(make_sys(), None, 3, 2, 8 * size, OrbitSegmentPlan(8 * size, size),
+                       Observable(xi=1, bump=BumpProfile()))
+    (ws,) = made
+    lengths = {name: buf.size for name, buf in ws._bufs.items()}
+    scan = {"n", "u", "t1", "t2", "h.q", "h.t"}  # steps, cocycle, lifts, periodic_q53
+    assert {name: n for name, n in lengths.items() if n != size} == dict.fromkeys(scan, 3 * size)
 
 
 # -- the chained scan fails loudly ------------------------------------------------
