@@ -16,8 +16,8 @@ Streaming is a single-pass scan, and every pass over segments goes through
 the one function :func:`_scan_segments`: each segment computes its cocycle
 values once and takes their local prefix sums, then adds the inclusive carry
 of the segment before it, publishes its own carry and evaluates its
-observables (a running offset on one worker, a chained scan on a thread
-pool).  A pass may instead read its cocycle prefixes from an array kept
+observables (on the caller's thread for one worker, on w threads for w
+workers).  A pass may instead read its cocycle prefixes from an array kept
 earlier.  The prime-pair route is one pass at stride p over chunks of n: a
 chunk scans the skew steps p n of its n, keeps S at the multiples of q among
 them in a ring of about N (p - q) / p entries, and evaluates
@@ -58,8 +58,8 @@ zero, which quantizes to 0, so every checkpoint sum keeps its bits.
 
 from __future__ import annotations
 
+import operator
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,6 +143,14 @@ def _n_times_q128(c128: int, n: np.ndarray, hi=None, lo=None):
     return hi, lo
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float or string is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} = {value!r} must be an integer") from None
+
+
 @dataclass(frozen=True)
 class OrbitSegmentPlan:
     """Segmentation contract for a deterministic stream."""
@@ -152,12 +160,12 @@ class OrbitSegmentPlan:
     worker_count: int = 1
 
     def __post_init__(self):
-        if not (1 <= self.n_total < (1 << 63)):
+        if not (1 <= _integer(self.n_total, "n_total") < (1 << 63)):
             raise ValueError("n_total must be in [1, 2**63)")
-        s = self.segment_size
+        s = _integer(self.segment_size, "segment_size")
         if s < 1 or (s & (s - 1)) != 0:
             raise ValueError(f"segment_size = {s!r} must be a power of two")
-        if self.worker_count < 1:
+        if _integer(self.worker_count, "workers") < 1:
             raise ValueError(f"workers = {self.worker_count!r} must be positive")
 
 
@@ -169,7 +177,7 @@ def resize_plan(plan: OrbitSegmentPlan | None, n_total: int) -> OrbitSegmentPlan
 def check_checkpoints(checkpoints, sieve_bound=None) -> list[int]:
     """``checkpoints`` as ints, strictly increasing and within [1, sieve_bound]
     (None leaves the top open)."""
-    cps = [int(c) for c in checkpoints]
+    cps = [_integer(c, "checkpoint") for c in checkpoints]
     if not cps or cps[0] < 1 or any(a >= b for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be strictly increasing positive integers")
     if sieve_bound is not None and cps[-1] > sieve_bound:
@@ -392,35 +400,6 @@ def _times_on(first: np.ndarray, on: np.ndarray, second: np.ndarray, ws: Workspa
 # ---------------------------------------------------------------------------
 
 
-def _map_segments(job, n_jobs: int, size: int, segment: int, workers: int) -> list:
-    """``[job(k, ws) for k in range(n_jobs)]``, on ``workers`` threads when
-    above 1.
-
-    A running job holds a :class:`Workspace` of buffers ``segment`` entries
-    long, or up to ``size`` for the requests that need it, and passes
-    it on to a later job when it returns: there are at most ``workers`` of
-    them, and none outlives this call.  The pool takes jobs in FIFO order, so
-    job k - 1 has started before job k runs: a job may wait on its
-    predecessor without deadlock."""
-    steps = np.arange(size, dtype=np.uint64)
-    idle = []
-
-    def run(k):
-        try:
-            ws = idle.pop()
-        except IndexError:
-            ws = Workspace(size, steps, segment)
-        try:
-            return job(k, ws)
-        finally:
-            idle.append(ws)
-
-    if workers > 1 and n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, range(n_jobs)))
-    return [run(k) for k in range(n_jobs)]
-
-
 def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=None,
                    keep=None, stride: int = 1) -> list:
     """One pass over the n-chunks (lo, hi] of 1 .. plan.n_total, a segment
@@ -430,52 +409,79 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=No
     holds their cocycle prefix sums S_{m lo + 1} .. S_{m hi} (mod 1), in the
     buffer ``u`` of the worker's workspace ``ws``, m segments long.  Chunk k
     computes its ``u_values`` once and takes their local cumsum, then waits
-    for chunk k - 1's inclusive carry, adds it and publishes its own before
-    it consumes.  On one worker this is a running offset; on several it is
-    a chained scan.  ``keep(lo, hi, s)``, when given, runs before chunk k's
-    carry is published: once chunk k + 1 has its carry, every chunk up to k
-    has kept its values.  A failing chunk still publishes (an unknown carry)
-    and wakes every later chunk, so they raise instead of waiting forever,
-    even on chunks the pool cancels once the failure surfaces.  ``kept``, when given, holds S_1 .. S_{plan.n_total}
-    from a scan made earlier (stride 1): ``s`` is then the view
-    ``kept[lo:hi]``, which ``consume`` only reads, and nothing is scanned.
+    until chunk k - 1 has published its inclusive carry, adds it, runs
+    ``keep(lo, hi, s)`` when given and publishes its own carry before it
+    consumes: once chunk k + 1 has its carry, every chunk up to k has kept
+    its values.  ``kept``, when given, holds S_1 .. S_{plan.n_total} from a
+    scan made earlier (stride 1): ``s`` is then the view ``kept[lo:hi]``,
+    which ``consume`` only reads, and nothing is scanned.
+
+    On one worker the caller runs every chunk in order.  On w workers, w
+    threads each take the next chunk index under one lock, on whose
+    condition chunk k waits, and keep one :class:`Workspace` for the pass;
+    the caller waits for them.  A failing chunk is recorded against its
+    index, stops further chunks from being taken and wakes every waiter,
+    which gives its chunk up; once every thread has ended, the failure of
+    the lowest chunk is raised.  No workspace or thread outlives the call.
     """
     n_total, size = plan.n_total, plan.segment_size
-    bounds = [(lo, min(lo + size, n_total)) for lo in range(0, n_total, size)]
-    segment = bounds[0][1] - bounds[0][0]
-    if kept is not None:
-
-        def read(k, ws):
-            lo, hi = bounds[k]
-            return consume(lo, hi, kept[lo:hi], ws)
-
-        return _map_segments(read, len(bounds), segment, segment, plan.worker_count)
-    carries = [0] + [None] * len(bounds)
-    ready = [threading.Event() for _ in carries]
-    ready[0].set()
+    n_chunks = -(-n_total // size)
+    segment = min(size, n_total)
+    width = segment if kept is not None else stride * segment
+    steps = np.arange(width, dtype=np.uint64)
+    results = [None] * n_chunks
+    failures = {}
+    lock = threading.Condition()
+    taken = ready = carry = 0  # chunks taken; carries published; the last of them
 
     def job(k, ws):
-        lo, hi = bounds[k]
-        try:
-            s = stream.u_values(ws.steps("n", stride * lo, stride * hi), ws)
-            np.cumsum(s, dtype=np.uint64, out=s)
-            ready[k].wait()
-            offset = carries[k]
-            if offset is None:
-                raise RuntimeError(f"segment {k - 1} of the cocycle scan failed")
-            s += u64c(offset)
-            if keep is not None:
-                keep(lo, hi, s)
-            carries[k + 1] = int(s[-1])
-        finally:
-            # publish the carry; an unknown one breaks the chain, so every
-            # later chunk is woken to raise
-            stop = k + 2 if carries[k + 1] is not None else len(ready)
-            for event in ready[k + 1 : stop]:
-                event.set()
+        nonlocal ready, carry
+        lo, hi = k * size, min(k * size + size, n_total)
+        if kept is not None:
+            return consume(lo, hi, kept[lo:hi], ws)
+        s = stream.u_values(ws.steps("n", stride * lo, stride * hi), ws)
+        np.cumsum(s, dtype=np.uint64, out=s)
+        with lock:
+            lock.wait_for(lambda: ready == k or failures)
+            if failures:  # the chain is broken: give the chunk up
+                return None
+        s += u64c(carry)
+        if keep is not None:
+            keep(lo, hi, s)
+        with lock:
+            ready, carry = k + 1, int(s[-1])
+            lock.notify_all()
         return consume(lo, hi, s, ws)
 
-    return _map_segments(job, len(bounds), stride * segment, segment, plan.worker_count)
+    def work():
+        nonlocal taken
+        ws = Workspace(width, steps, segment)
+        while True:
+            with lock:
+                if taken == n_chunks or failures:
+                    return
+                k, taken = taken, taken + 1
+            try:
+                results[k] = job(k, ws)
+            except BaseException as exc:  # re-raised by the caller
+                with lock:
+                    failures[k] = exc
+                    lock.notify_all()
+
+    workers = min(plan.worker_count, n_chunks)
+    threads = [threading.Thread(target=work) for _ in range(workers)] if workers > 1 else []
+    try:
+        for thread in threads:
+            thread.start()
+        if not threads:
+            work()
+    finally:
+        for thread in threads:
+            if thread.is_alive():  # one that failed to start never ran
+                thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _cut_sums(values, lo: int, cuts, ws: Workspace = FRESH):
@@ -572,24 +578,17 @@ def orbit_stream_naive(system, start, n_total, value_fn, weights=None, checkpoin
     Reuses the same per-step kernels pointwise (length-1 arrays) but performs
     no segmentation, scan, or vector accumulation.
     """
-    if checkpoints is None:
-        checkpoints = [n_total]
+    cset = set([n_total] if checkpoints is None else checkpoints)
     stream = _make_stream(system, start)
-    s = 0
-    re_tot = 0
-    im_tot = 0
+    s = re_tot = im_tot = 0
     out = []
-    cset = set(checkpoints)
     for i in range(n_total):
         iu = np.array([i], dtype=np.uint64)
         s = (s + int(stream.u_values(iu)[0])) & MASK64
         n = i + 1
-        fx, fy, z_hi, z_lo = stream.lanes(
-            np.array([n], dtype=np.uint64), np.array([s], dtype=np.uint64)
-        )
-        floats_cache = [None]
         n_arr = np.array([n], dtype=np.uint64)
-        v = _eval_fn(value_fn, fx, fy, z_hi, z_lo, n_arr, floats_cache, FRESH)
+        fx, fy, z_hi, z_lo = stream.lanes(n_arr, np.array([s], dtype=np.uint64))
+        v = _eval_fn(value_fn, fx, fy, z_hi, z_lo, n_arr, [None], FRESH)
         if weights is not None:
             v = v * weights(n, n + 1)
         _, re, im = _cut_sums(v, i, [])

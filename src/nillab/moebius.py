@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SkewSystem, build_joining
+from .dynamics import BaseFunctionSpec, SkewSystem, build_joining
 from .engine import (
     OrbitSegmentPlan,
     PairScan,
@@ -338,8 +338,6 @@ def davenport_baseline(
     plan: OrbitSegmentPlan | None = None,
 ) -> CorrelationReport:
     """(1/N) sum_{n<=N} mu(n) e(n alpha): the rotation-orbit decay reference."""
-    from .dynamics import BaseFunctionSpec
-
     alpha = FixedReal(alpha)
     checkpoints = check_checkpoints(checkpoints, table.n_max)
     plan = resize_plan(plan, checkpoints[-1])

@@ -1,5 +1,6 @@
 import functools
 import gc
+import re
 import threading
 import time
 import tracemalloc
@@ -36,7 +37,9 @@ from nillab.engine import (
 from nillab.fixedpoint import FixedReal, sqrt_q64
 from nillab.heisenberg import GroupElement, GroupLaw, canonical_rep, identity
 from nillab.diagnostics import weyl_sums
-from nillab.moebius import bilinear_sum_reduced, davenport_baseline, sieve_mobius
+from nillab.moebius import (
+    bilinear_sum_reduced, correlation_sum, davenport_baseline, sieve_mobius,
+)
 from nillab.observables import BumpProfile, Observable, eval_observable, fourier_value
 from nillab.workspace import Workspace
 
@@ -125,6 +128,26 @@ def test_plan_validation():
         OrbitSegmentPlan(10, worker_count=0)
     with pytest.raises(ValueError):
         OrbitSegmentPlan(1 << 63)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: engine.check_checkpoints([1.5, 10]), "checkpoint = 1.5"),
+    (lambda: correlation_sum(make_sys(), Observable(xi=1, bump=BumpProfile()), None,
+                             [1500.7], sieve_mobius(2000)), "checkpoint = 1500.7"),
+    (lambda: OrbitSegmentPlan(10.5), "n_total = 10.5"),
+    (lambda: OrbitSegmentPlan(10, 16.0), "segment_size = 16.0"),
+    (lambda: OrbitSegmentPlan(10, 16, "2"), "workers = '2'"),
+], ids=["check_checkpoints", "correlation_sum", "n_total", "segment_size", "workers"])
+def test_non_integer_counts_are_refused(call, named):
+    """A float checkpoint or plan field is refused with its value named,
+    not truncated to an integer (N = 1500.7 would report at 1500)."""
+    with pytest.raises(TypeError, match=re.escape(named)):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert engine.check_checkpoints([np.int64(5), np.uint32(10)]) == [5, 10]
+    assert OrbitSegmentPlan(np.int64(10), np.int32(4), np.int8(2)).segment_size == 4
 
 
 def test_constant_sink_counts_steps():
@@ -827,6 +850,62 @@ def test_pair_keep_failure_raises_without_deadlock(monkeypatch):
     plan = OrbitSegmentPlan(500, 16, 3)
     raised = _finishes(lambda: pair_factor_values(make_sys(), None, 3, 2, 500, plan, obs))
     assert len(raised) == 1 and isinstance(raised[0], _Boom)
+
+
+def test_one_worker_runs_every_chunk_on_the_callers_thread():
+    threads = set()
+
+    def fn(x, y, z, n):
+        threads.add(threading.get_ident())
+        return x + 0j
+
+    orbit_stream(make_sys(), None, OrbitSegmentPlan(1000, 16, 1), fn)
+    assert threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["passes", "raises"])
+def test_no_worker_thread_outlives_its_pass(fails):
+    """On 3 workers the chunks run off the caller's thread, on at most 3
+    threads, and every one has ended when the pass returns or raises."""
+    threads = set()
+
+    def fn(x, y, z, n):
+        threads.add(threading.get_ident())
+        if fails and n[0] == 513:
+            raise _Boom("value function failed")
+        return x + 0j
+
+    def call():
+        caller.append(threading.get_ident())
+        orbit_stream(make_sys(), None, OrbitSegmentPlan(1000, 16, 3), fn)
+
+    caller = []
+    before = threading.active_count()
+    raised = _finishes(call)
+    assert [type(exc) for exc in raised] == ([_Boom] if fails else [])
+    assert threading.active_count() == before
+    assert 1 <= len(threads) <= 3 and caller[0] not in threads
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_pass_bookkeeping_does_not_grow_with_its_chunks(workers):
+    """2**16 steps in 16-step segments are 4096 chunks.  A pass keeps per
+    chunk only its sums, a few hundred bytes, so the traced peak stays
+    below 3 MiB; with a future and an event per chunk besides it reads
+    6.5 MiB on 1 worker and 13.3 MiB on 3."""
+    sys = make_sys()
+    obs = Observable(xi=1, bump=BumpProfile())
+    plan = OrbitSegmentPlan(1 << 16, 16, workers)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        orbit_stream(sys, None, plan, obs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, f"peak {peak / (1 << 20):.1f} MiB"
 
 
 @pytest.mark.parametrize("workers", [1, 3])
