@@ -201,16 +201,17 @@ def cmd_winding(args) -> int:
 
 class RunContext:
     """What the experiments of one invocation share: the Mobius table, sieved
-    on first use, and the skew scan the pair route leaves for the Weyl sums.
-    ``names`` are the experiments the invocation runs, in registry order; only
-    when ``weyl`` follows ``bilinear`` among them is there a scan to hold, for
-    holding it costs the pair route an N-long array instead of its ring."""
+    on first use, and the :class:`~nillab.engine.PairScan` of the config's
+    Weyl frequencies and checkpoints, in which the pair route's pass leaves
+    the Weyl sums.  ``names`` are the experiments the invocation runs, in
+    registry order; only when ``weyl`` follows ``bilinear`` among them is
+    there a holder, for otherwise the pass would make sums nobody reads."""
 
     def __init__(self, cfg: ExperimentConfig, names):
         self.cfg = cfg
         names = list(names)
         weyl_reads = "bilinear" in names and "weyl" in names[names.index("bilinear"):]
-        self.pair_scan = PairScan() if weyl_reads else None
+        self.pair_scan = PairScan(cfg.weyl_freqs, cfg.checkpoints) if weyl_reads else None
 
     @cached_property
     def table(self) -> MobiusTable:

@@ -17,21 +17,20 @@ the one function :func:`_scan_segments`: each segment computes its cocycle
 values once and takes their local prefix sums, then adds the inclusive carry
 of the segment before it, publishes its own carry and evaluates its
 observables (on the caller's thread for one worker, on w threads for w
-workers).  A pass may instead read its cocycle prefixes from an array kept
-earlier.  The prime-pair route is one pass at stride p over chunks of n: a
+workers).  The prime-pair route is one pass at stride p over chunks of n: a
 chunk scans the skew steps p n of its n, keeps S at the multiples of q among
 them in a ring of about N (p - q) / p entries, and evaluates
 F(T^{pn} x0) conj F(T^{qn} x0) from S_{pn}, read in the steps it has just
 scanned, and S_{qn}, copied out of the ring before any later chunk can
 overwrite it.  From the origin the joining's cocycle prefix is
-S*_n = S_{pn} - S_{qn} of the skew cocycle, bit for bit.  Only when a later
-joining stream (the Weyl sums of ``nillab run``) will read it does the ring
-span N: the pass then writes S* over the S_{qn} it has read and leaves that
-array in a :class:`PairScan`, which the joining reads as its kept prefixes
-instead of scanning its p + q lifts.  Observable values are
-quantized to 2**-53 and summed in integer arithmetic, which makes checkpoint
-sums bit-identical for any worker count and segment size -- and equal to the
-naive single-loop oracle.
+S*_n = S_{pn} - S_{qn} of the skew cocycle, bit for bit.  So when the Weyl
+sums of ``nillab run`` follow the pair route, the same chunk forms S* in a
+segment buffer and evaluates them there too, and a :class:`PairScan` holds
+their checkpoint sums for the joining stream that asks for them: S* is
+never stored, and the joining scans none of its p + q lifts.  Observable
+values are quantized to 2**-53 and summed in integer arithmetic, which makes
+checkpoint sums bit-identical for any worker count and segment size -- and
+equal to the naive single-loop oracle.
 
 Each worker of a pass over segments holds one :class:`Workspace`: a few
 segment-length buffers into which the cocycle values, the scan, the lanes,
@@ -61,12 +60,14 @@ from __future__ import annotations
 import operator
 import threading
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .dynamics import JoiningSystem, SkewSystem
 from .fixedpoint import FixedReal
 from .heisenberg import HEISENBERG, canonical_rep, check_prime_pair, identity
+from .observables import fourier_value
 from .workspace import FRESH, Workspace
 
 MASK64 = (1 << 64) - 1
@@ -400,8 +401,8 @@ def _times_on(first: np.ndarray, on: np.ndarray, second: np.ndarray, ws: Workspa
 # ---------------------------------------------------------------------------
 
 
-def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=None,
-                   keep=None, stride: int = 1) -> list:
+def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, keep=None,
+                   stride: int = 1) -> list:
     """One pass over the n-chunks (lo, hi] of 1 .. plan.n_total, a segment
     long each: ``[consume(lo, hi, s, ws)]`` per chunk.
 
@@ -412,9 +413,7 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=No
     until chunk k - 1 has published its inclusive carry, adds it, runs
     ``keep(lo, hi, s)`` when given and publishes its own carry before it
     consumes: once chunk k + 1 has its carry, every chunk up to k has kept
-    its values.  ``kept``, when given, holds S_1 .. S_{plan.n_total} from a
-    scan made earlier (stride 1): ``s`` is then the view ``kept[lo:hi]``,
-    which ``consume`` only reads, and nothing is scanned.
+    its values.
 
     On one worker the caller runs every chunk in order.  On w workers, w
     threads each take the next chunk index under one lock, on whose
@@ -427,8 +426,7 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=No
     n_total, size = plan.n_total, plan.segment_size
     n_chunks = -(-n_total // size)
     segment = min(size, n_total)
-    width = segment if kept is not None else stride * segment
-    steps = np.arange(width, dtype=np.uint64)
+    steps = np.arange(stride * segment, dtype=np.uint64)
     results = [None] * n_chunks
     failures = {}
     lock = threading.Condition()
@@ -437,8 +435,6 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=No
     def job(k, ws):
         nonlocal ready, carry
         lo, hi = k * size, min(k * size + size, n_total)
-        if kept is not None:
-            return consume(lo, hi, kept[lo:hi], ws)
         s = stream.u_values(ws.steps("n", stride * lo, stride * hi), ws)
         np.cumsum(s, dtype=np.uint64, out=s)
         with lock:
@@ -455,7 +451,7 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=No
 
     def work():
         nonlocal taken
-        ws = Workspace(width, steps, segment)
+        ws = Workspace(steps.size, steps, segment)
         while True:
             with lock:
                 if taken == n_chunks or failures:
@@ -484,10 +480,11 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, kept=No
     return results
 
 
-def _cut_sums(values, lo: int, cuts, ws: Workspace = FRESH):
+def _cut_sums(values, lo: int, checkpoints, ws: Workspace = FRESH):
     """Exact quantized sums of the values of steps lo+1 ..: one prefix sum per
-    checkpoint in ``cuts``, then the totals."""
+    checkpoint among those steps, then the totals."""
     v = np.asarray(values)
+    cuts = [c for c in checkpoints if lo < c <= lo + v.size]
     complex_v = np.iscomplexobj(v)
     peak = _peak(v)
     if not np.isfinite(peak) or peak > _VALUE_BOUND:
@@ -503,6 +500,25 @@ def _cut_sums(values, lo: int, cuts, ws: Workspace = FRESH):
     re_cuts, re_tot = part_sums(v.real)
     im_cuts, im_tot = part_sums(v.imag) if complex_v else ([0] * len(cuts), 0)
     return list(zip(cuts, re_cuts, im_cuts)), re_tot, im_tot
+
+
+def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s,
+                ws: Workspace, weights=None) -> list:
+    """``_cut_sums`` of each of ``value_fns`` on the steps lo+1 .. hi of
+    ``stream``, whose cocycle prefixes are ``s``: the lanes, then each value
+    function on them, weighted by ``weights(lo + 1, hi + 1)`` when given.  A
+    consume of :func:`_scan_segments` once the first three are bound."""
+    n = ws.steps("n", lo + 1, hi + 1)
+    fx, fy, z_hi, z_lo = stream.lanes(n, s, ws)
+    w = weights(lo + 1, hi + 1) if weights is not None else None
+    floats_cache = [None]
+    out = []
+    for fn in value_fns:
+        v = _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache, ws)
+        if w is not None:
+            v = np.multiply(v, w, out=ws.take("w", v.shape, np.result_type(v, w)))
+        out.append(_cut_sums(v, lo, checkpoints, ws))
+    return out
 
 
 def _running_sums(chunks) -> list[tuple[int, complex]]:
@@ -540,31 +556,20 @@ def orbit_stream_multi(
     ``(lo, hi) -> int8`` giving multiplicative weights for steps lo+1 .. hi.
     Returns, per value function, a list of ``(N, complex_sum)`` with the
     *unnormalized* sum over n <= N, exactly accumulated on the 2**-53 grid.
-    A joining from the origin reads S* from ``pair_scan`` as its kept
-    prefixes when that holds a scan covering it (see :class:`PairScan`),
-    instead of scanning its p + q lifts.
+    Unweighted Weyl sums of a joining from the origin are the sums
+    ``pair_scan`` holds when the pass of a pair route made them for the
+    same rotation, h, pair, frequencies and checkpoints (see
+    :class:`PairScan`); nothing is streamed then.
     """
     n_total = plan.n_total
     checkpoints = _checkpoints_within([n_total] if checkpoints is None else checkpoints, n_total)
     stream = _make_stream(system, start)
-
-    def consume(lo, hi, s, ws):
-        n = ws.steps("n", lo + 1, hi + 1)
-        fx, fy, z_hi, z_lo = stream.lanes(n, s, ws)
-        w = weights(lo + 1, hi + 1) if weights is not None else None
-        floats_cache = [None]
-        cuts = [c for c in checkpoints if lo < c <= hi]
-        out = []
-        for fn in value_fns:
-            v = _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache, ws)
-            if w is not None:
-                v = np.multiply(v, w, out=ws.take("w", v.shape, np.result_type(v, w)))
-            out.append(_cut_sums(v, lo, cuts, ws))
-        return out
-
-    kept = pair_scan.prefixes(stream, n_total) if pair_scan is not None else None
-    segments = _scan_segments(stream, plan, consume, kept)
-    return [_running_sums(seg[f] for seg in segments) for f in range(len(value_fns))]
+    if pair_scan is not None and weights is None:
+        held = pair_scan.sums(stream, value_fns, checkpoints)
+        if held is not None:
+            return held
+    consume = partial(_value_sums, stream, value_fns, checkpoints, weights=weights)
+    return [_running_sums(chunks) for chunks in zip(*_scan_segments(stream, plan, consume))]
 
 
 def orbit_stream(system, start, plan, value_fn, weights=None, checkpoints=None):
@@ -576,9 +581,10 @@ def orbit_stream_naive(system, start, n_total, value_fn, weights=None, checkpoin
     """Single-threaded reference loop; must agree with the engine bit for bit.
 
     Reuses the same per-step kernels pointwise (length-1 arrays) but performs
-    no segmentation, scan, or vector accumulation.
+    no segmentation, scan, or vector accumulation.  ``checkpoints`` are
+    checked as :func:`orbit_stream` checks them.
     """
-    cset = set([n_total] if checkpoints is None else checkpoints)
+    cset = set(_checkpoints_within([n_total] if checkpoints is None else checkpoints, n_total))
     stream = _make_stream(system, start)
     s = re_tot = im_tot = 0
     out = []
@@ -654,45 +660,41 @@ def _ring_size(p: int, q: int, n_pairs: int, size: int) -> int:
 
 
 class PairScan:
-    """Holder for the joining cocycle prefixes S*_n = S_{pn} - S_{qn} (n <= N)
-    of a pair route scanned from the origin, for the rest of one run.
+    """The Weyl sums of a joining from the origin, made in the pass of the
+    pair route of the same rotation, h and pair, for the rest of one run.
 
     From x0 = y0 = 0 the joining's cocycle h_p(p., p.) - h_q(q., q.) sums h
     over the same points k alpha as the skew cocycle, so its prefix at n is
-    S*_n = S_{pn} - S_{qn}, bit for bit on the u64 lanes.  A joining stream
-    of the same rotation, h and pair from the origin reads S* here instead of
-    scanning its p + q lifts.  Holding S* costs the pair route an N-long
-    array instead of its ring of about N (p - q) / p entries, so only a run
-    whose Weyl sums follow its pair route makes one.  Each such run owns one
-    holder; the engine keeps none between calls.
+    S*_n = S_{pn} - S_{qn}, bit for bit on the u64 lanes.  The pass of a pair
+    route from there to the last of ``checkpoints`` forms S* per n-chunk and
+    leaves here the checkpoint sums of e(k . orbit_n) for each k in
+    ``freqs`` (:func:`~nillab.observables.fourier_value`), which the Weyl
+    stream of the same joining, frequencies and checkpoints returns instead
+    of scanning its p + q lifts.  Only a run whose Weyl sums follow its pair
+    route makes a holder; the engine keeps none between calls.
     """
 
-    def __init__(self):
-        self._kept = None
+    def __init__(self, freqs, checkpoints):
+        self.freqs = [tuple(int(k) for k in f) for f in freqs]
+        self.checkpoints = check_checkpoints(checkpoints)
+        self._held = None  # (what the sums are of, the sums per frequency)
 
     @staticmethod
-    def _key(stream: _LaneStream, p: int, q: int):
-        return (stream.au, stream.bu, stream.h, p, q)
+    def _key(stream: _LaneStream, freqs, checkpoints):
+        return (stream.au, stream.bu, stream.h, stream.p, stream.q, stream.x0u, stream.y0u,
+                stream.z0_hi, stream.z0_lo, list(freqs), list(checkpoints))
 
-    @staticmethod
-    def at_origin(stream: _LaneStream) -> bool:
-        """Whether ``stream`` starts at x = y = 0, where S* is the joining's."""
-        return stream.x0u == 0 and stream.y0u == 0
+    def hold(self, joining: _LaneStream, sums):
+        """Keep the ``sums`` of the ``joining`` stream."""
+        self._held = (self._key(joining, self.freqs, self.checkpoints), sums)
 
-    def keep(self, stream: _LaneStream, p: int, q: int, star: np.ndarray):
-        """Hold ``star``, the S* of the pair route of a skew ``stream`` from
-        the origin; the holder then owns the array."""
-        self._kept = (self._key(stream, p, q), star)
-
-    def prefixes(self, stream: _LaneStream, n_total: int):
-        """S*_1 .. S*_{n_total} for a joining ``stream``, as a view of the
-        held array, or None when the held scan does not cover it."""
-        if self._kept is None or not self.at_origin(stream):
+    def sums(self, stream: _LaneStream, value_fns, checkpoints):
+        """The held sums of ``value_fns`` at ``checkpoints`` along a joining
+        ``stream``, or None when the held pass did not make them."""
+        ks = [getattr(fn, "ks", None) for fn in value_fns]
+        if self._held is None or self._held[0] != self._key(stream, ks, checkpoints):
             return None
-        key, star = self._kept
-        if key != self._key(stream, stream.p, stream.q) or n_total > star.size:
-            return None
-        return star[:n_total]
+        return [list(s) for s in self._held[1]]
 
 
 def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
@@ -704,33 +706,36 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
     One :func:`_scan_segments` pass at stride p over the n-chunks of
     ``plan_template``'s segment size: the chunk (lo, hi] scans the skew steps
     p lo + 1 .. p hi.  Its keep, which runs in chunk order, writes S at the
-    multiples q m of q among them into a ring of u64 slots, slot (m - 1) mod
-    R, and then copies this chunk's S_{qn}, n in (lo, hi], out of the ring
-    into ``s[::p]``, whose own entries (S at the steps p n - p + 1) nothing
-    reads after the keep; this chunk or an earlier one wrote them, since
-    q n < p n.  Later keeps may then overwrite those slots, however far a
-    slower chunk lags.  The chunk builds the lanes at q n and evaluates F
-    there, then the lanes at p n (S_{pn} is ``s[p-1::p]``) and F only where
-    F(T^{q n} x0) is nonzero (the product is 0 elsewhere), and sums the
-    quantized products, so no per-step array longer than a chunk is formed.
-    Returns ``(N, sum)`` for each checkpoint N (default ``[n_pairs]``),
-    unnormalized, like :func:`orbit_stream_multi`.
+    multiples q m of q among them into a ring of about N (p - q) / p u64
+    slots (:func:`_ring_size`), slot (m - 1) mod R, and then copies this
+    chunk's S_{qn}, n in (lo, hi], out of the ring into ``s[::p]``, whose own
+    entries (S at the steps p n - p + 1) nothing reads after the keep; this
+    chunk or an earlier one wrote them, since q n < p n.  Later keeps may
+    then overwrite those slots, however far a slower chunk lags.  The chunk
+    builds the lanes at q n and evaluates F there, then the lanes at p n
+    (S_{pn} is ``s[p-1::p]``) and F only where F(T^{q n} x0) is nonzero (the
+    product is 0 elsewhere), and sums the quantized products, so no per-step
+    array longer than a chunk is formed.  Returns ``(N, sum)`` for each
+    checkpoint N (default ``[n_pairs]``), unnormalized, like
+    :func:`orbit_stream_multi`.
 
-    The ring spans about N (p - q) / p entries (:func:`_ring_size`).  Given
-    ``pair_scan`` and a start at the origin it spans N instead: each chunk
-    then writes S*_n = S_{pn} - S_{qn} over the ring's entries n in
-    (lo, hi], which no chunk reads again, and the array is left in the
-    holder, from which a joining from the origin (Weyl sums in
-    ``nillab run``) reads its cocycle.
+    Given a ``pair_scan``, a start at x = y = 0 and N at least its last
+    checkpoint, each chunk then writes S*_n = S_{pn} - S_{qn}, n in
+    (lo, hi], into a segment buffer and makes the holder's Weyl sums from
+    it as :func:`orbit_stream_multi` would, for the Weyl sums of ``nillab
+    run`` to return.
     """
     checkpoints = _checkpoints_within(
         [n_pairs] if checkpoints is None else checkpoints, n_pairs
     )
     stream = _make_stream(sys, start)
     plan = resize_plan(plan_template, n_pairs)
-    holds = pair_scan is not None and PairScan.at_origin(stream)
-    ring = np.empty(n_pairs if holds else _ring_size(p, q, n_pairs, plan.segment_size),
-                    dtype=np.uint64)
+    ring = np.empty(_ring_size(p, q, n_pairs, plan.segment_size), dtype=np.uint64)
+    weyl = (pair_scan is not None and stream.x0u == stream.y0u == 0
+            and n_pairs >= pair_scan.checkpoints[-1])
+    if weyl:
+        joining = _LaneStream(sys.alpha, sys.beta, sys.h, (FixedReal(0),) * 3, p, q)
+        weyl_fns = [fourier_value(k) for k in pair_scan.freqs]
 
     def keep(lo, hi, s):
         _keep_multiples(ring, q, p * lo, min(p * hi, q * n_pairs), s)
@@ -755,14 +760,16 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
         np.conjugate(values, out=values)
         on = np.flatnonzero(values)
         _times_on(values, on, factor(p, s_p, on=on), ws)
-        if holds:
-            np.subtract(s_p, s_q, out=ring[lo:hi])
-        return _cut_sums(values, lo, [c for c in checkpoints if lo < c <= hi], ws)
+        pair = _cut_sums(values, lo, checkpoints, ws)
+        if not weyl:
+            return pair, None
+        star = np.subtract(s_p, s_q, out=ws.take("pair.star", (hi - lo,)))
+        return pair, _value_sums(joining, weyl_fns, pair_scan.checkpoints, lo, hi, star, ws)
 
-    sums = _running_sums(_scan_segments(stream, plan, pairs, keep=keep, stride=p))
-    if holds:
-        pair_scan.keep(stream, p, q, ring)
-    return sums
+    pair_chunks, weyl_chunks = zip(*_scan_segments(stream, plan, pairs, keep=keep, stride=p))
+    if weyl:
+        pair_scan.hold(joining, [_running_sums(chunks) for chunks in zip(*weyl_chunks)])
+    return _running_sums(pair_chunks)
 
 
 def checkpoint_sums(values: np.ndarray, checkpoints) -> list[tuple[int, complex]]:

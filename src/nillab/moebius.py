@@ -283,8 +283,8 @@ def bilinear_sum(
     """(1/N) sum_{n<=N} F(T^{pn} x0) conj(F(T^{qn} x0)) -- the pair route.
 
     One skew-orbit stream to p * max N; :func:`pair_factor_values` returns the
-    exact checkpoint sums, which are normalized here, and leaves its scan in
-    ``pair_scan`` when one is given.
+    exact checkpoint sums, which are normalized here; given a ``pair_scan``,
+    its pass makes that holder's Weyl sums too.
     """
     js = build_joining(sys, p, q)  # validates the prime pair
     checkpoints = check_checkpoints(checkpoints)

@@ -58,12 +58,14 @@ def fourier_value(ks):
     """The engine value function e(k1 x + k2 y + k3 z) of the frequencies
     ``ks`` (one to three of them; Davenport's wave is ``(1,)``): the bits of
     ``np.exp(2j * math.pi * (k1 * x + ...))``, written into the workspace it
-    is given."""
+    is given.  ``fn.ks`` names the frequencies, by which an
+    :class:`~nillab.engine.PairScan` knows its Weyl sums."""
 
     def fn(x, y, z, n, ws=FRESH):
         return fourier_mode(ks, (x, y, z), ws)
 
     fn.wants_ws = True
+    fn.ks = tuple(ks)
     return fn
 
 

@@ -202,6 +202,17 @@ def test_engine_equals_naive_loop_joining(joining_oracle, segment_size, workers)
     assert orbit_stream(js, start, plan, _wave, checkpoints=[300, 600]) == slow
 
 
+@pytest.mark.parametrize("checkpoints", [[5, 20], [7, 5]], ids=["past-n", "unsorted"])
+def test_naive_loop_checks_checkpoints_as_the_engine_does(checkpoints):
+    """A checkpoint past the step count, or out of order, is refused by the
+    naive loop with the engine's message, not dropped or sorted."""
+    sys = make_sys()
+    with pytest.raises(ValueError) as refused:
+        orbit_stream(sys, None, OrbitSegmentPlan(10), _wave, checkpoints=checkpoints)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        orbit_stream_naive(sys, None, 10, _wave, checkpoints=checkpoints)
+
+
 @pytest.mark.parametrize("p, q", [(3, 2), (5, 3)])
 @pytest.mark.parametrize(
     "h", [(1, 0, (TrigTerm(1, 0, 0.1, 0.0),)),
@@ -451,7 +462,7 @@ def test_pair_factor_values_segmentation_invariant(pair_reference, segment_size,
     assert pair_factor_values(sys, None, 3, 2, 500, plan, obs, PAIR_CHECKPOINTS) == ref
 
 
-# -- the joining cocycle read from the pair route's scan ----------------------------
+# -- the Weyl sums made in the pair route's pass ------------------------------------
 
 WEYL_FREQS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)]
 SHARED_N = 300
@@ -469,6 +480,10 @@ def _weyl_fn(k):
     return fn
 
 
+def _weyl_modes(freqs=WEYL_FREQS):
+    return [fourier_value(k) for k in freqs]
+
+
 @functools.cache
 def _shared_case(p, q, h_id):
     """The joining and its Weyl sums by the naive (p + q)-lift loop."""
@@ -482,8 +497,9 @@ def _shared_case(p, q, h_id):
     return sys, js, naive
 
 
-def _filled_scan(sys, p, q, n_pairs, plan, start=None):
-    scan = PairScan()
+def _filled_scan(sys, p, q, n_pairs, plan, start=None, checkpoints=SHARED_CHECKPOINTS):
+    """A PairScan of WEYL_FREQS at ``checkpoints``, given to a pair route."""
+    scan = PairScan(WEYL_FREQS, checkpoints)
     pair_factor_values(
         sys, start, p, q, n_pairs, resize_plan(plan, p * n_pairs),
         Observable(xi=1, bump=BumpProfile()), pair_scan=scan,
@@ -491,33 +507,39 @@ def _filled_scan(sys, p, q, n_pairs, plan, start=None):
     return scan
 
 
+def _refuse_streams(monkeypatch):
+    """From here on, a stream that builds a lane or scans a lift fails."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a stream ran")
+
+    for name in ("u_values", "lanes"):
+        monkeypatch.setattr(_LaneStream, name, refuse)
+
+
 @pytest.mark.parametrize("p, q", [(3, 2), (5, 3), (7, 2)])
 @pytest.mark.parametrize("h_id", list(SHARED_H))
 @SEGMENTATIONS
 def test_joining_reads_pair_scan_bit_for_bit(monkeypatch, p, q, h_id, segment_size, workers):
-    """S*_n = S_{pn} - S_{qn}: Weyl sums from the pair route's kept scan equal
-    the (p + q)-lift stream and the naive loop, for any segmentation."""
+    """S*_n = S_{pn} - S_{qn}: the Weyl sums the pair route's pass makes equal
+    the joining's own (p + q)-lift stream and the naive loop, for any
+    segmentation, and reading them streams nothing."""
     sys, js, naive = _shared_case(p, q, h_id)
     plan = OrbitSegmentPlan(SHARED_N, segment_size, workers)
-    fns = [_weyl_fn(k) for k in WEYL_FREQS]
-    own = orbit_stream_multi(js, None, plan, fns, checkpoints=SHARED_CHECKPOINTS)
+    own = orbit_stream_multi(js, None, plan, [_weyl_fn(k) for k in WEYL_FREQS],
+                             checkpoints=SHARED_CHECKPOINTS)
     scan = _filled_scan(sys, p, q, SHARED_N, plan)
-
-    def no_lifts(self, i):
-        raise AssertionError("the joining scanned its own lifts")
-
-    monkeypatch.setattr(_LaneStream, "u_values", no_lifts)
-    shared = orbit_stream_multi(
-        js, None, plan, fns, checkpoints=SHARED_CHECKPOINTS, pair_scan=scan
-    )
-    assert shared == own == naive
+    _refuse_streams(monkeypatch)
+    held = orbit_stream_multi(js, None, plan, _weyl_modes(), checkpoints=SHARED_CHECKPOINTS,
+                              pair_scan=scan)
+    assert held == own == naive
 
 
 @pytest.mark.parametrize("segment_size, workers", [(64, 1), (64, 2), (1 << 16, 1), (1 << 16, 2)])
 def test_weyl_sums_invariant_with_and_without_pair_scan(segment_size, workers):
     """weyl_sums, whose modes share one set of workspace buffers, gives the
     naive loop's bits at 1 and 2 workers and segment sizes 64 and 2**16,
-    scanning its own lifts or reading the pair route's scan."""
+    scanning its own lifts or returning the sums the pair route's pass made."""
     sys, js, naive = _shared_case(3, 2, "d2-1")
     plan = OrbitSegmentPlan(SHARED_N, segment_size, workers)
     scan = _filled_scan(sys, 3, 2, SHARED_N, plan)
@@ -527,61 +549,92 @@ def test_weyl_sums_invariant_with_and_without_pair_scan(segment_size, workers):
         assert got == [[(n, s / n) for n, s in sums] for sums in naive]
 
 
-def test_pair_scan_holds_star_as_one_array():
-    """A pair route from the origin leaves one array, S*_n = S_{pn} - S_{qn}
-    mod 2**64, each term the exact cocycle sum from x = y = 0; a covered
-    joining reads a view of it."""
-    sys, js, _ = _shared_case(3, 2, "d2-1")
+def test_pair_pass_builds_the_joining_from_exact_star(monkeypatch):
+    """The pair route's pass builds the joining's lanes at every n from
+    S*_n = S_{pn} - S_{qn} mod 2**64, each term the exact cocycle sum from
+    x = y = 0, one segment at a time; the holder keeps no array."""
+    sys, _, _ = _shared_case(3, 2, "d2-1")
+    lanes = _LaneStream.lanes
+    star, sizes = {}, set()
+
+    def recording(self, n, s, *ws):
+        if self.p != 1:  # the joining's lanes, not the skew ones at q n and p n
+            star.update(zip(n.tolist(), s.tolist()))
+            sizes.add(s.size)
+        return lanes(self, n, s, *ws)
+
+    monkeypatch.setattr(_LaneStream, "lanes", recording)
     scan = _filled_scan(sys, 3, 2, SHARED_N, OrbitSegmentPlan(SHARED_N, 64, 2))
-    _, held = scan._kept
-    star = scan.prefixes(_make_stream(js, None), SHARED_N)
-    assert held.dtype == np.uint64 and held.shape == (SHARED_N,)
-    assert np.shares_memory(star, held) and star.size == SHARED_N
+    assert sorted(star) == list(range(1, SHARED_N + 1)) and max(sizes) == 64
 
     def s(m):
         return cocycle_sum(sys.h, FixedReal(0), FixedReal(0), m, sys.alpha, sys.beta).frac_u64()
 
     for n in (1, 2, 63, 64, 65, 150, SHARED_N):
-        assert int(star[n - 1]) == (s(3 * n) - s(2 * n)) & MASK64
+        assert star[n] == (s(3 * n) - s(2 * n)) & MASK64
+    assert not [v for v in vars(scan).values() if isinstance(v, np.ndarray)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_weyl_reads_the_held_array_without_writing_it(workers):
-    """Weyl sums read from the held S* twice give the same bits, and the held
-    array, made read-only, is unchanged: the kept path never writes into it."""
-    sys, js, _ = _shared_case(3, 2, "d2-1")
+def test_held_weyl_sums_read_again_stream_nothing(monkeypatch, workers):
+    """Weyl sums read from a filled holder twice give the naive loop's bits
+    both times, build no lane and scan no lift; a caller that changes what it
+    was given does not change the holder."""
+    sys, js, naive = _shared_case(3, 2, "d2-1")
     plan = OrbitSegmentPlan(SHARED_N, 64, workers)
     scan = _filled_scan(sys, 3, 2, SHARED_N, plan)
-    held = scan._kept[1]
-    before = held.copy()
-    held.flags.writeable = False
+    _refuse_streams(monkeypatch)
 
-    def bits():
-        reports = weyl_sums(js, None, WEYL_FREQS, SHARED_CHECKPOINTS, plan, pair_scan=scan)
-        return [(c.n, c.value.real.hex(), c.value.imag.hex())
-                for r in reports for c in r.checkpoints]
+    def read():
+        return orbit_stream_multi(js, None, plan, _weyl_modes(), checkpoints=SHARED_CHECKPOINTS,
+                                  pair_scan=scan)
 
-    assert bits() == bits()
-    assert np.array_equal(held, before)
+    first = read()
+    assert first == naive
+    first[0].clear()
+    assert read() == naive
 
 
 def test_pair_scan_used_only_where_it_covers():
-    """A held scan serves only a joining from the origin of the same rotation,
-    h and pair, to at most the scan's N; anything else scans its own lifts."""
+    """Held sums serve only a joining from the origin of the same rotation,
+    h and pair, with the same frequencies and checkpoints, unweighted, after
+    a pair route from x = y = 0 that reached the last checkpoint; any other
+    stream scans its own lifts, to the same bits it would give alone."""
     sys, js, _ = _shared_case(3, 2, "standard")
-    scan = _filled_scan(sys, 3, 2, 100, OrbitSegmentPlan(100, 64))
-    assert scan.prefixes(_make_stream(js, None), 100) is not None
-    assert scan.prefixes(_make_stream(js, None), 101) is None
-    off_origin = (FixedReal(0.25), FixedReal(0), FixedReal(0))
-    assert scan.prefixes(_make_stream(js, off_origin), 50) is None
-    other_pair = build_joining(sys, 5, 3)
-    assert scan.prefixes(_make_stream(other_pair, None), 50) is None
-    other_h = build_joining(make_sys(d1=2), 3, 2)
-    assert scan.prefixes(_make_stream(other_h, None), 50) is None
-    # a pair route away from x = y = 0 keeps nothing
-    start = canonical_rep(GroupElement.fixed(0.3, 0.8, 0.45))
-    moved = _filled_scan(sys, 3, 2, 100, OrbitSegmentPlan(100, 64), start)
-    assert moved.prefixes(_make_stream(js, None), 100) is None
+    cps = [10, 100]
+    plan = OrbitSegmentPlan(100, 64)
+    scan = _filled_scan(sys, 3, 2, 100, plan, checkpoints=cps)
+
+    def held(system=js, start=None, fns=None, checkpoints=cps, scan=scan):
+        stream = _make_stream(system, start)
+        return scan.sums(stream, _weyl_modes() if fns is None else fns, checkpoints) is not None
+
+    assert held()
+    assert not held(checkpoints=[10, 99]) and not held(checkpoints=[100])
+    assert not held(fns=_weyl_modes([(1, 0, 0), (2, 0, 0), (0, 0, 1), (1, 1, 2)]))
+    assert not held(fns=_weyl_modes(WEYL_FREQS[:3]))
+    assert not held(fns=[_weyl_fn(k) for k in WEYL_FREQS])  # same values, no frequencies
+    assert not held(start=(FixedReal(0.25), FixedReal(0), FixedReal(0)))
+    assert not held(start=(FixedReal(0), FixedReal(0), FixedReal(0.5)))
+    assert not held(build_joining(sys, 5, 3))
+    assert not held(build_joining(make_sys(d1=2), 3, 2))
+    # a pair route short of the last checkpoint or away from x = y = 0 makes
+    # none; a skew start at x = y = 0 with any z makes them
+    assert not held(scan=_filled_scan(sys, 3, 2, 99, plan, checkpoints=cps))
+    moved = canonical_rep(GroupElement.fixed(0.3, 0.8, 0.45))
+    assert not held(scan=_filled_scan(sys, 3, 2, 100, plan, moved, checkpoints=cps))
+    lifted = canonical_rep(GroupElement.fixed(0.0, 0.0, 0.45))
+    assert held(scan=_filled_scan(sys, 3, 2, 100, plan, lifted, checkpoints=cps))
+    # what the holder does not cover streams, to its own bits
+    other_cps = [10, 99]
+    other_freqs = _weyl_modes([(2, 0, 1), (0, 3, 0)])
+    w = sieve_mobius(100).mu_slice
+    for fns, checkpoints, weights in ((_weyl_modes(), other_cps, None),
+                                      (other_freqs, cps, None),
+                                      (_weyl_modes(), cps, w)):
+        alone = orbit_stream_multi(js, None, plan, fns, weights, checkpoints)
+        assert orbit_stream_multi(js, None, plan, fns, weights, checkpoints,
+                                  pair_scan=scan) == alone
 
 
 def test_star_descent_exact_z_difference():
@@ -609,35 +662,36 @@ def test_chained_scan_under_thread_switching(skew_oracle):
     assert fast == slow
 
 
-def _pair_sums_and_star(plan):
-    """The pair route's sums at PAIR_CHECKPOINTS and the S* it leaves."""
-    scan, obs = PairScan(), Observable(xi=1, bump=BumpProfile())
-    sums = pair_factor_values(make_sys(), None, 3, 2, 500, plan, obs, PAIR_CHECKPOINTS,
-                              pair_scan=scan)
-    return sums, scan._kept[1]
+def _pair_and_weyl_sums(plan, sys=None, p=3, q=2, n_pairs=500, cps=PAIR_CHECKPOINTS):
+    """The pair route's sums at ``cps`` and the Weyl sums its pass makes."""
+    sys = make_sys() if sys is None else sys
+    scan = PairScan(WEYL_FREQS, cps)
+    sums = pair_factor_values(sys, None, p, q, n_pairs, plan, Observable(xi=1, bump=BumpProfile()),
+                              cps, pair_scan=scan)
+    weyl = scan.sums(_make_stream(build_joining(sys, p, q), None), _weyl_modes(), cps)
+    assert weyl is not None
+    return sums, weyl
 
 
 @pytest.fixture(scope="module")
-def pair_star_reference():
-    return _pair_sums_and_star(OrbitSegmentPlan(500))
+def pair_weyl_reference():
+    return _pair_and_weyl_sums(OrbitSegmentPlan(500))
 
 
-def test_pair_scan_under_thread_switching(pair_star_reference):
+def test_pair_scan_under_thread_switching(pair_weyl_reference):
     """The pair route's one pass with more workers than cores, 16-step
     n-chunks and a 1 us switch interval: an S_{qn} read before its chunk kept
     it, or a carry read before it is published, would change the sums."""
     interval = getswitchinterval()
     setswitchinterval(1e-6)
     try:
-        sums, star = _pair_sums_and_star(OrbitSegmentPlan(500, 16, 6))
+        got = _pair_and_weyl_sums(OrbitSegmentPlan(500, 16, 6))
     finally:
         setswitchinterval(interval)
-    ref_sums, ref_star = pair_star_reference
-    assert sums == ref_sums
-    assert np.array_equal(star, ref_star)
+    assert got == pair_weyl_reference
 
 
-def test_pair_scan_waits_for_a_slow_keep(monkeypatch, pair_star_reference):
+def test_pair_scan_waits_for_a_slow_keep(monkeypatch, pair_weyl_reference):
     """One early chunk keeps its S_{qn} slowly: the chunks after it, which
     read those entries, must wait for them, so the sums do not change."""
     keep_multiples = engine._keep_multiples
@@ -648,36 +702,43 @@ def test_pair_scan_waits_for_a_slow_keep(monkeypatch, pair_star_reference):
         keep_multiples(dst, stride, lo, hi, s)
 
     monkeypatch.setattr(engine, "_keep_multiples", slow)
-    sums, star = _pair_sums_and_star(OrbitSegmentPlan(500, 16, 3))
-    ref_sums, ref_star = pair_star_reference
-    assert sums == ref_sums
-    assert np.array_equal(star, ref_star)
+    assert _pair_and_weyl_sums(OrbitSegmentPlan(500, 16, 3)) == pair_weyl_reference
 
 
-def test_pair_streams_hold_one_n_long_array():
-    """The pair route to N pairs holds one u64 array of N entries, and the
-    PairScan keeps that array: numpy reports its buffers to tracemalloc, so
-    the traced peak stays below 1.75 arrays (two arrays of S_{pn} and S_{qn}
-    would pass 2) and about one array is held after the call."""
-    n_pairs = 1 << 18
-    one_array = 8 * n_pairs
-    sys = make_sys()
-    obs = Observable(xi=1, bump=BumpProfile())
-    scan = PairScan()
+def _traced(call):
+    """(peak, held after) of ``call()`` in traced bytes above the start;
+    numpy reports its buffers to tracemalloc."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        pair_factor_values(sys, None, 3, 2, n_pairs, OrbitSegmentPlan(n_pairs, 1024), obs,
-                           pair_scan=scan)
+        call()
         gc.collect()
         held, peak = (v - before for v in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert peak < 1.75 * one_array, f"peak {peak / one_array:.2f} arrays"
-    assert one_array <= held < 1.1 * one_array, f"held {held / one_array:.2f} arrays"
-    assert scan._kept[1].nbytes == one_array
+    return peak, held
+
+
+def _ring_bound(n_pairs, size):
+    """Traced bytes of the (3, 2) route's ring and 20 chunks of 3 * ``size``
+    u64 entries (the stride-3 workspace and the chunk bookkeeping)."""
+    return 8 * (engine._ring_size(3, 2, n_pairs, size) + 20 * 3 * size)
+
+
+def test_pair_pass_with_weyl_sums_holds_only_its_ring():
+    """Making the Weyl sums in the pair route's pass keeps the route within
+    its ring bound, and the holder keeps sums, not arrays: after the call
+    under 1% of one N-long u64 array is still held."""
+    n_pairs, size = 1 << 19, 4096
+    scan = PairScan(WEYL_FREQS, [1000, n_pairs])
+    peak, held = _traced(lambda: pair_factor_values(
+        make_sys(), None, 3, 2, n_pairs, OrbitSegmentPlan(n_pairs, size),
+        Observable(xi=1, bump=BumpProfile()), pair_scan=scan))
+    assert scan._held is not None
+    assert peak < _ring_bound(n_pairs, size), f"peak {peak / (8 * n_pairs):.3f} N-long arrays"
+    assert held < 0.01 * 8 * n_pairs, f"held {held / (8 * n_pairs):.3f} N-long arrays"
 
 
 RING_PAIRS = [(3, 2), (5, 3), (7, 2), (5, 2), (13, 11)]
@@ -686,18 +747,15 @@ RING_N = 997
 
 @pytest.mark.parametrize("turn, p, q", [(i, p, q) for i, (p, q) in enumerate(RING_PAIRS)])
 def test_pair_ring_sums_equal_the_held_scan(turn, p, q):
-    """Without a PairScan the route keeps S_{qn} in its ring; with one, in an
-    N-long array.  The sums are the same bits at every segment size to 1024
-    under a 1 us switch interval.  Each pair takes the sizes at 1, 3 and 6
-    workers in turn, from its own offset, so the five pairs together run
-    every size at every worker count."""
+    """Without a PairScan the route gives the bits it gives while its pass
+    makes the Weyl sums too, at every segment size to 1024 under a 1 us
+    switch interval.  Each pair takes the sizes at 1, 3 and 6 workers in
+    turn, from its own offset, so the five pairs together run every size at
+    every worker count."""
     sys = make_sys()
     obs = Observable(xi=1, bump=BumpProfile())
     cps = [1, 2, 100, 500, 996, RING_N]
-    scan = PairScan()
-    want = pair_factor_values(sys, None, p, q, RING_N, OrbitSegmentPlan(RING_N), obs, cps,
-                              pair_scan=scan)
-    assert scan._kept[1].size == RING_N
+    want, _ = _pair_and_weyl_sums(OrbitSegmentPlan(RING_N), sys, p, q, RING_N, cps)
     plans = [OrbitSegmentPlan(RING_N, 1 << k, (1, 3, 6)[(k + turn) % 3]) for k in range(11)]
     interval = getswitchinterval()
     setswitchinterval(1e-6)
@@ -723,7 +781,7 @@ def test_ring_size_bounds_every_chunk():
                 assert ring < need + size
 
 
-def test_pair_ring_survives_a_lagging_reader(monkeypatch, pair_star_reference):
+def test_pair_ring_survives_a_lagging_reader(monkeypatch, pair_weyl_reference):
     """The second 16-pair chunk sleeps before it builds its lanes, while the
     later chunks keep theirs and wrap the ring of about N / 3 slots over the
     slots it read its S_{qn} from; it copied them out first, so the sums do
@@ -739,29 +797,20 @@ def test_pair_ring_survives_a_lagging_reader(monkeypatch, pair_star_reference):
     assert engine._ring_size(3, 2, 500, 16) < 200
     sums = pair_factor_values(make_sys(), None, 3, 2, 500, OrbitSegmentPlan(500, 16, 3),
                               Observable(xi=1, bump=BumpProfile()), PAIR_CHECKPOINTS)
-    assert sums == pair_star_reference[0]
+    assert sums == pair_weyl_reference[0]
 
 
 def test_pair_ring_peak_is_a_third_of_n():
-    """Without a PairScan the (3, 2) route to N pairs holds a ring of about
-    N / 3 u64 slots: the traced peak stays below the ring and 20 chunks of
-    3 * 4096 u64 entries (the stride-3 workspace and the chunk bookkeeping),
-    against more than N entries for an N-long array."""
+    """The (3, 2) route to N pairs holds a ring of about N / 3 u64 slots: the
+    traced peak stays below the ring and 20 chunks of 3 * 4096 u64 entries
+    (the stride-3 workspace and the chunk bookkeeping), against more than N
+    entries for an N-long array."""
     n_pairs, size = 1 << 19, 4096
-    ring = engine._ring_size(3, 2, n_pairs, size)
-    assert ring < n_pairs // 3 + 2 * size
-    sys = make_sys()
+    assert engine._ring_size(3, 2, n_pairs, size) < n_pairs // 3 + 2 * size
     obs = Observable(xi=1, bump=BumpProfile())
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        pair_factor_values(sys, None, 3, 2, n_pairs, OrbitSegmentPlan(n_pairs, size), obs)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (ring + 20 * 3 * size), f"peak {peak / (8 * n_pairs):.3f} N-long arrays"
+    peak, _ = _traced(lambda: pair_factor_values(
+        make_sys(), None, 3, 2, n_pairs, OrbitSegmentPlan(n_pairs, size), obs))
+    assert peak < _ring_bound(n_pairs, size), f"peak {peak / (8 * n_pairs):.3f} N-long arrays"
 
 
 def test_stride_pass_sizes_each_buffer_to_its_longest_request(monkeypatch):
