@@ -17,20 +17,20 @@ the one function :func:`_scan_segments`: each segment computes its cocycle
 values once and takes their local prefix sums, then adds the inclusive carry
 of the segment before it, publishes its own carry and evaluates its
 observables (on the caller's thread for one worker, on w threads for w
-workers).  The prime-pair route is one pass at stride p over chunks of n: a
-chunk scans the skew steps p n of its n, keeps S at the multiples of q among
-them in a ring of about N (p - q) / p entries, and evaluates
-F(T^{pn} x0) conj F(T^{qn} x0) from S_{pn}, read in the steps it has just
-scanned, and S_{qn}, copied out of the ring before any later chunk can
-overwrite it.  From the origin the joining's cocycle prefix is
-S*_n = S_{pn} - S_{qn} of the skew cocycle, bit for bit.  So when the Weyl
-sums of ``nillab run`` follow the pair route, the same chunk forms S* in a
-segment buffer and evaluates them there too, and a :class:`PairScan` holds
-their checkpoint sums for the joining stream that asks for them: S* is
-never stored, and the joining scans none of its p + q lifts.  Observable
-values are quantized to 2**-53 and summed in integer arithmetic, which makes
-checkpoint sums bit-identical for any worker count and segment size -- and
-equal to the naive single-loop oracle.
+workers).  A pass may carry one prefix per stride m over the same n-chunks:
+the prime-pair route is one pass at strides p and q, in which a chunk scans
+the skew steps p n and q n of its n in lockstep and evaluates
+F(T^{pn} x0) conj F(T^{qn} x0) from S_{pn} and S_{qn}, read in the steps it
+has just scanned, so it holds no array longer than a few segments.  From the
+origin the joining's cocycle prefix is S*_n = S_{pn} - S_{qn} of the skew
+cocycle, bit for bit.  So when the Weyl sums of ``nillab run`` follow the
+pair route, the same chunk forms S* in a segment buffer and evaluates them
+there too, and a :class:`PairScan` holds their checkpoint sums for the
+joining stream that asks for them: S* is never stored, and the joining scans
+none of its p + q lifts.  Observable values are quantized to 2**-53 and
+summed in integer arithmetic, which makes checkpoint sums bit-identical for
+any worker count and segment size -- and equal to the naive single-loop
+oracle.
 
 Each worker of a pass over segments holds one :class:`Workspace`: a few
 segment-length buffers into which the cocycle values, the scan, the lanes,
@@ -222,6 +222,7 @@ class _LaneStream:
         self.h = h
         self.d1u = u64c(h.d1)
         self.d2u = u64c(h.d2)
+        self.reads_y = bool(h.d2) or any(t.k2 for t in h.terms)
         a = _require_q64_unit(alpha, "alpha")
         b = _require_q64_unit(beta, "beta")
         x = _require_q64_unit(x0, "start x")
@@ -246,25 +247,30 @@ class _LaneStream:
 
     def _lift(self, xg: np.ndarray, yg: np.ndarray, ws: Workspace):
         """The lift of h at u64 torus coordinates, wrapped mod 1, written over
-        ``xg`` (``yg`` is overwritten too)."""
+        ``xg`` (``yg`` is overwritten too; it is read only when h reads y).
+        A multiplication by d1 = 1 and the y part at d2 = 0 are skipped: on
+        u64 they are x 1 and + 0, which change no bit."""
         q = self.h.periodic_q53(xg, yg, ws)
-        xg *= self.d1u
-        yg *= self.d2u
-        xg += yg
-        np.copyto(yg, q, casting="unsafe")  # int64 -> uint64 wraps, as astype does
-        yg <<= np.uint64(11)
-        xg += yg
+        if self.h.d1 != 1:
+            xg *= self.d1u
+        if self.h.d2:
+            yg *= self.d2u
+            xg += yg
+        # int64 -> uint64 wraps, as astype does
+        xg += np.left_shift(q.view(np.uint64), np.uint64(11), out=yg)
 
-    def u_values(self, i: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
+    def u_values(self, i: np.ndarray, ws: Workspace = FRESH, name: str = "u") -> np.ndarray:
         """H at the base points (x0, y0) + i (alpha, beta), wrapped mod 1, in
-        ``ws``'s buffer ``u``."""
-        acc, xg, yg = (ws.take(name, i.shape) for name in ("u", "t1", "t2"))
+        ``ws``'s buffer ``name``.  The y base points are made only when h
+        reads y (d2 != 0 or a term with k2 != 0)."""
+        acc, xg, yg = (ws.take(b, i.shape) for b in (name, "t1", "t2"))
         for k, (minus, bx, by, sx, sy) in enumerate(self.shifts):
             x = acc if k == 0 else xg
             np.multiply(i, sx, out=x)
             x += bx
-            np.multiply(i, sy, out=yg)
-            yg += by
+            if self.reads_y:
+                np.multiply(i, sy, out=yg)
+                yg += by
             self._lift(x, yg, ws)
             if k:
                 (np.subtract if minus else np.add)(acc, xg, out=acc)
@@ -401,19 +407,20 @@ def _times_on(first: np.ndarray, on: np.ndarray, second: np.ndarray, ws: Workspa
 # ---------------------------------------------------------------------------
 
 
-def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, keep=None,
-                   stride: int = 1) -> list:
+def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume,
+                   strides=(1,)) -> list:
     """One pass over the n-chunks (lo, hi] of 1 .. plan.n_total, a segment
-    long each: ``[consume(lo, hi, s, ws)]`` per chunk.
+    long each: ``[consume(lo, hi, *prefixes, ws)]`` per chunk, one prefix
+    array per stride.
 
-    With stride m the chunk (lo, hi] scans the steps m lo + 1 .. m hi: ``s``
-    holds their cocycle prefix sums S_{m lo + 1} .. S_{m hi} (mod 1), in the
-    buffer ``u`` of the worker's workspace ``ws``, m segments long.  Chunk k
-    computes its ``u_values`` once and takes their local cumsum, then waits
-    until chunk k - 1 has published its inclusive carry, adds it, runs
-    ``keep(lo, hi, s)`` when given and publishes its own carry before it
-    consumes: once chunk k + 1 has its carry, every chunk up to k has kept
-    its values.
+    For each stride m the chunk (lo, hi] scans the steps m lo + 1 .. m hi:
+    its prefix array holds the cocycle prefix sums S_{mn} (mod 1) at the
+    steps m n, n in (lo, hi], a view of every m-th entry of the buffer
+    ``scan.m`` of the worker's workspace ``ws``, m segments long.  Chunk k
+    computes each stride's ``u_values`` once, adds each group of m into the
+    last of the group and takes the local cumsum of those, then waits until
+    chunk k - 1 has published its inclusive carries, adds them, and
+    publishes its own, all at once, before it consumes.
 
     On one worker the caller runs every chunk in order.  On w workers, w
     threads each take the next chunk index under one lock, on whose
@@ -426,28 +433,33 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume, keep=No
     n_total, size = plan.n_total, plan.segment_size
     n_chunks = -(-n_total // size)
     segment = min(size, n_total)
-    steps = np.arange(stride * segment, dtype=np.uint64)
+    steps = np.arange(max(strides) * segment, dtype=np.uint64)
     results = [None] * n_chunks
     failures = {}
     lock = threading.Condition()
-    taken = ready = carry = 0  # chunks taken; carries published; the last of them
+    taken = ready = 0  # chunks taken; carries published
+    carries = [0] * len(strides)  # the last of them, per stride
 
     def job(k, ws):
-        nonlocal ready, carry
+        nonlocal ready, carries
         lo, hi = k * size, min(k * size + size, n_total)
-        s = stream.u_values(ws.steps("n", stride * lo, stride * hi), ws)
-        np.cumsum(s, dtype=np.uint64, out=s)
+        prefixes = []
+        for m in strides:
+            u = stream.u_values(ws.steps("n", m * lo, m * hi), ws, f"scan.{m}")
+            s = u[m - 1 :: m]
+            for j in range(m - 1):
+                s += u[j::m]
+            prefixes.append(np.cumsum(s, dtype=np.uint64, out=s))
         with lock:
             lock.wait_for(lambda: ready == k or failures)
             if failures:  # the chain is broken: give the chunk up
                 return None
-        s += u64c(carry)
-        if keep is not None:
-            keep(lo, hi, s)
+        for s, carry in zip(prefixes, carries):
+            s += u64c(carry)
         with lock:
-            ready, carry = k + 1, int(s[-1])
+            ready, carries = k + 1, [int(s[-1]) for s in prefixes]
             lock.notify_all()
-        return consume(lo, hi, s, ws)
+        return consume(lo, hi, *prefixes, ws)
 
     def work():
         nonlocal taken
@@ -627,38 +639,6 @@ def orbit_points(system, start, ns):
 # ---------------------------------------------------------------------------
 
 
-def _keep_multiples(dst: np.ndarray, stride: int, lo: int, hi: int, s: np.ndarray):
-    """``S_{m stride}`` for the multiples of ``stride`` among the steps
-    lo+1 .. hi (none when hi <= lo) into the ring ``dst``, at slot
-    (m - 1) mod ``dst.size``; there are at most ``dst.size`` of them, so
-    they wrap at most once."""
-    first = lo // stride + 1
-    src = s[first * stride - lo - 1 : max(hi - lo, 0) : stride]
-    at = (first - 1) % dst.size
-    head = min(src.size, dst.size - at)
-    dst[at : at + head] = src[:head]
-    dst[: src.size - head] = src[head:]
-
-
-def _ring_size(p: int, q: int, n_pairs: int, size: int) -> int:
-    """Slots the pair route needs for S_{qn}, n <= N, in n-chunks of ``size``.
-
-    The n-chunk (lo, hi] writes S_{qm} for m up to min(N, p hi / q) and then
-    reads m in (lo, hi], so the ring must span min(N, p hi / q) - lo entries.
-    That span grows with lo until p hi / q reaches N and falls after, so the
-    chunk where it does and the one before bound it.  Rounded up to whole
-    chunks, a chunk's entries never wrap, and at most N: about N (p - q) / p.
-    """
-
-    def span(k):
-        lo = k * size
-        return min(n_pairs, p * min(n_pairs, lo + size) // q) - lo
-
-    k = -(-q * n_pairs // (p * size)) - 1  # the first chunk whose p hi / q reaches N
-    slots = max(span(j) for j in (k - 1, k) if j >= 0)
-    return min(n_pairs, -(-slots // size) * size)
-
-
 class PairScan:
     """The Weyl sums of a joining from the origin, made in the pass of the
     pair route of the same rotation, h and pair, for the rest of one run.
@@ -666,11 +646,12 @@ class PairScan:
     From x0 = y0 = 0 the joining's cocycle h_p(p., p.) - h_q(q., q.) sums h
     over the same points k alpha as the skew cocycle, so its prefix at n is
     S*_n = S_{pn} - S_{qn}, bit for bit on the u64 lanes.  The pass of a pair
-    route from there to the last of ``checkpoints`` forms S* per n-chunk and
-    leaves here the checkpoint sums of e(k . orbit_n) for each k in
-    ``freqs`` (:func:`~nillab.observables.fourier_value`), which the Weyl
-    stream of the same joining, frequencies and checkpoints returns instead
-    of scanning its p + q lifts.  Only a run whose Weyl sums follow its pair
+    route from there to the last of ``checkpoints`` forms S* per n-chunk from
+    its stride-p and stride-q prefixes and leaves here the checkpoint sums of
+    e(k . orbit_n) for each k in ``freqs``
+    (:func:`~nillab.observables.fourier_value`), which the Weyl stream of the
+    same joining, frequencies and checkpoints returns instead of scanning its
+    p + q lifts.  Only a run whose Weyl sums follow its pair
     route makes a holder; the engine keeps none between calls.
     """
 
@@ -701,22 +682,16 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
                        plan_template: OrbitSegmentPlan, obs, checkpoints=None, *,
                        pair_scan: PairScan | None = None):
     """Exact checkpoint sums of F(T^{p n} x0) conj(F(T^{q n} x0)) over
-    n <= N, one cocycle stream to p * n_pairs.
+    n <= N, from cocycle streams to p * n_pairs and q * n_pairs.
 
-    One :func:`_scan_segments` pass at stride p over the n-chunks of
+    One :func:`_scan_segments` pass at strides p and q over the n-chunks of
     ``plan_template``'s segment size: the chunk (lo, hi] scans the skew steps
-    p lo + 1 .. p hi.  Its keep, which runs in chunk order, writes S at the
-    multiples q m of q among them into a ring of about N (p - q) / p u64
-    slots (:func:`_ring_size`), slot (m - 1) mod R, and then copies this
-    chunk's S_{qn}, n in (lo, hi], out of the ring into ``s[::p]``, whose own
-    entries (S at the steps p n - p + 1) nothing reads after the keep; this
-    chunk or an earlier one wrote them, since q n < p n.  Later keeps may
-    then overwrite those slots, however far a slower chunk lags.  The chunk
-    builds the lanes at q n and evaluates F there, then the lanes at p n
-    (S_{pn} is ``s[p-1::p]``) and F only where F(T^{q n} x0) is nonzero (the
-    product is 0 elsewhere), and sums the quantized products, so no per-step
-    array longer than a chunk is formed.  Returns ``(N, sum)`` for each
-    checkpoint N (default ``[n_pairs]``), unnormalized, like
+    p lo + 1 .. p hi and q lo + 1 .. q hi, and is given S_{pn} and S_{qn}
+    for n in (lo, hi].  The chunk builds the lanes at q n and evaluates F
+    there, then the lanes at p n and F only where F(T^{q n} x0) is nonzero
+    (the product is 0 elsewhere), and sums the quantized products, so no
+    per-step array longer than a chunk is formed.  Returns ``(N, sum)`` for
+    each checkpoint N (default ``[n_pairs]``), unnormalized, like
     :func:`orbit_stream_multi`.
 
     Given a ``pair_scan``, a start at x = y = 0 and N at least its last
@@ -730,21 +705,13 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
     )
     stream = _make_stream(sys, start)
     plan = resize_plan(plan_template, n_pairs)
-    ring = np.empty(_ring_size(p, q, n_pairs, plan.segment_size), dtype=np.uint64)
     weyl = (pair_scan is not None and stream.x0u == stream.y0u == 0
             and n_pairs >= pair_scan.checkpoints[-1])
     if weyl:
         joining = _LaneStream(sys.alpha, sys.beta, sys.h, (FixedReal(0),) * 3, p, q)
         weyl_fns = [fourier_value(k) for k in pair_scan.freqs]
 
-    def keep(lo, hi, s):
-        _keep_multiples(ring, q, p * lo, min(p * hi, q * n_pairs), s)
-        at = lo % ring.size  # a whole chunk of slots: lo .. hi - 1 do not wrap
-        np.copyto(s[::p], ring[at : at + hi - lo])
-
-    def pairs(lo, hi, s, ws):
-        s_p, s_q = s[p - 1 :: p], s[::p]
-
+    def pairs(lo, hi, s_p, s_q, ws):
         def factor(m, s, out=None, on=None):
             """F(T^{m n} x0) for the chunk's n, or for those at ``on``."""
             mn = ws.steps("n", lo + 1, hi + 1)
@@ -766,7 +733,7 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
         star = np.subtract(s_p, s_q, out=ws.take("pair.star", (hi - lo,)))
         return pair, _value_sums(joining, weyl_fns, pair_scan.checkpoints, lo, hi, star, ws)
 
-    pair_chunks, weyl_chunks = zip(*_scan_segments(stream, plan, pairs, keep=keep, stride=p))
+    pair_chunks, weyl_chunks = zip(*_scan_segments(stream, plan, pairs, strides=(p, q)))
     if weyl:
         pair_scan.hold(joining, [_running_sums(chunks) for chunks in zip(*weyl_chunks)])
     return _running_sums(pair_chunks)

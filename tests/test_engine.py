@@ -11,7 +11,7 @@ import pytest
 
 from nillab import engine
 from nillab.dynamics import (
-    BaseFunctionSpec, SkewSystem, TrigTerm, build_joining, cocycle_sum, iterate_T,
+    BaseFunctionSpec, SkewSystem, TrigTerm, build_joining, cocycle_sum, iterate_T, lift_fixed,
 )
 from nillab.engine import (
     MASK64,
@@ -357,6 +357,34 @@ def test_pair_factor_values_match_iterates():
         assert got == checkpoint_sums(np.conj(fq) * fp, cps), (p, q)
 
 
+@pytest.mark.parametrize("p, q", [(3, 2), (5, 3), (7, 2)])
+def test_stride_prefixes_equal_exact_cocycle_sums(p, q):
+    """A pass at strides p and q carries one prefix per stride: the chunk
+    (lo, hi] gives S_{pn} and S_{qn} for n in (lo, hi], each equal to exact
+    ``cocycle_sum`` at m n from a start off the identity, at every segment
+    size to 1024 on 1 and 3 workers."""
+    sys = make_sys(terms=SHARED_H["d2-1"][2], d1=2, d2=-1)
+    start = canonical_rep(GroupElement.fixed(0.3, 0.8, 0.45))
+    x0, y0, _ = start.coords()
+    n_pairs = 100
+    want = [[cocycle_sum(sys.h, x0, y0, m * n, sys.alpha, sys.beta).frac_u64()
+             for n in range(1, n_pairs + 1)] for m in (p, q)]
+    stream = _make_stream(sys, start)
+
+    def consume(lo, hi, s_p, s_q, ws):
+        return s_p.tolist(), s_q.tolist()
+
+    wrong = []
+    for size in (1 << k for k in range(11)):
+        for workers in (1, 3):
+            plan = OrbitSegmentPlan(n_pairs, size, workers)
+            chunks = _scan_segments(stream, plan, consume, strides=(p, q))
+            got = [[v for chunk in chunks for v in chunk[j]] for j in (0, 1)]
+            if got != want:
+                wrong.append((size, workers))
+    assert wrong == []
+
+
 # every power-of-two segment size to 256, so that some chunk's support holds
 # one point, at 1 and 3 workers
 SMALL_SEGMENTATIONS = [(s, w) for s in (1 << k for k in range(9)) for w in (1, 3)]
@@ -467,6 +495,47 @@ def test_pair_factor_values_segmentation_invariant(pair_reference, segment_size,
 WEYL_FREQS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)]
 SHARED_N = 300
 SHARED_CHECKPOINTS = [1, 17, 150, SHARED_N]
+# h shapes that take every branch of the lift kernel: d1 = 1 or not, the y
+# part at d2 != 0, a term that reads y at d2 = 0, and Davenport's zero h
+KERNEL_H = {
+    "standard": (1, 0, (TrigTerm(1, 0, 0.1, 0.0),)),
+    "d2-only": (1, 3, (TrigTerm(1, 0, 0.1, 0.0),)),
+    "k2-only": (1, 0, (TrigTerm(1, 0, 0.1, 0.0), TrigTerm(2, -1, 0.05, 0.3))),
+    "d1-2": (2, 0, (TrigTerm(1, 0, 0.1, 0.0),)),
+    "d1-minus-1": (-1, 0, (TrigTerm(3, 0, 0.2, 0.7),)),
+    "zero": (0, 0, ()),
+}
+KERNEL_STEPS = [0, 1, 2, 3, 1000, 65535, 2**33 + 7, 2**62 + 5, 2**64 - 1]
+
+
+@pytest.mark.parametrize("p, q", [(1, 0), (3, 2), (5, 3)], ids=["skew", "3-2", "5-3"])
+@pytest.mark.parametrize("h_id", KERNEL_H)
+def test_u_values_equal_exact_lifts(h_id, p, q):
+    """``u_values``, in a workspace and in fresh arrays, equals the exact lift
+    H = h_p(p x, p y) - h_q(q x, q y) at the base points (x0, y0) + i (alpha,
+    beta) bit for bit: ``lift_fixed`` for the skew stream, exact
+    ``cocycle_sum`` over the joining's p + q shifts.  Only ``periodic_q53``
+    is shared with the kernel, so the skipped multiplications and y lanes
+    are checked against a model that makes them all."""
+    d1, d2, terms = KERNEL_H[h_id]
+    h = BaseFunctionSpec(d1, d2, terms)
+    x0, y0 = FixedReal(0.3), FixedReal(0.8)
+    stream = _LaneStream(ALPHA, BETA, h, (x0, y0, FixedReal(0.45)), p, q)
+    assert stream.reads_y == (h_id in ("d2-only", "k2-only"))
+    i = np.array(KERNEL_STEPS, dtype=np.uint64)
+    want = []
+    for k in KERNEL_STEPS:
+        x, y = (x0 + k * ALPHA).frac(), (y0 + k * BETA).frac()
+        if p == 1:
+            value = lift_fixed(h, x, y)
+        else:
+            value = (cocycle_sum(h, p * x, p * y, p, ALPHA, BETA)
+                     - cocycle_sum(h, q * x, q * y, q, ALPHA, BETA))
+        want.append(value.frac_u64())
+    assert stream.u_values(i).tolist() == want
+    assert stream.u_values(i, Workspace(i.size)).tolist() == want
+
+
 SHARED_H = {
     "standard": (1, 0, (TrigTerm(1, 0, 0.1, 0.0),)),
     "d2-1": (2, -1, (TrigTerm(1, 0, 0.1, 0.0), TrigTerm(1, 1, 0.05, 0.3))),
@@ -692,16 +761,17 @@ def test_pair_scan_under_thread_switching(pair_weyl_reference):
 
 
 def test_pair_scan_waits_for_a_slow_keep(monkeypatch, pair_weyl_reference):
-    """One early chunk keeps its S_{qn} slowly: the chunks after it, which
-    read those entries, must wait for them, so the sums do not change."""
-    keep_multiples = engine._keep_multiples
+    """One early chunk scans its stride-q steps slowly, on 3 workers: the
+    chunks after it, which need its stride-q carry, must wait for it, so the
+    sums do not change."""
+    u_values = _LaneStream.u_values
 
-    def slow(dst, stride, lo, hi, s):
-        if lo == 3 * 16:  # the second 16-pair chunk, skew steps 49 .. 96
-            time.sleep(0.2)
-        keep_multiples(dst, stride, lo, hi, s)
+    def slow(self, i, *ws):
+        if self.p == 1 and i.size == 2 * 16 and int(i[0]) == 2 * 16:
+            time.sleep(0.2)  # the stride-2 steps of the chunk n = 17 .. 32
+        return u_values(self, i, *ws)
 
-    monkeypatch.setattr(engine, "_keep_multiples", slow)
+    monkeypatch.setattr(_LaneStream, "u_values", slow)
     assert _pair_and_weyl_sums(OrbitSegmentPlan(500, 16, 3)) == pair_weyl_reference
 
 
@@ -721,24 +791,37 @@ def _traced(call):
     return peak, held
 
 
-def _ring_bound(n_pairs, size):
-    """Traced bytes of the (3, 2) route's ring and 20 chunks of 3 * ``size``
-    u64 entries (the stride-3 workspace and the chunk bookkeeping)."""
-    return 8 * (engine._ring_size(3, 2, n_pairs, size) + 20 * 3 * size)
+def _peak_growth(call, small=1 << 17, large=1 << 19, size=4096):
+    """The traced peak of ``call(n_pairs, plan)`` at N = ``large`` over its
+    peak at ``small``, in ``size``-pair chunks, and the bytes held after the
+    larger call."""
+    (peak_small, _), (peak_large, held) = (
+        _traced(lambda: call(n, OrbitSegmentPlan(n, size))) for n in (small, large))
+    return peak_large / peak_small, held
 
 
-def test_pair_pass_with_weyl_sums_holds_only_its_ring():
-    """Making the Weyl sums in the pair route's pass keeps the route within
-    its ring bound, and the holder keeps sums, not arrays: after the call
-    under 1% of one N-long u64 array is still held."""
-    n_pairs, size = 1 << 19, 4096
-    scan = PairScan(WEYL_FREQS, [1000, n_pairs])
-    peak, held = _traced(lambda: pair_factor_values(
-        make_sys(), None, 3, 2, n_pairs, OrbitSegmentPlan(n_pairs, size),
-        Observable(xi=1, bump=BumpProfile()), pair_scan=scan))
-    assert scan._held is not None
-    assert peak < _ring_bound(n_pairs, size), f"peak {peak / (8 * n_pairs):.3f} N-long arrays"
-    assert held < 0.01 * 8 * n_pairs, f"held {held / (8 * n_pairs):.3f} N-long arrays"
+# a pass in O(segment) memory keeps its peak from 2**17 to 2**19 pairs within
+# this ratio; a ring of about N / 3 u64 slots (and N-long arrays) grow past it
+PEAK_GROWTH = 1.1
+
+
+def test_pair_pass_with_weyl_sums_peak_does_not_grow_with_n():
+    """Making the Weyl sums in the pair route's pass holds no array that
+    grows with N: the traced peak at N = 2**19 is within 10% of the peak at
+    2**17 (1.07x here, against 1.58x with a ring of about N / 3 slots), and
+    the holder keeps sums, not arrays: after the call under 1% of one N-long
+    u64 array is still held."""
+    scans = []
+
+    def call(n_pairs, plan):
+        scans.append(PairScan(WEYL_FREQS, [1000, n_pairs]))
+        pair_factor_values(make_sys(), None, 3, 2, n_pairs, plan,
+                           Observable(xi=1, bump=BumpProfile()), pair_scan=scans[-1])
+
+    growth, held = _peak_growth(call)
+    assert all(scan._held is not None for scan in scans)
+    assert growth < PEAK_GROWTH, f"peak grew {growth:.3f}x"
+    assert held < 0.01 * 8 * (1 << 19), f"held {held} bytes"
 
 
 RING_PAIRS = [(3, 2), (5, 3), (7, 2), (5, 2), (13, 11)]
@@ -767,25 +850,11 @@ def test_pair_ring_sums_equal_the_held_scan(turn, p, q):
     assert wrong == []
 
 
-def test_ring_size_bounds_every_chunk():
-    """The ring spans what each n-chunk (lo, hi] writes and then reads,
-    min(N, p hi / q) - lo entries, in whole chunks, and at most N."""
-    for p, q in RING_PAIRS:
-        for n_pairs in (1, 2, 15, 16, 17, 100, RING_N, 4096):
-            for size in (1, 2, 4, 16, 64, 1024):
-                ring = engine._ring_size(p, q, n_pairs, size)
-                need = max(min(n_pairs, p * min(n_pairs, lo + size) // q) - lo
-                           for lo in range(0, n_pairs, size))
-                assert need <= ring <= n_pairs, (p, q, n_pairs, size)
-                assert ring == n_pairs or ring % size == 0
-                assert ring < need + size
-
-
 def test_pair_ring_survives_a_lagging_reader(monkeypatch, pair_weyl_reference):
     """The second 16-pair chunk sleeps before it builds its lanes, while the
-    later chunks keep theirs and wrap the ring of about N / 3 slots over the
-    slots it read its S_{qn} from; it copied them out first, so the sums do
-    not change."""
+    later chunks scan, publish their carries and build theirs on the other
+    workers; its S_{qn} stay in its own workspace, so the sums do not
+    change."""
     lanes = _LaneStream.lanes
 
     def lagging(self, n, s, *ws):
@@ -794,29 +863,26 @@ def test_pair_ring_survives_a_lagging_reader(monkeypatch, pair_weyl_reference):
         return lanes(self, n, s, *ws)
 
     monkeypatch.setattr(_LaneStream, "lanes", lagging)
-    assert engine._ring_size(3, 2, 500, 16) < 200
     sums = pair_factor_values(make_sys(), None, 3, 2, 500, OrbitSegmentPlan(500, 16, 3),
                               Observable(xi=1, bump=BumpProfile()), PAIR_CHECKPOINTS)
     assert sums == pair_weyl_reference[0]
 
 
-def test_pair_ring_peak_is_a_third_of_n():
-    """The (3, 2) route to N pairs holds a ring of about N / 3 u64 slots: the
-    traced peak stays below the ring and 20 chunks of 3 * 4096 u64 entries
-    (the stride-3 workspace and the chunk bookkeeping), against more than N
-    entries for an N-long array."""
-    n_pairs, size = 1 << 19, 4096
-    assert engine._ring_size(3, 2, n_pairs, size) < n_pairs // 3 + 2 * size
+def test_pair_route_peak_does_not_grow_with_n():
+    """The (3, 2) route holds no array that grows with N: the traced peak at
+    N = 2**19 is within 10% of the peak at 2**17 (1.02x here, against 1.57x
+    with a ring of about N / 3 u64 slots)."""
     obs = Observable(xi=1, bump=BumpProfile())
-    peak, _ = _traced(lambda: pair_factor_values(
-        make_sys(), None, 3, 2, n_pairs, OrbitSegmentPlan(n_pairs, size), obs))
-    assert peak < _ring_bound(n_pairs, size), f"peak {peak / (8 * n_pairs):.3f} N-long arrays"
+    growth, _ = _peak_growth(
+        lambda n_pairs, plan: pair_factor_values(make_sys(), None, 3, 2, n_pairs, plan, obs))
+    assert growth < PEAK_GROWTH, f"peak grew {growth:.3f}x"
 
 
 def test_stride_pass_sizes_each_buffer_to_its_longest_request(monkeypatch):
-    """In the stride-3 pass only the buffers the scan asks for are 3 segments
-    long; every other buffer, support-sized or not, is one segment, made
-    once on first use."""
+    """In the pass at strides 3 and 2 only the buffers the scan asks for are
+    longer than a segment: 3 segments, and the stride-2 prefix 2; every
+    other buffer, support-sized or not, is one segment, made once on first
+    use."""
     made = []
 
     class Recorded(Workspace):
@@ -830,8 +896,9 @@ def test_stride_pass_sizes_each_buffer_to_its_longest_request(monkeypatch):
                        Observable(xi=1, bump=BumpProfile()))
     (ws,) = made
     lengths = {name: buf.size for name, buf in ws._bufs.items()}
-    scan = {"n", "u", "t1", "t2", "h.q", "h.t"}  # steps, cocycle, lifts, periodic_q53
-    assert {name: n for name, n in lengths.items() if n != size} == dict.fromkeys(scan, 3 * size)
+    scan = {"n", "scan.3", "t1", "t2", "h.q", "h.t"}  # steps, cocycle, lifts, periodic_q53
+    assert {name: n for name, n in lengths.items() if n != size} == {
+        **dict.fromkeys(scan, 3 * size), "scan.2": 2 * size}
 
 
 # -- the chained scan fails loudly ------------------------------------------------
@@ -885,16 +952,16 @@ def test_scan_cocycle_failure_raises_without_deadlock(monkeypatch):
 
 
 def test_pair_keep_failure_raises_without_deadlock(monkeypatch):
-    """A chunk whose keep fails publishes no carry: the later chunks raise
-    instead of hanging, and the first error surfaces."""
-    keep_multiples = engine._keep_multiples
+    """A chunk whose stride-q cocycle fails publishes no carry: the later
+    chunks raise instead of hanging, and the first error surfaces."""
+    u_values = _LaneStream.u_values
 
-    def failing(dst, stride, lo, hi, s):
-        if lo == 3 * 32:  # the third 16-pair chunk
-            raise _Boom("keep failed")
-        keep_multiples(dst, stride, lo, hi, s)
+    def failing(self, i, *ws):
+        if self.p == 1 and i.size == 2 * 16 and int(i[0]) == 2 * 32:
+            raise _Boom("stride-q cocycle failed")  # the chunk n = 33 .. 48
+        return u_values(self, i, *ws)
 
-    monkeypatch.setattr(engine, "_keep_multiples", failing)
+    monkeypatch.setattr(_LaneStream, "u_values", failing)
     obs = Observable(xi=1, bump=BumpProfile())
     plan = OrbitSegmentPlan(500, 16, 3)
     raised = _finishes(lambda: pair_factor_values(make_sys(), None, 3, 2, 500, plan, obs))
