@@ -241,7 +241,7 @@ def _bilinear(cfg: ExperimentConfig, run: RunContext):
     """prime-pair bilinear average"""
     rep = bilinear_sum(
         cfg.system(), cfg.observable(), None, cfg.p, cfg.q,
-        list(cfg.checkpoints), cfg.plan(cfg.p * cfg.checkpoints[-1]),
+        list(cfg.checkpoints), cfg.plan(cfg.checkpoints[-1]),
         pair_scan=run.pair_scan,
     )
     return _correlation_outputs("bilinear", rep), {
@@ -315,7 +315,7 @@ def cmd_experiment(args) -> int:
     reduced = None
     if getattr(args, "two_route", False):
         # the reduced route goes first, so a config it cannot descend (xi = 0)
-        # fails before the p times longer pair route streams
+        # fails before the pair route streams
         reduced = bilinear_sum_reduced(
             cfg.system(), cfg.observable(), cfg.p, cfg.q, list(cfg.checkpoints),
             cfg.plan(cfg.checkpoints[-1]),

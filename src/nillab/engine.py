@@ -17,28 +17,29 @@ the one function :func:`_scan_segments`: each segment computes its cocycle
 values once and takes their local prefix sums, then adds the inclusive carry
 of the segment before it, publishes its own carry and evaluates its
 observables (on the caller's thread for one worker, on w threads for w
-workers).  A pass may carry one prefix per stride m over the same n-chunks:
-the prime-pair route is one pass at strides p and q, in which a chunk scans
-the skew steps p n and q n of its n in lockstep and evaluates
-F(T^{pn} x0) conj F(T^{qn} x0) from S_{pn} and S_{qn}, read in the steps it
-has just scanned, so it holds no array longer than a few segments.  From the
-origin the joining's cocycle prefix is S*_n = S_{pn} - S_{qn} of the skew
-cocycle, bit for bit.  So when the Weyl sums of ``nillab run`` follow the
-pair route, the same chunk forms S* in a segment buffer and evaluates them
-there too, and a :class:`PairScan` holds their checkpoint sums for the
-joining stream that asks for them: S* is never stored, and the joining scans
-none of its p + q lifts.  Observable values are quantized to 2**-53 and
-summed in integer arithmetic, which makes checkpoint sums bit-identical for
-any worker count and segment size -- and equal to the naive single-loop
-oracle.
+workers).  A pass may scan several streams over the same n-chunks, one
+prefix each.  A stream of stride m sums the cocycle of the m steps
+n m .. n m + m - 1 at its step n, from a shift table m times as long, so
+its prefix at n is S_{mn}: the prime-pair route is one pass over the
+stride-p and stride-q skew streams, in which a chunk evaluates
+F(T^{pn} x0) conj F(T^{qn} x0) from the S_{pn} and S_{qn} of its n, so it
+holds no array longer than a segment.  From the origin the joining's
+cocycle prefix is S*_n = S_{pn} - S_{qn} of the skew cocycle, bit for bit.
+So when the Weyl sums of ``nillab run`` follow the pair route, the same
+chunk forms S* in a segment buffer and evaluates them there too, and a
+:class:`PairScan` holds their checkpoint sums for the joining stream that
+asks for them: S* is never stored, and the joining scans none of its p + q
+lifts.  Observable values are quantized to 2**-53 and summed in integer
+arithmetic, which makes checkpoint sums bit-identical for any worker count
+and segment size -- and equal to the naive single-loop oracle.
 
 Each worker of a pass over segments holds one :class:`Workspace`: a few
 segment-length buffers into which the cocycle values, the scan, the lanes,
 their floats, the observable values and the quantized values are written in
-place, segment after segment.  A workspace lives for one pass of one stream
--- at most one per worker, dropped when the pass returns -- so the hot arrays
-are neither allocated nor page-faulted again per segment, and the engine
-keeps no buffer between calls.  The kernels take their workspace or buffers
+place, segment after segment.  A workspace lives for one pass -- at most
+one per worker, dropped when the pass returns -- so the hot arrays are
+neither allocated nor page-faulted again per segment, and the engine keeps
+no buffer between calls.  The kernels take their workspace or buffers
 as optional arguments: ``u_values``, ``lanes``, ``mulhi_u64`` and the float
 lanes here, ``BaseFunctionSpec.periodic_q53`` (through ``u_values``),
 ``Observable.eval_arrays`` with its bump, and ``observables.fourier_mode``
@@ -214,10 +215,12 @@ class _LaneStream:
     z_n = frac(z0 + S_n + c [n (alpha y0 - beta x0)
                               - (x0 + n alpha) floor(y0 + n beta)
                               + floor(x0 + n alpha) (y0 + n beta)])
-    with S_n the Birkhoff sum of H mod 1.
+    with S_n the Birkhoff sum of H mod 1.  At stride m the cocycle of step n
+    is that of the steps n m .. n m + m - 1 (a scan gives S_{mn}); ``lanes``
+    takes steps of the orbit itself.
     """
 
-    def __init__(self, alpha: FixedReal, beta: FixedReal, h, start, p: int, q: int):
+    def __init__(self, alpha: FixedReal, beta: FixedReal, h, start, p: int, q: int, stride=1):
         x0, y0, z0 = start
         self.h = h
         self.d1u = u64c(h.d1)
@@ -237,12 +240,13 @@ class _LaneStream:
         self.cu = u64c(twist)
         # c*(alpha*y0 - beta*x0) on the 2**-128 grid, wrapped mod 2**128
         self.cross = (twist * (a * y - b * x)) % (1 << 128)
-        # h_m(m x, m y) at x = x0 + i alpha sums h at m x0 + j alpha + i m alpha,
-        # j < m: per shift (subtract, base x, base y, step x, step y), p side first
+        # at stride s, side m's h_m(m x, m y) of step i sums h at m x0 + j alpha +
+        # i m s alpha, j < m s: per shift (subtract, base x, base y, step x, step y)
         self.shifts = [
-            (minus, u64c(m * x + j * a), u64c(m * y + j * b), u64c(m * a), u64c(m * b))
+            (minus, u64c(m * x + j * a), u64c(m * y + j * b),
+             u64c(m * stride * a), u64c(m * stride * b))
             for minus, m in ((False, p), (True, q))
-            for j in range(m)
+            for j in range(m * stride)
         ]
 
     def _lift(self, xg: np.ndarray, yg: np.ndarray, ws: Workspace):
@@ -260,9 +264,10 @@ class _LaneStream:
         xg += np.left_shift(q.view(np.uint64), np.uint64(11), out=yg)
 
     def u_values(self, i: np.ndarray, ws: Workspace = FRESH, name: str = "u") -> np.ndarray:
-        """H at the base points (x0, y0) + i (alpha, beta), wrapped mod 1, in
-        ``ws``'s buffer ``name``.  The y base points are made only when h
-        reads y (d2 != 0 or a term with k2 != 0)."""
+        """The cocycle of steps i, wrapped mod 1, in ``ws``'s buffer ``name``:
+        H at the base points (x0, y0) + k (alpha, beta), summed over the
+        stride's k = i m .. i m + m - 1.  The y base points are made only
+        when h reads y (d2 != 0 or a term with k2 != 0)."""
         acc, xg, yg = (ws.take(b, i.shape) for b in (name, "t1", "t2"))
         for k, (minus, bx, by, sx, sy) in enumerate(self.shifts):
             x = acc if k == 0 else xg
@@ -304,20 +309,20 @@ class _LaneStream:
         return fx, fy, z_hi, z_lo
 
 
-def _make_stream(system, start) -> _LaneStream:
+def _make_stream(system, start, stride: int = 1) -> _LaneStream:
     """The lanes of a skew system from a canonical start (default: identity),
-    or of a joining from a point of [0, 1)^3 (default: origin)."""
+    or of a joining from a point of [0, 1)^3 (default: origin), at ``stride``."""
     if isinstance(system, SkewSystem):
         if start is None:
             start = canonical_rep(identity())
         if start.law != HEISENBERG:
             raise ValueError("engine start must be a Heisenberg NilPoint")
-        return _LaneStream(system.alpha, system.beta, system.h, start.coords(), 1, 0)
+        return _LaneStream(system.alpha, system.beta, system.h, start.coords(), 1, 0, stride)
     if isinstance(system, JoiningSystem):
         if start is None:
             start = (FixedReal(0), FixedReal(0), FixedReal(0))
         base = system.base
-        return _LaneStream(base.alpha, base.beta, base.h, start, system.p, system.q)
+        return _LaneStream(base.alpha, base.beta, base.h, start, system.p, system.q, stride)
     raise TypeError(f"cannot stream orbits of {type(system).__name__}")
 
 
@@ -407,20 +412,18 @@ def _times_on(first: np.ndarray, on: np.ndarray, second: np.ndarray, ws: Workspa
 # ---------------------------------------------------------------------------
 
 
-def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume,
-                   strides=(1,)) -> list:
+def _scan_segments(streams, plan: OrbitSegmentPlan, consume) -> list:
     """One pass over the n-chunks (lo, hi] of 1 .. plan.n_total, a segment
     long each: ``[consume(lo, hi, *prefixes, ws)]`` per chunk, one prefix
-    array per stride.
+    array per stream of ``streams``.
 
-    For each stride m the chunk (lo, hi] scans the steps m lo + 1 .. m hi:
-    its prefix array holds the cocycle prefix sums S_{mn} (mod 1) at the
-    steps m n, n in (lo, hi], a view of every m-th entry of the buffer
-    ``scan.m`` of the worker's workspace ``ws``, m segments long.  Chunk k
-    computes each stride's ``u_values`` once, adds each group of m into the
-    last of the group and takes the local cumsum of those, then waits until
-    chunk k - 1 has published its inclusive carries, adds them, and
-    publishes its own, all at once, before it consumes.
+    The j-th prefix array holds the j-th stream's cocycle prefix sums (mod
+    1) at n in (lo, hi] -- S_{mn} for a stream of stride m -- in the buffer
+    ``scan.j`` of the worker's workspace ``ws``.  Chunk k computes each
+    stream's ``u_values`` at lo .. hi - 1 once and takes their local
+    cumsum, then waits until chunk k - 1 has published its inclusive
+    carries, adds them, and publishes its own, all at once, before it
+    consumes.
 
     On one worker the caller runs every chunk in order.  On w workers, w
     threads each take the next chunk index under one lock, on whose
@@ -432,24 +435,21 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume,
     """
     n_total, size = plan.n_total, plan.segment_size
     n_chunks = -(-n_total // size)
-    segment = min(size, n_total)
-    steps = np.arange(max(strides) * segment, dtype=np.uint64)
+    steps = np.arange(min(size, n_total), dtype=np.uint64)
     results = [None] * n_chunks
     failures = {}
     lock = threading.Condition()
     taken = ready = 0  # chunks taken; carries published
-    carries = [0] * len(strides)  # the last of them, per stride
+    carries = [0] * len(streams)  # the last of them, per stream
 
     def job(k, ws):
         nonlocal ready, carries
         lo, hi = k * size, min(k * size + size, n_total)
+        i = ws.steps("n", lo, hi)
         prefixes = []
-        for m in strides:
-            u = stream.u_values(ws.steps("n", m * lo, m * hi), ws, f"scan.{m}")
-            s = u[m - 1 :: m]
-            for j in range(m - 1):
-                s += u[j::m]
-            prefixes.append(np.cumsum(s, dtype=np.uint64, out=s))
+        for j, stream in enumerate(streams):
+            u = stream.u_values(i, ws, f"scan.{j}")
+            prefixes.append(np.cumsum(u, dtype=np.uint64, out=u))
         with lock:
             lock.wait_for(lambda: ready == k or failures)
             if failures:  # the chain is broken: give the chunk up
@@ -463,7 +463,7 @@ def _scan_segments(stream: _LaneStream, plan: OrbitSegmentPlan, consume,
 
     def work():
         nonlocal taken
-        ws = Workspace(steps.size, steps, segment)
+        ws = Workspace(steps.size, steps)
         while True:
             with lock:
                 if taken == n_chunks or failures:
@@ -581,7 +581,7 @@ def orbit_stream_multi(
         if held is not None:
             return held
     consume = partial(_value_sums, stream, value_fns, checkpoints, weights=weights)
-    return [_running_sums(chunks) for chunks in zip(*_scan_segments(stream, plan, consume))]
+    return [_running_sums(chunks) for chunks in zip(*_scan_segments((stream,), plan, consume))]
 
 
 def orbit_stream(system, start, plan, value_fn, weights=None, checkpoints=None):
@@ -629,7 +629,7 @@ def orbit_points(system, start, ns):
     def consume(lo, hi, s, ws):
         return s[want[(want > lo) & (want <= hi)] - lo - 1]
 
-    s = np.concatenate(_scan_segments(stream, OrbitSegmentPlan(int(want[-1])), consume))
+    s = np.concatenate(_scan_segments((stream,), OrbitSegmentPlan(int(want[-1])), consume))
     xf, yf, zf = _float_lanes(*stream.lanes(want.astype(np.uint64), s))
     return [(int(v), float(x), float(y), float(z)) for v, x, y, z in zip(want, xf, yf, zf)]
 
@@ -647,8 +647,8 @@ class PairScan:
     over the same points k alpha as the skew cocycle, so its prefix at n is
     S*_n = S_{pn} - S_{qn}, bit for bit on the u64 lanes.  The pass of a pair
     route from there to the last of ``checkpoints`` forms S* per n-chunk from
-    its stride-p and stride-q prefixes and leaves here the checkpoint sums of
-    e(k . orbit_n) for each k in ``freqs``
+    its stride-p and stride-q streams' prefixes and leaves here the
+    checkpoint sums of e(k . orbit_n) for each k in ``freqs``
     (:func:`~nillab.observables.fourier_value`), which the Weyl stream of the
     same joining, frequencies and checkpoints returns instead of scanning its
     p + q lifts.  Only a run whose Weyl sums follow its pair
@@ -682,17 +682,16 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
                        plan_template: OrbitSegmentPlan, obs, checkpoints=None, *,
                        pair_scan: PairScan | None = None):
     """Exact checkpoint sums of F(T^{p n} x0) conj(F(T^{q n} x0)) over
-    n <= N, from cocycle streams to p * n_pairs and q * n_pairs.
+    n <= N, from the skew cocycle at strides p and q.
 
-    One :func:`_scan_segments` pass at strides p and q over the n-chunks of
-    ``plan_template``'s segment size: the chunk (lo, hi] scans the skew steps
-    p lo + 1 .. p hi and q lo + 1 .. q hi, and is given S_{pn} and S_{qn}
-    for n in (lo, hi].  The chunk builds the lanes at q n and evaluates F
-    there, then the lanes at p n and F only where F(T^{q n} x0) is nonzero
-    (the product is 0 elsewhere), and sums the quantized products, so no
-    per-step array longer than a chunk is formed.  Returns ``(N, sum)`` for
-    each checkpoint N (default ``[n_pairs]``), unnormalized, like
-    :func:`orbit_stream_multi`.
+    One :func:`_scan_segments` pass over the stride-p and stride-q skew
+    streams and the n-chunks of ``plan_template``'s segment size: the chunk
+    (lo, hi] is given S_{pn} and S_{qn} for n in (lo, hi].  It builds the
+    lanes at q n and evaluates F there, then the lanes at p n and F only
+    where F(T^{q n} x0) is nonzero (the product is 0 elsewhere), and sums
+    the quantized products, so no per-step array longer than a chunk is
+    formed.  Returns ``(N, sum)`` for each checkpoint N (default
+    ``[n_pairs]``), unnormalized, like :func:`orbit_stream_multi`.
 
     Given a ``pair_scan``, a start at x = y = 0 and N at least its last
     checkpoint, each chunk then writes S*_n = S_{pn} - S_{qn}, n in
@@ -703,7 +702,7 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
     checkpoints = _checkpoints_within(
         [n_pairs] if checkpoints is None else checkpoints, n_pairs
     )
-    stream = _make_stream(sys, start)
+    stream, *strided = (_make_stream(sys, start, m) for m in (1, p, q))
     plan = resize_plan(plan_template, n_pairs)
     weyl = (pair_scan is not None and stream.x0u == stream.y0u == 0
             and n_pairs >= pair_scan.checkpoints[-1])
@@ -733,7 +732,7 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
         star = np.subtract(s_p, s_q, out=ws.take("pair.star", (hi - lo,)))
         return pair, _value_sums(joining, weyl_fns, pair_scan.checkpoints, lo, hi, star, ws)
 
-    pair_chunks, weyl_chunks = zip(*_scan_segments(stream, plan, pairs, strides=(p, q)))
+    pair_chunks, weyl_chunks = zip(*_scan_segments(strided, plan, pairs))
     if weyl:
         pair_scan.hold(joining, [_running_sums(chunks) for chunks in zip(*weyl_chunks)])
     return _running_sums(pair_chunks)

@@ -282,14 +282,14 @@ def bilinear_sum(
 ) -> CorrelationReport:
     """(1/N) sum_{n<=N} F(T^{pn} x0) conj(F(T^{qn} x0)) -- the pair route.
 
-    One skew-orbit stream to p * max N; :func:`pair_factor_values` returns the
-    exact checkpoint sums, which are normalized here; given a ``pair_scan``,
-    its pass makes that holder's Weyl sums too.
+    One pass over n <= max N of the skew orbit at strides p and q;
+    :func:`pair_factor_values` returns its exact checkpoint sums, normalized
+    here; given a ``pair_scan``, the pass makes that holder's Weyl sums too.
     """
     js = build_joining(sys, p, q)  # validates the prime pair
     checkpoints = check_checkpoints(checkpoints)
     n_pairs = checkpoints[-1]
-    plan = resize_plan(plan, p * n_pairs)
+    plan = resize_plan(plan, n_pairs)
     sums = pair_factor_values(
         sys, start, p, q, n_pairs, plan, obs, checkpoints, pair_scan=pair_scan
     )

@@ -15,27 +15,22 @@ import numpy as np
 
 
 class Workspace:
-    """Segment-length buffers of one worker, for one pass of one stream.
+    """Segment-length buffers of one worker, for one pass.
 
     ``take(name, shape)`` returns the first entries of the buffer ``name``,
-    made on first use and handed out again on every later call, so each
-    segment writes its arrays in place.  A buffer is made ``segment``
-    entries long (by default ``size``), or as long as the request when that
-    is longer, and made again when a later request is longer still: in a
-    stride-p pass only the scan's buffers are p segments long, and the
-    support-sized ones are made once.  What a name holds stays valid until
-    the next ``take`` of that name.  ``t1`` and ``t2`` are scratch: a kernel
-    may keep its intermediates there, but never its inputs or its result,
-    which the next kernel would overwrite.  A buffer serves every dtype of
-    its itemsize.  A shape that is not 1-d within ``size`` -- and every
-    shape when ``size`` is 0, as in ``FRESH`` -- gets a fresh array instead.
-    ``steps`` is ``arange(size)``, shared by the workspaces of one pass.
+    made ``size`` entries long -- one segment -- on first use and handed out
+    again on every later call, so each segment writes its arrays in place.
+    What a name holds stays valid until the next ``take`` of that name.
+    ``t1`` and ``t2`` are scratch: a kernel may keep its intermediates
+    there, but never its inputs or its result, which the next kernel would
+    overwrite.  A buffer serves every dtype of its itemsize.  A shape that
+    is not 1-d within ``size`` -- and every shape when ``size`` is 0, as in
+    ``FRESH`` -- gets a fresh array instead.  ``steps`` is ``arange(size)``,
+    shared by the workspaces of one pass.
     """
 
-    def __init__(self, size: int = 0, steps: np.ndarray | None = None,
-                 segment: int | None = None):
+    def __init__(self, size: int = 0, steps: np.ndarray | None = None):
         self.size = size
-        self.segment = size if segment is None else segment
         self._steps = steps
         self._bufs = {}
 
@@ -44,8 +39,8 @@ class Workspace:
         if len(shape) != 1 or not 0 < shape[0] <= self.size:
             return np.empty(shape, dtype)
         buf = self._bufs.get(name)
-        if buf is None or buf.itemsize != dtype.itemsize or buf.size < shape[0]:
-            buf = self._bufs[name] = np.empty(max(shape[0], self.segment), dtype)
+        if buf is None or buf.itemsize != dtype.itemsize:
+            buf = self._bufs[name] = np.empty(self.size, dtype)
         return buf[: shape[0]].view(dtype)
 
     def steps(self, name: str, lo: int, hi: int) -> np.ndarray:

@@ -227,7 +227,7 @@ def test_joining_lanes_equal_exact_stepping(p, q, h):
     n_max = 300
     stream = _make_stream(js, None)
     (lanes,) = _scan_segments(
-        stream, OrbitSegmentPlan(n_max),
+        (stream,), OrbitSegmentPlan(n_max),
         lambda lo, hi, s, ws: stream.lanes(np.arange(lo + 1, hi + 1, dtype=np.uint64), s),
     )
     pt = (FixedReal(0), FixedReal(0), FixedReal(0))
@@ -246,7 +246,7 @@ def test_joining_lanes_carry_the_low_z_limb():
     n_max = 200
     stream = _make_stream(js, start)
     (lanes,) = _scan_segments(
-        stream, OrbitSegmentPlan(n_max),
+        (stream,), OrbitSegmentPlan(n_max),
         lambda lo, hi, s, ws: stream.lanes(np.arange(lo + 1, hi + 1, dtype=np.uint64), s),
     )
     assert (lanes[3] < np.uint64(2**64 - 5)).mean() > 0.5  # the low limb carried
@@ -359,17 +359,17 @@ def test_pair_factor_values_match_iterates():
 
 @pytest.mark.parametrize("p, q", [(3, 2), (5, 3), (7, 2)])
 def test_stride_prefixes_equal_exact_cocycle_sums(p, q):
-    """A pass at strides p and q carries one prefix per stride: the chunk
-    (lo, hi] gives S_{pn} and S_{qn} for n in (lo, hi], each equal to exact
-    ``cocycle_sum`` at m n from a start off the identity, at every segment
-    size to 1024 on 1 and 3 workers."""
+    """A pass over the stride-p and stride-q streams carries one prefix per
+    stream: the chunk (lo, hi] gives S_{pn} and S_{qn} for n in (lo, hi],
+    each equal to exact ``cocycle_sum`` at m n from a start off the
+    identity, at every segment size to 1024 on 1 and 3 workers."""
     sys = make_sys(terms=SHARED_H["d2-1"][2], d1=2, d2=-1)
     start = canonical_rep(GroupElement.fixed(0.3, 0.8, 0.45))
     x0, y0, _ = start.coords()
     n_pairs = 100
     want = [[cocycle_sum(sys.h, x0, y0, m * n, sys.alpha, sys.beta).frac_u64()
              for n in range(1, n_pairs + 1)] for m in (p, q)]
-    stream = _make_stream(sys, start)
+    streams = [_make_stream(sys, start, m) for m in (p, q)]
 
     def consume(lo, hi, s_p, s_q, ws):
         return s_p.tolist(), s_q.tolist()
@@ -378,7 +378,7 @@ def test_stride_prefixes_equal_exact_cocycle_sums(p, q):
     for size in (1 << k for k in range(11)):
         for workers in (1, 3):
             plan = OrbitSegmentPlan(n_pairs, size, workers)
-            chunks = _scan_segments(stream, plan, consume, strides=(p, q))
+            chunks = _scan_segments(streams, plan, consume)
             got = [[v for chunk in chunks for v in chunk[j]] for j in (0, 1)]
             if got != want:
                 wrong.append((size, workers))
@@ -508,25 +508,32 @@ KERNEL_H = {
 KERNEL_STEPS = [0, 1, 2, 3, 1000, 65535, 2**33 + 7, 2**62 + 5, 2**64 - 1]
 
 
-@pytest.mark.parametrize("p, q", [(1, 0), (3, 2), (5, 3)], ids=["skew", "3-2", "5-3"])
+@pytest.mark.parametrize(
+    "p, q, m", [(1, 0, 1), (3, 2, 1), (5, 3, 1), (1, 0, 2), (1, 0, 3), (1, 0, 7)],
+    ids=["skew", "3-2", "5-3", "skew-stride2", "skew-stride3", "skew-stride7"],
+)
 @pytest.mark.parametrize("h_id", KERNEL_H)
-def test_u_values_equal_exact_lifts(h_id, p, q):
+def test_u_values_equal_exact_lifts(h_id, p, q, m):
     """``u_values``, in a workspace and in fresh arrays, equals the exact lift
     H = h_p(p x, p y) - h_q(q x, q y) at the base points (x0, y0) + i (alpha,
     beta) bit for bit: ``lift_fixed`` for the skew stream, exact
-    ``cocycle_sum`` over the joining's p + q shifts.  Only ``periodic_q53``
-    is shared with the kernel, so the skipped multiplications and y lanes
-    are checked against a model that makes them all."""
+    ``cocycle_sum`` over the joining's p + q shifts.  At stride m the skew
+    stream's value i equals exact ``cocycle_sum`` over the m steps from
+    (x0, y0) + i m (alpha, beta).  Only ``periodic_q53`` is shared with the
+    kernel, so the skipped multiplications and y lanes are checked against a
+    model that makes them all."""
     d1, d2, terms = KERNEL_H[h_id]
     h = BaseFunctionSpec(d1, d2, terms)
     x0, y0 = FixedReal(0.3), FixedReal(0.8)
-    stream = _LaneStream(ALPHA, BETA, h, (x0, y0, FixedReal(0.45)), p, q)
+    stream = _LaneStream(ALPHA, BETA, h, (x0, y0, FixedReal(0.45)), p, q, m)
     assert stream.reads_y == (h_id in ("d2-only", "k2-only"))
     i = np.array(KERNEL_STEPS, dtype=np.uint64)
     want = []
     for k in KERNEL_STEPS:
-        x, y = (x0 + k * ALPHA).frac(), (y0 + k * BETA).frac()
-        if p == 1:
+        x, y = (x0 + k * m * ALPHA).frac(), (y0 + k * m * BETA).frac()
+        if m > 1:
+            value = cocycle_sum(h, x, y, m, ALPHA, BETA)
+        elif p == 1:
             value = lift_fixed(h, x, y)
         else:
             value = (cocycle_sum(h, p * x, p * y, p, ALPHA, BETA)
@@ -749,8 +756,8 @@ def pair_weyl_reference():
 
 def test_pair_scan_under_thread_switching(pair_weyl_reference):
     """The pair route's one pass with more workers than cores, 16-step
-    n-chunks and a 1 us switch interval: an S_{qn} read before its chunk kept
-    it, or a carry read before it is published, would change the sums."""
+    n-chunks and a 1 us switch interval: a carry of either stream read
+    before it is published would change the sums."""
     interval = getswitchinterval()
     setswitchinterval(1e-6)
     try:
@@ -760,15 +767,15 @@ def test_pair_scan_under_thread_switching(pair_weyl_reference):
     assert got == pair_weyl_reference
 
 
-def test_pair_scan_waits_for_a_slow_keep(monkeypatch, pair_weyl_reference):
-    """One early chunk scans its stride-q steps slowly, on 3 workers: the
+def test_pair_scan_waits_for_a_slow_stride_q_scan(monkeypatch, pair_weyl_reference):
+    """One early chunk scans its stride-q stream slowly, on 3 workers: the
     chunks after it, which need its stride-q carry, must wait for it, so the
     sums do not change."""
     u_values = _LaneStream.u_values
 
     def slow(self, i, *ws):
-        if self.p == 1 and i.size == 2 * 16 and int(i[0]) == 2 * 16:
-            time.sleep(0.2)  # the stride-2 steps of the chunk n = 17 .. 32
+        if len(self.shifts) == 2 and i.size == 16 and int(i[0]) == 16:
+            time.sleep(0.2)  # the stride-2 stream of the chunk n = 17 .. 32
         return u_values(self, i, *ws)
 
     monkeypatch.setattr(_LaneStream, "u_values", slow)
@@ -824,12 +831,12 @@ def test_pair_pass_with_weyl_sums_peak_does_not_grow_with_n():
     assert held < 0.01 * 8 * (1 << 19), f"held {held} bytes"
 
 
-RING_PAIRS = [(3, 2), (5, 3), (7, 2), (5, 2), (13, 11)]
-RING_N = 997
+SWEEP_PAIRS = [(3, 2), (5, 3), (7, 2), (5, 2), (13, 11)]
+SWEEP_N = 997
 
 
-@pytest.mark.parametrize("turn, p, q", [(i, p, q) for i, (p, q) in enumerate(RING_PAIRS)])
-def test_pair_ring_sums_equal_the_held_scan(turn, p, q):
+@pytest.mark.parametrize("turn, p, q", [(i, p, q) for i, (p, q) in enumerate(SWEEP_PAIRS)])
+def test_pair_route_sums_equal_the_held_scan(turn, p, q):
     """Without a PairScan the route gives the bits it gives while its pass
     makes the Weyl sums too, at every segment size to 1024 under a 1 us
     switch interval.  Each pair takes the sizes at 1, 3 and 6 workers in
@@ -837,20 +844,20 @@ def test_pair_ring_sums_equal_the_held_scan(turn, p, q):
     every worker count."""
     sys = make_sys()
     obs = Observable(xi=1, bump=BumpProfile())
-    cps = [1, 2, 100, 500, 996, RING_N]
-    want, _ = _pair_and_weyl_sums(OrbitSegmentPlan(RING_N), sys, p, q, RING_N, cps)
-    plans = [OrbitSegmentPlan(RING_N, 1 << k, (1, 3, 6)[(k + turn) % 3]) for k in range(11)]
+    cps = [1, 2, 100, 500, 996, SWEEP_N]
+    want, _ = _pair_and_weyl_sums(OrbitSegmentPlan(SWEEP_N), sys, p, q, SWEEP_N, cps)
+    plans = [OrbitSegmentPlan(SWEEP_N, 1 << k, (1, 3, 6)[(k + turn) % 3]) for k in range(11)]
     interval = getswitchinterval()
     setswitchinterval(1e-6)
     try:
         wrong = [plan for plan in plans
-                 if pair_factor_values(sys, None, p, q, RING_N, plan, obs, cps) != want]
+                 if pair_factor_values(sys, None, p, q, SWEEP_N, plan, obs, cps) != want]
     finally:
         setswitchinterval(interval)
     assert wrong == []
 
 
-def test_pair_ring_survives_a_lagging_reader(monkeypatch, pair_weyl_reference):
+def test_pair_route_survives_a_lagging_reader(monkeypatch, pair_weyl_reference):
     """The second 16-pair chunk sleeps before it builds its lanes, while the
     later chunks scan, publish their carries and build theirs on the other
     workers; its S_{qn} stay in its own workspace, so the sums do not
@@ -878,11 +885,10 @@ def test_pair_route_peak_does_not_grow_with_n():
     assert growth < PEAK_GROWTH, f"peak grew {growth:.3f}x"
 
 
-def test_stride_pass_sizes_each_buffer_to_its_longest_request(monkeypatch):
-    """In the pass at strides 3 and 2 only the buffers the scan asks for are
-    longer than a segment: 3 segments, and the stride-2 prefix 2; every
-    other buffer, support-sized or not, is one segment, made once on first
-    use."""
+def test_pair_pass_buffers_are_one_segment_long(monkeypatch):
+    """The (3, 2) pass that makes the Weyl sums too scans its strided streams
+    one segment of n at a time: every buffer of its workspace, the scan's,
+    the lanes' and the support-sized ones alike, is one segment long."""
     made = []
 
     class Recorded(Workspace):
@@ -892,13 +898,12 @@ def test_stride_pass_sizes_each_buffer_to_its_longest_request(monkeypatch):
 
     monkeypatch.setattr(engine, "Workspace", Recorded)
     size = 1024
+    scan = PairScan(WEYL_FREQS, [8 * size])
     pair_factor_values(make_sys(), None, 3, 2, 8 * size, OrbitSegmentPlan(8 * size, size),
-                       Observable(xi=1, bump=BumpProfile()))
+                       Observable(xi=1, bump=BumpProfile()), pair_scan=scan)
+    assert scan._held is not None
     (ws,) = made
-    lengths = {name: buf.size for name, buf in ws._bufs.items()}
-    scan = {"n", "scan.3", "t1", "t2", "h.q", "h.t"}  # steps, cocycle, lifts, periodic_q53
-    assert {name: n for name, n in lengths.items() if n != size} == {
-        **dict.fromkeys(scan, 3 * size), "scan.2": 2 * size}
+    assert {name: buf.size for name, buf in ws._bufs.items() if buf.size != size} == {}
 
 
 # -- the chained scan fails loudly ------------------------------------------------
@@ -951,13 +956,13 @@ def test_scan_cocycle_failure_raises_without_deadlock(monkeypatch):
     assert len(raised) == 1 and isinstance(raised[0], _Boom)
 
 
-def test_pair_keep_failure_raises_without_deadlock(monkeypatch):
+def test_pair_stride_q_failure_raises_without_deadlock(monkeypatch):
     """A chunk whose stride-q cocycle fails publishes no carry: the later
     chunks raise instead of hanging, and the first error surfaces."""
     u_values = _LaneStream.u_values
 
     def failing(self, i, *ws):
-        if self.p == 1 and i.size == 2 * 16 and int(i[0]) == 2 * 32:
+        if len(self.shifts) == 2 and i.size == 16 and int(i[0]) == 32:
             raise _Boom("stride-q cocycle failed")  # the chunk n = 33 .. 48
         return u_values(self, i, *ws)
 
