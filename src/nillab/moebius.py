@@ -1,19 +1,24 @@
 """Mobius sieving and the correlation estimators.
 
 mu(n) is (-1)^k on squarefree n with k prime factors and 0 otherwise.  The
-sieve is segmented into blocks of 2^20 and vectorized on one int32 array per
-block holding the signed product of the distinct base primes (those up to
-sqrt(N)) that divide n, each entering as -p.  A block starts from a copy of
-the wheel: one period, 30030 = 2 * 3 * 5 * 7 * 11 * 13, of that product over
-the six smallest primes, tiled in at lo % 30030.  Every other base prime
-multiplies its multiples by -p.  sign(product) is then mu up to the single
-possible prime factor above sqrt(N), which shows as |product| != n and flips
-the sign.  int32 stays exact: |product| is a product of distinct primes
-dividing n <= 10^9 < 2^31.  The multiples of the squares p^2 are set to
-mu = 0 last, on the codes: the squares up to the block length one strided
-assignment each, and the larger ones, which have at most one multiple per
-block, all in one indexed assignment.  Values are packed two bits per entry
-(codes mu + 1), a quarter byte each, so 10^9 fits comfortably in memory.
+sieve is segmented into blocks of 2^20 and vectorized on one uint8
+accumulator per block, a byte per integer.  Each base prime p (up to sqrt(N))
+dividing n adds its log weight w_p = 2 * round(C * log2 p) + 1 (C =
+``_LOG_SCALE``), so with k primes of product m entered, bit 0 is k mod 2 and
+acc lies in [2C * log2 m, 2C * log2 m + 2k].  A block starts from a copy of
+the wheel: one period, 30030 = 2 * 3 * 5 * 7 * 11 * 13, of those sums over
+the six smallest primes, tiled in at lo % 30030; every other base prime adds
+its weight at its multiples.  A squarefree n is "whole" (m = n) iff
+acc >= 2C * floor(log2 n): otherwise n = m * P with one prime
+P > max(13, sqrt(N)), and acc < 2C * floor(log2 n) while
+C * (log2 P - 1) >= k.  The sum fits a byte while 2C * log2 N + 2k <= 255.
+With C = 2 both hold for every N <= 10^15 (at 10^9 the sums stay below 138).
+mu(n) = +1 where bit 0 differs from whole.  The multiples of the squares p^2
+are set to mu = 0 last, on the codes: the squares up to the block length one
+strided assignment each, and the larger ones, which have at most one
+multiple per block, all in one indexed assignment.  Values are packed two
+bits per entry (codes mu + 1), a quarter byte each; that table, 238 MiB at
+10^9, is what ``MAX_SIEVE`` bounds.
 The buffers of a block are made once per sieve.  Reading goes through byte
 tables: ``mu_slice`` looks each packed byte up in a 256 x 4 table of its four
 mu values, and ``mertens`` sums whole bytes through a 256-entry table of
@@ -52,14 +57,22 @@ from .observables import Observable, fourier_value
 MAX_SIEVE = 10**9
 _BLOCK = 1 << 20
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_LOG_SCALE = 2
+# np.take copies its uint8 indices to intp: 2^16 bytes a call keep that at 512 KiB
+_SUM_CHUNK = 1 << 16
+
+
+def _log_weights(primes) -> np.ndarray:
+    """w_p = 2 * round(C * log2 p) + 1 for each prime p, as uint8."""
+    return (2 * np.rint(_LOG_SCALE * np.log2(primes)) + 1).astype(np.uint8)
 
 
 def _wheel() -> np.ndarray:
-    """Entry r is the product of -p over the wheel primes p dividing r, which
-    is the same for every n = r (mod 30030)."""
-    wheel = np.ones(math.prod(_WHEEL_PRIMES), dtype=np.int32)
-    for p in _WHEEL_PRIMES:
-        wheel[::p] *= -p
+    """Entry r is the sum of w_p over the wheel primes p dividing r, which is
+    the same for every n = r (mod 30030)."""
+    wheel = np.zeros(math.prod(_WHEEL_PRIMES), dtype=np.uint8)
+    for p, w in zip(_WHEEL_PRIMES, _log_weights(_WHEEL_PRIMES)):
+        wheel[::p] += w
     return wheel
 
 
@@ -104,51 +117,49 @@ class _SieveWork:
     """
 
     def __init__(self, base: np.ndarray, length: int):
-        # (p, -p), the factor an int32 scalar, which numpy applies faster
-        self.strided = [(p, np.int32(-p)) for p in base[base > _WHEEL_PRIMES[-1]].tolist()]
+        # (p, w_p), the weight a uint8 scalar, which numpy adds in place as is
+        strided = base[base > _WHEEL_PRIMES[-1]]
+        self.strided = list(zip(strided.tolist(), _log_weights(strided)))
         squares = base * base
         self.small_squares = squares[squares <= length].tolist()
         self.large_squares = squares[squares > length]
-        self.prod = np.empty(length, dtype=np.int32)
-        self.ramp = np.arange(length, dtype=np.int32)
-        self.positive = np.empty(length, dtype=bool)
-        self.whole = np.empty(length, dtype=bool)
+        self.acc = np.empty(length, dtype=np.uint8)
         self.codes = np.empty(length + 8, dtype=np.uint8)
 
 
 def _sieve_block(lo: int, hi: int, work: _SieveWork) -> np.ndarray:
     """Codes mu(n) + 1 for n in [lo, hi), as a view of ``work.codes``.
 
-    ``prod`` collects the signed product of the distinct base primes dividing
-    n, starting from the wheel tiled in at lo % 30030; primes of the wheel
-    above sqrt(n_max) only complete the product of the n they divide.  Being
-    a product of distinct primes dividing n <= MAX_SIEVE < 2^31, ``|prod|``
-    never overflows int32.  ``|prod| - ramp == lo`` marks the n whose prime
-    factors all entered (``whole``); elsewhere a squarefree n has exactly one
-    prime factor more, so mu(n) = +1 where ``whole`` equals ``prod > 0``.  The
-    multiples of the squares are set to code 1 (mu = 0) afterwards: one
-    strided assignment per small square, one indexed assignment for all the
-    large ones.
+    ``acc`` sums the log weights w_p of the distinct base primes dividing n,
+    starting from the wheel tiled in at lo % 30030; primes of the wheel above
+    sqrt(n_max) only complete the sum of the n they divide.  n is whole iff
+    acc >= 2C * floor(log2 n), one comparison per power-of-two range the
+    block meets (the module docstring gives the bounds that make it exact).
+    Where whole, a squarefree n has k prime factors, elsewhere k + 1, so the
+    code is ((acc + whole) & 1) << 1: 2 (mu = +1) where bit 0 of ``acc``
+    (k mod 2) differs from whole.  The multiples of the squares are set to
+    code 1 (mu = 0) afterwards: one strided assignment per small square, one
+    indexed assignment for all the large ones.
     """
     n = hi - lo
-    prod = work.prod[:n]
+    acc = work.acc[:n]
     r = lo % _WHEEL.size
     head = min(_WHEEL.size - r, n)
     periods, tail = divmod(n - head, _WHEEL.size)
-    prod[:head] = _WHEEL[r : r + head]
-    prod[head : n - tail].reshape(periods, _WHEEL.size)[...] = _WHEEL
-    prod[n - tail :] = _WHEEL[:tail]
-    for p, minus_p in work.strided:
-        w = prod[(-lo) % p :: p]
-        np.multiply(w, minus_p, out=w)
-    positive, whole = work.positive[:n], work.whole[:n]
-    np.greater(prod, 0, out=positive)
-    np.abs(prod, out=prod)
-    np.subtract(prod, work.ramp[:n], out=prod)
-    np.equal(prod, lo, out=whole)
-    np.equal(whole, positive, out=positive)
+    acc[:head] = _WHEEL[r : r + head]
+    acc[head : n - tail].reshape(periods, _WHEEL.size)[...] = _WHEEL
+    acc[n - tail :] = _WHEEL[:tail]
+    for p, w in work.strided:
+        v = acc[(-lo) % p :: p]
+        np.add(v, w, out=v)
     codes = work.codes[lo % 4 : lo % 4 + n]
-    np.left_shift(positive.view(np.uint8), 1, out=codes)
+    whole = codes.view(bool)
+    for j in range(lo.bit_length() - 1, (hi - 1).bit_length()):
+        a, b = max(lo, 1 << j) - lo, min(hi, 2 << j) - lo
+        np.greater_equal(acc[a:b], 2 * _LOG_SCALE * j, out=whole[a:b])
+    np.add(codes, acc, out=codes)
+    np.bitwise_and(codes, 1, out=codes)
+    np.left_shift(codes, 1, out=codes)
     for sq in work.small_squares:
         codes[(-lo) % sq :: sq] = 1
     first = (-lo) % work.large_squares
@@ -206,8 +217,8 @@ class MobiusTable:
         head = min(4, n + 1)  # [1, head) lies in byte 0
         tail = max(head, (n + 1) // 4 * 4)  # bytes [1, tail // 4) are whole
         total = int(self.mu_slice(1, head).sum()) + int(self.mu_slice(tail, n + 1).sum())
-        for b in range(1, tail // 4, _BLOCK):
-            chunk = self.packed[b : min(b + _BLOCK, tail // 4)]
+        for b in range(1, tail // 4, _SUM_CHUNK):
+            chunk = self.packed[b : min(b + _SUM_CHUNK, tail // 4)]
             total += int(np.take(_BYTE_SUM, chunk).sum(dtype=np.int64))
         return total
 

@@ -1,4 +1,8 @@
 import hashlib
+import math
+import operator
+import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from nillab.engine import OrbitSegmentPlan, orbit_stream_naive
 from nillab.fixedpoint import FixedReal, sqrt_q64
 from nillab.moebius import (
     _base_primes,
+    _log_weights,
     _sieve_block,
     _SieveWork,
     bilinear_sum,
@@ -113,9 +118,16 @@ def mu_reference(n_max: int) -> np.ndarray:
     return mu
 
 
-@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 8, 9, 24, 25, 168, 169, 170, 1000, 3 * 10**6])
+POWER_EDGES = sorted({2**k + d for k in range(1, 13) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize(
+    "n_max", sorted({1, 2, 3, 4, 8, 9, 24, 25, 168, 169, 170, 1000, 3 * 10**6, *POWER_EDGES})
+)
 def test_whole_table_matches_reference(n_max):
-    """Every entry, across the 2^20 block edges at 3e6."""
+    """Every entry, across the 2^20 block edges at 3e6; n_max at 2^k - 1, 2^k
+    and 2^k + 1 ends the table on either side of a step of the whole test's
+    threshold."""
     ref = mu_reference(n_max)
     assert [int(v) for v in ref[1:2001]] == [mu_bruteforce(n) for n in range(1, min(n_max, 2000) + 1)]
     got = sieve_mobius(n_max).mu_slice(1, n_max + 1)
@@ -126,6 +138,7 @@ def test_whole_table_matches_reference(n_max):
 @pytest.mark.parametrize("n_max, digest", [
     (10**6, "32d9cfdf2c8c11ea52660ea80df8edfae9edfd5eb35c659cc9175a709e8b1ea1"),
     (3 * 10**6, "2e8a8350e4673fc7d7e102fa23b3035eb01bd27dfa83cba900661cb7a09b75f1"),
+    (10**8, "36fa5fb8edecf89ae5edfb49b5c91707618e024a8ec8bd1ffe3ed7f461b7746f"),
 ])
 def test_packed_bytes_pinned(n_max, digest):
     assert hashlib.sha256(sieve_mobius(n_max).packed.tobytes()).hexdigest() == digest
@@ -169,14 +182,53 @@ def test_mertens_every_residue(monkeypatch, n_max):
     last byte), with whole-byte chunks of 5 bytes so chunk edges are crossed."""
     table = sieve_mobius(n_max)
     expected = np.cumsum(mu_reference(n_max))
-    monkeypatch.setattr(moebius, "_BLOCK", 5)
+    monkeypatch.setattr(moebius, "_SUM_CHUNK", 5)
     assert [table.mertens(n) for n in range(1, n_max + 1)] == expected[1:].tolist()
     with pytest.raises(ValueError):
         table.mertens(n_max + 1)
 
 
+def test_mertens_allocates_under_a_mebibyte():
+    """The byte sums go through np.take in chunks whose intp index copy stays
+    at 512 KiB, however long the table."""
+    n_max = 3 * 10**6
+    table = sieve_mobius(n_max)
+    expected = table.mertens(n_max)
+    tracemalloc.start()
+    try:
+        assert table.mertens(n_max) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("bound", [moebius.MAX_SIEVE, 10**15])
+def test_log_weights_keep_the_whole_test_exact(bound):
+    """Both inequalities of the sieve's whole test, for the module's C, at
+    every N <= bound where either side can move: N = p^2, where P_min, the
+    least prime the sieve leaves out (> max(13, isqrt N)), moves on, and N a
+    primorial, where k_max, the most primes in a product <= N, grows.  Each
+    weight rounds to within 1 of 2C log2 p + 1, which the bounds assume."""
+    c = moebius._LOG_SCALE
+    root = math.isqrt(bound)
+    primes = _base_primes(root + 1000)
+    assert primes[-1] > root
+    weights = _log_weights(primes).astype(np.float64)
+    assert np.all(np.abs(weights - 1 - 2 * c * np.log2(primes)) <= 1)
+    primorials = [q for q in accumulate(primes[:20].tolist(), operator.mul) if q <= bound]
+    below = primes[primes <= root]
+    n = np.concatenate([below**2, primorials, [1, bound]]).astype(np.float64)
+    roots = np.concatenate([below, [math.isqrt(q) for q in primorials], [1, root]])
+    p_min = primes[np.searchsorted(primes, np.maximum(roots, 13), side="right")]
+    k_max = np.searchsorted(primorials, n, side="right")
+    assert np.all(c * (np.log2(p_min) - 1) >= k_max)
+    assert np.all(2 * c * np.log2(n) + 2 * k_max <= 255)
+
+
 def test_sieve_block_at_max_sieve():
-    """The last block below MAX_SIEVE stays exact in int32."""
+    """The last block below MAX_SIEVE, whose log sums come closest to a
+    byte's 255, matches trial division."""
     hi = moebius.MAX_SIEVE + 1
     lo = hi - (1 << 20)
     base = _base_primes(31622)
