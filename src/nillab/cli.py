@@ -202,8 +202,8 @@ def cmd_winding(args) -> int:
 class RunContext:
     """What the experiments of one invocation share: the Mobius table, sieved
     on first use, and the :class:`~nillab.engine.PairScan` of the config's
-    Weyl frequencies and checkpoints, in which the pair route's pass leaves
-    the Weyl sums.  ``names`` are the experiments the invocation runs, in
+    joining, Weyl frequencies and checkpoints, whose sums the pair route's
+    pass fills.  ``names`` are the experiments the invocation runs, in
     registry order; only when ``weyl`` follows ``bilinear`` among them is
     there a holder, for otherwise the pass would make sums nobody reads."""
 
@@ -211,7 +211,8 @@ class RunContext:
         self.cfg = cfg
         names = list(names)
         weyl_reads = "bilinear" in names and "weyl" in names[names.index("bilinear"):]
-        self.pair_scan = PairScan(cfg.weyl_freqs, cfg.checkpoints) if weyl_reads else None
+        self.pair_scan = (PairScan(cfg.joining(), cfg.weyl_freqs, cfg.checkpoints)
+                          if weyl_reads else None)
 
     @cached_property
     def table(self) -> MobiusTable:

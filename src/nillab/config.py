@@ -1,7 +1,8 @@
 """Experiment configuration: parsing, validation, and the standard baseline.
 
 Configs are plain INI text (``key = value`` under sections).  ``FIELDS`` gives
-each field's ``[section] key``, parser and formatter; ``ExperimentConfig``
+each field's ``[section] key``, parser and formatter; a key or section that no
+field declares fails, bar the retired ``[run] seed``.  ``ExperimentConfig``
 holds the only defaults, which a key missing from an INI file takes (a field
 without one is required).  Rotation parameters accept decimal strings or exact
 dyadic strings ``n/2^k`` and are snapped to the 2**-64 grid; serialization
@@ -220,6 +221,12 @@ def parse_config(text: str) -> ExperimentConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ValueError(f"config parse error: {exc}") from exc
+    declared = {(f.section, f.key) for f in FIELDS.values()} | {("run", "seed")}  # seed is retired
+    sections = {section for section, _ in declared} | {cp.default_section}
+    for section in [cp.default_section, *cp.sections()]:  # no field lives in [DEFAULT]
+        undeclared = [key for key in cp[section] if (section, key) not in declared]
+        if undeclared or section not in sections:
+            raise ValueError(f"config: no field declares [{section}] {', '.join(undeclared)}")
     values = {}
     for field in fields(ExperimentConfig):
         ini = FIELDS[field.name]

@@ -65,11 +65,11 @@ def weyl_sums(
     """|(1/N) sum e(k1 x_n + k2 y_n + k3 z_n)| along the trivialized orbit.
 
     Each frequency is one :func:`~nillab.observables.fourier_value`.  From
-    the origin, with a ``pair_scan`` of these frequencies and checkpoints
-    whose sums the pass of a pair route of the same system and pair made
-    (as in ``nillab run``), the sums are the ones it holds; otherwise the
-    stream scans its own p + q lifts per step.  The sums are the same bits
-    either way: both are exact accumulations of the same values."""
+    the origin, with a ``pair_scan`` of ``js``, these frequencies and
+    checkpoints whose sums the pass of a pair route filled (as in ``nillab
+    run``), the sums are copies of those; otherwise the stream scans its own
+    p + q lifts per step.  The sums are the same bits either way: both are
+    exact accumulations of the same values."""
     freqs = [tuple(int(k) for k in f) for f in freqs]
     if not freqs or (0, 0, 0) in freqs:
         raise ValueError("Weyl sums need one or more nonzero frequencies")

@@ -26,10 +26,10 @@ F(T^{pn} x0) conj F(T^{qn} x0) from the S_{pn} and S_{qn} of its n, so it
 holds no array longer than a segment.  From the origin the joining's
 cocycle prefix is S*_n = S_{pn} - S_{qn} of the skew cocycle, bit for bit.
 So when the Weyl sums of ``nillab run`` follow the pair route, the same
-chunk forms S* in a segment buffer and evaluates them there too, and a
-:class:`PairScan` holds their checkpoint sums for the joining stream that
-asks for them: S* is never stored, and the joining scans none of its p + q
-lifts.  Observable values are quantized to 2**-53 and summed in integer
+chunk forms S* in a segment buffer and evaluates them there too, into the
+``sums`` of a :class:`PairScan`, a record of the joining, its frequencies
+and checkpoints: S* is never stored, and the joining scans none of its
+p + q lifts.  Observable values are quantized to 2**-53 and summed in integer
 arithmetic, which makes checkpoint sums bit-identical for any worker count
 and segment size -- and equal to the naive single-loop oracle.
 
@@ -333,8 +333,6 @@ def _make_stream(system, start, stride: int = 1) -> _LaneStream:
 
 def _exact_sum_i64(a: np.ndarray) -> int:
     """Exact integer sum of quantized values (|entry| <= 2**54 guaranteed)."""
-    if a.size == 0:
-        return 0
     k = (a.size // 256) * 256
     total = 0
     if k:
@@ -568,18 +566,15 @@ def orbit_stream_multi(
     ``(lo, hi) -> int8`` giving multiplicative weights for steps lo+1 .. hi.
     Returns, per value function, a list of ``(N, complex_sum)`` with the
     *unnormalized* sum over n <= N, exactly accumulated on the 2**-53 grid.
-    Unweighted Weyl sums of a joining from the origin are the sums
-    ``pair_scan`` holds when the pass of a pair route made them for the
-    same rotation, h, pair, frequencies and checkpoints (see
-    :class:`PairScan`); nothing is streamed then.
+    Unweighted sums that ``pair_scan`` holds (see :meth:`PairScan.holds`)
+    are copies of its ``sums``; nothing is streamed then.
     """
     n_total = plan.n_total
     checkpoints = _checkpoints_within([n_total] if checkpoints is None else checkpoints, n_total)
-    stream = _make_stream(system, start)
-    if pair_scan is not None and weights is None:
-        held = pair_scan.sums(stream, value_fns, checkpoints)
-        if held is not None:
-            return held
+    stream = _make_stream(system, start)  # checks the start first
+    if (pair_scan is not None and weights is None
+            and pair_scan.holds(system, start, value_fns, checkpoints)):
+        return [list(s) for s in pair_scan.sums]
     consume = partial(_value_sums, stream, value_fns, checkpoints, weights=weights)
     return [_running_sums(chunks) for chunks in zip(*_scan_segments((stream,), plan, consume))]
 
@@ -640,42 +635,35 @@ def orbit_points(system, start, ns):
 
 
 class PairScan:
-    """The Weyl sums of a joining from the origin, made in the pass of the
-    pair route of the same rotation, h and pair, for the rest of one run.
+    """A record of the joining ``js``, its Weyl frequencies ``freqs`` and
+    its ``checkpoints``, whose ``sums`` the pass of a pair route of the same
+    rotation, h and pair fills, for the rest of one run.
 
     From x0 = y0 = 0 the joining's cocycle h_p(p., p.) - h_q(q., q.) sums h
     over the same points k alpha as the skew cocycle, so its prefix at n is
     S*_n = S_{pn} - S_{qn}, bit for bit on the u64 lanes.  The pass of a pair
     route from there to the last of ``checkpoints`` forms S* per n-chunk from
-    its stride-p and stride-q streams' prefixes and leaves here the
+    its stride-p and stride-q streams' prefixes and sets ``sums`` to the
     checkpoint sums of e(k . orbit_n) for each k in ``freqs``
-    (:func:`~nillab.observables.fourier_value`), which the Weyl stream of the
-    same joining, frequencies and checkpoints returns instead of scanning its
-    p + q lifts.  Only a run whose Weyl sums follow its pair
-    route makes a holder; the engine keeps none between calls.
+    (:func:`~nillab.observables.fourier_value`), which the Weyl stream of
+    ``js`` (see :meth:`holds`) returns instead of scanning its p + q lifts.
+    Only a run whose Weyl sums follow its pair route makes a holder; the
+    engine keeps none between calls.
     """
 
-    def __init__(self, freqs, checkpoints):
+    def __init__(self, js: JoiningSystem, freqs, checkpoints):
+        self.js = js
         self.freqs = [tuple(int(k) for k in f) for f in freqs]
         self.checkpoints = check_checkpoints(checkpoints)
-        self._held = None  # (what the sums are of, the sums per frequency)
+        self.sums = None  # per frequency, once a pass has made them
 
-    @staticmethod
-    def _key(stream: _LaneStream, freqs, checkpoints):
-        return (stream.au, stream.bu, stream.h, stream.p, stream.q, stream.x0u, stream.y0u,
-                stream.z0_hi, stream.z0_lo, list(freqs), list(checkpoints))
-
-    def hold(self, joining: _LaneStream, sums):
-        """Keep the ``sums`` of the ``joining`` stream."""
-        self._held = (self._key(joining, self.freqs, self.checkpoints), sums)
-
-    def sums(self, stream: _LaneStream, value_fns, checkpoints):
-        """The held sums of ``value_fns`` at ``checkpoints`` along a joining
-        ``stream``, or None when the held pass did not make them."""
-        ks = [getattr(fn, "ks", None) for fn in value_fns]
-        if self._held is None or self._held[0] != self._key(stream, ks, checkpoints):
-            return None
-        return [list(s) for s in self._held[1]]
+    def holds(self, system, start, value_fns, checkpoints) -> bool:
+        """Whether ``sums`` are the unweighted sums of ``value_fns`` at
+        ``checkpoints`` along ``system`` from ``start`` (None or the origin)."""
+        return (self.sums is not None and system == self.js
+                and (start is None or all(c == 0 for c in start))
+                and [getattr(fn, "ks", None) for fn in value_fns] == self.freqs
+                and list(checkpoints) == self.checkpoints)
 
 
 def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
@@ -693,21 +681,25 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
     formed.  Returns ``(N, sum)`` for each checkpoint N (default
     ``[n_pairs]``), unnormalized, like :func:`orbit_stream_multi`.
 
-    Given a ``pair_scan``, a start at x = y = 0 and N at least its last
-    checkpoint, each chunk then writes S*_n = S_{pn} - S_{qn}, n in
-    (lo, hi], into a segment buffer and makes the holder's Weyl sums from
-    it as :func:`orbit_stream_multi` would, for the Weyl sums of ``nillab
-    run`` to return.
+    Given a ``pair_scan`` of the joining of ``(sys, p, q)``, a start at
+    x = y = 0 and N at least its last checkpoint, each chunk then writes
+    S*_n = S_{pn} - S_{qn}, n in (lo, hi], into a segment buffer and makes
+    the Weyl sums on the joining's lanes from it as
+    :func:`orbit_stream_multi` would; the pass sets them as the holder's
+    ``sums``, for the Weyl sums of ``nillab run`` to return.
     """
     checkpoints = _checkpoints_within(
         [n_pairs] if checkpoints is None else checkpoints, n_pairs
     )
-    stream, *strided = (_make_stream(sys, start, m) for m in (1, p, q))
+    # ``lanes`` does not read the stride: the stride-p stream's serve q n too
+    strided = [_make_stream(sys, start, m) for m in (p, q)]
+    stream = strided[0]
     plan = resize_plan(plan_template, n_pairs)
-    weyl = (pair_scan is not None and stream.x0u == stream.y0u == 0
-            and n_pairs >= pair_scan.checkpoints[-1])
+    weyl = (pair_scan is not None
+            and (pair_scan.js.base, pair_scan.js.p, pair_scan.js.q) == (sys, p, q)
+            and stream.x0u == stream.y0u == 0 and n_pairs >= pair_scan.checkpoints[-1])
     if weyl:
-        joining = _LaneStream(sys.alpha, sys.beta, sys.h, (FixedReal(0),) * 3, p, q)
+        joining = _make_stream(pair_scan.js, None)
         weyl_fns = [fourier_value(k) for k in pair_scan.freqs]
 
     def pairs(lo, hi, s_p, s_q, ws):
@@ -734,7 +726,7 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
 
     pair_chunks, weyl_chunks = zip(*_scan_segments(strided, plan, pairs))
     if weyl:
-        pair_scan.hold(joining, [_running_sums(chunks) for chunks in zip(*weyl_chunks)])
+        pair_scan.sums = [_running_sums(chunks) for chunks in zip(*weyl_chunks)]
     return _running_sums(pair_chunks)
 
 

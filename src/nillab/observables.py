@@ -58,8 +58,8 @@ def fourier_value(ks):
     """The engine value function e(k1 x + k2 y + k3 z) of the frequencies
     ``ks`` (one to three of them; Davenport's wave is ``(1,)``): the bits of
     ``np.exp(2j * math.pi * (k1 * x + ...))``, written into the workspace it
-    is given.  ``fn.ks`` names the frequencies, by which an
-    :class:`~nillab.engine.PairScan` knows its Weyl sums."""
+    is given.  ``fn.ks`` names the frequencies, by which
+    :meth:`~nillab.engine.PairScan.holds` knows its Weyl sums."""
 
     def fn(x, y, z, n, ws=FRESH):
         return fourier_mode(ks, (x, y, z), ws)
@@ -149,10 +149,7 @@ class Observable:
         out = ws.take("obs.v", shape, np.complex128) if out is None else out
         if self.xi == 0:
             return fourier_mode(self.base_mode, (x, y), ws, out)
-        on, bump = self.bump.support(x, y, ws)
-        if not bump.all():  # a smoothstep that rounded to 0 inside the box
-            keep = np.flatnonzero(bump)
-            on, bump = on[keep], bump[keep]
+        on, bump = self.bump.support(x, y, ws)  # > 0 inside the open box
         e = ws.take("obs.e", on.shape, np.complex128)
         z_on = np.take(z, on, out=ws.take("t2", on.shape, np.float64), mode="clip")  # dy is read
         np.copyto(e, z_on)

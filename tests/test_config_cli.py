@@ -528,6 +528,9 @@ def test_run_bilinear_then_weyl_peak_does_not_grow_with_n(std_cfg):
     ("bump_radius = 0.25", "bump_radius = -0.1", r"bump_radius = -0.1: bump radius"),
     ("bump_center = 0.5,0.5", "bump_center = 0.9,0.5", r"\[observable\] bump_center"),
     ("freqs = 1,0,0; 0,0,1\n", "freqs = \n", r"\[weyl\] freqs"),
+    ("segment_size = ", "segment_sise = ", r"no field declares \[run\] segment_sise"),
+    ("[weyl]", "[weil]", r"no field declares \[weil\] freqs"),
+    ("[system]", "[DEFAULT]\nworkers = 2\n\n[system]", r"no field declares \[DEFAULT\] workers"),
 ])
 def test_bad_field_fails_before_run_writes(tmp_path, old, new, field):
     text = small_cfg_text(str(tmp_path / "out"))

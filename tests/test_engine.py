@@ -573,9 +573,10 @@ def _shared_case(p, q, h_id):
     return sys, js, naive
 
 
-def _filled_scan(sys, p, q, n_pairs, plan, start=None, checkpoints=SHARED_CHECKPOINTS):
-    """A PairScan of WEYL_FREQS at ``checkpoints``, given to a pair route."""
-    scan = PairScan(WEYL_FREQS, checkpoints)
+def _filled_scan(sys, p, q, n_pairs, plan, start=None, checkpoints=SHARED_CHECKPOINTS, js=None):
+    """A PairScan of ``js`` (default: the joining of (sys, p, q)), WEYL_FREQS
+    and ``checkpoints``, given to a pair route."""
+    scan = PairScan(build_joining(sys, p, q) if js is None else js, WEYL_FREQS, checkpoints)
     pair_factor_values(
         sys, start, p, q, n_pairs, resize_plan(plan, p * n_pairs),
         Observable(xi=1, bump=BumpProfile()), pair_scan=scan,
@@ -651,6 +652,29 @@ def test_pair_pass_builds_the_joining_from_exact_star(monkeypatch):
     assert not [v for v in vars(scan).values() if isinstance(v, np.ndarray)]
 
 
+@pytest.mark.parametrize("holder, built", [
+    (False, [(1, 0, 3), (1, 0, 2)]),
+    (True, [(1, 0, 3), (1, 0, 2), (3, 2, 1)]),
+])
+def test_pair_pass_builds_only_its_strided_streams(monkeypatch, holder, built):
+    """The (3, 2) pass builds its stride-3 and stride-2 skew streams, whose
+    first also gives the lanes at 2 n and 3 n, and no stride-1 one; with a
+    holder it builds the joining's stream too: (p, q, stride) per stream."""
+    sys = make_sys()
+    init = _LaneStream.__init__
+    made = []
+
+    def counting(self, alpha, beta, h, start, p, q, stride=1):
+        made.append((p, q, stride))
+        init(self, alpha, beta, h, start, p, q, stride)
+
+    monkeypatch.setattr(_LaneStream, "__init__", counting)
+    scan = PairScan(build_joining(sys, 3, 2), WEYL_FREQS, [100]) if holder else None
+    pair_factor_values(sys, None, 3, 2, 100, OrbitSegmentPlan(100, 64),
+                       Observable(xi=1, bump=BumpProfile()), pair_scan=scan)
+    assert made == built
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_held_weyl_sums_read_again_stream_nothing(monkeypatch, workers):
     """Weyl sums read from a filled holder twice give the naive loop's bits
@@ -682,10 +706,15 @@ def test_pair_scan_used_only_where_it_covers():
     scan = _filled_scan(sys, 3, 2, 100, plan, checkpoints=cps)
 
     def held(system=js, start=None, fns=None, checkpoints=cps, scan=scan):
-        stream = _make_stream(system, start)
-        return scan.sums(stream, _weyl_modes() if fns is None else fns, checkpoints) is not None
+        return scan.holds(system, start, _weyl_modes() if fns is None else fns, checkpoints)
 
     assert held()
+    # an explicit origin triple reads the held sums, to the bits its stream gives
+    origin = (FixedReal(0),) * 3
+    assert held(start=origin)
+    alone = orbit_stream_multi(js, None, plan, _weyl_modes(), checkpoints=cps)
+    assert orbit_stream_multi(js, origin, plan, _weyl_modes(), checkpoints=cps,
+                              pair_scan=scan) == scan.sums == alone
     assert not held(checkpoints=[10, 99]) and not held(checkpoints=[100])
     assert not held(fns=_weyl_modes([(1, 0, 0), (2, 0, 0), (0, 0, 1), (1, 1, 2)]))
     assert not held(fns=_weyl_modes(WEYL_FREQS[:3]))
@@ -694,6 +723,9 @@ def test_pair_scan_used_only_where_it_covers():
     assert not held(start=(FixedReal(0), FixedReal(0), FixedReal(0.5)))
     assert not held(build_joining(sys, 5, 3))
     assert not held(build_joining(make_sys(d1=2), 3, 2))
+    # a holder of another joining, pair or h, given to this route stays empty
+    for other in (build_joining(sys, 5, 3), build_joining(make_sys(d1=2), 3, 2)):
+        assert _filled_scan(sys, 3, 2, 100, plan, checkpoints=cps, js=other).sums is None
     # a pair route short of the last checkpoint or away from x = y = 0 makes
     # none; a skew start at x = y = 0 with any z makes them
     assert not held(scan=_filled_scan(sys, 3, 2, 99, plan, checkpoints=cps))
@@ -741,12 +773,12 @@ def test_chained_scan_under_thread_switching(skew_oracle):
 def _pair_and_weyl_sums(plan, sys=None, p=3, q=2, n_pairs=500, cps=PAIR_CHECKPOINTS):
     """The pair route's sums at ``cps`` and the Weyl sums its pass makes."""
     sys = make_sys() if sys is None else sys
-    scan = PairScan(WEYL_FREQS, cps)
+    js = build_joining(sys, p, q)
+    scan = PairScan(js, WEYL_FREQS, cps)
     sums = pair_factor_values(sys, None, p, q, n_pairs, plan, Observable(xi=1, bump=BumpProfile()),
                               cps, pair_scan=scan)
-    weyl = scan.sums(_make_stream(build_joining(sys, p, q), None), _weyl_modes(), cps)
-    assert weyl is not None
-    return sums, weyl
+    assert scan.holds(js, None, _weyl_modes(), cps)
+    return sums, scan.sums
 
 
 @pytest.fixture(scope="module")
@@ -821,12 +853,12 @@ def test_pair_pass_with_weyl_sums_peak_does_not_grow_with_n():
     scans = []
 
     def call(n_pairs, plan):
-        scans.append(PairScan(WEYL_FREQS, [1000, n_pairs]))
+        scans.append(PairScan(build_joining(make_sys(), 3, 2), WEYL_FREQS, [1000, n_pairs]))
         pair_factor_values(make_sys(), None, 3, 2, n_pairs, plan,
                            Observable(xi=1, bump=BumpProfile()), pair_scan=scans[-1])
 
     growth, held = _peak_growth(call)
-    assert all(scan._held is not None for scan in scans)
+    assert all(scan.sums is not None for scan in scans)
     assert growth < PEAK_GROWTH, f"peak grew {growth:.3f}x"
     assert held < 0.01 * 8 * (1 << 19), f"held {held} bytes"
 
@@ -898,10 +930,10 @@ def test_pair_pass_buffers_are_one_segment_long(monkeypatch):
 
     monkeypatch.setattr(engine, "Workspace", Recorded)
     size = 1024
-    scan = PairScan(WEYL_FREQS, [8 * size])
+    scan = PairScan(build_joining(make_sys(), 3, 2), WEYL_FREQS, [8 * size])
     pair_factor_values(make_sys(), None, 3, 2, 8 * size, OrbitSegmentPlan(8 * size, size),
                        Observable(xi=1, bump=BumpProfile()), pair_scan=scan)
-    assert scan._held is not None
+    assert scan.sums is not None
     (ws,) = made
     assert {name: buf.size for name, buf in ws._bufs.items() if buf.size != size} == {}
 

@@ -60,6 +60,8 @@ def test_bump_inside_its_box_is_the_full_product_bit_for_bit(rng, center, radius
     got = bump(x, y)
     assert got.shape == x.shape
     assert np.array_equal(got.view(np.int64), full.view(np.int64))
+    # no smoothstep rounds to 0 strictly inside the box, the nextafter edges included
+    assert (got[(np.abs(x - cx) < r) & (np.abs(y - cy) < r)] > 0).all()
     assert 0.1 < (got != 0).mean() < 0.5
     assert bump(cx, cy) == 1.0 and bump(np.full((2, 3), cx), cy).shape == (2, 3)
 
