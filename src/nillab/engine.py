@@ -42,18 +42,30 @@ neither allocated nor page-faulted again per segment, and the engine keeps
 no buffer between calls.  The kernels take their workspace or buffers
 as optional arguments: ``u_values``, ``lanes``, ``mulhi_u64`` and the float
 lanes here, ``BaseFunctionSpec.periodic_q53`` (through ``u_values``),
-``Observable.eval_arrays`` with its bump, and ``observables.fourier_mode``
-(through ``observables.fourier_value``, the Weyl and Davenport modes).
-Without them, as in the naive oracle and on the scalar path, the same code
-writes into fresh arrays.  Only the index arrays of a support
-(``np.flatnonzero``) are still made per call.  A gather into a buffer is
+``Observable.on_support`` and ``eval_arrays`` with their bump, and
+``observables.fourier_mode`` (through ``observables.fourier_value``, the
+Weyl and Davenport modes).  Without them, as in the naive oracle and on the
+scalar path, the same code writes into fresh arrays.  Only the index array
+of a support (``np.flatnonzero``) and, in a weighted stream, the weights
+gathered on it are still made per call.  A gather into a buffer is
 ``np.take(..., mode="clip")``: its indices come from ``np.flatnonzero``, so
 clipping never acts, and the default mode would copy through a temporary.
 
-Both pair products -- the pair route and :class:`StarDescentSink` --
-evaluate their second factor only where the first is nonzero; the bump
-vanishes on 3/4 of the torus.  Elsewhere the full product would be a signed
-zero, which quantizes to 0, so every checkpoint sum keeps its bits.
+Observables are evaluated only on their support.  F = e(xi z) bump(x, y)
+vanishes off the bump's box, a quarter of the torus, and whether step n
+lies there depends on the rotation lanes x = frac(x0 + n alpha) and
+y = frac(y0 + n beta) alone, not on the cocycle.  So a chunk first makes
+those lanes (one wrapping multiply-add each) and takes the support from
+their floats, narrowed, for a mu-weighted stream, to mu != 0; for the pair
+route to the steps where both T^{qn} x0 and T^{pn} x0 lie in the box; for
+:class:`StarDescentSink` to those where both of its reductions do.  Only
+there does it build the lanes with their z, evaluate F and the product and
+quantize them, and :func:`_cut_sums` sums values given at chunk offsets.
+Davenport's mu-weighted wave is likewise evaluated only where mu != 0.  A
+value dropped would be an exact +-0 (a zero bump or weight), which
+quantizes to 0, and at every step kept the same operations run in the same
+order, so every checkpoint sum keeps its bits.  The naive oracle still
+evaluates every step.
 """
 
 from __future__ import annotations
@@ -68,7 +80,7 @@ import numpy as np
 from .dynamics import JoiningSystem, SkewSystem
 from .fixedpoint import FixedReal
 from .heisenberg import HEISENBERG, canonical_rep, check_prime_pair, identity
-from .observables import fourier_value
+from .observables import Observable, fourier_value
 from .workspace import FRESH, Workspace
 
 MASK64 = (1 << 64) - 1
@@ -241,8 +253,10 @@ class _LaneStream:
         # c*(alpha*y0 - beta*x0) on the 2**-128 grid, wrapped mod 2**128
         self.cross = (twist * (a * y - b * x)) % (1 << 128)
         # at stride s, side m's h_m(m x, m y) of step i sums h at m x0 + j alpha +
-        # i m s alpha, j < m s: per shift (subtract, base x, base y, step x, step y)
-        self.shifts = [
+        # i m s alpha, j < m s: per shift (subtract, base x, base y, step x, step y);
+        # the zero h (Davenport's) lifts to 0 everywhere and has none
+        zero_h = not (h.d1 or h.d2 or h.terms)
+        self.shifts = [] if zero_h else [
             (minus, u64c(m * x + j * a), u64c(m * y + j * b),
              u64c(m * stride * a), u64c(m * stride * b))
             for minus, m in ((False, p), (True, q))
@@ -267,8 +281,14 @@ class _LaneStream:
         """The cocycle of steps i, wrapped mod 1, in ``ws``'s buffer ``name``:
         H at the base points (x0, y0) + k (alpha, beta), summed over the
         stride's k = i m .. i m + m - 1.  The y base points are made only
-        when h reads y (d2 != 0 or a term with k2 != 0)."""
-        acc, xg, yg = (ws.take(b, i.shape) for b in (name, "t1", "t2"))
+        when h reads y (d2 != 0 or a term with k2 != 0).  Without shifts
+        (the zero h) the values are 0: the lift's periodic part is 0, times
+        d1 = 0."""
+        acc = ws.take(name, i.shape)
+        if not self.shifts:
+            acc.fill(0)
+            return acc
+        xg, yg = (ws.take(b, i.shape) for b in ("t1", "t2"))
         for k, (minus, bx, by, sx, sy) in enumerate(self.shifts):
             x = acc if k == 0 else xg
             np.multiply(i, sx, out=x)
@@ -280,6 +300,17 @@ class _LaneStream:
             if k:
                 (np.subtract if minus else np.add)(acc, xg, out=acc)
         return acc
+
+    def rotation(self, n: np.ndarray, ws: Workspace = FRESH):
+        """(x frac, y frac) of steps n, in ``ws``'s buffers ``fx`` and
+        ``fy``: one wrapping multiply-add each, the bits of the first two
+        :meth:`lanes`, without their floor parts."""
+        fx, fy = (ws.take(name, n.shape) for name in ("fx", "fy"))
+        np.multiply(n, self.au, out=fx)
+        fx += self.x0u
+        np.multiply(n, self.bu, out=fy)
+        fy += self.y0u
+        return fx, fy
 
     def lanes(self, n: np.ndarray, s: np.ndarray, ws: Workspace = FRESH):
         """(x frac, y frac, z hi, z lo) for step indices n with cocycle sums s,
@@ -363,16 +394,25 @@ def _quantize(part: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
     return q
 
 
-def _float_lanes(fx, fy, z_hi, z_lo, ws: Workspace = FRESH):
-    """The lanes as floats in [0, 1), in ``ws``'s buffers ``xf``, ``yf``, ``zf``:
-    each lane cast to float64, then scaled by a power of two (exactly)."""
-    shape = np.broadcast_shapes(fx.shape, fy.shape, z_hi.shape, z_lo.shape)
-    xf, yf, zf, lo = (ws.take(name, shape, np.float64) for name in ("xf", "yf", "zf", "t1"))
+def _xy_floats(fx, fy, ws: Workspace = FRESH):
+    """The x and y lanes as floats in [0, 1), in ``ws``'s buffers ``xf`` and
+    ``yf``: each lane cast to float64, then scaled by a power of two
+    (exactly)."""
+    shape = np.broadcast_shapes(fx.shape, fy.shape)
+    xf, yf = (ws.take(name, shape, np.float64) for name in ("xf", "yf"))
     np.multiply(fx, 2.0**-64, out=xf)
     np.multiply(fy, 2.0**-64, out=yf)
+    return xf, yf
+
+
+def _float_lanes(fx, fy, z_hi, z_lo, ws: Workspace = FRESH):
+    """The lanes of one shape as floats in [0, 1), in ``ws``'s buffers
+    ``xf``, ``yf``, ``zf``, as :func:`_xy_floats` makes x and y."""
+    shape = np.broadcast_shapes(z_hi.shape, z_lo.shape)
+    zf, lo = (ws.take(name, shape, np.float64) for name in ("zf", "t1"))
     np.multiply(z_hi, 2.0**-64, out=zf)
     zf += np.multiply(z_lo, 2.0**-128, out=lo)
-    return xf, yf, zf
+    return (*_xy_floats(fx, fy, ws), zf)
 
 
 def _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache, ws):
@@ -391,18 +431,14 @@ def _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache, ws):
     return fn(xf, yf, zf, n)
 
 
-def _times_on(first: np.ndarray, on: np.ndarray, second: np.ndarray, ws: Workspace):
-    """``first`` with ``first[on] * second`` written at its flat indices
-    ``on``.  Where ``first`` is zero off ``on`` the full product would be a
-    signed zero, which quantizes to 0 all the same.  The first factor stays
-    the left operand: under fused multiply-add, swapping the operands of a
-    complex product changes its rounding.  The product goes to a buffer that
-    aliases neither factor: numpy rounds an in-place complex product of one
-    element without the fused multiply-add it uses at every other length, so
-    a support of one point would change the bits."""
-    at_on = np.take(first, on, out=ws.take("first.on", on.shape, first.dtype), mode="clip")
-    np.put(first, on, np.multiply(at_on, second, out=ws.take("product", on.shape, first.dtype)))
-    return first
+def _product(first: np.ndarray, second: np.ndarray, ws: Workspace):
+    """``first * second`` in ``ws``'s buffer ``product``.  The first factor
+    stays the left operand: under fused multiply-add, swapping the operands
+    of a complex product changes its rounding.  The product goes to a buffer
+    that aliases neither factor: numpy rounds an in-place complex product of
+    one element without the fused multiply-add it uses at every other
+    length, so a support of one point would change the bits."""
+    return np.multiply(first, second, out=ws.take("product", first.shape, first.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +526,18 @@ def _scan_segments(streams, plan: OrbitSegmentPlan, consume) -> list:
     return results
 
 
-def _cut_sums(values, lo: int, checkpoints, ws: Workspace = FRESH):
-    """Exact quantized sums of the values of steps lo+1 ..: one prefix sum per
-    checkpoint among those steps, then the totals."""
+def _cut_sums(values, lo: int, hi: int, checkpoints, ws: Workspace = FRESH, at=None):
+    """Exact quantized sums of the values of steps lo+1 .. hi: one prefix sum
+    per checkpoint among those steps, then the totals.  ``values`` holds
+    every step's value or, given ``at``, the values at the ascending chunk
+    offsets ``at`` (step lo + 1 + offset), every other step's value being
+    0; a checkpoint's prefix then ends at the first offset that is past it.
+    Every value summed is checked against the accumulation bound."""
     v = np.asarray(values)
-    cuts = [c for c in checkpoints if lo < c <= lo + v.size]
+    cuts = [c for c in checkpoints if lo < c <= hi]
+    ends = [c - lo for c in cuts]
+    if at is not None:
+        ends = np.searchsorted(at, ends).tolist()
     complex_v = np.iscomplexobj(v)
     peak = _peak(v)
     if not np.isfinite(peak) or peak > _VALUE_BOUND:
@@ -505,29 +548,69 @@ def _cut_sums(values, lo: int, checkpoints, ws: Workspace = FRESH):
 
     def part_sums(part):
         q = _quantize(part, ws)  # one part at a time, through one buffer
-        return [_exact_sum_i64(q[: c - lo]) for c in cuts], _exact_sum_i64(q)
+        return [_exact_sum_i64(q[:k]) for k in ends], _exact_sum_i64(q)
 
     re_cuts, re_tot = part_sums(v.real)
     im_cuts, im_tot = part_sums(v.imag) if complex_v else ([0] * len(cuts), 0)
-    return list(zip(cuts, re_cuts, im_cuts)), re_tot, im_tot
+    # a tuple: most chunks hold no checkpoint, and the empty tuple is shared
+    return tuple(zip(cuts, re_cuts, im_cuts)), re_tot, im_tot
+
+
+def _lanes_on(stream: _LaneStream, lo: int, hi: int, s, on, ws: Workspace, m: int = 1):
+    """The step indices m n, for the chunk's n in (lo, hi] at its offsets
+    ``on`` (all of them when None), in ``ws``'s buffer ``n``, and
+    ``stream``'s lanes there, from their cocycle sums ``s`` (all of the
+    chunk's)."""
+    if on is None:
+        mn = ws.steps("n", lo + 1, hi + 1)
+    else:
+        mn = np.add(on.view(np.uint64), u64c(lo + 1), out=ws.take("n", on.shape))
+        s = np.take(s, on, out=ws.take("s.on", on.shape), mode="clip")
+    if m != 1:
+        mn *= u64c(m)
+    return mn, stream.lanes(mn, s, ws)
 
 
 def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s,
                 ws: Workspace, weights=None) -> list:
     """``_cut_sums`` of each of ``value_fns`` on the steps lo+1 .. hi of
-    ``stream``, whose cocycle prefixes are ``s``: the lanes, then each value
-    function on them, weighted by ``weights(lo + 1, hi + 1)`` when given.  A
-    consume of :func:`_scan_segments` once the first three are bound."""
-    n = ws.steps("n", lo + 1, hi + 1)
-    fx, fy, z_hi, z_lo = stream.lanes(n, s, ws)
-    w = weights(lo + 1, hi + 1) if weights is not None else None
-    floats_cache = [None]
+    ``stream``, whose cocycle prefixes are ``s``, weighted by
+    ``weights(lo + 1, hi + 1)`` when given.  A consume of
+    :func:`_scan_segments` once the first three are bound.
+
+    Each value function is evaluated, and its lanes are built, only where
+    it can be nonzero.  An observable of nonzero frequency vanishes off its
+    bump's open box, a descent sink off the steps where both of its
+    reductions lie in that box; the rotation lanes alone give that support,
+    which is narrowed to the nonzero weights, and the lanes and the value
+    follow there.  The other value functions share
+    the lanes of every step, or of every step of nonzero weight.  Every
+    value dropped is an exact +-0 (a zero bump or weight), which quantizes
+    to 0, so the sums keep their bits."""
+    w = None if weights is None else weights(lo + 1, hi + 1)
+    shared = None  # (offsets, steps, lanes, floats) of the functions without a support
     out = []
     for fn in value_fns:
-        v = _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache, ws)
+        if isinstance(fn, StarDescentSink) or (isinstance(fn, Observable) and fn.xi):
+            where = None if w is None else np.not_equal(w, 0, out=ws.take("w.on", w.shape, bool))
+            fx, fy = stream.rotation(ws.steps("n", lo + 1, hi + 1), ws)
+            if isinstance(fn, StarDescentSink):
+                on = fn.support(fx, fy, ws, where)
+                v = fn.on_support(*_lanes_on(stream, lo, hi, s, on, ws)[1], ws)
+            else:
+                on = fn.bump.support(*_xy_floats(fx, fy, ws), ws, where)
+                v = fn.on_support(*_float_lanes(*_lanes_on(stream, lo, hi, s, on, ws)[1], ws), ws)
+            shared = None  # these lanes took the shared lanes' buffers
+        else:
+            if shared is None:
+                on = None if w is None else np.flatnonzero(w)
+                shared = (on, *_lanes_on(stream, lo, hi, s, on, ws), [None])
+            on, n, lanes, floats_cache = shared
+            v = _eval_fn(fn, *lanes, n, floats_cache, ws)
         if w is not None:
-            v = np.multiply(v, w, out=ws.take("w", v.shape, np.result_type(v, w)))
-        out.append(_cut_sums(v, lo, checkpoints, ws))
+            w_on = np.take(w, on)
+            v = np.multiply(v, w_on, out=ws.take("w", v.shape, np.result_type(v, w_on)))
+        out.append(_cut_sums(v, lo, hi, checkpoints, ws, on))
     return out
 
 
@@ -564,6 +647,10 @@ def orbit_stream_multi(
     arrays a value function is given are valid only during the call: the next
     segment reuses them.  ``weights`` is an optional callable
     ``(lo, hi) -> int8`` giving multiplicative weights for steps lo+1 .. hi.
+    A value function is called only at the steps that can add to its sums:
+    those of nonzero weight, and, for an observable of nonzero frequency or
+    a descent sink, those of its support (see :func:`_value_sums`); its
+    ``n`` names them.
     Returns, per value function, a list of ``(N, complex_sum)`` with the
     *unnormalized* sum over n <= N, exactly accumulated on the 2**-53 grid.
     Unweighted sums that ``pair_scan`` holds (see :meth:`PairScan.holds`)
@@ -588,8 +675,11 @@ def orbit_stream_naive(system, start, n_total, value_fn, weights=None, checkpoin
     """Single-threaded reference loop; must agree with the engine bit for bit.
 
     Reuses the same per-step kernels pointwise (length-1 arrays) but performs
-    no segmentation, scan, or vector accumulation.  ``checkpoints`` are
-    checked as :func:`orbit_stream` checks them.
+    no segmentation, scan, or vector accumulation, and evaluates every step
+    through the dense value functions (``Observable.eval_arrays``, the
+    sink's call), so it checks the engine's support-first evaluation rather
+    than sharing it.  ``checkpoints`` are checked as :func:`orbit_stream`
+    checks them.
     """
     cset = set(_checkpoints_within([n_total] if checkpoints is None else checkpoints, n_total))
     stream = _make_stream(system, start)
@@ -604,7 +694,7 @@ def orbit_stream_naive(system, start, n_total, value_fn, weights=None, checkpoin
         v = _eval_fn(value_fn, fx, fy, z_hi, z_lo, n_arr, [None], FRESH)
         if weights is not None:
             v = v * weights(n, n + 1)
-        _, re, im = _cut_sums(v, i, [])
+        _, re, im = _cut_sums(v, i, n, [])
         re_tot += re
         im_tot += im
         if n in cset:
@@ -674,12 +764,13 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
 
     One :func:`_scan_segments` pass over the stride-p and stride-q skew
     streams and the n-chunks of ``plan_template``'s segment size: the chunk
-    (lo, hi] is given S_{pn} and S_{qn} for n in (lo, hi].  It builds the
-    lanes at q n and evaluates F there, then the lanes at p n and F only
-    where F(T^{q n} x0) is nonzero (the product is 0 elsewhere), and sums
-    the quantized products, so no per-step array longer than a chunk is
-    formed.  Returns ``(N, sum)`` for each checkpoint N (default
-    ``[n_pairs]``), unnormalized, like :func:`orbit_stream_multi`.
+    (lo, hi] is given S_{pn} and S_{qn} for n in (lo, hi].  From the
+    rotation lanes at q n and p n alone it takes the n at which both lie in
+    the bump's box, where the product can be nonzero (every n for a base
+    mode).  Only there does it build the lanes at q n and p n, evaluate F
+    at both and sum the quantized products, so no per-step array longer
+    than a chunk is formed.  Returns ``(N, sum)`` for each checkpoint N
+    (default ``[n_pairs]``), unnormalized, like :func:`orbit_stream_multi`.
 
     Given a ``pair_scan`` of the joining of ``(sys, p, q)``, a start at
     x = y = 0 and N at least its last checkpoint, each chunk then writes
@@ -703,22 +794,28 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
         weyl_fns = [fourier_value(k) for k in pair_scan.freqs]
 
     def pairs(lo, hi, s_p, s_q, ws):
-        def factor(m, s, out=None, on=None):
-            """F(T^{m n} x0) for the chunk's n, or for those at ``on``."""
+        def rotation_floats(m):
+            """x and y of T^{m n} x0 for the chunk's n, as floats."""
             mn = ws.steps("n", lo + 1, hi + 1)
             mn *= u64c(m)
-            if on is not None:
-                mn = np.take(mn, on, out=ws.take("pair.n", on.shape), mode="clip")
-                s = np.take(s, on, out=ws.take("pair.s", on.shape), mode="clip")
-            return obs.eval_arrays(*_float_lanes(*stream.lanes(mn, s, ws), ws), ws, out)
+            return _xy_floats(*stream.rotation(mn, ws), ws)
 
-        # conj(F_q) * F_p in this order (see _times_on); F_p only where F_q
-        # is nonzero
-        values = factor(q, s_q, out=ws.take("pair.f", (hi - lo,), np.complex128))
-        np.conjugate(values, out=values)
-        on = np.flatnonzero(values)
-        _times_on(values, on, factor(p, s_p, on=on), ws)
-        pair = _cut_sums(values, lo, checkpoints, ws)
+        def factor(m, s, name):
+            """F(T^{m n} x0) for the chunk's n at the offsets ``on``, in
+            ``ws``'s buffer ``name``."""
+            xf, yf, zf = _float_lanes(*_lanes_on(stream, lo, hi, s, on, ws, m)[1], ws)
+            return obs.on_support(xf, yf, zf, ws, ws.take(name, zf.shape, np.complex128))
+
+        # the steps where both factors can be nonzero (all, for a base mode);
+        # conj(F_q) * F_p there, in this order (see _product)
+        on = None
+        if obs.xi:
+            in_q = obs.bump.inside(*rotation_floats(q), ws,
+                                   out=ws.take("pair.in", (hi - lo,), np.bool_))
+            on = obs.bump.support(*rotation_floats(p), ws, where=in_q)
+        f_q = factor(q, s_q, "pair.f")
+        values = _product(np.conjugate(f_q, out=f_q), factor(p, s_p, "obs.e"), ws)
+        pair = _cut_sums(values, lo, hi, checkpoints, ws, on)
         if not weyl:
             return pair, None
         star = np.subtract(s_p, s_q, out=ws.take("pair.star", (hi - lo,)))
@@ -733,7 +830,7 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
 def checkpoint_sums(values: np.ndarray, checkpoints) -> list[tuple[int, complex]]:
     """Exact quantized checkpoint sums of 1-indexed per-step values."""
     checkpoints = _checkpoints_within(checkpoints, values.size)
-    return _running_sums([_cut_sums(values, 0, checkpoints)])
+    return _running_sums([_cut_sums(values, 0, values.size, checkpoints)])
 
 
 class StarDescentSink:
@@ -742,10 +839,13 @@ class StarDescentSink:
     f(x1) conj f(x2) is invariant under the diagonal central shift, so it
     descends: at a trivialized star point (x, y, z) it is evaluated on the
     pair representative ((p x, p y, z), (q x, q y, 0)), each factor reduced
-    exactly to the fundamental domain of X on the u64 lanes; the q factor is
-    evaluated only where the p factor is nonzero (the product is 0
-    elsewhere).  The engine calls it on lanes; :meth:`eval_star` takes float
-    star coordinates.
+    exactly to the fundamental domain of X on the u64 lanes.  The product
+    can be nonzero only where both reductions' (x, y) lie in the bump's
+    open box, which the x and y lanes decide alone: the engine takes that
+    :meth:`support` from the joining's rotation lanes and builds the z lanes
+    and evaluates :meth:`on_support` only there.  Called on lanes, the sink
+    scatters the same values (+0 off the support); :meth:`eval_star` takes
+    float star coordinates.
     """
 
     wants_lanes = True
@@ -758,10 +858,28 @@ class StarDescentSink:
         self.p = p
         self.q = q
 
+    def support(self, fx, fy, ws: Workspace = FRESH, where=None):
+        """The flat indices of the x, y lanes at which both reductions,
+        (p x, p y) and (q x, q y) mod 1, lie in the bump's open box, and
+        where ``where`` holds when it is given."""
+        shape = np.broadcast_shapes(np.shape(fx), np.shape(fy))
+
+        def reduced(m):
+            xa, ya = (np.multiply(v, u64c(m), out=ws.take(name, shape))
+                      for v, name in ((fx, "star.x"), (fy, "star.y")))
+            return _xy_floats(xa, ya, ws)
+
+        bump = self.obs.bump
+        inside = bump.inside(*reduced(self.p), ws, out=ws.take("star.in", shape, np.bool_))
+        if where is not None:
+            inside &= where
+        return bump.support(*reduced(self.q), ws, where=inside)
+
     def _factor(self, m: int, fx, fy, z_hi, z_lo, ws: Workspace, out=None):
-        """f at the X-reduction of (m x, m y, z), into ``out`` (by default
-        ``ws``'s buffer ``obs.v``): with m x = ka + xa 2**-64 and
-        m y = la + ya 2**-64, z loses m x floor(m y) - floor(m x) m y."""
+        """f at the X-reduction of (m x, m y, z), for lanes whose reduction
+        lies in the bump's open box, into ``out`` (by default ``ws``'s
+        buffer ``obs.e``): with m x = ka + xa 2**-64 and m y = la + ya
+        2**-64, z loses m x floor(m y) - floor(m x) m y."""
         mu = u64c(m)
         shape = np.broadcast_shapes(fx.shape, fy.shape, z_hi.shape)
         xa, ya, za, ka = (ws.take(name, shape) for name in ("star.x", "star.y", "star.z", "t2"))
@@ -771,20 +889,29 @@ class StarDescentSink:
         ka *= np.multiply(fy, mu, out=ya)
         np.subtract(z_hi, za, out=za)  # z - xa la + ka ya
         za += ka
-        return self.obs.eval_arrays(*_float_lanes(xa, ya, za, z_lo, ws), ws, out)
+        return self.obs.on_support(*_float_lanes(xa, ya, za, z_lo, ws), ws, out)
 
-    def __call__(self, fx, fy, z_hi, z_lo, n, ws: Workspace = FRESH):
-        """f_p conj(f_q) on the lanes, in ``ws``'s buffer ``star.f``; the q
-        factor is evaluated only where the p factor is nonzero."""
+    def on_support(self, fx, fy, z_hi, z_lo, ws: Workspace = FRESH):
+        """f_p conj(f_q) on lanes at which both reductions lie in the bump's
+        open box (see :meth:`support`), in ``ws``'s buffer ``product``."""
         shape = np.broadcast_shapes(fx.shape, fy.shape, z_hi.shape, z_lo.shape)
         f1 = self._factor(self.p, fx, fy, z_hi, z_lo, ws,
                           ws.take("star.f", shape, np.complex128))
-        on = np.flatnonzero(f1)
-        fx, fy = (np.take(v, on, out=ws.take(name, on.shape), mode="clip")
-                  for v, name in ((fx, "star.fx"), (fy, "star.fy")))
-        zero = np.broadcast_to(np.uint64(0), on.shape)
+        zero = np.broadcast_to(np.uint64(0), shape)
         f2 = self._factor(self.q, fx, fy, zero, zero, ws)
-        return _times_on(f1, on, np.conjugate(f2, out=f2), ws)
+        return _product(f1, np.conjugate(f2, out=f2), ws)
+
+    def __call__(self, fx, fy, z_hi, z_lo, n, ws: Workspace = FRESH):
+        """f_p conj(f_q) on lanes of one shape, in ``ws``'s buffer
+        ``star.v``: :meth:`on_support` at the lanes on the support, +0
+        elsewhere."""
+        on = self.support(fx, fy, ws)
+        lanes = (np.take(v, on, out=ws.take(name, on.shape), mode="clip") for v, name in
+                 zip((fx, fy, z_hi, z_lo), ("star.fx", "star.fy", "star.zh", "star.zl")))
+        out = ws.take("star.v", np.shape(fx), np.complex128)
+        out.fill(0)
+        np.put(out, on, self.on_support(*lanes, ws))
+        return out
 
     def eval_star(self, x, y, z):
         """f_star at float star coordinates, taken mod 1 (vectorized).

@@ -8,6 +8,11 @@ bump supported away from the fundamental-domain boundary (inside
 the gluing is multiplied by zero.  Frequency-zero observables are plain base
 torus Fourier modes.
 
+F vanishes off its bump's open box.  :meth:`BumpProfile.support` finds the
+points inside from x and y alone, and :meth:`Observable.on_support` is the
+one formula of F there: the engine evaluates it only on the support, and
+the dense :meth:`Observable.eval_arrays` scatters it.
+
 The pair observable f(x1) conj(f(x2)) descends to the reduced joining space;
 its one implementation is :class:`nillab.engine.StarDescentSink`, which
 evaluates these observables on exactly reduced u64 lanes.
@@ -89,10 +94,10 @@ class BumpProfile:
         if not (m <= cx - r and cx + r <= 1 - m and m <= cy - r and cy + r <= 1 - m):
             raise ValueError(f"bump support must stay inside ({m}, {1 - m})^2")
 
-    def support(self, x, y, ws: Workspace = FRESH):
-        """``(idx, values)``: the flat indices of the points (x, y) inside the
-        open support box (vectorized), and the bump's values there, in
-        ``ws``'s buffer ``bump.sx``."""
+    def inside(self, x, y, ws: Workspace = FRESH, out=None):
+        """Whether each point (x, y) lies in the open support box
+        (vectorized), as booleans in ``out``, by default ``ws``'s buffer
+        ``bump.in``."""
         cx, cy = self.center
         r = self.radius
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
@@ -100,25 +105,45 @@ class BumpProfile:
         dy = np.subtract(y, cy, out=ws.take("t2", shape, np.float64))
         np.abs(dx, out=dx)
         np.abs(dy, out=dy)
-        inside = np.less(dx, r, out=ws.take("bump.in", shape, np.bool_))
+        inside = np.less(dx, r, out=ws.take("bump.in", shape, np.bool_) if out is None else out)
         inside &= np.less(dy, r, out=ws.take("bump.iny", shape, np.bool_))
-        idx = np.flatnonzero(inside)
-        sx = np.take(dx, idx, out=ws.take("bump.sx", idx.shape, np.float64), mode="clip")
-        sy = np.take(dy, idx, out=ws.take("bump.sy", idx.shape, np.float64), mode="clip")
-        tmp = ws.take("t1", idx.shape, np.float64)  # dx is read
+        return inside
+
+    def support(self, x, y, ws: Workspace = FRESH, where=None):
+        """The flat indices of the points (x, y) inside the open support box,
+        and where ``where`` holds when it is given (vectorized): the only
+        points at which the bump, and any product with it, can be nonzero."""
+        inside = self.inside(x, y, ws)
+        if where is not None:
+            inside &= where
+        return np.flatnonzero(inside)
+
+    def on_support(self, x, y, ws: Workspace = FRESH):
+        """The bump's values at points (x, y) inside the open support box
+        (vectorized), in ``ws``'s buffer ``bump.sx``; ``x`` may be that
+        buffer and ``y`` ``bump.sy``.  Outside the box the smoothsteps clip
+        the value to 0."""
+        cx, cy = self.center
+        r = self.radius
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        sx = np.subtract(x, cx, out=ws.take("bump.sx", shape, np.float64))
+        sy = np.subtract(y, cy, out=ws.take("bump.sy", shape, np.float64))
+        tmp = ws.take("t1", shape, np.float64)
         for s in (sx, sy):
+            np.abs(s, out=s)
             s /= r
             np.subtract(1.0, s, out=s)
             _smoothstep(s, tmp)
         sx *= sy
-        return idx, sx
+        return sx
 
     def __call__(self, x, y):
         """Bump value at (x, y) (vectorized); the smoothsteps are evaluated
         only inside the open support box, and the value is +0 elsewhere."""
-        idx, values = self.support(x, y)
-        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
-        np.put(out, idx, values)
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        on = self.support(x, y)
+        out = np.zeros(shape)
+        np.put(out, on, self.on_support(*(np.broadcast_to(v, shape).take(on) for v in (x, y))))
         return out
 
 
@@ -139,28 +164,44 @@ class Observable:
             if self.base_mode is None or self.bump is not None:
                 raise ValueError("zero frequency requires a base mode (and no bump)")
 
+    def on_support(self, x, y, z, ws: Workspace = FRESH, out=None):
+        """F at points on its support (vectorized floats), into ``out``, by
+        default ``ws``'s buffer ``obs.e``: with xi != 0, e(xi z) * bump at
+        points inside the bump's open box (its support); a base mode is
+        nowhere 0, so every point is on its support.
+
+        This is the one formula of F; :meth:`eval_arrays` scatters it, and
+        the engine evaluates it only at the points of an orbit that lie on
+        the support.  It writes the bump into ``bump.sx`` and ``bump.sy``
+        and uses the scratch ``t1``; ``z`` may be in ``t2``."""
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        out = ws.take("obs.e", shape, np.complex128) if out is None else out
+        if self.xi == 0:
+            return fourier_mode(self.base_mode, (x, y), ws, out)
+        bump = self.bump.on_support(x, y, ws)
+        np.copyto(out, z)
+        np.multiply(2j * math.pi * self.xi, out, out=out)
+        np.exp(out, out=out)
+        # part by part, with no complex cast of the bump: only a zero's sign
+        # can differ from e * bump, and the quantization drops it
+        out.real *= bump
+        out.imag *= bump
+        return out
+
     def eval_arrays(self, x, y, z, ws: Workspace = FRESH, out=None):
         """Value at canonical coordinates (vectorized floats), into ``out``,
-        by default ``ws``'s buffer ``obs.v``.
-
-        With xi != 0 the exponential is taken only where the bump is nonzero;
-        elsewhere the value is +0 (where e(xi z) * 0 gives +-0)."""
+        by default ``ws``'s buffer ``obs.v``: :meth:`on_support` at the
+        points on the support, +0 elsewhere (where e(xi z) * 0 gives +-0)."""
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
         out = ws.take("obs.v", shape, np.complex128) if out is None else out
         if self.xi == 0:
-            return fourier_mode(self.base_mode, (x, y), ws, out)
-        on, bump = self.bump.support(x, y, ws)  # > 0 inside the open box
-        e = ws.take("obs.e", on.shape, np.complex128)
-        z_on = np.take(z, on, out=ws.take("t2", on.shape, np.float64), mode="clip")  # dy is read
-        np.copyto(e, z_on)
-        np.multiply(2j * math.pi * self.xi, e, out=e)
-        np.exp(e, out=e)
-        # part by part, with no complex cast of the bump: only a zero's sign
-        # can differ from e * bump, and the quantization drops it
-        e.real *= bump
-        e.imag *= bump
+            return self.on_support(x, y, z, ws, out)
+        on = self.bump.support(x, y, ws)
+        x, y, z = (np.take(np.broadcast_to(v, shape), on, out=ws.take(name, on.shape, np.float64),
+                           mode="clip")
+                   for v, name in ((x, "bump.sx"), (y, "bump.sy"), (z, "t2")))
         out.fill(0)
-        np.put(out, on, e)
+        np.put(out, on, self.on_support(x, y, z, ws))
         return out
 
     def __call__(self, x, y, z, n=None, ws: Workspace = FRESH):

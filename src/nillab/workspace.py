@@ -2,10 +2,10 @@
 
 A pass of the orbit engine gives each of its workers one :class:`Workspace`
 for the length of the pass.  The kernels -- the cocycle values and lanes of
-the engine, ``BaseFunctionSpec.periodic_q53``, ``Observable.eval_arrays``
-and the Weyl and Davenport modes -- take it as an optional argument and ask it
-for their intermediates by name, so a warm pass allocates no segment-length
-array.  Without one (``FRESH``, the default) the same code writes into fresh
+the engine, ``BaseFunctionSpec.periodic_q53``, ``Observable.on_support``
+and ``eval_arrays``, and the Weyl and Davenport modes -- take it as an
+optional argument and ask it for their intermediates by name, so a warm
+pass allocates no segment-length array.  Without one (``FRESH``, the default) the same code writes into fresh
 arrays, as the naive oracle and the scalar path do.
 """
 

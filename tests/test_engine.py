@@ -423,6 +423,96 @@ def test_reduced_route_equals_naive_loop_at_every_segment_size():
     assert wrong == []
 
 
+def _reports(report):
+    return [(c.n, c.value) for c in report.checkpoints]
+
+
+def test_weighted_streams_equal_naive_loop_at_every_segment_size(skew_oracle):
+    """The mu-weighted correlate stream, from an off-origin start with a
+    d2 = 1 h and an off-centre bump, and Davenport's mu-weighted wave equal
+    the naive loop at every checkpoint and every segment size to 256: chunks
+    in which the support holds no step or one step of nonzero mu keep the
+    bits, and each checkpoint's prefix ends at the right offset."""
+    sys, obs, start, _, _ = skew_oracle
+    n_total = 300
+    cps = list(range(1, n_total + 1))
+    table = sieve_mobius(n_total)
+    rotation = SkewSystem(ALPHA, FixedReal(0), BaseFunctionSpec(0, 0))  # Davenport's
+    want = {
+        "correlate": orbit_stream_naive(sys, start, n_total, obs, table.mu_slice, cps),
+        "davenport": orbit_stream_naive(rotation, None, n_total, fourier_value((1,)),
+                                        table.mu_slice, cps),
+    }
+    want = {name: [(n, s / n) for n, s in sums] for name, sums in want.items()}
+    wrong = []
+    for size, workers in SMALL_SEGMENTATIONS:
+        plan = OrbitSegmentPlan(n_total, size, workers)
+        got = {
+            "correlate": _reports(correlation_sum(sys, obs, start, cps, table, plan)),
+            "davenport": _reports(davenport_baseline(ALPHA, cps, table, plan)),
+        }
+        wrong += [(name, size, workers) for name in want if got[name] != want[name]]
+    assert wrong == []
+
+
+def _in_box(bump, u: int, v: int) -> bool:
+    """Whether the point of u64 lanes (u, v), as floats, lies in the bump's
+    open box."""
+    (cx, cy), r = bump.center, bump.radius
+    return abs(float(u) * 2.0**-64 - cx) < r and abs(float(v) * 2.0**-64 - cy) < r
+
+
+def test_z_lanes_are_built_only_on_the_support(monkeypatch):
+    """One pass per stream builds its lanes, and so its z lane, only at the
+    steps of its support, which the rotation lanes decide alone (worked out
+    here in integers from the identity or the origin, where x = n alpha and
+    y = n beta): the pair route where both T^{qn} x0 and T^{pn} x0 lie in
+    the bump's box, at q n and then p n; the descent where both reductions
+    (3 x, 3 y) and (2 x, 2 y) do; correlate where the box meets mu != 0;
+    Davenport where mu != 0."""
+    sys = make_sys()
+    obs = Observable(xi=1, bump=BumpProfile())
+    n_total, size = 1000, 128
+    a, b = ALPHA.frac_u64(), BETA.frac_u64()
+    table = sieve_mobius(n_total)
+    built = []
+    lanes = _LaneStream.lanes
+
+    def recording(self, n, s, *ws):
+        built.append(n.tolist())
+        return lanes(self, n, s, *ws)
+
+    monkeypatch.setattr(_LaneStream, "lanes", recording)
+
+    def box(n, m=1):
+        return _in_box(obs.bump, n * m * a & MASK64, n * m * b & MASK64)
+
+    def per_chunk(keep, strides=(1,)):
+        """The steps m n of each chunk's kept n, per stride m in order."""
+        out = []
+        for lo in range(0, n_total, size):
+            kept = [n for n in range(lo + 1, min(lo + size, n_total) + 1) if keep(n)]
+            out += [[m * n for n in kept] for m in strides]
+        return out
+
+    plan = OrbitSegmentPlan(n_total, size)
+    cases = {
+        "pair": (lambda: pair_factor_values(sys, None, 3, 2, n_total, plan, obs),
+                 per_chunk(lambda n: box(n, 2) and box(n, 3), (2, 3))),
+        "descent": (lambda: bilinear_sum_reduced(sys, obs, 3, 2, [n_total], plan),
+                    per_chunk(lambda n: box(n, 3) and box(n, 2))),
+        "correlate": (lambda: correlation_sum(sys, obs, None, [n_total], table, plan),
+                      per_chunk(lambda n: box(n) and table.mu(n) != 0)),
+        "davenport": (lambda: davenport_baseline(ALPHA, [n_total], table, plan),
+                      per_chunk(lambda n: table.mu(n) != 0)),
+    }
+    for name, (call, want) in cases.items():
+        built.clear()
+        call()
+        assert 0 < sum(map(len, want)) < n_total  # the support leaves steps out
+        assert built == want, name
+
+
 # the standard bump, one touching the 1/8 margin, and a base mode (nowhere 0)
 SKIP_OBSERVABLES = pytest.mark.parametrize("obs", [
     Observable(xi=1, bump=BumpProfile()),
@@ -454,17 +544,28 @@ def test_pair_skip_equals_the_full_product(obs):
     Observable(xi=2, bump=BumpProfile((0.375, 0.625), 0.25)),
 ], ids=["standard", "margin"])
 def test_star_sink_skip_equals_the_full_product(rng, obs):
-    """The descent evaluates its q factor only where the p factor is nonzero:
-    there the values are f_p conj(f_q) bit for bit, elsewhere +0, and both
-    quantize as the full product does, in a workspace or fresh."""
+    """The descent evaluates its factors only where both reductions lie in
+    the bump's box: there the values are f_p conj(f_q) bit for bit, elsewhere
+    +0, and both quantize as the full product does, in a workspace or fresh.
+    The full product takes each factor from the reduced lanes, worked out
+    here in integers, through the dense ``eval_arrays``."""
     sink = StarDescentSink(obs, 3, 2)
     fx, fy, z_hi, z_lo = rng.integers(0, 2**64 - 1, size=(4, 4096), dtype=np.uint64,
                                       endpoint=True)
+
+    def factor(m, z_hi, z_lo):
+        x, y, z = (v.astype(object) for v in (fx, fy, z_hi))
+        za = [(zi - (xi * m & MASK64) * (yi * m >> 64) + (xi * m >> 64) * (yi * m & MASK64))
+              & MASK64 for xi, yi, zi in zip(x, y, z)]
+        lanes = (fx * np.uint64(m), fy * np.uint64(m), np.array(za, dtype=np.uint64))
+        xf, yf, zf = (v * 2.0**-64 for v in lanes)
+        return obs.eval_arrays(xf, yf, zf + z_lo * 2.0**-128)
+
     zero = np.zeros_like(z_lo)
-    f_p = sink._factor(3, fx, fy, z_hi, z_lo, Workspace())
-    full = f_p * np.conj(sink._factor(2, fx, fy, zero, zero, Workspace()))
-    on = f_p != 0
-    assert 0 < on.mean() < 1
+    f_p, f_q = factor(3, z_hi, z_lo), factor(2, zero, zero)
+    full = f_p * np.conj(f_q)
+    on = (f_p != 0) & (f_q != 0)
+    assert 0 < on.mean() < (f_p != 0).mean() < 1  # the q factor narrows the support
     for got in (sink(fx, fy, z_hi, z_lo, None), sink(fx, fy, z_hi, z_lo, None, Workspace(4096))):
         assert np.array_equal(got[on].view(np.uint64), full[on].view(np.uint64))
         assert not got[~on].view(np.uint64).any()
@@ -894,14 +995,14 @@ def test_pair_route_survives_a_lagging_reader(monkeypatch, pair_weyl_reference):
     later chunks scan, publish their carries and build theirs on the other
     workers; its S_{qn} stay in its own workspace, so the sums do not
     change."""
-    lanes = _LaneStream.lanes
+    lanes_on = engine._lanes_on
 
-    def lagging(self, n, s, *ws):
-        if int(n[0]) == 2 * 17:  # the lanes at q n of the chunk n = 17 .. 32
+    def lagging(stream, lo, hi, s, on, ws, m=1):
+        if (lo, m) == (16, 2):  # the lanes at q n of the chunk n = 17 .. 32
             time.sleep(0.2)
-        return lanes(self, n, s, *ws)
+        return lanes_on(stream, lo, hi, s, on, ws, m)
 
-    monkeypatch.setattr(_LaneStream, "lanes", lagging)
+    monkeypatch.setattr(engine, "_lanes_on", lagging)
     sums = pair_factor_values(make_sys(), None, 3, 2, 500, OrbitSegmentPlan(500, 16, 3),
                               Observable(xi=1, bump=BumpProfile()), PAIR_CHECKPOINTS)
     assert sums == pair_weyl_reference[0]
@@ -936,6 +1037,66 @@ def test_pair_pass_buffers_are_one_segment_long(monkeypatch):
     assert scan.sums is not None
     (ws,) = made
     assert {name: buf.size for name, buf in ws._bufs.items() if buf.size != size} == {}
+
+
+# bytes per segment step of each pass's workspace while the passes still
+# evaluated their observables at every step (a Workspace.take name holds one
+# segment-long buffer)
+DENSE_WORKSPACE_BYTES = {"pair with the Weyl holder": 250, "pair": 226, "reduced": 242,
+                         "correlate": 170, "davenport": 128}
+
+
+def test_support_buffers_replace_dense_ones(monkeypatch):
+    """At 2**16-step segments no pass's workspace holds more bytes than it
+    did while the observables were evaluated at every step: the buffers of
+    a support replace the dense ones rather than add to them."""
+    made = []
+
+    class Recorded(Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "Workspace", Recorded)
+    sys = make_sys()
+    obs = Observable(xi=1, bump=BumpProfile())
+    size = 1 << 16
+    plan = OrbitSegmentPlan(size, size)
+    table = sieve_mobius(size)
+    passes = {
+        "pair with the Weyl holder": lambda: pair_factor_values(
+            sys, None, 3, 2, size, plan, obs,
+            pair_scan=PairScan(build_joining(sys, 3, 2), WEYL_FREQS, [size])),
+        "pair": lambda: pair_factor_values(sys, None, 3, 2, size, plan, obs),
+        "reduced": lambda: bilinear_sum_reduced(sys, obs, 3, 2, [size], plan),
+        "correlate": lambda: correlation_sum(sys, obs, None, [size], table, plan),
+        "davenport": lambda: davenport_baseline(ALPHA, [size], table, plan),
+    }
+    held = {}
+    for name, call in passes.items():
+        made.clear()
+        call()
+        (ws,) = made
+        held[name] = sum(buf.nbytes for buf in ws._bufs.values()) / size
+    assert {name: b for name, b in held.items() if b > DENSE_WORKSPACE_BYTES[name]} == {}
+
+
+def test_zero_fiber_function_lifts_nothing(monkeypatch):
+    """Davenport's h (d1 = d2 = 0, no terms) has no shift to lift: its
+    cocycle values are the zeros that the lift's 0 periodic part times
+    d1 = 0 gives, with no ``periodic_q53`` call, fresh or in a workspace."""
+    stream = _make_stream(SkewSystem(ALPHA, FixedReal(0), BaseFunctionSpec(0, 0)), None)
+    assert stream.shifts == []
+
+    def refuse(*args):
+        raise AssertionError("the zero h was lifted")
+
+    monkeypatch.setattr(BaseFunctionSpec, "periodic_q53", refuse)
+    i = np.array(KERNEL_STEPS, dtype=np.uint64)
+    scratch = Workspace(i.size)
+    scratch.take("u", i.shape).fill(7)  # a buffer that held earlier values
+    for ws in (Workspace(), scratch):
+        assert stream.u_values(i, ws).tolist() == [0] * i.size
 
 
 # -- the chained scan fails loudly ------------------------------------------------
