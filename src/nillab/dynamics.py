@@ -114,7 +114,8 @@ class BaseFunctionSpec:
 
     # -- canonical circle quantization (shared by scalar path and engine) ----
 
-    def periodic_q53(self, xu: np.ndarray, yu: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
+    def periodic_q53(self, xu: np.ndarray, yu: np.ndarray | None, ws: Workspace = FRESH,
+                     out: np.ndarray | None = None) -> np.ndarray:
         """Quantized periodic part at u64 torus coordinates (units 2**-53),
         as int64: rint(periodic_value(xf, yf) * 2**53) at xf = xu / 2**64,
         yf = yu / 2**64.
@@ -122,8 +123,12 @@ class BaseFunctionSpec:
         This single function defines the circle value used by the exact
         dynamics, on the engine's lanes and on the base points of every
         exact Birkhoff sum alike.  It works a term at a time, in place in
-        ``ws``'s buffers ``h.q``, ``h.t`` and ``h.y`` (the result is in
-        ``h.t``); ``FRESH``, as on the scalar path, hands out fresh arrays.
+        ``ws``'s buffers ``h.q``, ``h.t`` (from the second term on) and
+        ``h.y`` (for a term with k2 != 0), and writes the result into
+        ``out``, by default ``ws``'s buffer ``h.t``; ``FRESH``, as on the
+        scalar path, hands out fresh arrays.  ``out`` may be ``xu``'s own
+        buffer, which is read only before the result is written; ``yu`` is
+        read only by a term with k2 != 0, and may be None without one.
         Scaling by a power of two is exact, so fl(k fl(u) 2**-64) =
         fl(fl(u) (k 2**-64)) and the 2**53 goes into the amplitude; the other
         shortcuts change at most the sign of a zero, which rint and the int64
@@ -131,7 +136,7 @@ class BaseFunctionSpec:
         phase is 0, and the leading ``0.0 +``.
         """
         if not self.terms:  # periodic_value would be the scalar 0.0
-            q = ws.take("h.t", xu.shape, np.int64)
+            q = ws.take("h.t", xu.shape, np.int64) if out is None else out
             q.fill(0)
             return q
         acc = ws.take("h.q", xu.shape, np.float64)
@@ -147,7 +152,9 @@ class BaseFunctionSpec:
             v *= t.amplitude * Q53
             if i:
                 acc += v
-        q = ws.take("h.t", xu.shape, np.int64)
+        # into a buffer apart from acc: rounding into acc's own int64 view
+        # would make numpy copy the overlapping operands through a temporary
+        q = ws.take("h.t", xu.shape, np.int64) if out is None else out
         np.copyto(q, np.rint(acc, out=acc), casting="unsafe")
         return q
 

@@ -26,20 +26,37 @@ F(T^{pn} x0) conj F(T^{qn} x0) from the S_{pn} and S_{qn} of its n, so it
 holds no array longer than a segment.  From the origin the joining's
 cocycle prefix is S*_n = S_{pn} - S_{qn} of the skew cocycle, bit for bit.
 So when the Weyl sums of ``nillab run`` follow the pair route, the same
-chunk forms S* in a segment buffer and evaluates them there too, into the
-``sums`` of a :class:`PairScan`, a record of the joining, its frequencies
-and checkpoints: S* is never stored, and the joining scans none of its
-p + q lifts.  Observable values are quantized to 2**-53 and summed in integer
-arithmetic, which makes checkpoint sums bit-identical for any worker count
-and segment size -- and equal to the naive single-loop oracle.
+chunk forms S* over its stride-q prefix, once the pair product is made, and
+evaluates them there too, into the ``sums`` of a :class:`PairScan`, a
+record of the joining, its frequencies and checkpoints: S* is never stored,
+and the joining scans none of its p + q lifts.  A chunk's results are folded
+into running sums in chunk order as they finish, so a pass keeps no
+per-chunk record.  Observable values are quantized to 2**-53 and summed in
+integer arithmetic, which makes checkpoint sums bit-identical for any
+worker count and segment size -- and equal to the naive single-loop oracle.
+
+A chunk's lifts are summed on u64: per shift the periodic part of h on the
+2**-53 grid, + for side p and - for side q, straight into the prefix
+buffer, which is then shifted into the 2**-64 scale once and given the
+affine part sum +-(d1 x + d2 y) in closed form.  Every lane of a chunk --
+a shift's base points, the rotation lanes -- is one wrapping multiply-add
+of the pass's shared offsets 0 .. S - 1, with the chunk's first step folded
+into the constant, so neither the scan nor a support test makes a step
+index array.
 
 Each worker of a pass over segments holds one :class:`Workspace`: a few
 segment-length buffers into which the cocycle values, the scan, the lanes,
 their floats, the observable values and the quantized values are written in
-place, segment after segment.  A workspace lives for one pass -- at most
-one per worker, dropped when the pass returns -- so the hot arrays are
-neither allocated nor page-faulted again per segment, and the engine keeps
-no buffer between calls.  The kernels take their workspace or buffers
+place, segment after segment.  A worker of the pair pass fills six of them
+a whole segment long (``scan.0`` and ``scan.1``, the lift's x lane ``t1``
+and float ``h.q``, the rotation lanes ``fx`` and ``fy``), one of the reduced
+pass seven (one prefix, and the reduced lanes ``star.x`` and ``star.y``),
+besides one-byte masks; ``t2`` and ``h.y`` join them only when h reads y,
+and ``h.t`` when it has two terms or more.  The rest fill only the
+support's length.  A workspace lives for one pass -- at most one per
+worker, dropped when the pass returns -- so the hot arrays are neither
+allocated nor page-faulted again per segment, and the engine keeps no
+buffer between calls.  The kernels take their workspace or buffers
 as optional arguments: ``u_values``, ``lanes``, ``mulhi_u64`` and the float
 lanes here, ``BaseFunctionSpec.periodic_q53`` (through ``u_values``),
 ``Observable.on_support`` and ``eval_arrays`` with their bump, and
@@ -55,17 +72,20 @@ Observables are evaluated only on their support.  F = e(xi z) bump(x, y)
 vanishes off the bump's box, a quarter of the torus, and whether step n
 lies there depends on the rotation lanes x = frac(x0 + n alpha) and
 y = frac(y0 + n beta) alone, not on the cocycle.  So a chunk first makes
-those lanes (one wrapping multiply-add each) and takes the support from
-their floats, narrowed, for a mu-weighted stream, to mu != 0; for the pair
-route to the steps where both T^{qn} x0 and T^{pn} x0 lie in the box; for
-:class:`StarDescentSink` to those where both of its reductions do.  Only
-there does it build the lanes with their z, evaluate F and the product and
-quantize them, and :func:`_cut_sums` sums values given at chunk offsets.
-Davenport's mu-weighted wave is likewise evaluated only where mu != 0.  A
-value dropped would be an exact +-0 (a zero bump or weight), which
-quantizes to 0, and at every step kept the same operations run in the same
-order, so every checkpoint sum keeps its bits.  The naive oracle still
-evaluates every step.
+those lanes (one wrapping multiply-add each) and takes the support on them,
+without floats: the bump's ``lane_box`` is the exact u64 preimage of its
+float test, so (u - lo) mod 2**64 <= hi - lo on each axis keeps the same
+steps.  It narrows the support, for a mu-weighted stream, to mu != 0; for
+the pair route to the steps where both T^{qn} x0 and T^{pn} x0 lie in the
+box; for :class:`StarDescentSink` to those where both of its reductions do.
+Only there does it build the lanes with their z and floats, evaluate F and
+the product and quantize them, and :func:`_cut_sums` sums values given at
+chunk offsets.  Davenport's mu-weighted wave is likewise evaluated only
+where mu != 0.  A value dropped would be an exact +-0 (a zero bump or
+weight), which quantizes to 0, and at every step kept the same operations
+run in the same order, so every checkpoint sum keeps its bits.  The naive
+oracle still evaluates every step, and the dense paths test the box on
+floats, so both check the lane path.
 """
 
 from __future__ import annotations
@@ -157,6 +177,16 @@ def _n_times_q128(c128: int, n: np.ndarray, hi=None, lo=None):
     return hi, lo
 
 
+_ZERO = np.zeros((), np.uint64)
+
+
+def _zeros(shape) -> np.ndarray:
+    """Read-only uint64 zeros of ``shape``, one broadcast 0: the cocycle and
+    prefix of the zero h, and the z lo lane of a stream without a low limb,
+    which :func:`_float_lanes` recognizes by its base and skips."""
+    return np.broadcast_to(_ZERO, shape)
+
+
 def _integer(value, name: str) -> int:
     """``value`` as an int; a float or string is refused, not truncated."""
     try:
@@ -235,9 +265,7 @@ class _LaneStream:
     def __init__(self, alpha: FixedReal, beta: FixedReal, h, start, p: int, q: int, stride=1):
         x0, y0, z0 = start
         self.h = h
-        self.d1u = u64c(h.d1)
-        self.d2u = u64c(h.d2)
-        self.reads_y = bool(h.d2) or any(t.k2 for t in h.terms)
+        self.reads_y = any(t.k2 for t in h.terms)
         a = _require_q64_unit(alpha, "alpha")
         b = _require_q64_unit(beta, "beta")
         x = _require_q64_unit(x0, "start x")
@@ -250,6 +278,7 @@ class _LaneStream:
         self.x0u = u64c(x)
         self.y0u = u64c(y)
         self.cu = u64c(twist)
+        self.axes = ((x, a), (y, b))  # (start, step) of the rotation lanes
         # c*(alpha*y0 - beta*x0) on the 2**-128 grid, wrapped mod 2**128
         self.cross = (twist * (a * y - b * x)) % (1 << 128)
         # at stride s, side m's h_m(m x, m y) of step i sums h at m x0 + j alpha +
@@ -257,76 +286,86 @@ class _LaneStream:
         # the zero h (Davenport's) lifts to 0 everywhere and has none
         zero_h = not (h.d1 or h.d2 or h.terms)
         self.shifts = [] if zero_h else [
-            (minus, u64c(m * x + j * a), u64c(m * y + j * b),
-             u64c(m * stride * a), u64c(m * stride * b))
+            (minus, (m * x + j * a) & MASK64, (m * y + j * b) & MASK64,
+             (m * stride * a) & MASK64, (m * stride * b) & MASK64)
             for minus, m in ((False, p), (True, q))
             for j in range(m * stride)
         ]
+        # the affine part sum +-(d1 x + d2 y) over the shifts at step i is
+        # i step + base, wrapped
+        step = base = 0
+        for minus, bx, by, sx, sy in self.shifts:
+            sign = -1 if minus else 1
+            step += sign * (h.d1 * sx + h.d2 * sy)
+            base += sign * (h.d1 * bx + h.d2 * by)
+        self.affine = (step & MASK64, base & MASK64)
 
-    def _lift(self, xg: np.ndarray, yg: np.ndarray, ws: Workspace):
-        """The lift of h at u64 torus coordinates, wrapped mod 1, written over
-        ``xg`` (``yg`` is overwritten too; it is read only when h reads y).
-        A multiplication by d1 = 1 and the y part at d2 = 0 are skipped: on
-        u64 they are x 1 and + 0, which change no bit."""
-        q = self.h.periodic_q53(xg, yg, ws)
-        if self.h.d1 != 1:
-            xg *= self.d1u
-        if self.h.d2:
-            yg *= self.d2u
-            xg += yg
-        # int64 -> uint64 wraps, as astype does
-        xg += np.left_shift(q.view(np.uint64), np.uint64(11), out=yg)
+    def u_values(self, i: np.ndarray, ws: Workspace = FRESH, name: str = "u", lo: int = 0):
+        """The cocycle of steps lo + i, wrapped mod 1, in ``ws``'s buffer
+        ``name``: H at the base points (x0, y0) + k (alpha, beta), summed
+        over the stride's k = (lo + i) m .. (lo + i) m + m - 1.
 
-    def u_values(self, i: np.ndarray, ws: Workspace = FRESH, name: str = "u") -> np.ndarray:
-        """The cocycle of steps i, wrapped mod 1, in ``ws``'s buffer ``name``:
-        H at the base points (x0, y0) + k (alpha, beta), summed over the
-        stride's k = i m .. i m + m - 1.  The y base points are made only
-        when h reads y (d2 != 0 or a term with k2 != 0).  Without shifts
-        (the zero h) the values are 0: the lift's periodic part is 0, times
-        d1 = 0."""
-        acc = ws.take(name, i.shape)
+        The periodic parts of the shifts (``periodic_q53``, on the 2**-53
+        grid) are summed on u64, + for side p and - for side q, straight
+        into the buffer; the sum is shifted into the 2**-64 scale once, and
+        the affine part sum +-(d1 x + d2 y) is added in closed form, one
+        multiply-add of i.  A shift's x lane is made in the scratch ``t1``
+        (the first's in the buffer itself) with lo folded into its base, and
+        ``periodic_q53`` writes over it once it has read it; the y lane, in
+        ``t2``, is made only when a term reads y (k2 != 0).  u64 addition,
+        multiplication and the shift are exact mod 2**64, so the values are
+        those of the lifts shift by shift.  Without shifts (the zero h) the
+        values are 0, a read-only broadcast that takes no buffer."""
         if not self.shifts:
-            acc.fill(0)
-            return acc
-        xg, yg = (ws.take(b, i.shape) for b in ("t1", "t2"))
+            return _zeros(i.shape)
+        acc = ws.take(name, i.shape)
         for k, (minus, bx, by, sx, sy) in enumerate(self.shifts):
-            x = acc if k == 0 else xg
-            np.multiply(i, sx, out=x)
-            x += bx
+            x = np.multiply(i, u64c(sx), out=acc if k == 0 else ws.take("t1", i.shape))
+            x += u64c(bx + lo * sx)
+            y = None
             if self.reads_y:
-                np.multiply(i, sy, out=yg)
-                yg += by
-            self._lift(x, yg, ws)
+                y = np.multiply(i, u64c(sy), out=ws.take("t2", i.shape))
+                y += u64c(by + lo * sy)
+            q = self.h.periodic_q53(x, y, ws, out=x.view(np.int64)).view(np.uint64)
             if k:
-                (np.subtract if minus else np.add)(acc, xg, out=acc)
+                (np.subtract if minus else np.add)(acc, q, out=acc)
+        acc <<= np.uint64(11)  # 2**-53 quanta into the 2**-64 scale
+        step, base = self.affine
+        if step or base:
+            affine = np.multiply(i, u64c(step), out=ws.take("t1", i.shape))
+            affine += u64c(base + lo * step)
+            acc += affine
         return acc
 
-    def rotation(self, n: np.ndarray, ws: Workspace = FRESH):
-        """(x frac, y frac) of steps n, in ``ws``'s buffers ``fx`` and
-        ``fy``: one wrapping multiply-add each, the bits of the first two
-        :meth:`lanes`, without their floor parts."""
-        fx, fy = (ws.take(name, n.shape) for name in ("fx", "fy"))
-        np.multiply(n, self.au, out=fx)
-        fx += self.x0u
-        np.multiply(n, self.bu, out=fy)
-        fy += self.y0u
-        return fx, fy
+    def rotation(self, i: np.ndarray, ws: Workspace = FRESH, lo: int = 0, m: int = 1):
+        """(x frac, y frac) of steps m (lo + i), in ``ws``'s buffers ``fx``
+        and ``fy``: one wrapping multiply-add each, with lo folded into the
+        base, the bits of the first two :meth:`lanes` without their floor
+        parts."""
+        out = []
+        for (start, step), name in zip(self.axes, ("fx", "fy")):
+            v = np.multiply(i, u64c(m * step), out=ws.take(name, i.shape))
+            v += u64c(start + m * lo * step)
+            out.append(v)
+        return tuple(out)
 
     def lanes(self, n: np.ndarray, s: np.ndarray, ws: Workspace = FRESH):
         """(x frac, y frac, z hi, z lo) for step indices n with cocycle sums s,
-        in ``ws``'s buffers ``fx``, ``fy``, ``z_hi`` and ``z_lo``."""
-        fx, fy, z_hi, z_lo, kx, m = (
-            ws.take(name, n.shape) for name in ("fx", "fy", "z_hi", "z_lo", "t1", "t2")
-        )
+        in ``ws``'s buffers ``fx``, ``fy``, ``z_hi`` and ``z_lo``.  A stream
+        whose z has no low limb -- no cross term, as from x0 = y0 = 0, and a
+        z0 on the 2**-64 grid -- gives the read-only zeros of :func:`_zeros`
+        as its z lo, which :func:`_float_lanes` skips."""
+        fx, fy, z_hi, kx, m = (ws.take(name, n.shape) for name in ("fx", "fy", "z_hi", "t1", "t2"))
+        z_lo = _zeros(n.shape)
         if self.cross:
+            z_lo = ws.take("z_lo", n.shape)
             _n_times_q128(self.cross, n, hi=z_hi, lo=z_lo)
             z_hi += s
-        else:  # from x0 = y0 = 0, or with no twist: no cross term
+        else:
             np.copyto(z_hi, s)
-            z_lo.fill(0)
         if self.z0_lo:  # adding 0 cannot carry
             z0_lo = u64c(self.z0_lo)
-            z_lo += z0_lo
+            z_lo = np.add(z_lo, z0_lo, out=ws.take("z_lo", n.shape))
             z_hi += z_lo < z0_lo  # the carry out of the low limb
         z_hi += u64c(self.z0_hi)
         _frac_int_parts(self.x0u, self.au, n, frac=fx, ip=kx)
@@ -407,11 +446,13 @@ def _xy_floats(fx, fy, ws: Workspace = FRESH):
 
 def _float_lanes(fx, fy, z_hi, z_lo, ws: Workspace = FRESH):
     """The lanes of one shape as floats in [0, 1), in ``ws``'s buffers
-    ``xf``, ``yf``, ``zf``, as :func:`_xy_floats` makes x and y."""
+    ``xf``, ``yf``, ``zf``, as :func:`_xy_floats` makes x and y.  A z lo of
+    :func:`_zeros` is skipped: its float is +0, and z hi's float, which is
+    not -0, plus +0 keeps its bits."""
     shape = np.broadcast_shapes(z_hi.shape, z_lo.shape)
-    zf, lo = (ws.take(name, shape, np.float64) for name in ("zf", "t1"))
-    np.multiply(z_hi, 2.0**-64, out=zf)
-    zf += np.multiply(z_lo, 2.0**-128, out=lo)
+    zf = np.multiply(z_hi, 2.0**-64, out=ws.take("zf", shape, np.float64))
+    if z_lo.base is not _ZERO:
+        zf += np.multiply(z_lo, 2.0**-128, out=ws.take("t1", shape, np.float64))
     return (*_xy_floats(fx, fy, ws), zf)
 
 
@@ -446,65 +487,86 @@ def _product(first: np.ndarray, second: np.ndarray, ws: Workspace):
 # ---------------------------------------------------------------------------
 
 
-def _scan_segments(streams, plan: OrbitSegmentPlan, consume) -> list:
+def _scan_segments(streams, plan: OrbitSegmentPlan, consume, fold=None) -> list | None:
     """One pass over the n-chunks (lo, hi] of 1 .. plan.n_total, a segment
-    long each: ``[consume(lo, hi, *prefixes, ws)]`` per chunk, one prefix
-    array per stream of ``streams``.
+    long each: ``fold(consume(lo, hi, *prefixes, ws))`` per chunk, in chunk
+    order, one prefix array per stream of ``streams``.  Without ``fold`` the
+    results are returned in a list.
 
     The j-th prefix array holds the j-th stream's cocycle prefix sums (mod
     1) at n in (lo, hi] -- S_{mn} for a stream of stride m -- in the buffer
     ``scan.j`` of the worker's workspace ``ws``.  Chunk k computes each
-    stream's ``u_values`` at lo .. hi - 1 once and takes their local
-    cumsum, then waits until chunk k - 1 has published its inclusive
-    carries, adds them, and publishes its own, all at once, before it
-    consumes.
+    stream's ``u_values`` at lo .. hi - 1 once, from the pass's shared
+    offsets 0 .. hi - lo - 1, and takes their local cumsum (none for the
+    zero h, whose prefix is 0), then waits until chunk k - 1 has published
+    its inclusive carries, adds them, and publishes its own, all at once,
+    before it consumes.
 
     On one worker the caller runs every chunk in order.  On w workers, w
     threads each take the next chunk index under one lock, on whose
     condition chunk k waits, and keep one :class:`Workspace` for the pass;
-    the caller waits for them.  A failing chunk is recorded against its
-    index, stops further chunks from being taken and wakes every waiter,
-    which gives its chunk up; once every thread has ended, the failure of
-    the lowest chunk is raised.  No workspace or thread outlives the call.
+    the caller waits for them.  A chunk's result is folded under the lock
+    as soon as every earlier one has been, and a chunk is taken only while
+    fewer than w chunks from the first unfolded one on are, so at most
+    w - 1 results wait, however long one worker stalls.  A failing chunk is
+    recorded against its index, stops further chunks from being taken and
+    further results from being folded and wakes every waiter, which gives
+    its chunk up; once every thread has ended, the failure of the lowest
+    chunk is raised.  No workspace or thread outlives the call.
     """
     n_total, size = plan.n_total, plan.segment_size
     n_chunks = -(-n_total // size)
-    steps = np.arange(min(size, n_total), dtype=np.uint64)
-    results = [None] * n_chunks
+    offsets = np.arange(min(size, n_total), dtype=np.uint64)
+    results = None
+    if fold is None:
+        results = []
+        fold = results.append
+    pending = {}  # the results that wait for an earlier chunk's
     failures = {}
     lock = threading.Condition()
-    taken = ready = 0  # chunks taken; carries published
+    taken = ready = folded = 0  # chunks taken; carries published; results folded
     carries = [0] * len(streams)  # the last of them, per stream
 
     def job(k, ws):
         nonlocal ready, carries
         lo, hi = k * size, min(k * size + size, n_total)
-        i = ws.steps("n", lo, hi)
+        i = offsets[: hi - lo]
         prefixes = []
         for j, stream in enumerate(streams):
-            u = stream.u_values(i, ws, f"scan.{j}")
-            prefixes.append(np.cumsum(u, dtype=np.uint64, out=u))
+            u = stream.u_values(i, ws, f"scan.{j}", lo)
+            prefixes.append(np.cumsum(u, dtype=np.uint64, out=u) if stream.shifts else u)
         with lock:
             lock.wait_for(lambda: ready == k or failures)
             if failures:  # the chain is broken: give the chunk up
                 return None
         for s, carry in zip(prefixes, carries):
-            s += u64c(carry)
+            if carry:  # the zero h's prefix, read-only, has carry 0
+                s += u64c(carry)
         with lock:
             ready, carries = k + 1, [int(s[-1]) for s in prefixes]
             lock.notify_all()
         return consume(lo, hi, *prefixes, ws)
 
     def work():
-        nonlocal taken
-        ws = Workspace(steps.size, steps)
+        nonlocal taken, folded
+        ws = Workspace(offsets.size, offsets)
         while True:
             with lock:
+                # a chunk is taken only within w of the first unfolded one
+                lock.wait_for(lambda: taken - folded < workers or failures)
                 if taken == n_chunks or failures:
                     return
                 k, taken = taken, taken + 1
             try:
-                results[k] = job(k, ws)
+                result = job(k, ws)
+                with lock:
+                    if failures:  # nothing is folded once the pass has failed
+                        return
+                    pending[k] = result
+                    while folded in pending:
+                        fold(pending.pop(folded))
+                        folded += 1
+                    lock.notify_all()
             except BaseException as exc:  # re-raised by the caller
                 with lock:
                     failures[k] = exc
@@ -582,23 +644,23 @@ def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s
     it can be nonzero.  An observable of nonzero frequency vanishes off its
     bump's open box, a descent sink off the steps where both of its
     reductions lie in that box; the rotation lanes alone give that support,
-    which is narrowed to the nonzero weights, and the lanes and the value
-    follow there.  The other value functions share
-    the lanes of every step, or of every step of nonzero weight.  Every
-    value dropped is an exact +-0 (a zero bump or weight), which quantizes
-    to 0, so the sums keep their bits."""
+    by the bump's lane box on u64 lanes, which is narrowed to the nonzero
+    weights, and the lanes, their floats and the value follow there.  The
+    other value functions share the lanes of every step, or of every step
+    of nonzero weight.  Every value dropped is an exact +-0 (a zero bump or
+    weight), which quantizes to 0, so the sums keep their bits."""
     w = None if weights is None else weights(lo + 1, hi + 1)
     shared = None  # (offsets, steps, lanes, floats) of the functions without a support
     out = []
     for fn in value_fns:
         if isinstance(fn, StarDescentSink) or (isinstance(fn, Observable) and fn.xi):
             where = None if w is None else np.not_equal(w, 0, out=ws.take("w.on", w.shape, bool))
-            fx, fy = stream.rotation(ws.steps("n", lo + 1, hi + 1), ws)
+            fx, fy = stream.rotation(ws.offsets[: hi - lo], ws, lo + 1)
             if isinstance(fn, StarDescentSink):
                 on = fn.support(fx, fy, ws, where)
                 v = fn.on_support(*_lanes_on(stream, lo, hi, s, on, ws)[1], ws)
             else:
-                on = fn.bump.support(*_xy_floats(fx, fy, ws), ws, where)
+                on = fn.bump.support_lanes(fx, fy, ws, where)
                 v = fn.on_support(*_float_lanes(*_lanes_on(stream, lo, hi, s, on, ws)[1], ws), ws)
             shared = None  # these lanes took the shared lanes' buffers
         else:
@@ -614,16 +676,22 @@ def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s
     return out
 
 
-def _running_sums(chunks) -> list[tuple[int, complex]]:
-    """Checkpoint sums from consecutive chunks' ``_cut_sums``."""
-    out = []
-    re0 = im0 = 0
-    for cut_sums, tot_re, tot_im in chunks:
-        for c, cre, cim in cut_sums:
-            out.append((c, complex((re0 + cre) / Q53, (im0 + cim) / Q53)))
-        re0 += tot_re
-        im0 += tot_im
-    return out
+class _CheckpointSums:
+    """The checkpoint sums of ``count`` value functions, folded from
+    consecutive chunks' lists of ``_cut_sums``, one per function: ``sums``
+    holds each function's ``(N, complex_sum)`` so far, and a chunk is added
+    by calling the fold with its list.  Only the running totals are kept."""
+
+    def __init__(self, count: int):
+        self.sums = [[] for _ in range(count)]
+        self._totals = [(0, 0)] * count
+
+    def __call__(self, chunk):
+        for j, (cut_sums, tot_re, tot_im) in enumerate(chunk):
+            re0, im0 = self._totals[j]
+            self.sums[j] += [(c, complex((re0 + cre) / Q53, (im0 + cim) / Q53))
+                             for c, cre, cim in cut_sums]
+            self._totals[j] = (re0 + tot_re, im0 + tot_im)
 
 
 def orbit_stream_multi(
@@ -663,7 +731,9 @@ def orbit_stream_multi(
             and pair_scan.holds(system, start, value_fns, checkpoints)):
         return [list(s) for s in pair_scan.sums]
     consume = partial(_value_sums, stream, value_fns, checkpoints, weights=weights)
-    return [_running_sums(chunks) for chunks in zip(*_scan_segments((stream,), plan, consume))]
+    fold = _CheckpointSums(len(value_fns))
+    _scan_segments((stream,), plan, consume, fold)
+    return fold.sums
 
 
 def orbit_stream(system, start, plan, value_fn, weights=None, checkpoints=None):
@@ -765,16 +835,16 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
     One :func:`_scan_segments` pass over the stride-p and stride-q skew
     streams and the n-chunks of ``plan_template``'s segment size: the chunk
     (lo, hi] is given S_{pn} and S_{qn} for n in (lo, hi].  From the
-    rotation lanes at q n and p n alone it takes the n at which both lie in
-    the bump's box, where the product can be nonzero (every n for a base
-    mode).  Only there does it build the lanes at q n and p n, evaluate F
-    at both and sum the quantized products, so no per-step array longer
-    than a chunk is formed.  Returns ``(N, sum)`` for each checkpoint N
+    rotation lanes at q n and p n alone, by the bump's lane box, it takes
+    the n at which both lie in the box, where the product can be nonzero
+    (every n for a base mode).  Only there does it build the lanes at q n
+    and p n, evaluate F at both and sum the quantized products, so no
+    per-step array longer than a chunk is formed.  Returns ``(N, sum)`` for each checkpoint N
     (default ``[n_pairs]``), unnormalized, like :func:`orbit_stream_multi`.
 
     Given a ``pair_scan`` of the joining of ``(sys, p, q)``, a start at
     x = y = 0 and N at least its last checkpoint, each chunk then writes
-    S*_n = S_{pn} - S_{qn}, n in (lo, hi], into a segment buffer and makes
+    S*_n = S_{pn} - S_{qn}, n in (lo, hi], over its S_{qn} and makes
     the Weyl sums on the joining's lanes from it as
     :func:`orbit_stream_multi` would; the pass sets them as the holder's
     ``sums``, for the Weyl sums of ``nillab run`` to return.
@@ -794,43 +864,44 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
         weyl_fns = [fourier_value(k) for k in pair_scan.freqs]
 
     def pairs(lo, hi, s_p, s_q, ws):
-        def rotation_floats(m):
-            """x and y of T^{m n} x0 for the chunk's n, as floats."""
-            mn = ws.steps("n", lo + 1, hi + 1)
-            mn *= u64c(m)
-            return _xy_floats(*stream.rotation(mn, ws), ws)
-
         def factor(m, s, name):
             """F(T^{m n} x0) for the chunk's n at the offsets ``on``, in
             ``ws``'s buffer ``name``."""
             xf, yf, zf = _float_lanes(*_lanes_on(stream, lo, hi, s, on, ws, m)[1], ws)
             return obs.on_support(xf, yf, zf, ws, ws.take(name, zf.shape, np.complex128))
 
-        # the steps where both factors can be nonzero (all, for a base mode);
-        # conj(F_q) * F_p there, in this order (see _product)
+        # the steps where both factors can be nonzero (all, for a base mode),
+        # from the rotation lanes at q n and p n; conj(F_q) * F_p there, in
+        # this order (see _product)
         on = None
         if obs.xi:
-            in_q = obs.bump.inside(*rotation_floats(q), ws,
-                                   out=ws.take("pair.in", (hi - lo,), np.bool_))
-            on = obs.bump.support(*rotation_floats(p), ws, where=in_q)
+            i = ws.offsets[: hi - lo]
+            in_q = obs.bump.inside_lanes(*stream.rotation(i, ws, lo + 1, q), ws,
+                                         out=ws.take("pair.in", i.shape, np.bool_))
+            on = obs.bump.support_lanes(*stream.rotation(i, ws, lo + 1, p), ws, where=in_q)
         f_q = factor(q, s_q, "pair.f")
         values = _product(np.conjugate(f_q, out=f_q), factor(p, s_p, "obs.e"), ws)
         pair = _cut_sums(values, lo, hi, checkpoints, ws, on)
         if not weyl:
-            return pair, None
-        star = np.subtract(s_p, s_q, out=ws.take("pair.star", (hi - lo,)))
-        return pair, _value_sums(joining, weyl_fns, pair_scan.checkpoints, lo, hi, star, ws)
+            return [pair]
+        # S*_n over the stride-q prefix, which nothing reads after the product;
+        # the zero h's prefixes are read-only zeros, and so is S* then
+        star = np.subtract(s_p, s_q, out=s_q) if stream.shifts else s_q
+        return [pair, *_value_sums(joining, weyl_fns, pair_scan.checkpoints, lo, hi, star, ws)]
 
-    pair_chunks, weyl_chunks = zip(*_scan_segments(strided, plan, pairs))
+    fold = _CheckpointSums(1 + len(weyl_fns) if weyl else 1)
+    _scan_segments(strided, plan, pairs, fold)
     if weyl:
-        pair_scan.sums = [_running_sums(chunks) for chunks in zip(*weyl_chunks)]
-    return _running_sums(pair_chunks)
+        pair_scan.sums = fold.sums[1:]
+    return fold.sums[0]
 
 
 def checkpoint_sums(values: np.ndarray, checkpoints) -> list[tuple[int, complex]]:
     """Exact quantized checkpoint sums of 1-indexed per-step values."""
     checkpoints = _checkpoints_within(checkpoints, values.size)
-    return _running_sums([_cut_sums(values, 0, values.size, checkpoints)])
+    fold = _CheckpointSums(1)
+    fold([_cut_sums(values, 0, values.size, checkpoints)])
+    return fold.sums[0]
 
 
 class StarDescentSink:
@@ -858,22 +929,27 @@ class StarDescentSink:
         self.p = p
         self.q = q
 
-    def support(self, fx, fy, ws: Workspace = FRESH, where=None):
+    def support(self, fx, fy, ws: Workspace = FRESH, where=None, *, floats=False):
         """The flat indices of the x, y lanes at which both reductions,
         (p x, p y) and (q x, q y) mod 1, lie in the bump's open box, and
-        where ``where`` holds when it is given."""
+        where ``where`` holds when it is given: by the bump's lane box on the
+        reduced u64 lanes (in ``ws``'s buffers ``star.x`` and ``star.y``),
+        or, with ``floats``, by its float test on their floats, as the dense
+        :meth:`__call__` takes it."""
         shape = np.broadcast_shapes(np.shape(fx), np.shape(fy))
+        bump = self.obs.bump
+        inside, support = (bump.inside, bump.support) if floats else (
+            bump.inside_lanes, bump.support_lanes)
 
         def reduced(m):
             xa, ya = (np.multiply(v, u64c(m), out=ws.take(name, shape))
                       for v, name in ((fx, "star.x"), (fy, "star.y")))
-            return _xy_floats(xa, ya, ws)
+            return _xy_floats(xa, ya, ws) if floats else (xa, ya)
 
-        bump = self.obs.bump
-        inside = bump.inside(*reduced(self.p), ws, out=ws.take("star.in", shape, np.bool_))
+        on_p = inside(*reduced(self.p), ws, out=ws.take("star.in", shape, np.bool_))
         if where is not None:
-            inside &= where
-        return bump.support(*reduced(self.q), ws, where=inside)
+            on_p &= where
+        return support(*reduced(self.q), ws, where=on_p)
 
     def _factor(self, m: int, fx, fy, z_hi, z_lo, ws: Workspace, out=None):
         """f at the X-reduction of (m x, m y, z), for lanes whose reduction
@@ -897,15 +973,16 @@ class StarDescentSink:
         shape = np.broadcast_shapes(fx.shape, fy.shape, z_hi.shape, z_lo.shape)
         f1 = self._factor(self.p, fx, fy, z_hi, z_lo, ws,
                           ws.take("star.f", shape, np.complex128))
-        zero = np.broadcast_to(np.uint64(0), shape)
+        zero = _zeros(shape)
         f2 = self._factor(self.q, fx, fy, zero, zero, ws)
         return _product(f1, np.conjugate(f2, out=f2), ws)
 
     def __call__(self, fx, fy, z_hi, z_lo, n, ws: Workspace = FRESH):
         """f_p conj(f_q) on lanes of one shape, in ``ws``'s buffer
         ``star.v``: :meth:`on_support` at the lanes on the support, +0
-        elsewhere."""
-        on = self.support(fx, fy, ws)
+        elsewhere.  The support is taken by the float test, so this dense
+        path checks the engine's lane box."""
+        on = self.support(fx, fy, ws, floats=True)
         lanes = (np.take(v, on, out=ws.take(name, on.shape), mode="clip") for v, name in
                  zip((fx, fy, z_hi, z_lo), ("star.fx", "star.fy", "star.zh", "star.zl")))
         out = ws.take("star.v", np.shape(fx), np.complex128)

@@ -9,9 +9,13 @@ the gluing is multiplied by zero.  Frequency-zero observables are plain base
 torus Fourier modes.
 
 F vanishes off its bump's open box.  :meth:`BumpProfile.support` finds the
-points inside from x and y alone, and :meth:`Observable.on_support` is the
-one formula of F there: the engine evaluates it only on the support, and
-the dense :meth:`Observable.eval_arrays` scatters it.
+points inside from x and y alone, and :meth:`BumpProfile.support_lanes`
+finds the same points from their u64 lanes, without floats, by the box's
+exact preimage on u64 (:attr:`BumpProfile.lane_box`).
+:meth:`Observable.on_support` is the one formula of F there: the engine
+evaluates it only on the support it takes on lanes, and the dense
+:meth:`Observable.eval_arrays` scatters it on the support it takes on
+floats.
 
 The pair observable f(x1) conj(f(x2)) descends to the reduced joining space;
 its one implementation is :class:`nillab.engine.StarDescentSink`, which
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,19 +47,27 @@ def _smoothstep(u, tmp=None):
 
 
 def fourier_mode(ks, coords, ws: Workspace = FRESH, out=None):
-    """exp(2j pi (k1 c1 + k2 c2 + ...)) elementwise (vectorized floats), into
-    ``out``, by default ``ws``'s buffer ``mode.v``; the phase stops at
-    ``len(ks)``, so coordinates past it are not read.
+    """exp(2j pi (k1 c1 + k2 c2 + ...)) elementwise (vectorized finite floats,
+    c >= 0), into ``out``, by default ``ws``'s buffer ``mode.v``; the phase
+    stops at ``len(ks)``, so coordinates past it are not read.
 
-    The same floating-point operations in the same order as the expression
-    ``np.exp(2j * math.pi * (k1 * c1 + k2 * c2 + ...))``, so the same bits,
-    with the phase summed in ``ws``'s scratch."""
+    The bits of the expression ``np.exp(2j * math.pi * (k1 * c1 + ...))``:
+    the same operations in the same order, with the phase summed in ``ws``'s
+    scratch, less two exact no-ops.  A multiplication by k = 1 is skipped,
+    and so is a term of frequency 0: 0 * c is +0, and adding it changes at
+    most the sign of a zero phase, whose product with 2j pi differs only in
+    the sign of its zero real part, and exp(+-0 + 0j) = 1 + 0j.  A phase of
+    no term is +0."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords[: len(ks)]))
-    t = np.multiply(coords[0], ks[0], out=ws.take("t1", shape, np.float64))
-    for k, c in zip(ks[1:], coords[1:]):
-        t += np.multiply(c, k, out=ws.take("t2", shape, np.float64))
+    phase = None
+    for k, c in zip(ks, coords):
+        if k:
+            if k != 1:
+                c = np.multiply(c, k, out=ws.take("t1" if phase is None else "t2", shape,
+                                                  np.float64))
+            phase = c if phase is None else np.add(phase, c, out=ws.take("t1", shape, np.float64))
     out = ws.take("mode.v", shape, np.complex128) if out is None else out
-    np.copyto(out, t)  # t + 0j, as the product below would cast it
+    np.copyto(out, 0.0 if phase is None else phase)  # phase + 0j, as the product would cast it
     np.multiply(2j * math.pi, out, out=out)
     return np.exp(out, out=out)
 
@@ -72,6 +85,26 @@ def fourier_value(ks):
     fn.wants_ws = True
     fn.ks = tuple(ks)
     return fn
+
+
+def _lane_interval(c: float, r: float) -> tuple[int, int]:
+    """The lanes u, lo <= u <= hi, whose float x = fl(u) 2**-64 passes
+    |x - c| < r, that is -r < x - c < r; 0 < c - r and c + r < 1 keep lo
+    above 0 and hi below 2**64 - 1."""
+
+    def first(passes) -> int:
+        """The least u at which ``passes``, monotone in u, holds: it holds
+        at 2**64 - 1 and not at 0."""
+        lo, hi = 0, (1 << 64) - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+        return hi
+
+    def dx(u: int) -> float:
+        return float(u) * 2.0**-64 - c
+
+    return first(lambda u: dx(u) > -r), first(lambda u: dx(u) >= r) - 1
 
 
 @dataclass(frozen=True)
@@ -93,6 +126,39 @@ class BumpProfile:
             raise ValueError("bump radius must be positive")
         if not (m <= cx - r and cx + r <= 1 - m and m <= cy - r and cy + r <= 1 - m):
             raise ValueError(f"bump support must stay inside ({m}, {1 - m})^2")
+
+    @cached_property
+    def lane_box(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The open support box on u64 lanes: per axis the interval [lo, hi]
+        of the lanes u whose float x = fl(u) 2**-64 passes |x - c| < r, as
+        :meth:`inside` computes it.  x - c is monotone in u, so the lanes
+        that pass form one interval; each end is found by bisection with
+        the same IEEE operations (Python's float(int) rounds to nearest, as
+        numpy's uint64 -> float64 cast does), so the interval is exact."""
+        return tuple(_lane_interval(c, self.radius) for c in self.center)
+
+    def inside_lanes(self, xu, yu, ws: Workspace = FRESH, out=None):
+        """:meth:`inside` at the points of u64 lanes (xu, yu), standing for
+        (xu 2**-64, yu 2**-64), bit for bit, without their floats: on each
+        axis (u - lo) mod 2**64 <= hi - lo for the :attr:`lane_box` [lo, hi],
+        through the scratch ``t1``, as booleans in ``out``, by default
+        ``ws``'s buffer ``bump.in``."""
+        (xlo, xhi), (ylo, yhi) = self.lane_box
+        shape = np.broadcast_shapes(np.shape(xu), np.shape(yu))
+        d = np.subtract(xu, np.uint64(xlo), out=ws.take("t1", shape))
+        inside = np.less_equal(d, np.uint64(xhi - xlo),
+                               out=ws.take("bump.in", shape, np.bool_) if out is None else out)
+        np.subtract(yu, np.uint64(ylo), out=d)
+        inside &= np.less_equal(d, np.uint64(yhi - ylo), out=ws.take("bump.iny", shape, np.bool_))
+        return inside
+
+    def support_lanes(self, xu, yu, ws: Workspace = FRESH, where=None):
+        """:meth:`support` at the points of u64 lanes (xu, yu), by
+        :meth:`inside_lanes`: the same flat indices, without floats."""
+        inside = self.inside_lanes(xu, yu, ws)
+        if where is not None:
+            inside &= where
+        return np.flatnonzero(inside)
 
     def inside(self, x, y, ws: Workspace = FRESH, out=None):
         """Whether each point (x, y) lies in the open support box

@@ -25,13 +25,15 @@ class Workspace:
     there, but never its inputs or its result, which the next kernel would
     overwrite.  A buffer serves every dtype of its itemsize.  A shape that
     is not 1-d within ``size`` -- and every shape when ``size`` is 0, as in
-    ``FRESH`` -- gets a fresh array instead.  ``steps`` is ``arange(size)``,
-    shared by the workspaces of one pass.
+    ``FRESH`` -- gets a fresh array instead.  ``offsets`` is the uint64
+    ``arange(size)`` that the workspaces of one pass share and only read:
+    the offsets of a chunk's steps, from which the kernels make their lanes
+    with the chunk's first step folded into their constants.
     """
 
-    def __init__(self, size: int = 0, steps: np.ndarray | None = None):
+    def __init__(self, size: int = 0, offsets: np.ndarray | None = None):
         self.size = size
-        self._steps = steps
+        self.offsets = offsets
         self._bufs = {}
 
     def take(self, name: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
@@ -46,7 +48,7 @@ class Workspace:
     def steps(self, name: str, lo: int, hi: int) -> np.ndarray:
         """The step indices lo .. hi - 1 (at most ``size``) as uint64, in the
         buffer ``name``."""
-        return np.add(self._steps[: hi - lo], np.uint64(lo), out=self.take(name, (hi - lo,)))
+        return np.add(self.offsets[: hi - lo], np.uint64(lo), out=self.take(name, (hi - lo,)))
 
 
 FRESH = Workspace()

@@ -18,6 +18,7 @@ from nillab.engine import (
     OrbitSegmentPlan,
     PairScan,
     StarDescentSink,
+    _float_lanes,
     _frac_int_parts,
     _make_stream,
     _LaneStream,
@@ -573,6 +574,45 @@ def test_star_sink_skip_equals_the_full_product(rng, obs):
             assert np.array_equal(_quantize(getattr(got, part)), _quantize(getattr(full, part)))
 
 
+@pytest.mark.parametrize("bump", [
+    BumpProfile(), BumpProfile((0.3, 0.6), 0.15), BumpProfile((0.375, 0.625), 0.25),
+    BumpProfile((0.61, 0.27), 0.1),
+], ids=["standard", "off1", "margin", "off3"])
+def test_descent_support_on_reduced_lanes_is_the_float_support(rng, bump):
+    """The descent's support tests the bump's lane box on its reduced lanes
+    (p x, p y) and (q x, q y): on 10**5 random lanes, with and without
+    ``where``, fresh and in a workspace, the indices equal those of the
+    float test that the dense call takes."""
+    sink = StarDescentSink(Observable(xi=1, bump=bump), 3, 2)
+    fx, fy = rng.integers(0, 2**64 - 1, size=(2, 10**5), dtype=np.uint64, endpoint=True)
+    where = rng.random(fx.size) < 0.5
+    for mask in (None, where):
+        want = sink.support(fx, fy, where=mask, floats=True)
+        assert 0 < want.size < fx.size
+        for ws in (Workspace(), Workspace(fx.size)):
+            assert np.array_equal(sink.support(fx, fy, ws, mask), want)
+
+
+def test_streams_without_a_low_limb_skip_it():
+    """From the origin, and from the identity, z has no low limb: the lanes
+    give the read-only zeros of ``_zeros`` as z lo, and their floats, made
+    without reading it, equal those of an explicit zero lane.  A start
+    off the origin gives a low limb, which is read."""
+    n = np.arange(1, 1001, dtype=np.uint64)
+    s = np.cumsum(n * np.uint64(0x9E3779B97F4A7C15))
+    js = build_joining(make_sys(), 3, 2)
+    for system in (js, make_sys()):
+        fx, fy, z_hi, z_lo = _make_stream(system, None).lanes(n, s)
+        assert z_lo.base is engine._ZERO and not z_lo.flags.writeable
+        ws = Workspace(n.size)
+        got = _float_lanes(fx, fy, z_hi, z_lo, ws)
+        assert "t1" not in ws._bufs  # the low limb's scratch
+        want = _float_lanes(fx, fy, z_hi, np.zeros_like(z_hi))
+        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(got, want))
+    start = (FixedReal(0.25), FixedReal(0.5), FixedReal(0.125))
+    assert _make_stream(js, start).lanes(n, s)[3].any()
+
+
 PAIR_CHECKPOINTS = [1, 16, 17, 250, 499, 500]
 
 
@@ -596,8 +636,9 @@ def test_pair_factor_values_segmentation_invariant(pair_reference, segment_size,
 WEYL_FREQS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)]
 SHARED_N = 300
 SHARED_CHECKPOINTS = [1, 17, 150, SHARED_N]
-# h shapes that take every branch of the lift kernel: d1 = 1 or not, the y
-# part at d2 != 0, a term that reads y at d2 = 0, and Davenport's zero h
+# h shapes that take every branch of the lift kernel: d1 = 1 or not, the
+# affine y part at d2 != 0, a term that reads y at d2 = 0, and Davenport's
+# zero h
 KERNEL_H = {
     "standard": (1, 0, (TrigTerm(1, 0, 0.1, 0.0),)),
     "d2-only": (1, 3, (TrigTerm(1, 0, 0.1, 0.0),)),
@@ -627,7 +668,7 @@ def test_u_values_equal_exact_lifts(h_id, p, q, m):
     h = BaseFunctionSpec(d1, d2, terms)
     x0, y0 = FixedReal(0.3), FixedReal(0.8)
     stream = _LaneStream(ALPHA, BETA, h, (x0, y0, FixedReal(0.45)), p, q, m)
-    assert stream.reads_y == (h_id in ("d2-only", "k2-only"))
+    assert stream.reads_y == (h_id == "k2-only")  # d2 y is in the closed-form affine part
     i = np.array(KERNEL_STEPS, dtype=np.uint64)
     want = []
     for k in KERNEL_STEPS:
@@ -642,6 +683,54 @@ def test_u_values_equal_exact_lifts(h_id, p, q, m):
         want.append(value.frac_u64())
     assert stream.u_values(i).tolist() == want
     assert stream.u_values(i, Workspace(i.size)).tolist() == want
+
+
+# h shapes for the fused lift: d1 = 0, 1 and -2, each with d2 != 0; a term
+# with k2 != 0, a phase, and two terms
+FUSED_H = {
+    "d1-0": (0, 2, (TrigTerm(1, 0, 0.1, 0.3),)),
+    "d1-1": (1, -1, (TrigTerm(1, 2, 0.05, 0.0), TrigTerm(3, 0, 0.2, 0.7))),
+    "d1-minus-2": (-2, 3, (TrigTerm(2, -1, 0.08, 0.15),)),
+}
+FUSED_BASES = [0, 2**63 - 5, 2**64 - 5]  # chunk bases near 2**63 and 2**64
+
+
+def _u_values_per_shift(h, p, q, m, start, steps):
+    """The cocycle at u64 ``steps`` as a loop over the p m + q m shifts of
+    sides p and q, each lift made on its own: the shift's base points, its
+    periodic part shifted into the 2**-64 scale plus d1 x + d2 y, added for
+    side p and subtracted for side q."""
+    (x0, y0), (a, b) = start, (ALPHA.frac_u64(), BETA.frac_u64())
+    acc = np.zeros(steps.shape, np.uint64)
+    for side, sign in ((p, 1), (q, -1)):
+        for j in range(side * m):
+            x = steps * u64c(side * m * a) + u64c(side * x0 + j * a)
+            y = steps * u64c(side * m * b) + u64c(side * y0 + j * b)
+            lift = h.periodic_q53(x, y).view(np.uint64) << np.uint64(11)
+            lift += x * u64c(h.d1) + y * u64c(h.d2)
+            acc = acc + lift if sign > 0 else acc - lift
+    return acc
+
+
+@pytest.mark.parametrize("p, q, m", [(1, 0, 1), (1, 0, 2), (1, 0, 3), (1, 0, 13), (3, 2, 1),
+                                     (13, 11, 1)],
+                         ids=["stride1", "stride2", "stride3", "stride13", "3-2", "13-11"])
+@pytest.mark.parametrize("h_id", FUSED_H)
+def test_fused_u_values_equal_the_per_shift_loop(h_id, p, q, m):
+    """``u_values`` sums the shifts' periodic parts on u64, shifts the sum
+    once and adds the affine part in closed form, from the shared offsets
+    with the chunk base folded into its constants; at chunk bases near
+    2**63 and 2**64, in a workspace and in fresh arrays, that equals a loop
+    that makes each shift's lift on its own."""
+    h = BaseFunctionSpec(*FUSED_H[h_id])
+    x0, y0 = FixedReal(0.3), FixedReal(0.8)
+    stream = _LaneStream(ALPHA, BETA, h, (x0, y0, FixedReal(0.45)), p, q, m)
+    offsets = np.arange(8, dtype=np.uint64)
+    for lo in FUSED_BASES:
+        steps = offsets + u64c(lo)
+        want = _u_values_per_shift(h, p, q, m, (x0.frac_u64(), y0.frac_u64()), steps)
+        for ws in (Workspace(), Workspace(8)):
+            assert stream.u_values(offsets, ws, "u", lo).tolist() == want.tolist(), lo
 
 
 SHARED_H = {
@@ -906,10 +995,10 @@ def test_pair_scan_waits_for_a_slow_stride_q_scan(monkeypatch, pair_weyl_referen
     sums do not change."""
     u_values = _LaneStream.u_values
 
-    def slow(self, i, *ws):
-        if len(self.shifts) == 2 and i.size == 16 and int(i[0]) == 16:
+    def slow(self, i, ws, name, lo):
+        if len(self.shifts) == 2 and i.size == 16 and lo == 16:
             time.sleep(0.2)  # the stride-2 stream of the chunk n = 17 .. 32
-        return u_values(self, i, *ws)
+        return u_values(self, i, ws, name, lo)
 
     monkeypatch.setattr(_LaneStream, "u_values", slow)
     assert _pair_and_weyl_sums(OrbitSegmentPlan(500, 16, 3)) == pair_weyl_reference
@@ -1081,6 +1170,62 @@ def test_support_buffers_replace_dense_ones(monkeypatch):
     assert {name: b for name, b in held.items() if b > DENSE_WORKSPACE_BYTES[name]} == {}
 
 
+# per pass, the names of the buffers it takes a whole 2**16-step segment
+# long: those of 8-byte entries (the segment buffers), then the one-byte masks
+SEGMENT_BUFFERS = {
+    "pair": ({"scan.0", "scan.1", "t1", "h.q", "fx", "fy"}, {"pair.in", "bump.in", "bump.iny"}),
+    "reduced": ({"scan.0", "t1", "h.q", "fx", "fy", "star.x", "star.y"},
+                {"star.in", "bump.in", "bump.iny"}),
+    "correlate": ({"scan.0", "t1", "h.q", "fx", "fy"}, {"w.on", "bump.in", "bump.iny"}),
+    "davenport": (set(), set()),
+}
+
+
+def test_passes_fill_few_segment_buffers(monkeypatch):
+    """The longest take of each name of a pass's workspace, over two 2**16-step
+    chunks of the standard h and bump: the lifts are summed into the prefix
+    buffers with one x lane and one float, and the support is tested on the
+    rotation (or reduced) u64 lanes, so a pair-pass worker fills 6 segment
+    buffers, a reduced-pass worker 7 and correlate 5; every other take is no
+    longer than a support.  Davenport's zero h fills none: its prefix is a
+    broadcast 0, with no fill and no cumsum."""
+    made = []
+
+    class Recorded(Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.longest = {}
+            made.append(self)
+
+        def take(self, name, shape, dtype=np.uint64):
+            if len(shape) == 1:
+                self.longest[name] = max(self.longest.get(name, 0), shape[0])
+            return super().take(name, shape, dtype)
+
+    monkeypatch.setattr(engine, "Workspace", Recorded)
+    sys = make_sys()
+    obs = Observable(xi=1, bump=BumpProfile())
+    size = 1 << 16
+    plan = OrbitSegmentPlan(2 * size, size)
+    table = sieve_mobius(2 * size)
+    passes = {
+        "pair": lambda: pair_factor_values(sys, None, 3, 2, 2 * size, plan, obs),
+        "reduced": lambda: bilinear_sum_reduced(sys, obs, 3, 2, [2 * size], plan),
+        "correlate": lambda: correlation_sum(sys, obs, None, [2 * size], table, plan),
+        "davenport": lambda: davenport_baseline(ALPHA, [2 * size], table, plan),
+    }
+    filled = {}
+    for name, call in passes.items():
+        made.clear()
+        call()
+        (ws,) = made
+        full = [k for k, longest in ws.longest.items() if longest == size]
+        filled[name] = ({k for k in full if ws._bufs[k].itemsize == 8},
+                        {k for k in full if ws._bufs[k].itemsize == 1})
+    assert filled == SEGMENT_BUFFERS
+    assert [len(filled[name][0]) for name in ("pair", "reduced")] == [6, 7]
+
+
 def test_zero_fiber_function_lifts_nothing(monkeypatch):
     """Davenport's h (d1 = d2 = 0, no terms) has no shift to lift: its
     cocycle values are the zeros that the lift's 0 periodic part times
@@ -1138,10 +1283,10 @@ def test_scan_cocycle_failure_raises_without_deadlock(monkeypatch):
     which wait for it, raise instead of hanging, and the first error surfaces."""
     u_values = _LaneStream.u_values
 
-    def failing(self, i, *ws):
-        if int(i[0]) == 512:
+    def failing(self, i, ws, name, lo):
+        if lo == 512:
             raise _Boom("cocycle failed")
-        return u_values(self, i, *ws)
+        return u_values(self, i, ws, name, lo)
 
     monkeypatch.setattr(_LaneStream, "u_values", failing)
     plan = OrbitSegmentPlan(1000, 16, 3)
@@ -1154,16 +1299,36 @@ def test_pair_stride_q_failure_raises_without_deadlock(monkeypatch):
     chunks raise instead of hanging, and the first error surfaces."""
     u_values = _LaneStream.u_values
 
-    def failing(self, i, *ws):
-        if len(self.shifts) == 2 and i.size == 16 and int(i[0]) == 32:
+    def failing(self, i, ws, name, lo):
+        if len(self.shifts) == 2 and i.size == 16 and lo == 32:
             raise _Boom("stride-q cocycle failed")  # the chunk n = 33 .. 48
-        return u_values(self, i, *ws)
+        return u_values(self, i, ws, name, lo)
 
     monkeypatch.setattr(_LaneStream, "u_values", failing)
     obs = Observable(xi=1, bump=BumpProfile())
     plan = OrbitSegmentPlan(500, 16, 3)
     raised = _finishes(lambda: pair_factor_values(make_sys(), None, 3, 2, 500, plan, obs))
     assert len(raised) == 1 and isinstance(raised[0], _Boom)
+
+
+def test_a_stalled_chunk_holds_back_at_most_two_results_on_three_workers():
+    """While one chunk's consume stalls on 3 workers, the others go on only
+    to the two chunks after it: a chunk is taken only within 3 of the first
+    unfolded one, so at most 2 results wait to be folded, however long the
+    stall.  The fold still gets every chunk's result, in chunk order."""
+    stream = _make_stream(make_sys(), None)
+    done, folded, stalled = [], [], []
+
+    def consume(lo, hi, s, ws):
+        if lo == 16:
+            time.sleep(0.3)
+            stalled.extend(sorted(done))
+        done.append(lo)
+        return lo
+
+    _scan_segments((stream,), OrbitSegmentPlan(1600, 16, 3), consume, folded.append)
+    assert stalled == [0, 32, 48]
+    assert folded == list(range(0, 1600, 16))
 
 
 def test_one_worker_runs_every_chunk_on_the_callers_thread():
@@ -1203,23 +1368,27 @@ def test_no_worker_thread_outlives_its_pass(fails):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_pass_bookkeeping_does_not_grow_with_its_chunks(workers):
-    """2**16 steps in 16-step segments are 4096 chunks.  A pass keeps per
-    chunk only its sums, a few hundred bytes, so the traced peak stays
-    below 3 MiB; with a future and an event per chunk besides it reads
-    6.5 MiB on 1 worker and 13.3 MiB on 3."""
+    """2**16 steps in 16-step segments are 4096 chunks.  A pass folds each
+    chunk's sums into running sums as it finishes and keeps none, so its
+    traced peak is within 64 KiB of the same pass over 1024 chunks (2**14
+    steps), and below 3 MiB.  Keeping every chunk's sums to the end reads
+    about 0.9 MiB more at 4096 chunks; a future and an event per chunk
+    besides read 6.5 MiB on 1 worker and 13.3 MiB on 3."""
     sys = make_sys()
     obs = Observable(xi=1, bump=BumpProfile())
-    plan = OrbitSegmentPlan(1 << 16, 16, workers)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        orbit_stream(sys, None, plan, obs)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 << 20, f"peak {peak / (1 << 20):.1f} MiB"
+    peaks = []
+    for n_chunks in (1024, 4096):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            orbit_stream(sys, None, OrbitSegmentPlan(16 * n_chunks, 16, workers), obs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 << 10, f"peaks {peaks}"
+    assert peaks[1] < 3 << 20, f"peak {peaks[1] / (1 << 20):.1f} MiB"
 
 
 @pytest.mark.parametrize("workers", [1, 3])

@@ -218,6 +218,58 @@ def test_fourier_mode_equals_the_exponential(rng, ks):
     assert np.array_equal(fourier_value(ks)(*xyz, None, ws=ws).view(np.uint64), want)
 
 
+@pytest.mark.parametrize("ks", [ks for ks in np.ndindex(5, 5, 5) if ks != (2, 2, 2)],
+                         ids=lambda ks: ",".join(str(k - 2) for k in ks))
+def test_fourier_mode_skips_only_exact_no_ops(rng, ks):
+    """With the terms of frequency 0 and the multiplications by 1 skipped,
+    fourier_mode still gives the bits of np.exp(2j pi (k1 x + k2 y + k3 z))
+    at every ks in {-2..2}^3 but 0, on 0, 2**-60, 1 - 2**-53 and random
+    floats in each coordinate, where a skipped +0 could change the sign of
+    a zero phase."""
+    k1, k2, k3 = (k - 2 for k in ks)
+    special = np.array([0.0, 2.0**-60, 1.0 - 2.0**-53])
+    grid = np.stack(np.meshgrid(special, special, special)).reshape(3, -1)
+    x, y, z = np.concatenate([grid, rng.random((3, 256))], axis=1)
+    want = np.exp(2j * math.pi * (k1 * x + k2 * y + k3 * z)).view(np.uint64)
+    for ws in (Workspace(), Workspace(x.size)):
+        assert np.array_equal(fourier_mode((k1, k2, k3), (x, y, z), ws).view(np.uint64), want)
+
+
+# the standard bump and three off centre, one touching the 1/8 margin
+LANE_BUMPS = [BumpProfile(), BumpProfile((0.3, 0.6), 0.15), BumpProfile((0.375, 0.625), 0.25),
+              BumpProfile((0.61, 0.27), 0.1)]
+
+
+@pytest.mark.parametrize("bump", LANE_BUMPS, ids=["standard", "off1", "margin", "off3"])
+def test_lane_box_is_the_float_box(rng, bump):
+    """The lane box is the exact u64 preimage of the float box: on each axis
+    the lanes lo and hi pass the float test and lo - 1 and hi + 1 fail it,
+    and inside_lanes and support_lanes agree with inside and support on the
+    lanes' floats there, on 10**5 random lanes and on 10**4 lanes within
+    2**12 of each end."""
+    (xlo, xhi), (ylo, yhi) = bump.lane_box
+    xc, yc = (xlo + xhi) // 2, (ylo + yhi) // 2  # inside on its axis
+    ends = [(u, yc) for u in (xlo - 1, xlo, xhi, xhi + 1)] + [
+        (xc, u) for u in (ylo - 1, ylo, yhi, yhi + 1)]
+    xu, yu = np.array(ends, dtype=np.uint64).T
+    lanes = lambda xu, yu: (xu * 2.0**-64, yu * 2.0**-64)  # noqa: E731 (the engine's floats)
+    assert bump.inside(*lanes(xu, yu)).tolist() == [False, True, True, False] * 2
+    near = [rng.integers(0, 1 << 13, 2500, np.uint64) + np.uint64(e - (1 << 12))
+            for e in (xlo, xhi, ylo, yhi)]
+    xu = np.concatenate([xu, rng.integers(0, 2**64 - 1, 10**5, np.uint64, endpoint=True),
+                         *near[:2], np.full(5000, xc, np.uint64)])
+    yu = np.concatenate([yu, rng.integers(0, 2**64 - 1, 10**5, np.uint64, endpoint=True),
+                         np.full(5000, yc, np.uint64), *near[2:]])
+    want = bump.inside(*lanes(xu, yu))
+    assert 0 < want.mean() < 1
+    ws = Workspace(xu.size)
+    for got in (bump.inside_lanes(xu, yu), bump.inside_lanes(xu, yu, ws)):
+        assert np.array_equal(got, want)
+    where = rng.random(xu.size) < 0.5
+    assert np.array_equal(bump.support_lanes(xu, yu, ws, where),
+                          bump.support(*lanes(xu, yu), where=where))
+
+
 def test_continuity_across_gluing():
     """Approaching the fundamental-domain boundary, F -> 0: the jump of the
     z chart is killed by the vanishing bump."""
