@@ -205,14 +205,19 @@ class RunContext:
     joining, Weyl frequencies and checkpoints, whose sums the pair route's
     pass fills.  ``names`` are the experiments the invocation runs, in
     registry order; only when ``weyl`` follows ``bilinear`` among them is
-    there a holder, for otherwise the pass would make sums nobody reads."""
+    there a holder, for otherwise the pass would make sums nobody reads.
+    It takes the table's mu, for the pass to make Davenport's sums too, only
+    when ``davenport`` runs as well and (1, 0, 0) is a Weyl frequency."""
 
     def __init__(self, cfg: ExperimentConfig, names):
         self.cfg = cfg
         names = list(names)
-        weyl_reads = "bilinear" in names and "weyl" in names[names.index("bilinear"):]
-        self.pair_scan = (PairScan(cfg.joining(), cfg.weyl_freqs, cfg.checkpoints)
-                          if weyl_reads else None)
+        after = names[names.index("bilinear"):] if "bilinear" in names else []
+        self.pair_scan = None
+        if "weyl" in after:
+            twin = "davenport" in after and (1, 0, 0) in cfg.weyl_freqs
+            self.pair_scan = PairScan(cfg.joining(), cfg.weyl_freqs, cfg.checkpoints,
+                                      self.table.mu_slice if twin else None)
 
     @cached_property
     def table(self) -> MobiusTable:
@@ -253,7 +258,8 @@ def _bilinear(cfg: ExperimentConfig, run: RunContext):
 def _davenport(cfg: ExperimentConfig, run: RunContext):
     """Mobius exponential-sum baseline along the rotation"""
     rep = davenport_baseline(
-        cfg.alpha, list(cfg.checkpoints), run.table, cfg.plan(cfg.checkpoints[-1])
+        cfg.alpha, list(cfg.checkpoints), run.table, cfg.plan(cfg.checkpoints[-1]),
+        pair_scan=run.pair_scan,
     )
     return _correlation_outputs("davenport", rep), {
         "davenport_final_modulus": rep.checkpoints[-1].modulus

@@ -167,6 +167,9 @@ class ExperimentConfig:
             raise ValueError(f"[run] experiments has unknown entries {unknown}")
         if not self.weyl_freqs or not all(len(f) == 3 and any(f) for f in self.weyl_freqs):
             raise ValueError(f"[weyl] freqs = {self.weyl_freqs} must list nonzero triples")
+        repeated = sorted({f for f in self.weyl_freqs if self.weyl_freqs.count(f) > 1})
+        if repeated:
+            raise ValueError(f"[weyl] freqs = {self.weyl_freqs} repeats {repeated}")
         for name in ("coboundary_k", "coboundary_cutoff"):
             value = getattr(self, name)
             if value < 1:

@@ -29,7 +29,9 @@ So when the Weyl sums of ``nillab run`` follow the pair route, the same
 chunk forms S* over its stride-q prefix, once the pair product is made, and
 evaluates them there too, into the ``sums`` of a :class:`PairScan`, a
 record of the joining, its frequencies and checkpoints: S* is never stored,
-and the joining scans none of its p + q lifts.  A chunk's results are folded
+and the joining scans none of its p + q lifts.  Its x lane is Davenport's,
+frac(n alpha), so the (1, 0, 0) mode's quantized values times mu give
+Davenport's sums too.  A chunk's results are folded
 into running sums in chunk order as they finish, so a pass keeps no
 per-chunk record.  Observable values are quantized to 2**-53 and summed in
 integer arithmetic, which makes checkpoint sums bit-identical for any
@@ -80,8 +82,8 @@ the pair route to the steps where both T^{qn} x0 and T^{pn} x0 lie in the
 box; for :class:`StarDescentSink` to those where both of its reductions do.
 Only there does it build the lanes with their z and floats, evaluate F and
 the product and quantize them, and :func:`_cut_sums` sums values given at
-chunk offsets.  Davenport's mu-weighted wave is likewise evaluated only
-where mu != 0.  A value dropped would be an exact +-0 (a zero bump or
+chunk offsets.  Davenport's wave, streamed alone, is likewise evaluated
+only where mu != 0.  A value dropped would be an exact +-0 (a zero bump or
 weight), which quantizes to 0, and at every step kept the same operations
 run in the same order, so every checkpoint sum keeps its bits.  The naive
 oracle still evaluates every step, and the dense paths test the box on
@@ -588,13 +590,20 @@ def _scan_segments(streams, plan: OrbitSegmentPlan, consume, fold=None) -> list 
     return results
 
 
-def _cut_sums(values, lo: int, hi: int, checkpoints, ws: Workspace = FRESH, at=None):
+def _cut_sums(values, lo: int, hi: int, checkpoints, ws: Workspace = FRESH, at=None,
+              weights=None):
     """Exact quantized sums of the values of steps lo+1 .. hi: one prefix sum
     per checkpoint among those steps, then the totals.  ``values`` holds
     every step's value or, given ``at``, the values at the ascending chunk
     offsets ``at`` (step lo + 1 + offset), every other step's value being
     0; a checkpoint's prefix then ends at the first offset that is past it.
-    Every value summed is checked against the accumulation bound."""
+    Every value summed is checked against the accumulation bound.
+
+    Given int8 ``weights`` in {-1, 0, 1} of the first steps (the rest weigh
+    0) and values of every step, the quantized values are then multiplied
+    by them in place and summed again, into a second triple: w v is an
+    exact sign flip or a signed zero, and rint is odd, so those are the
+    sums of w v."""
     v = np.asarray(values)
     cuts = [c for c in checkpoints if lo < c <= hi]
     ends = [c - lo for c in cuts]
@@ -610,12 +619,17 @@ def _cut_sums(values, lo: int, hi: int, checkpoints, ws: Workspace = FRESH, at=N
 
     def part_sums(part):
         q = _quantize(part, ws)  # one part at a time, through one buffer
-        return [_exact_sum_i64(q[:k]) for k in ends], _exact_sum_i64(q)
+        yield [_exact_sum_i64(q[:k]) for k in ends], _exact_sum_i64(q)
+        if weights is not None:
+            q = np.multiply(q[: weights.size], weights, out=q[: weights.size])
+            yield [_exact_sum_i64(q[:k]) for k in ends], _exact_sum_i64(q)
 
-    re_cuts, re_tot = part_sums(v.real)
-    im_cuts, im_tot = part_sums(v.imag) if complex_v else ([0] * len(cuts), 0)
+    re = list(part_sums(v.real))  # before the imaginary part takes the buffer
+    im = list(part_sums(v.imag)) if complex_v else [([0] * len(cuts), 0)] * len(re)
     # a tuple: most chunks hold no checkpoint, and the empty tuple is shared
-    return tuple(zip(cuts, re_cuts, im_cuts)), re_tot, im_tot
+    out = [(tuple(zip(cuts, re_cuts, im_cuts)), re_tot, im_tot)
+           for (re_cuts, re_tot), (im_cuts, im_tot) in zip(re, im)]
+    return out[0] if weights is None else out
 
 
 def _lanes_on(stream: _LaneStream, lo: int, hi: int, s, on, ws: Workspace, m: int = 1):
@@ -634,11 +648,14 @@ def _lanes_on(stream: _LaneStream, lo: int, hi: int, s, on, ws: Workspace, m: in
 
 
 def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s,
-                ws: Workspace, weights=None) -> list:
+                ws: Workspace, weights=None, twin=None) -> list:
     """``_cut_sums`` of each of ``value_fns`` on the steps lo+1 .. hi of
     ``stream``, whose cocycle prefixes are ``s``, weighted by
     ``weights(lo + 1, hi + 1)`` when given.  A consume of
-    :func:`_scan_segments` once the first three are bound.
+    :func:`_scan_segments` once the first three are bound.  Given
+    ``twin = (j, dense)``, the j-th function's sums weighted by ``dense``,
+    taken up to the last checkpoint, follow last; its values must be every
+    step's (no ``weights``, no support).
 
     Each value function is evaluated, and its lanes are built, only where
     it can be nonzero.  An observable of nonzero frequency vanishes off its
@@ -652,7 +669,8 @@ def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s
     w = None if weights is None else weights(lo + 1, hi + 1)
     shared = None  # (offsets, steps, lanes, floats) of the functions without a support
     out = []
-    for fn in value_fns:
+    twin_sums = []
+    for j, fn in enumerate(value_fns):
         if isinstance(fn, StarDescentSink) or (isinstance(fn, Observable) and fn.xi):
             where = None if w is None else np.not_equal(w, 0, out=ws.take("w.on", w.shape, bool))
             fx, fy = stream.rotation(ws.offsets[: hi - lo], ws, lo + 1)
@@ -672,8 +690,15 @@ def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s
         if w is not None:
             w_on = np.take(w, on)
             v = np.multiply(v, w_on, out=ws.take("w", v.shape, np.result_type(v, w_on)))
-        out.append(_cut_sums(v, lo, hi, checkpoints, ws, on))
-    return out
+        if twin is not None and j == twin[0]:
+            end = min(hi, checkpoints[-1]) + 1
+            sums, weighted = _cut_sums(v, lo, hi, checkpoints, ws, on,
+                                       twin[1](min(lo + 1, end), end))
+            out.append(sums)
+            twin_sums.append(weighted)
+        else:
+            out.append(_cut_sums(v, lo, hi, checkpoints, ws, on))
+    return out + twin_sums
 
 
 class _CheckpointSums:
@@ -721,15 +746,15 @@ def orbit_stream_multi(
     ``n`` names them.
     Returns, per value function, a list of ``(N, complex_sum)`` with the
     *unnormalized* sum over n <= N, exactly accumulated on the 2**-53 grid.
-    Unweighted sums that ``pair_scan`` holds (see :meth:`PairScan.holds`)
-    are copies of its ``sums``; nothing is streamed then.
+    Sums that ``pair_scan`` holds (see :meth:`PairScan.holds`) are copies
+    of its ``sums``, or of its ``weighted_sums`` when weighted; nothing is
+    streamed then.
     """
     n_total = plan.n_total
     checkpoints = _checkpoints_within([n_total] if checkpoints is None else checkpoints, n_total)
-    stream = _make_stream(system, start)  # checks the start first
-    if (pair_scan is not None and weights is None
-            and pair_scan.holds(system, start, value_fns, checkpoints)):
-        return [list(s) for s in pair_scan.sums]
+    if pair_scan is not None and pair_scan.holds(system, start, value_fns, checkpoints, weights):
+        return [list(s) for s in (pair_scan.sums if weights is None else pair_scan.weighted_sums)]
+    stream = _make_stream(system, start)
     consume = partial(_value_sums, stream, value_fns, checkpoints, weights=weights)
     fold = _CheckpointSums(len(value_fns))
     _scan_segments((stream,), plan, consume, fold)
@@ -795,9 +820,10 @@ def orbit_points(system, start, ns):
 
 
 class PairScan:
-    """A record of the joining ``js``, its Weyl frequencies ``freqs`` and
-    its ``checkpoints``, whose ``sums`` the pass of a pair route of the same
-    rotation, h and pair fills, for the rest of one run.
+    """A record of the joining ``js``, its Weyl frequencies ``freqs``, its
+    ``checkpoints`` and, optionally, Davenport's weights, whose ``sums`` and
+    ``weighted_sums`` the pass of a pair route of the same rotation, h and
+    pair fills, for the rest of one run.
 
     From x0 = y0 = 0 the joining's cocycle h_p(p., p.) - h_q(q., q.) sums h
     over the same points k alpha as the skew cocycle, so its prefix at n is
@@ -807,23 +833,42 @@ class PairScan:
     checkpoint sums of e(k . orbit_n) for each k in ``freqs``
     (:func:`~nillab.observables.fourier_value`), which the Weyl stream of
     ``js`` (see :meth:`holds`) returns instead of scanning its p + q lifts.
-    Only a run whose Weyl sums follow its pair route makes a holder; the
-    engine keeps none between calls.
+
+    Given ``weights`` (the run's mu), the pass also sets ``weighted_sums``
+    to Davenport's: the x lane of its zero-h rotation from the identity is
+    the joining's, frac(n alpha), so its wave e(x) is the (1, 0, 0) mode
+    bit for bit, and its quantized values are mu times the mode's.  Only a
+    run whose Weyl sums follow its pair route makes a holder; the engine
+    keeps none between calls.
     """
 
-    def __init__(self, js: JoiningSystem, freqs, checkpoints):
+    def __init__(self, js: JoiningSystem, freqs, checkpoints, weights=None):
         self.js = js
         self.freqs = [tuple(int(k) for k in f) for f in freqs]
         self.checkpoints = check_checkpoints(checkpoints)
+        if weights is not None and (1, 0, 0) not in self.freqs:
+            raise ValueError("Davenport's sums need the Weyl frequency (1, 0, 0)")
+        self.weights = weights
         self.sums = None  # per frequency, once a pass has made them
+        self.weighted_sums = None  # Davenport's, in a list of one, when weights are given
 
-    def holds(self, system, start, value_fns, checkpoints) -> bool:
-        """Whether ``sums`` are the unweighted sums of ``value_fns`` at
-        ``checkpoints`` along ``system`` from ``start`` (None or the origin)."""
-        return (self.sums is not None and system == self.js
-                and (start is None or all(c == 0 for c in start))
-                and [getattr(fn, "ks", None) for fn in value_fns] == self.freqs
-                and list(checkpoints) == self.checkpoints)
+    def holds(self, system, start, value_fns, checkpoints, weights=None) -> bool:
+        """Whether the held sums are those of ``value_fns`` at ``checkpoints``
+        along ``system`` from ``start``, weighted by ``weights``: unweighted,
+        ``sums`` for ``js`` from None or the origin; weighted by the holder's
+        own ``weights``, ``weighted_sums`` for Davenport's wave ``(1,)`` on a
+        zero-h skew system of ``js``'s alpha from None or the identity.  No
+        stream checks the start first, so it is matched exactly."""
+        if self.sums is None or list(checkpoints) != self.checkpoints:
+            return False
+        ks = [getattr(fn, "ks", None) for fn in value_fns]
+        if weights is None:
+            return (system == self.js and ks == self.freqs and (start is None or (
+                len(start) == 3 and all(isinstance(c, FixedReal) and c == 0 for c in start))))
+        return (weights == self.weights and ks == [(1,)] and isinstance(system, SkewSystem)
+                and system.alpha == self.js.base.alpha
+                and not (system.h.d1 or system.h.d2 or system.h.terms)
+                and (start is None or start == canonical_rep(identity())))
 
 
 def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
@@ -847,7 +892,8 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
     S*_n = S_{pn} - S_{qn}, n in (lo, hi], over its S_{qn} and makes
     the Weyl sums on the joining's lanes from it as
     :func:`orbit_stream_multi` would; the pass sets them as the holder's
-    ``sums``, for the Weyl sums of ``nillab run`` to return.
+    ``sums``, for the Weyl sums of ``nillab run`` to return, and a holder
+    with weights Davenport's as its ``weighted_sums``.
     """
     checkpoints = _checkpoints_within(
         [n_pairs] if checkpoints is None else checkpoints, n_pairs
@@ -862,6 +908,8 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
     if weyl:
         joining = _make_stream(pair_scan.js, None)
         weyl_fns = [fourier_value(k) for k in pair_scan.freqs]
+        twin = None if pair_scan.weights is None else (
+            pair_scan.freqs.index((1, 0, 0)), pair_scan.weights)
 
     def pairs(lo, hi, s_p, s_q, ws):
         def factor(m, s, name):
@@ -887,12 +935,15 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
         # S*_n over the stride-q prefix, which nothing reads after the product;
         # the zero h's prefixes are read-only zeros, and so is S* then
         star = np.subtract(s_p, s_q, out=s_q) if stream.shifts else s_q
-        return [pair, *_value_sums(joining, weyl_fns, pair_scan.checkpoints, lo, hi, star, ws)]
+        return [pair, *_value_sums(joining, weyl_fns, pair_scan.checkpoints, lo, hi, star, ws,
+                                   twin=twin)]
 
-    fold = _CheckpointSums(1 + len(weyl_fns) if weyl else 1)
+    held = len(weyl_fns) + (twin is not None) if weyl else 0
+    fold = _CheckpointSums(1 + held)
     _scan_segments(strided, plan, pairs, fold)
     if weyl:
-        pair_scan.sums = fold.sums[1:]
+        pair_scan.sums = fold.sums[1 : 1 + len(weyl_fns)]
+        pair_scan.weighted_sums = fold.sums[1 + len(weyl_fns) :] or None
     return fold.sums[0]
 
 

@@ -47,6 +47,7 @@ from .engine import (
     StarDescentSink,
     check_checkpoints,
     orbit_stream,
+    orbit_stream_multi,
     pair_factor_values,
     resize_plan,
 )
@@ -347,15 +348,20 @@ def davenport_baseline(
     checkpoints,
     table: MobiusTable,
     plan: OrbitSegmentPlan | None = None,
+    *,
+    pair_scan: PairScan | None = None,
 ) -> CorrelationReport:
-    """(1/N) sum_{n<=N} mu(n) e(n alpha): the rotation-orbit decay reference."""
+    """(1/N) sum_{n<=N} mu(n) e(n alpha): the rotation-orbit decay reference.
+
+    The sums are copies of a ``pair_scan``'s ``weighted_sums`` when it holds
+    them (in ``nillab run``), else streamed; the bits are the same."""
     alpha = FixedReal(alpha)
     checkpoints = check_checkpoints(checkpoints, table.n_max)
     plan = resize_plan(plan, checkpoints[-1])
     sys = SkewSystem(alpha.frac(), FixedReal(0), BaseFunctionSpec(0, 0))
 
-    sums = orbit_stream(sys, None, plan, fourier_value((1,)), weights=table.mu_slice,
-                        checkpoints=checkpoints)
+    (sums,) = orbit_stream_multi(sys, None, plan, [fourier_value((1,))], weights=table.mu_slice,
+                                 checkpoints=checkpoints, pair_scan=pair_scan)
     meta = {
         "estimator": "davenport_baseline",
         "alpha": alpha.dyadic_str(),

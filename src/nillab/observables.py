@@ -77,7 +77,8 @@ def fourier_value(ks):
     ``ks`` (one to three of them; Davenport's wave is ``(1,)``): the bits of
     ``np.exp(2j * math.pi * (k1 * x + ...))``, written into the workspace it
     is given.  ``fn.ks`` names the frequencies, by which
-    :meth:`~nillab.engine.PairScan.holds` knows its Weyl sums."""
+    :meth:`~nillab.engine.PairScan.holds` knows its Weyl and Davenport
+    sums."""
 
     def fn(x, y, z, n, ws=FRESH):
         return fourier_mode(ks, (x, y, z), ws)

@@ -121,6 +121,22 @@ def test_weyl_freqs_must_be_nonzero_integer_triples():
         standard_config(weyl_freqs=((1, 0),))
 
 
+def test_repeated_weyl_freq_is_rejected_naming_the_field():
+    """A triple listed twice would write its weyl.csv rows twice and evaluate
+    its mode twice; the field is named, with the repeated triples."""
+    for freqs, repeated in ((((1, 0, 0), (1, 0, 0)), [(1, 0, 0)]),
+                            (((1, 1, 2), (0, 1, 0), (0, 1, 0), (1, 1, 2)),
+                             [(0, 1, 0), (1, 1, 2)])):
+        with pytest.raises(ValueError, match=r"\[weyl\] freqs = .* repeats " +
+                           re.escape(str(repeated))):
+            standard_config(weyl_freqs=freqs)
+    text = standard_config().to_ini().replace("freqs = 1,0,0; 0,1,0; 0,0,1; 1,1,2",
+                                              "freqs = 1,0,0; 0,1,0; 1,0,0")
+    with pytest.raises(ValueError, match=r"\[weyl\] freqs = .* repeats \[\(1, 0, 0\)\]"):
+        parse_config(text)
+    assert standard_config(weyl_freqs=((1, 0, 0), (2, 0, 0))).weyl_freqs == ((1, 0, 0), (2, 0, 0))
+
+
 def test_malformed_term_names_the_field():
     text = standard_config().to_ini()
     line = "terms = 1,0,0.1,0.0"
@@ -479,11 +495,43 @@ def test_run_weyl_reads_the_pair_scan(tmp_path, monkeypatch, capsys):
     (["bilinear"], False),
     (["weyl"], False),
     (["correlate", "bilinear", "davenport"], False),
+    (["bilinear", "davenport", "weyl"], True),
+    (["davenport", "weyl"], False),
 ])
 def test_run_holds_a_pair_scan_only_for_weyl_after_bilinear(std_cfg, names, holds):
     """A PairScan makes the pair route's pass make the Weyl sums too, so only
-    an invocation whose Weyl sums follow its pair route has one."""
-    assert (cli.RunContext(std_cfg, names).pair_scan is not None) == holds
+    an invocation whose Weyl sums follow its pair route has one.  It takes
+    the run's mu, for the pass to make Davenport's sums as well, only when
+    Davenport runs too and (1, 0, 0) is among the Weyl frequencies."""
+    run = cli.RunContext(std_cfg, names)
+    assert (run.pair_scan is not None) == holds
+    davenport = holds and "davenport" in names
+    assert (holds and run.pair_scan.weights is not None) == davenport
+    if davenport:
+        assert run.pair_scan.weights == run.table.mu_slice
+    cfg = dataclasses.replace(std_cfg, weyl_freqs=((0, 1, 0), (1, 1, 2)))
+    without = cli.RunContext(cfg, names).pair_scan
+    assert (without is not None) == holds and (without is None or without.weights is None)
+
+
+@pytest.mark.parametrize("checkpoints", ["200,500", "1,17,64,333"])
+def test_each_experiment_alone_writes_the_bytes_of_run(tmp_path, capsys, checkpoints):
+    """Each experiment subcommand run alone streams its own passes, where
+    ``run`` reads the Weyl and Davenport sums from the pair route's pass;
+    every report it writes is byte-identical to the one ``run`` writes."""
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(tmp_path / "run")))
+    assert main(["run", "--config", str(cfg_path), "--checkpoints", checkpoints]) == 0
+    written = set()
+    for name in cli.EXPERIMENTS:
+        alone = tmp_path / name
+        assert main([name, "--config", str(cfg_path), "--checkpoints", checkpoints,
+                     "--out", str(alone)]) == 0
+        for path in alone.iterdir():
+            assert path.read_bytes() == (tmp_path / "run" / path.name).read_bytes(), path.name
+            written.add(path.name)
+    reports = {p.name for p in (tmp_path / "run").iterdir()} - {"config.ini", "manifest.json"}
+    assert written == reports
 
 
 def test_run_bilinear_then_weyl_peak_does_not_grow_with_n(std_cfg):
@@ -528,6 +576,7 @@ def test_run_bilinear_then_weyl_peak_does_not_grow_with_n(std_cfg):
     ("bump_radius = 0.25", "bump_radius = -0.1", r"bump_radius = -0.1: bump radius"),
     ("bump_center = 0.5,0.5", "bump_center = 0.9,0.5", r"\[observable\] bump_center"),
     ("freqs = 1,0,0; 0,0,1\n", "freqs = \n", r"\[weyl\] freqs"),
+    ("freqs = 1,0,0; 0,0,1\n", "freqs = 1,0,0; 0,0,1; 1,0,0\n", r"\[weyl\] freqs .* repeats"),
     ("segment_size = ", "segment_sise = ", r"no field declares \[run\] segment_sise"),
     ("[weyl]", "[weil]", r"no field declares \[weil\] freqs"),
     ("[system]", "[DEFAULT]\nworkers = 2\n\n[system]", r"no field declares \[DEFAULT\] workers"),

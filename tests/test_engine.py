@@ -935,6 +935,134 @@ def test_pair_scan_used_only_where_it_covers():
                                   pair_scan=scan) == alone
 
 
+DAVENPORT_N = 256
+DAVENPORT_CHECKPOINTS = list(range(1, DAVENPORT_N + 1))
+
+
+def _davenport_scan(sys, plan, table, n_pairs=DAVENPORT_N, cps=DAVENPORT_CHECKPOINTS,
+                    freqs=WEYL_FREQS):
+    """A PairScan of the (3, 2) joining of ``sys`` with ``table``'s mu,
+    filled by a pair route of ``n_pairs`` pairs."""
+    scan = PairScan(build_joining(sys, 3, 2), freqs, cps, table.mu_slice)
+    pair_factor_values(sys, None, 3, 2, n_pairs, plan, Observable(xi=1, bump=BumpProfile()),
+                       pair_scan=scan)
+    return scan
+
+
+def test_davenport_reads_pair_scan_bit_for_bit():
+    """Davenport's sums that the pair pass makes from the (1, 0, 0) mode's
+    quantized values times mu equal its own mu-weighted stream and the naive
+    loop at every checkpoint, for every segment size to 256 at 1 and 3
+    workers: chunks whose mu is 0 throughout, or nonzero at one step, keep
+    the bits, and so do the mode's other positions among the frequencies."""
+    sys = make_sys()
+    table = sieve_mobius(DAVENPORT_N)
+    rotation = SkewSystem(ALPHA, FixedReal(0), BaseFunctionSpec(0, 0))
+    naive = orbit_stream_naive(rotation, None, DAVENPORT_N, fourier_value((1,)),
+                               table.mu_slice, DAVENPORT_CHECKPOINTS)
+    wrong = []
+    for turn, (size, workers) in enumerate(SMALL_SEGMENTATIONS):
+        plan = OrbitSegmentPlan(DAVENPORT_N, size, workers)
+        freqs = WEYL_FREQS[turn % 4:] + WEYL_FREQS[: turn % 4]  # (1, 0, 0) in each place
+        scan = _davenport_scan(sys, plan, table, freqs=freqs)
+        assert scan.holds(rotation, None, [fourier_value((1,))], DAVENPORT_CHECKPOINTS,
+                          table.mu_slice)
+        own = orbit_stream_multi(rotation, None, plan, [fourier_value((1,))], table.mu_slice,
+                                 DAVENPORT_CHECKPOINTS)
+        held = davenport_baseline(ALPHA, DAVENPORT_CHECKPOINTS, table, plan, pair_scan=scan)
+        alone = davenport_baseline(ALPHA, DAVENPORT_CHECKPOINTS, table, plan)
+        if not (scan.weighted_sums == own == [naive] and held == alone):
+            wrong.append((size, workers))
+    assert wrong == []
+
+
+def test_held_davenport_sums_stream_nothing_and_cover_a_longer_pass(monkeypatch):
+    """A pair pass that runs past the last checkpoint, and past the mu
+    table's end, takes mu only up to that checkpoint and holds the same
+    Davenport sums; reading them builds no lane and scans no lift."""
+    sys = make_sys()
+    table = sieve_mobius(200)
+    cps = [1, 17, 150, 200]
+    plan = OrbitSegmentPlan(300, 64, 2)
+    scan = _davenport_scan(sys, plan, table, n_pairs=300, cps=cps)
+    want = davenport_baseline(ALPHA, cps, table, plan)
+    _refuse_streams(monkeypatch)
+    assert davenport_baseline(ALPHA, cps, table, plan, pair_scan=scan) == want
+
+
+def test_davenport_held_only_where_it_covers():
+    """Held Davenport sums serve only the mu-weighted wave (1,) on a zero-h
+    rotation of the joining's alpha from the identity, with the holder's
+    checkpoints and weights; any other stream streams, to its own bits.  A
+    holder without weights holds none, and weights need the (1, 0, 0) mode."""
+    sys = make_sys()
+    table = sieve_mobius(DAVENPORT_N)
+    cps = [10, 100]
+    plan = OrbitSegmentPlan(100, 64)
+    scan = _davenport_scan(sys, plan, table, n_pairs=100, cps=cps)
+    rotation = SkewSystem(ALPHA, FixedReal(0), BaseFunctionSpec(0, 0))
+
+    def held(system=rotation, start=None, fns=None, checkpoints=cps, weights=table.mu_slice,
+             scan=scan):
+        fns = [fourier_value((1,))] if fns is None else fns
+        return scan.holds(system, start, fns, checkpoints, weights)
+
+    assert held() and held(start=canonical_rep(identity()))
+    assert held(SkewSystem(ALPHA, BETA, BaseFunctionSpec(0, 0)))  # the wave reads x alone
+    assert not held(SkewSystem(ALPHA + FixedReal(2.0**-64), FixedReal(0), BaseFunctionSpec(0, 0)))
+    assert not held(SkewSystem(BETA, FixedReal(0), BaseFunctionSpec(0, 0)))
+    assert not held(start=canonical_rep(GroupElement.fixed(0.25, 0, 0)))
+    assert not held(start=canonical_rep(GroupElement.fixed(0, 0, 0.5)))
+    assert not held(checkpoints=[10, 99]) and not held(checkpoints=[100])
+    assert not held(weights=sieve_mobius(DAVENPORT_N).mu_slice)  # the same mu, another table
+    assert not held(weights=lambda lo, hi: table.mu_slice(lo, hi))
+    assert not held(fns=[fourier_value((1, 0, 0))]) and not held(fns=[_weyl_fn((1, 0, 0))])
+    assert not held(sys) and not held(make_sys(d1=0))  # not the zero h
+    assert not held(build_joining(sys, 3, 2))
+    assert not held(scan=_filled_scan(sys, 3, 2, 100, plan, checkpoints=cps))
+    assert scan.holds(build_joining(sys, 3, 2), None, _weyl_modes(), cps)
+    # what the holder does not cover streams, to its own bits
+    other = sieve_mobius(DAVENPORT_N)
+    for alpha, checkpoints, tab in ((BETA, cps, table), (ALPHA, [10, 99], table),
+                                    (ALPHA, cps, other)):
+        alone = davenport_baseline(alpha, checkpoints, tab, plan)
+        assert davenport_baseline(alpha, checkpoints, tab, plan, pair_scan=scan) == alone
+    with pytest.raises(ValueError, match=r"\(1, 0, 0\)"):
+        PairScan(build_joining(sys, 3, 2), WEYL_FREQS[1:], cps, table.mu_slice)
+
+
+def test_standard_run_streams_two_passes(monkeypatch, tmp_path):
+    """``nillab run`` of the standard config (cut to two checkpoints) makes
+    two passes, correlate's and the pair route's, which makes the Weyl and
+    Davenport sums too: it builds the joining's stream only for the pair
+    pass's lanes, and no zero-h stream.  The ``davenport`` subcommand alone
+    still streams its zero-h rotation: (p, q, stride) per stream built, then
+    the number of streams per pass."""
+    from nillab.cli import main
+
+    init = _LaneStream.__init__
+    scan = engine._scan_segments
+    made, passes = [], []
+
+    def counting(self, alpha, beta, h, start, p, q, stride=1):
+        made.append((p, q, stride) if h.d1 or h.d2 or h.terms else "zero h")
+        init(self, alpha, beta, h, start, p, q, stride)
+
+    def counted(streams, *args):
+        passes.append(len(streams))
+        return scan(streams, *args)
+
+    monkeypatch.setattr(_LaneStream, "__init__", counting)
+    monkeypatch.setattr(engine, "_scan_segments", counted)
+    common = ["--out", str(tmp_path), "--checkpoints", "1000,10000"]
+    assert main(["run", *common]) == 0
+    assert (made, passes) == ([(1, 0, 1), (1, 0, 3), (1, 0, 2), (3, 2, 1)], [1, 2])
+    made.clear()
+    passes.clear()
+    assert main(["davenport", *common]) == 0
+    assert (made, passes) == (["zero h"], [1])
+
+
 def test_star_descent_exact_z_difference():
     """The descent factors differ from the direct pair factors by a common
     central shift: the pair and reduced routes agree on the product sums."""
