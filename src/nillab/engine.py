@@ -44,40 +44,43 @@ affine part sum +-(d1 x + d2 y) in closed form.  Every lane of a chunk --
 a shift's base points, the rotation lanes -- is one wrapping multiply-add
 of the pass's shared offsets 0 .. S - 1, with the chunk's first step folded
 into the constant, so neither the scan nor a support test makes a step
-index array.
+index array, and a support test makes no rotation lane either.
 
 Each worker of a pass over segments holds one :class:`Workspace`: a few
 segment-length buffers into which the cocycle values, the scan, the lanes,
 their floats, the observable values and the quantized values are written in
-place, segment after segment.  A worker of the pair pass fills six of them
-a whole segment long (``scan.0`` and ``scan.1``, the lift's x lane ``t1``
-and float ``h.q``, the rotation lanes ``fx`` and ``fy``), one of the reduced
-pass seven (one prefix, and the reduced lanes ``star.x`` and ``star.y``),
-besides one-byte masks; ``t2`` and ``h.y`` join them only when h reads y,
-and ``h.t`` when it has two terms or more.  The rest fill only the
-support's length.  A workspace lives for one pass -- at most one per
-worker, dropped when the pass returns -- so the hot arrays are neither
-allocated nor page-faulted again per segment, and the engine keeps no
-buffer between calls.  The kernels take their workspace or buffers
-as optional arguments: ``u_values``, ``lanes``, ``mulhi_u64`` and the float
-lanes here, ``BaseFunctionSpec.periodic_q53`` (through ``u_values``),
-``Observable.on_support`` and ``eval_arrays`` with their bump, and
-``observables.fourier_mode`` (through ``observables.fourier_value``, the
-Weyl and Davenport modes).  Without them, as in the naive oracle and on the
-scalar path, the same code writes into fresh arrays.  Only the index array
-of a support (``np.flatnonzero``) and, in a weighted stream, the weights
-gathered on it are still made per call.  A gather into a buffer is
-``np.take(..., mode="clip")``: its indices come from ``np.flatnonzero``, so
-clipping never acts, and the default mode would copy through a temporary.
+place, segment after segment.  A worker of the pair pass fills four of them
+a whole segment long (``scan.0`` and ``scan.1``, the lift's x lane ``t1``,
+which the box test reuses, and float ``h.q``), one of the reduced pass or
+of correlate three (one prefix), besides one-byte masks; ``t2`` and ``h.y``
+join them only when h reads y, and ``h.t`` when it has two terms or more.
+The rest fill only the support's length, but for the dense lanes of the
+Weyl modes that the pair pass makes with a holder.  A workspace lives for
+one pass -- at most one per worker, dropped when the pass returns -- so the
+hot arrays are neither allocated nor page-faulted again per segment, and
+the engine keeps no buffer between calls.  The kernels take their workspace
+or buffers as optional arguments: ``u_values``, ``lanes``, ``mulhi_u64``
+and the float lanes here, ``BaseFunctionSpec.periodic_q53`` (through
+``u_values``), ``Observable.on_support`` and ``eval_arrays`` with their
+bump, and ``observables.fourier_mode`` (through
+``observables.fourier_value``, the Weyl and Davenport modes).  Without
+them, as in the naive oracle and on the scalar path, the same code writes
+into fresh arrays.  Only the index array of a support (``np.flatnonzero``)
+and, in a weighted stream, the weights gathered on it are still made per
+call.  A gather into a buffer is ``np.take(..., mode="clip")``: its indices
+come from ``np.flatnonzero``, so clipping never acts, and the default mode
+would copy through a temporary.
 
 Observables are evaluated only on their support.  F = e(xi z) bump(x, y)
 vanishes off the bump's box, a quarter of the torus, and whether step n
-lies there depends on the rotation lanes x = frac(x0 + n alpha) and
-y = frac(y0 + n beta) alone, not on the cocycle.  So a chunk first makes
-those lanes (one wrapping multiply-add each) and takes the support on them,
-without floats: the bump's ``lane_box`` is the exact u64 preimage of its
-float test, so (u - lo) mod 2**64 <= hi - lo on each axis keeps the same
-steps.  It narrows the support, for a mu-weighted stream, to mu != 0; for
+lies there depends on the rotation lanes x = frac(x0 + n alpha) and y =
+frac(y0 + n beta) alone, not on the cocycle.  So a chunk first takes the
+support on them, without floats and without making them: the bump's
+``lane_box`` [lo, hi] is the exact u64 preimage of its float test, and a
+rotation lane is the affine form i step + base of the chunk's offsets i, so
+i step + (base - lo) <= hi - lo mod 2**64 on each axis, one multiply-add
+into scratch, keeps the same steps (on the descent's reductions, m step and
+m base).  It narrows the support, for a mu-weighted stream, to mu != 0; for
 the pair route to the steps where both T^{qn} x0 and T^{pn} x0 lie in the
 box; for :class:`StarDescentSink` to those where both of its reductions do.
 Only there does it build the lanes with their z and floats, evaluate F and
@@ -88,6 +91,20 @@ weight), which quantizes to 0, and at every step kept the same operations
 run in the same order, so every checkpoint sum keeps its bits.  The naive
 oracle still evaluates every step, and the dense paths test the box on
 floats, so both check the lane path.
+
+Order within a checkpoint interval is free.  :func:`_cut_sums` adds exact
+integers, so the values between two cuts of a chunk (its ends and each
+checkpoint in it) give the same sums in any order.  The dense, unweighted
+Fourier modes whose phase reads z (k3 != 0) use that:
+:func:`_sorted_mode` sorts a mode's phases within each interval and
+evaluates the mode (1,) of them, elementwise, so every value keeps its
+bits.  glibc's complex exp branches on the angle's range and quadrant; z is
+pseudo-random in lane order, so those branches mispredict, and sorted they
+do not (BENCH_sortedphase.json).  The x and y phases follow the rotation,
+which the predictor follows already.  The x and y modes, Davenport's
+mu-weighted twin (whose weights follow lane order) and every observable
+evaluated on its support keep lane order.  The gain rests on the host: with
+a branch-free exp, or without numpy's SIMD sort, the sort is pure cost.
 """
 
 from __future__ import annotations
@@ -102,7 +119,7 @@ import numpy as np
 from .dynamics import JoiningSystem, SkewSystem
 from .fixedpoint import FixedReal
 from .heisenberg import HEISENBERG, canonical_rep, check_prime_pair, identity
-from .observables import Observable, fourier_value
+from .observables import Observable, fourier_mode, fourier_phase, fourier_value, lane_form
 from .workspace import FRESH, Workspace
 
 MASK64 = (1 << 64) - 1
@@ -339,17 +356,13 @@ class _LaneStream:
             acc += affine
         return acc
 
-    def rotation(self, i: np.ndarray, ws: Workspace = FRESH, lo: int = 0, m: int = 1):
-        """(x frac, y frac) of steps m (lo + i), in ``ws``'s buffers ``fx``
-        and ``fy``: one wrapping multiply-add each, with lo folded into the
-        base, the bits of the first two :meth:`lanes` without their floor
-        parts."""
-        out = []
-        for (start, step), name in zip(self.axes, ("fx", "fy")):
-            v = np.multiply(i, u64c(m * step), out=ws.take(name, i.shape))
-            v += u64c(start + m * lo * step)
-            out.append(v)
-        return tuple(out)
+    def rotation_forms(self, i: np.ndarray, lo: int = 0, m: int = 1):
+        """(x frac, y frac) of steps m (lo + i) as affine forms (i, step,
+        base) of the offsets ``i`` (see :func:`~nillab.observables.lane_form`),
+        with lo folded into the base: the bits of the first two :meth:`lanes`
+        without their floor parts, and no array."""
+        return tuple((i, m * step & MASK64, (start + m * lo * step) & MASK64)
+                     for start, step in self.axes)
 
     def lanes(self, n: np.ndarray, s: np.ndarray, ws: Workspace = FRESH):
         """(x frac, y frac, z hi, z lo) for step indices n with cocycle sums s,
@@ -647,6 +660,22 @@ def _lanes_on(stream: _LaneStream, lo: int, hi: int, s, on, ws: Workspace, m: in
     return mn, stream.lanes(mn, s, ws)
 
 
+def _sorted_mode(ks, floats, ends, ws: Workspace):
+    """The mode ``ks`` of the float lanes ``floats``, its values permuted
+    within each interval of offsets cut at ``ends``: its phase in the
+    scratch ``t1`` (a copy when it is a float lane, which later modes read),
+    sorted in place interval by interval, then the mode (1,) of it, in
+    ``ws``'s buffer ``mode.v``."""
+    phase = fourier_phase(ks, floats, ws)
+    if any(phase is c for c in floats):
+        t1 = ws.take("t1", phase.shape, np.float64)
+        np.copyto(t1, phase)
+        phase = t1
+    for a, b in zip([0, *ends], [*ends, phase.size]):
+        phase[a:b].sort()
+    return fourier_mode((1,), (phase,), ws)
+
+
 def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s,
                 ws: Workspace, weights=None, twin=None) -> list:
     """``_cut_sums`` of each of ``value_fns`` on the steps lo+1 .. hi of
@@ -661,11 +690,13 @@ def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s
     it can be nonzero.  An observable of nonzero frequency vanishes off its
     bump's open box, a descent sink off the steps where both of its
     reductions lie in that box; the rotation lanes alone give that support,
-    by the bump's lane box on u64 lanes, which is narrowed to the nonzero
-    weights, and the lanes, their floats and the value follow there.  The
-    other value functions share the lanes of every step, or of every step
-    of nonzero weight.  Every value dropped is an exact +-0 (a zero bump or
-    weight), which quantizes to 0, so the sums keep their bits."""
+    by the bump's lane box on their affine forms, which is narrowed to the
+    nonzero weights, and the lanes, their floats and the value follow there.
+    The other value functions share the lanes of every step, or of every
+    step of nonzero weight; without weights, a Fourier mode that reads z is
+    evaluated on its phases sorted within each checkpoint interval
+    (:func:`_sorted_mode`).  Every value dropped is an exact +-0 (a zero
+    bump or weight), which quantizes to 0, so the sums keep their bits."""
     w = None if weights is None else weights(lo + 1, hi + 1)
     shared = None  # (offsets, steps, lanes, floats) of the functions without a support
     out = []
@@ -673,12 +704,12 @@ def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s
     for j, fn in enumerate(value_fns):
         if isinstance(fn, StarDescentSink) or (isinstance(fn, Observable) and fn.xi):
             where = None if w is None else np.not_equal(w, 0, out=ws.take("w.on", w.shape, bool))
-            fx, fy = stream.rotation(ws.offsets[: hi - lo], ws, lo + 1)
+            forms = stream.rotation_forms(ws.offsets[: hi - lo], lo + 1)
             if isinstance(fn, StarDescentSink):
-                on = fn.support(fx, fy, ws, where)
+                on = fn.support(*forms, ws, where)
                 v = fn.on_support(*_lanes_on(stream, lo, hi, s, on, ws)[1], ws)
             else:
-                on = fn.bump.support_lanes(fx, fy, ws, where)
+                on = fn.bump.support_lanes(*forms, ws, where)
                 v = fn.on_support(*_float_lanes(*_lanes_on(stream, lo, hi, s, on, ws)[1], ws), ws)
             shared = None  # these lanes took the shared lanes' buffers
         else:
@@ -686,7 +717,14 @@ def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s
                 on = None if w is None else np.flatnonzero(w)
                 shared = (on, *_lanes_on(stream, lo, hi, s, on, ws), [None])
             on, n, lanes, floats_cache = shared
-            v = _eval_fn(fn, *lanes, n, floats_cache, ws)
+            ks = getattr(fn, "ks", ())
+            if w is None and len(ks) > 2 and ks[2]:  # a dense mode that reads z
+                if floats_cache[0] is None:
+                    floats_cache[0] = _float_lanes(*lanes, ws)
+                ends = [c - lo for c in checkpoints if lo < c <= hi]
+                v = _sorted_mode(ks, floats_cache[0], ends, ws)
+            else:
+                v = _eval_fn(fn, *lanes, n, floats_cache, ws)
         if w is not None:
             w_on = np.take(w, on)
             v = np.multiply(v, w_on, out=ws.take("w", v.shape, np.result_type(v, w_on)))
@@ -924,9 +962,9 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
         on = None
         if obs.xi:
             i = ws.offsets[: hi - lo]
-            in_q = obs.bump.inside_lanes(*stream.rotation(i, ws, lo + 1, q), ws,
+            in_q = obs.bump.inside_lanes(*stream.rotation_forms(i, lo + 1, q), ws,
                                          out=ws.take("pair.in", i.shape, np.bool_))
-            on = obs.bump.support_lanes(*stream.rotation(i, ws, lo + 1, p), ws, where=in_q)
+            on = obs.bump.support_lanes(*stream.rotation_forms(i, lo + 1, p), ws, where=in_q)
         f_q = factor(q, s_q, "pair.f")
         values = _product(np.conjugate(f_q, out=f_q), factor(p, s_p, "obs.e"), ws)
         pair = _cut_sums(values, lo, hi, checkpoints, ws, on)
@@ -984,18 +1022,23 @@ class StarDescentSink:
         """The flat indices of the x, y lanes at which both reductions,
         (p x, p y) and (q x, q y) mod 1, lie in the bump's open box, and
         where ``where`` holds when it is given: by the bump's lane box on the
-        reduced u64 lanes (in ``ws``'s buffers ``star.x`` and ``star.y``),
-        or, with ``floats``, by its float test on their floats, as the dense
+        reduced lanes, whose affine forms (see
+        :func:`~nillab.observables.lane_form`) are the lanes' times m; or,
+        with ``floats``, on lane arrays, by its float test on the reduced
+        lanes' floats (``star.x`` and ``star.y`` in ``ws``), as the dense
         :meth:`__call__` takes it."""
-        shape = np.broadcast_shapes(np.shape(fx), np.shape(fy))
+        forms = lane_form(fx), lane_form(fy)
+        shape = np.broadcast_shapes(*(np.shape(i) for i, _, _ in forms))
         bump = self.obs.bump
         inside, support = (bump.inside, bump.support) if floats else (
             bump.inside_lanes, bump.support_lanes)
 
         def reduced(m):
+            if not floats:
+                return tuple((i, step * m & MASK64, base * m & MASK64) for i, step, base in forms)
             xa, ya = (np.multiply(v, u64c(m), out=ws.take(name, shape))
                       for v, name in ((fx, "star.x"), (fy, "star.y")))
-            return _xy_floats(xa, ya, ws) if floats else (xa, ya)
+            return _xy_floats(xa, ya, ws)
 
         on_p = inside(*reduced(self.p), ws, out=ws.take("star.in", shape, np.bool_))
         if where is not None:

@@ -10,8 +10,9 @@ torus Fourier modes.
 
 F vanishes off its bump's open box.  :meth:`BumpProfile.support` finds the
 points inside from x and y alone, and :meth:`BumpProfile.support_lanes`
-finds the same points from their u64 lanes, without floats, by the box's
-exact preimage on u64 (:attr:`BumpProfile.lane_box`).
+finds the same points from their u64 lanes, or the lanes' affine forms
+(:func:`lane_form`), without floats, by the box's exact preimage on u64
+(:attr:`BumpProfile.lane_box`).
 :meth:`Observable.on_support` is the one formula of F there: the engine
 evaluates it only on the support it takes on lanes, and the dense
 :meth:`Observable.eval_arrays` scatters it on the support it takes on
@@ -46,18 +47,10 @@ def _smoothstep(u, tmp=None):
     return u
 
 
-def fourier_mode(ks, coords, ws: Workspace = FRESH, out=None):
-    """exp(2j pi (k1 c1 + k2 c2 + ...)) elementwise (vectorized finite floats,
-    c >= 0), into ``out``, by default ``ws``'s buffer ``mode.v``; the phase
-    stops at ``len(ks)``, so coordinates past it are not read.
-
-    The bits of the expression ``np.exp(2j * math.pi * (k1 * c1 + ...))``:
-    the same operations in the same order, with the phase summed in ``ws``'s
-    scratch, less two exact no-ops.  A multiplication by k = 1 is skipped,
-    and so is a term of frequency 0: 0 * c is +0, and adding it changes at
-    most the sign of a zero phase, whose product with 2j pi differs only in
-    the sign of its zero real part, and exp(+-0 + 0j) = 1 + 0j.  A phase of
-    no term is +0."""
+def fourier_phase(ks, coords, ws: Workspace = FRESH):
+    """The phase k1 c1 + k2 c2 + ... of :func:`fourier_mode`: None for no
+    term, a coordinate itself for a lone k = 1, else in ``ws``'s scratch
+    ``t1`` (and ``t2`` on the way)."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords[: len(ks)]))
     phase = None
     for k, c in zip(ks, coords):
@@ -66,6 +59,25 @@ def fourier_mode(ks, coords, ws: Workspace = FRESH, out=None):
                 c = np.multiply(c, k, out=ws.take("t1" if phase is None else "t2", shape,
                                                   np.float64))
             phase = c if phase is None else np.add(phase, c, out=ws.take("t1", shape, np.float64))
+    return phase
+
+
+def fourier_mode(ks, coords, ws: Workspace = FRESH, out=None):
+    """exp(2j pi (k1 c1 + k2 c2 + ...)) elementwise (vectorized finite floats,
+    c >= 0), into ``out``, by default ``ws``'s buffer ``mode.v``; the phase
+    stops at ``len(ks)``, so coordinates past it are not read.
+
+    The bits of the expression ``np.exp(2j * math.pi * (k1 * c1 + ...))``:
+    the same operations in the same order, with the phase summed by
+    :func:`fourier_phase`, less two exact no-ops.  A multiplication by k = 1
+    is skipped, and so is a term of frequency 0: 0 * c is +0, and adding it
+    changes at most the sign of a zero phase, whose product with 2j pi
+    differs only in the sign of its zero real part, and exp(+-0 + 0j) =
+    1 + 0j.  A phase of no term is +0.  Each value depends on its own phase
+    alone, so the engine evaluates a mode that reads z as the mode (1,) of
+    its phases, sorted (see :mod:`nillab.engine`)."""
+    phase = fourier_phase(ks, coords, ws)
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords[: len(ks)]))
     out = ws.take("mode.v", shape, np.complex128) if out is None else out
     np.copyto(out, 0.0 if phase is None else phase)  # phase + 0j, as the product would cast it
     np.multiply(2j * math.pi, out, out=out)
@@ -78,7 +90,7 @@ def fourier_value(ks):
     ``np.exp(2j * math.pi * (k1 * x + ...))``, written into the workspace it
     is given.  ``fn.ks`` names the frequencies, by which
     :meth:`~nillab.engine.PairScan.holds` knows its Weyl and Davenport
-    sums."""
+    sums, and the engine the modes it evaluates on sorted phases."""
 
     def fn(x, y, z, n, ws=FRESH):
         return fourier_mode(ks, (x, y, z), ws)
@@ -86,6 +98,12 @@ def fourier_value(ks):
     fn.wants_ws = True
     fn.ks = tuple(ks)
     return fn
+
+
+def lane_form(lane):
+    """A u64 lane as its affine form (i, step, base), standing for the lane
+    i step + base mod 2**64: a form is itself, an array u is (u, 1, 0)."""
+    return lane if isinstance(lane, tuple) else (lane, 1, 0)
 
 
 def _lane_interval(c: float, r: float) -> tuple[int, int]:
@@ -140,22 +158,29 @@ class BumpProfile:
 
     def inside_lanes(self, xu, yu, ws: Workspace = FRESH, out=None):
         """:meth:`inside` at the points of u64 lanes (xu, yu), standing for
-        (xu 2**-64, yu 2**-64), bit for bit, without their floats: on each
-        axis (u - lo) mod 2**64 <= hi - lo for the :attr:`lane_box` [lo, hi],
-        through the scratch ``t1``, as booleans in ``out``, by default
-        ``ws``'s buffer ``bump.in``."""
-        (xlo, xhi), (ylo, yhi) = self.lane_box
-        shape = np.broadcast_shapes(np.shape(xu), np.shape(yu))
-        d = np.subtract(xu, np.uint64(xlo), out=ws.take("t1", shape))
-        inside = np.less_equal(d, np.uint64(xhi - xlo),
-                               out=ws.take("bump.in", shape, np.bool_) if out is None else out)
-        np.subtract(yu, np.uint64(ylo), out=d)
-        inside &= np.less_equal(d, np.uint64(yhi - ylo), out=ws.take("bump.iny", shape, np.bool_))
+        (xu 2**-64, yu 2**-64), bit for bit, without their floats; a lane is
+        an array or an affine form (:func:`lane_form`).  On each axis
+        i step + (base - lo) <= hi - lo mod 2**64 for the :attr:`lane_box`
+        [lo, hi], one multiply-add into the scratch ``t1``, as booleans in
+        ``out``, by default ``ws``'s buffer ``bump.in``."""
+        forms = lane_form(xu), lane_form(yu)
+        shape = np.broadcast_shapes(*(np.shape(i) for i, _, _ in forms))
+        d = ws.take("t1", shape)
+        tests = (ws.take("bump.in", shape, np.bool_) if out is None else out,
+                 ws.take("bump.iny", shape, np.bool_))
+        for (i, step, base), (lo, hi), test in zip(forms, self.lane_box, tests):
+            if step != 1:
+                i = np.multiply(i, np.uint64(step), out=d)
+            np.add(i, np.uint64((base - lo) % 2**64), out=d)
+            np.less_equal(d, np.uint64(hi - lo), out=test)
+        inside, inside_y = tests
+        inside &= inside_y
         return inside
 
     def support_lanes(self, xu, yu, ws: Workspace = FRESH, where=None):
-        """:meth:`support` at the points of u64 lanes (xu, yu), by
-        :meth:`inside_lanes`: the same flat indices, without floats."""
+        """:meth:`support` at the points of u64 lanes (xu, yu), arrays or
+        affine forms, by :meth:`inside_lanes`: the same flat indices,
+        without floats."""
         inside = self.inside_lanes(xu, yu, ws)
         if where is not None:
             inside &= where

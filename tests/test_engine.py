@@ -9,7 +9,7 @@ from sys import getswitchinterval, setswitchinterval
 import numpy as np
 import pytest
 
-from nillab import engine
+from nillab import engine, observables
 from nillab.dynamics import (
     BaseFunctionSpec, SkewSystem, TrigTerm, build_joining, cocycle_sum, iterate_T, lift_fixed,
 )
@@ -816,6 +816,91 @@ def test_weyl_sums_invariant_with_and_without_pair_scan(segment_size, workers):
         assert got == [[(n, s / n) for n, s in sums] for sums in naive]
 
 
+SORT_N = 300
+# a checkpoint on a chunk's first step and one on its last at every segment
+# size from 2 to 256, and two in one chunk at every size from 2 on (at least
+# 299 and 300)
+SORT_CHECKPOINTS = [1, 17, 64, 65, 150, 151, 256, 257, 299, SORT_N]
+
+
+def _mode_calls(monkeypatch):
+    """The frequencies and the coordinates it reads, copied, of every call of
+    ``fourier_mode`` from here on, by the engine or by a Fourier value
+    function."""
+    calls = []
+    mode = observables.fourier_mode
+
+    def recording(ks, coords, *args):
+        calls.append((tuple(ks), [np.array(c) for c in coords[: len(ks)]]))
+        return mode(ks, coords, *args)
+
+    monkeypatch.setattr(observables, "fourier_mode", recording)
+    monkeypatch.setattr(engine, "fourier_mode", recording)
+    return calls
+
+
+@pytest.mark.parametrize("route", ["pair pass", "own stream"])
+def test_weyl_modes_that_read_z_run_on_sorted_phases(monkeypatch, route):
+    """A Weyl mode that reads z is evaluated as the mode (1,) of its phases
+    sorted within each checkpoint interval of a chunk: in the pair pass with
+    a holder of Davenport's weights and in ``weyl_sums``' own stream, at
+    every segment size to 256 on one worker, the phases the kernel receives
+    are, interval by interval, the lane order's sorted, so non-decreasing.
+    The x and y modes, and with them Davenport's twin, which weighs the
+    (1, 0, 0) mode's values, receive the float lanes in lane order."""
+    sys, js, _ = _shared_case(3, 2, "standard")
+    xf, yf, zf = np.array([pt[1:] for pt in orbit_points(js, None, range(1, SORT_N + 1))]).T
+    lane_phases = {(0, 0, 1): zf, (1, 1, 2): 1 * xf + 1 * yf + 2 * zf}
+    table = sieve_mobius(SORT_N)
+    calls = _mode_calls(monkeypatch)
+    for size in sorted({size for size, _ in SMALL_SEGMENTATIONS}):
+        plan = OrbitSegmentPlan(SORT_N, size)
+        calls.clear()
+        if route == "pair pass":
+            scan = PairScan(js, WEYL_FREQS, SORT_CHECKPOINTS, table.mu_slice)
+            pair_factor_values(sys, None, 3, 2, SORT_N, plan,
+                               Observable(xi=1, bump=BumpProfile()), pair_scan=scan)
+            assert scan.weighted_sums is not None
+        else:
+            weyl_sums(js, None, WEYL_FREQS, SORT_CHECKPOINTS, plan)
+        chunks = [(lo, min(lo + size, SORT_N)) for lo in range(0, SORT_N, size)]
+        assert len(calls) == len(WEYL_FREQS) * len(chunks)
+        for j, (ks, coords) in enumerate(calls):
+            k = WEYL_FREQS[j % len(WEYL_FREQS)]
+            lo, hi = chunks[j // len(WEYL_FREQS)]
+            if not k[2]:
+                assert ks == k
+                assert np.array_equal(coords[0], xf[lo:hi])
+                assert np.array_equal(coords[1], yf[lo:hi])
+                continue
+            assert ks == (1,)
+            (got,), want = coords, lane_phases[k][lo:hi]
+            ends = [c - lo for c in SORT_CHECKPOINTS if lo < c <= hi]
+            for a, b in zip([0, *ends], [*ends, hi - lo]):
+                assert np.all(got[a:b][1:] >= got[a:b][:-1]), (route, size, lo, k)
+                assert np.array_equal(got[a:b].view(np.uint64), np.sort(want[a:b]).view(np.uint64))
+
+
+def test_sorted_weyl_sums_equal_the_naive_loop():
+    """With the modes that read z on sorted phases, the Weyl sums of the pair
+    pass's holder and of the joining's own stream equal the naive loop in
+    lane order at every checkpoint, for every segment size to 256 at 1 and 3
+    workers: a checkpoint on a chunk's first or last step, or two in one
+    chunk, cut the sort where the sums are cut."""
+    sys, js, _ = _shared_case(3, 2, "standard")
+    naive = [orbit_stream_naive(js, None, SORT_N, fourier_value(k), checkpoints=SORT_CHECKPOINTS)
+             for k in WEYL_FREQS]
+    wrong = []
+    for size, workers in SMALL_SEGMENTATIONS:
+        plan = OrbitSegmentPlan(SORT_N, size, workers)
+        scan = _filled_scan(sys, 3, 2, SORT_N, plan, checkpoints=SORT_CHECKPOINTS)
+        own = orbit_stream_multi(js, None, plan, _weyl_modes(), checkpoints=SORT_CHECKPOINTS)
+        wrong += [(route, size, workers) for route, sums in (("pair pass", scan.sums),
+                                                             ("own stream", own))
+                  if sums != naive]
+    assert wrong == []
+
+
 def test_pair_pass_builds_the_joining_from_exact_star(monkeypatch):
     """The pair route's pass builds the joining's lanes at every n from
     S*_n = S_{pn} - S_{qn} mod 2**64, each term the exact cocycle sum from
@@ -1299,12 +1384,16 @@ def test_support_buffers_replace_dense_ones(monkeypatch):
 
 
 # per pass, the names of the buffers it takes a whole 2**16-step segment
-# long: those of 8-byte entries (the segment buffers), then the one-byte masks
+# long: those of 8-byte entries (the segment buffers), then the one-byte masks;
+# the Weyl modes of the holder's pass are dense, and their sorted phases stay
+# in the scratch t1
 SEGMENT_BUFFERS = {
-    "pair": ({"scan.0", "scan.1", "t1", "h.q", "fx", "fy"}, {"pair.in", "bump.in", "bump.iny"}),
-    "reduced": ({"scan.0", "t1", "h.q", "fx", "fy", "star.x", "star.y"},
-                {"star.in", "bump.in", "bump.iny"}),
-    "correlate": ({"scan.0", "t1", "h.q", "fx", "fy"}, {"w.on", "bump.in", "bump.iny"}),
+    "pair with the Weyl holder": ({"scan.0", "scan.1", "t1", "t2", "h.q", "n", "fx", "fy",
+                                   "z_hi", "xf", "yf", "zf"},
+                                  {"pair.in", "bump.in", "bump.iny"}),
+    "pair": ({"scan.0", "scan.1", "t1", "h.q"}, {"pair.in", "bump.in", "bump.iny"}),
+    "reduced": ({"scan.0", "t1", "h.q"}, {"star.in", "bump.in", "bump.iny"}),
+    "correlate": ({"scan.0", "t1", "h.q"}, {"w.on", "bump.in", "bump.iny"}),
     "davenport": (set(), set()),
 }
 
@@ -1312,11 +1401,14 @@ SEGMENT_BUFFERS = {
 def test_passes_fill_few_segment_buffers(monkeypatch):
     """The longest take of each name of a pass's workspace, over two 2**16-step
     chunks of the standard h and bump: the lifts are summed into the prefix
-    buffers with one x lane and one float, and the support is tested on the
-    rotation (or reduced) u64 lanes, so a pair-pass worker fills 6 segment
-    buffers, a reduced-pass worker 7 and correlate 5; every other take is no
-    longer than a support.  Davenport's zero h fills none: its prefix is a
-    broadcast 0, with no fill and no cumsum."""
+    buffers with one x lane and one float, and the support is tested by one
+    multiply-add per axis from the affine forms of the rotation (or reduced)
+    u64 lanes, in that x lane's scratch, so a pair-pass worker fills 4
+    segment buffers, a reduced-pass worker 3 and correlate 3; every other
+    take is no longer than a support.  With the Weyl holder the pair pass
+    also fills the joining's dense lanes, and sorts the phases of the modes
+    that read z in scratch, with no buffer of their own.  Davenport's zero h
+    fills none: its prefix is a broadcast 0, with no fill and no cumsum."""
     made = []
 
     class Recorded(Workspace):
@@ -1337,6 +1429,9 @@ def test_passes_fill_few_segment_buffers(monkeypatch):
     plan = OrbitSegmentPlan(2 * size, size)
     table = sieve_mobius(2 * size)
     passes = {
+        "pair with the Weyl holder": lambda: pair_factor_values(
+            sys, None, 3, 2, 2 * size, plan, obs,
+            pair_scan=PairScan(build_joining(sys, 3, 2), WEYL_FREQS, [size, 2 * size])),
         "pair": lambda: pair_factor_values(sys, None, 3, 2, 2 * size, plan, obs),
         "reduced": lambda: bilinear_sum_reduced(sys, obs, 3, 2, [2 * size], plan),
         "correlate": lambda: correlation_sum(sys, obs, None, [2 * size], table, plan),
@@ -1351,7 +1446,7 @@ def test_passes_fill_few_segment_buffers(monkeypatch):
         filled[name] = ({k for k in full if ws._bufs[k].itemsize == 8},
                         {k for k in full if ws._bufs[k].itemsize == 1})
     assert filled == SEGMENT_BUFFERS
-    assert [len(filled[name][0]) for name in ("pair", "reduced")] == [6, 7]
+    assert [len(filled[name][0]) for name in ("pair", "reduced", "correlate")] == [4, 3, 3]
 
 
 def test_zero_fiber_function_lifts_nothing(monkeypatch):

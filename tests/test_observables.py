@@ -270,6 +270,31 @@ def test_lane_box_is_the_float_box(rng, bump):
                           bump.support(*lanes(xu, yu), where=where))
 
 
+@pytest.mark.parametrize("bump", LANE_BUMPS, ids=["standard", "off1", "margin", "off3"])
+def test_lane_box_on_affine_forms_is_the_lane_box(rng, bump):
+    """inside_lanes and support_lanes on affine forms (i, step, base) equal
+    them on the lanes i step + base mod 2**64 that the forms stand for,
+    fresh and in a workspace: for random steps and bases, and for steps 1
+    (whose multiplication is skipped) and 2**64 - 1 from bases just outside
+    the box, across its ends, where base - lo wraps."""
+    (xlo, xhi), (ylo, yhi) = bump.lane_box
+    i = np.arange(4096, dtype=np.uint64)
+    where = rng.random(i.size) < 0.5
+    cases = [((int(a), int(b)), (int(c), int(d))) for a, b, c, d in
+             rng.integers(0, 2**64 - 1, (6, 4), np.uint64, endpoint=True)]
+    cases += [((1, xlo - 2048), (2**64 - 1, yhi + 2048)),
+              ((2**64 - 1, xhi + 2048), (1, ylo - 2048))]
+    for (sx, bx), (sy, by) in cases:
+        forms = (i, sx, bx), (i, sy, by)
+        want = bump.inside_lanes(*(i * np.uint64(step) + np.uint64(base)
+                                   for _, step, base in forms))
+        assert 0 < want.sum() < i.size
+        for ws in (Workspace(), Workspace(i.size)):
+            assert np.array_equal(bump.inside_lanes(*forms, ws), want)
+            assert np.array_equal(bump.support_lanes(*forms, ws, where),
+                                  np.flatnonzero(want & where))
+
+
 def test_continuity_across_gluing():
     """Approaching the fundamental-domain boundary, F -> 0: the jump of the
     z chart is killed by the vanishing bump."""
