@@ -96,7 +96,7 @@ def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else standard_config()
     patch = {}
     if args.out is not None:
-        patch["out_dir"] = args.out
+        patch["out_dir"] = FIELDS["out_dir"].read(args.out, "--out")
     env_workers = os.environ.get("LAB_WORKERS") if args.accepts_workers else None
     if args.workers is not None:
         _check_plan_option("--workers", worker_count=args.workers)
@@ -108,7 +108,7 @@ def _load(args) -> ExperimentConfig:
     if args.segment_size is not None:
         _check_plan_option("--segment-size", segment_size=args.segment_size)
         patch["segment_size"] = args.segment_size
-    if args.checkpoints:
+    if args.checkpoints is not None:
         patch["checkpoints"] = FIELDS["checkpoints"].read(args.checkpoints, "--checkpoints")
     if patch:
         cfg = dataclasses.replace(cfg, **patch).validate()
@@ -203,19 +203,18 @@ class RunContext:
     """What the experiments of one invocation share: the Mobius table, sieved
     on first use, and the :class:`~nillab.engine.PairScan` of the config's
     joining, Weyl frequencies and checkpoints, whose sums the pair route's
-    pass fills.  ``names`` are the experiments the invocation runs, in
-    registry order; only when ``weyl`` follows ``bilinear`` among them is
-    there a holder, for otherwise the pass would make sums nobody reads.
-    It takes the table's mu, for the pass to make Davenport's sums too, only
-    when ``davenport`` runs as well and (1, 0, 0) is a Weyl frequency."""
+    pass fills.  ``names`` are the experiments the invocation runs; only
+    when it runs both ``bilinear`` and ``weyl`` is there a holder, for
+    otherwise the pass would make sums nobody reads.  It takes the table's
+    mu, for the pass to make Davenport's sums too, only when ``davenport``
+    runs as well and (1, 0, 0) is a Weyl frequency."""
 
     def __init__(self, cfg: ExperimentConfig, names):
         self.cfg = cfg
-        names = list(names)
-        after = names[names.index("bilinear"):] if "bilinear" in names else []
+        names = set(names)
         self.pair_scan = None
-        if "weyl" in after:
-            twin = "davenport" in after and (1, 0, 0) in cfg.weyl_freqs
+        if {"bilinear", "weyl"} <= names:
+            twin = "davenport" in names and (1, 0, 0) in cfg.weyl_freqs
             self.pair_scan = PairScan(cfg.joining(), cfg.weyl_freqs, cfg.checkpoints,
                                       self.table.mu_slice if twin else None)
 

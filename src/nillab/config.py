@@ -83,6 +83,12 @@ def _term(text: str) -> TrigTerm:
     return TrigTerm(int(k1), int(k2), float(amp), float(phase))
 
 
+def _directory(text: str) -> str:
+    if not text:
+        raise ValueError("names no directory")
+    return text
+
+
 def _commas(values) -> str:
     return ",".join(map(str, values))
 
@@ -105,7 +111,7 @@ FIELDS = {
     "sieve_bound": IniField("run", "sieve_bound", int, str),
     "segment_size": IniField("run", "segment_size", int, str),
     "workers": IniField("run", "workers", int, str),
-    "out_dir": IniField("run", "out", str, str),
+    "out_dir": IniField("run", "out", _directory, str),
     "experiments": IniField("run", "experiments", _csv(str.strip), _commas),
     "weyl_freqs": IniField("weyl", "freqs", _entries(_csv(int)), lambda freqs: "; ".join(
         map(_commas, freqs))),

@@ -25,7 +25,7 @@ stride-p and stride-q skew streams, in which a chunk evaluates
 F(T^{pn} x0) conj F(T^{qn} x0) from the S_{pn} and S_{qn} of its n, so it
 holds no array longer than a segment.  From the origin the joining's
 cocycle prefix is S*_n = S_{pn} - S_{qn} of the skew cocycle, bit for bit.
-So when the Weyl sums of ``nillab run`` follow the pair route, the same
+So when ``nillab run`` makes both the pair route's and the Weyl sums, the same
 chunk forms S* over its stride-q prefix, once the pair product is made, and
 evaluates them there too, into the ``sums`` of a :class:`PairScan`, a
 record of the joining, its frequencies and checkpoints: S* is never stored,
@@ -70,6 +70,23 @@ and, in a weighted stream, the weights gathered on it are still made per
 call.  A gather into a buffer is ``np.take(..., mode="clip")``: its indices
 come from ``np.flatnonzero``, so clipping never acts, and the default mode
 would copy through a temporary.
+
+A value function -- what a stream sums -- is one of three things, and the
+engine tells them apart by what it already knows.  An
+:class:`~nillab.observables.Observable` of nonzero frequency and a
+:class:`StarDescentSink` are recognized by type and evaluated on their
+support (below), the sink on u64 lanes.  Anything else is a callable
+``fn(x, y, z, n)`` of the float lanes in [0, 1) and the step indices, with
+complex values of modulus at most 2; a base-mode observable is one.  Two
+attributes refine it: with ``fn.wants_ws`` it is called with ``ws=`` the
+worker's :class:`Workspace` too, and may write into any of its buffers but
+``n`` and the float lanes, and return one; ``fn.ks``, the frequencies of
+:func:`~nillab.observables.fourier_value`, lets a dense, unweighted mode that
+reads z run on sorted phases (below) and :meth:`PairScan.holds` match held
+sums.  These two stay attributes, not types: a wrapper that copies a
+function's ``__dict__``, as the benchmark's tracer does, keeps them, where
+it would lose a type.  The arrays a value function is given are valid only
+during the call: the next segment reuses them.
 
 Observables are evaluated only on their support.  F = e(xi z) bump(x, y)
 vanishes off the bump's box, a quarter of the torus, and whether step n
@@ -471,22 +488,6 @@ def _float_lanes(fx, fy, z_hi, z_lo, ws: Workspace = FRESH):
     return (*_xy_floats(fx, fy, ws), zf)
 
 
-def _eval_fn(fn, fx, fy, z_hi, z_lo, n, floats_cache, ws):
-    """One value function on a segment.  A lane sink gets ``ws``, and may
-    overwrite any of its buffers but the lanes and ``n`` it is given; a value
-    function marked ``wants_ws`` gets ``ws`` too, and may overwrite any but
-    those and the float lanes."""
-    if getattr(fn, "wants_lanes", False):
-        floats_cache[0] = None
-        return fn(fx, fy, z_hi, z_lo, n, ws=ws)
-    if floats_cache[0] is None:
-        floats_cache[0] = _float_lanes(fx, fy, z_hi, z_lo, ws)
-    xf, yf, zf = floats_cache[0]
-    if getattr(fn, "wants_ws", False):
-        return fn(xf, yf, zf, n, ws=ws)
-    return fn(xf, yf, zf, n)
-
-
 def _product(first: np.ndarray, second: np.ndarray, ws: Workspace):
     """``first * second`` in ``ws``'s buffer ``product``.  The first factor
     stays the left operand: under fused multiply-add, swapping the operands
@@ -502,11 +503,11 @@ def _product(first: np.ndarray, second: np.ndarray, ws: Workspace):
 # ---------------------------------------------------------------------------
 
 
-def _scan_segments(streams, plan: OrbitSegmentPlan, consume, fold=None) -> list | None:
+def _scan_segments(streams, plan: OrbitSegmentPlan, consume, fold) -> None:
     """One pass over the n-chunks (lo, hi] of 1 .. plan.n_total, a segment
     long each: ``fold(consume(lo, hi, *prefixes, ws))`` per chunk, in chunk
-    order, one prefix array per stream of ``streams``.  Without ``fold`` the
-    results are returned in a list.
+    order, one prefix array per stream of ``streams``.  A pass always folds
+    and returns nothing: whatever it makes, ``fold`` keeps.
 
     The j-th prefix array holds the j-th stream's cocycle prefix sums (mod
     1) at n in (lo, hi] -- S_{mn} for a stream of stride m -- in the buffer
@@ -532,10 +533,6 @@ def _scan_segments(streams, plan: OrbitSegmentPlan, consume, fold=None) -> list 
     n_total, size = plan.n_total, plan.segment_size
     n_chunks = -(-n_total // size)
     offsets = np.arange(min(size, n_total), dtype=np.uint64)
-    results = None
-    if fold is None:
-        results = []
-        fold = results.append
     pending = {}  # the results that wait for an earlier chunk's
     failures = {}
     lock = threading.Condition()
@@ -600,7 +597,6 @@ def _scan_segments(streams, plan: OrbitSegmentPlan, consume, fold=None) -> list 
                 thread.join()
     if failures:
         raise failures[min(failures)]
-    return results
 
 
 def _cut_sums(values, lo: int, hi: int, checkpoints, ws: Workspace = FRESH, at=None,
@@ -650,10 +646,9 @@ def _lanes_on(stream: _LaneStream, lo: int, hi: int, s, on, ws: Workspace, m: in
     ``on`` (all of them when None), in ``ws``'s buffer ``n``, and
     ``stream``'s lanes there, from their cocycle sums ``s`` (all of the
     chunk's)."""
-    if on is None:
-        mn = ws.steps("n", lo + 1, hi + 1)
-    else:
-        mn = np.add(on.view(np.uint64), u64c(lo + 1), out=ws.take("n", on.shape))
+    i = ws.offsets[: hi - lo] if on is None else on.view(np.uint64)
+    mn = np.add(i, u64c(lo + 1), out=ws.take("n", i.shape))
+    if on is not None:
         s = np.take(s, on, out=ws.take("s.on", on.shape), mode="clip")
     if m != 1:
         mn *= u64c(m)
@@ -698,7 +693,7 @@ def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s
     (:func:`_sorted_mode`).  Every value dropped is an exact +-0 (a zero
     bump or weight), which quantizes to 0, so the sums keep their bits."""
     w = None if weights is None else weights(lo + 1, hi + 1)
-    shared = None  # (offsets, steps, lanes, floats) of the functions without a support
+    shared = None  # (offsets, steps, float lanes) of the functions without a support
     out = []
     twin_sums = []
     for j, fn in enumerate(value_fns):
@@ -715,16 +710,17 @@ def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s
         else:
             if shared is None:
                 on = None if w is None else np.flatnonzero(w)
-                shared = (on, *_lanes_on(stream, lo, hi, s, on, ws), [None])
-            on, n, lanes, floats_cache = shared
+                n, lanes = _lanes_on(stream, lo, hi, s, on, ws)
+                shared = (on, n, _float_lanes(*lanes, ws))
+            on, n, floats = shared
             ks = getattr(fn, "ks", ())
             if w is None and len(ks) > 2 and ks[2]:  # a dense mode that reads z
-                if floats_cache[0] is None:
-                    floats_cache[0] = _float_lanes(*lanes, ws)
                 ends = [c - lo for c in checkpoints if lo < c <= hi]
-                v = _sorted_mode(ks, floats_cache[0], ends, ws)
+                v = _sorted_mode(ks, floats, ends, ws)
+            elif getattr(fn, "wants_ws", False):
+                v = fn(*floats, n, ws=ws)
             else:
-                v = _eval_fn(fn, *lanes, n, floats_cache, ws)
+                v = fn(*floats, n)
         if w is not None:
             w_on = np.take(w, on)
             v = np.multiply(v, w_on, out=ws.take("w", v.shape, np.result_type(v, w_on)))
@@ -769,14 +765,8 @@ def orbit_stream_multi(
 ):
     """Checkpointed exact sums of several observables along one orbit.
 
-    ``value_fns`` are callables ``fn(x, y, z, n) -> complex ndarray`` (floats
-    in [0,1)), or lane sinks with ``wants_lanes = True`` receiving the raw
-    uint64 lanes (see :class:`StarDescentSink`).  A value function marked
-    ``wants_ws = True`` -- an :class:`~nillab.observables.Observable`, a
-    :func:`~nillab.observables.fourier_value` -- is called with ``ws=`` the
-    worker's :class:`Workspace` too, and may return one of its buffers.  The
-    arrays a value function is given are valid only during the call: the next
-    segment reuses them.  ``weights`` is an optional callable
+    ``value_fns`` are value functions (see the module docstring for what
+    one may be).  ``weights`` is an optional callable
     ``(lo, hi) -> int8`` giving multiplicative weights for steps lo+1 .. hi.
     A value function is called only at the steps that can add to its sums:
     those of nonzero weight, and, for an observable of nonzero frequency or
@@ -809,9 +799,10 @@ def orbit_stream_naive(system, start, n_total, value_fn, weights=None, checkpoin
 
     Reuses the same per-step kernels pointwise (length-1 arrays) but performs
     no segmentation, scan, or vector accumulation, and evaluates every step
-    through the dense value functions (``Observable.eval_arrays``, the
-    sink's call), so it checks the engine's support-first evaluation rather
-    than sharing it.  ``checkpoints`` are checked as :func:`orbit_stream`
+    through the dense value functions (a :class:`StarDescentSink` called on
+    the u64 lanes, any other on the float lanes, as ``Observable.eval_arrays``
+    is), so it checks the engine's support-first evaluation rather than
+    sharing it.  ``checkpoints`` are checked as :func:`orbit_stream`
     checks them.
     """
     cset = set(_checkpoints_within([n_total] if checkpoints is None else checkpoints, n_total))
@@ -823,8 +814,11 @@ def orbit_stream_naive(system, start, n_total, value_fn, weights=None, checkpoin
         s = (s + int(stream.u_values(iu)[0])) & MASK64
         n = i + 1
         n_arr = np.array([n], dtype=np.uint64)
-        fx, fy, z_hi, z_lo = stream.lanes(n_arr, np.array([s], dtype=np.uint64))
-        v = _eval_fn(value_fn, fx, fy, z_hi, z_lo, n_arr, [None], FRESH)
+        lanes = stream.lanes(n_arr, np.array([s], dtype=np.uint64))
+        if isinstance(value_fn, StarDescentSink):
+            v = value_fn(*lanes, n_arr)
+        else:
+            v = value_fn(*_float_lanes(*lanes), n_arr)
         if weights is not None:
             v = v * weights(n, n + 1)
         _, re, im = _cut_sums(v, i, n, [])
@@ -847,7 +841,9 @@ def orbit_points(system, start, ns):
     def consume(lo, hi, s, ws):
         return s[want[(want > lo) & (want <= hi)] - lo - 1]
 
-    s = np.concatenate(_scan_segments((stream,), OrbitSegmentPlan(int(want[-1])), consume))
+    chunks = []
+    _scan_segments((stream,), OrbitSegmentPlan(int(want[-1])), consume, chunks.append)
+    s = np.concatenate(chunks)
     xf, yf, zf = _float_lanes(*stream.lanes(want.astype(np.uint64), s))
     return [(int(v), float(x), float(y), float(z)) for v, x, y, z in zip(want, xf, yf, zf)]
 
@@ -876,7 +872,7 @@ class PairScan:
     to Davenport's: the x lane of its zero-h rotation from the identity is
     the joining's, frac(n alpha), so its wave e(x) is the (1, 0, 0) mode
     bit for bit, and its quantized values are mu times the mode's.  Only a
-    run whose Weyl sums follow its pair route makes a holder; the engine
+    run of both the pair route and the Weyl sums makes a holder; the engine
     keeps none between calls.
     """
 
@@ -1007,8 +1003,6 @@ class StarDescentSink:
     scatters the same values (+0 off the support); :meth:`eval_star` takes
     float star coordinates.
     """
-
-    wants_lanes = True
 
     def __init__(self, obs, p: int, q: int):
         if obs.xi == 0:

@@ -45,10 +45,5 @@ class Workspace:
             buf = self._bufs[name] = np.empty(self.size, dtype)
         return buf[: shape[0]].view(dtype)
 
-    def steps(self, name: str, lo: int, hi: int) -> np.ndarray:
-        """The step indices lo .. hi - 1 (at most ``size``) as uint64, in the
-        buffer ``name``."""
-        return np.add(self.offsets[: hi - lo], np.uint64(lo), out=self.take(name, (hi - lo,)))
-
 
 FRESH = Workspace()

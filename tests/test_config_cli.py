@@ -328,7 +328,21 @@ def test_cli_checkpoints_override_names_the_option(tmp_path):
     cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
     with pytest.raises(ValueError, match="--checkpoints"):
         main(["constants", "--config", str(cfg_path), "--checkpoints", "1e2,1e3"])
+    with pytest.raises(ValueError, match="^--checkpoints = '' is malformed"):
+        main(["constants", "--config", str(cfg_path), "--checkpoints", ""])
     assert main(["constants", "--config", str(cfg_path), "--checkpoints", "100,200"]) == 0
+
+
+def test_cli_empty_out_names_the_option(tmp_path, monkeypatch):
+    """An empty --out fails naming the option, before ``run`` could delete
+    the working directory's manifest.json or write its reports there."""
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.json").write_text("{}")
+    with pytest.raises(ValueError, match="^--out = '' is malformed"):
+        main(["run", "--config", str(cfg_path), "--out", ""])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "manifest.json"]
 
 
 @pytest.mark.parametrize("option, value", [("--workers", "0"), ("--workers", "-2"),
@@ -580,6 +594,7 @@ def test_run_bilinear_then_weyl_peak_does_not_grow_with_n(std_cfg):
     ("segment_size = ", "segment_sise = ", r"no field declares \[run\] segment_sise"),
     ("[weyl]", "[weil]", r"no field declares \[weil\] freqs"),
     ("[system]", "[DEFAULT]\nworkers = 2\n\n[system]", r"no field declares \[DEFAULT\] workers"),
+    ("\nout = ", "\nout = \n# ", r"\[run\] out"),  # the old directory becomes a comment
 ])
 def test_bad_field_fails_before_run_writes(tmp_path, old, new, field):
     text = small_cfg_text(str(tmp_path / "out"))

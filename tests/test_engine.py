@@ -8,6 +8,8 @@ from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nillab import engine, observables
 from nillab.dynamics import (
@@ -36,7 +38,7 @@ from nillab.engine import (
     u64c,
 )
 from nillab.fixedpoint import FixedReal, sqrt_q64
-from nillab.heisenberg import GroupElement, GroupLaw, canonical_rep, identity
+from nillab.heisenberg import HEISENBERG, GroupElement, GroupLaw, canonical_rep, identity
 from nillab.diagnostics import weyl_sums
 from nillab.moebius import (
     bilinear_sum_reduced, correlation_sum, davenport_baseline, sieve_mobius,
@@ -214,6 +216,73 @@ def test_naive_loop_checks_checkpoints_as_the_engine_does(checkpoints):
         orbit_stream_naive(sys, None, 10, _wave, checkpoints=checkpoints)
 
 
+# -- the evaluator against the naive loop, on drawn cases ------------------------
+
+
+_OFF_CENTRE = [((0.4, 0.55), 0.2), ((0.62, 0.35), 0.15), ((0.3, 0.7), 0.17)]
+_k = st.integers(-2, 2)
+
+
+@st.composite
+def _value_fn(draw, pair):
+    """A value function of one of the kinds the evaluator tells apart: an
+    observable on its support, a base mode, a Fourier mode without and with
+    a z frequency (dense, it runs on sorted phases), a plain callable and,
+    on a joining of the pair ``pair``, a descent sink."""
+    # the support kinds twice, so that a dense function often follows one
+    kinds = ["bump", "bump", "base", "mode", "z mode", "plain"] + (["sink"] * 2 if pair else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("bump", "sink"):
+        obs = Observable(xi=draw(st.sampled_from([1, -1, 2])),
+                         bump=BumpProfile(*draw(st.sampled_from(_OFF_CENTRE))))
+        return obs if kind == "bump" else StarDescentSink(obs, *pair)
+    k1, k2 = draw(_k), draw(_k)
+    if kind == "base":
+        return Observable(xi=0, base_mode=(k1, k2))
+    if kind == "mode":
+        return fourier_value((k1, k2)[: draw(st.integers(1, 2))])
+    k3 = draw(st.sampled_from([-2, -1, 1, 2]))
+    if kind == "z mode":
+        return fourier_value((k1, k2, k3))
+    return lambda x, y, z, n: np.exp(2j * np.pi * (k1 * x + k2 * y + k3 * z))
+
+
+@st.composite
+def _evaluator_case(draw):
+    d1, d2, terms = SHARED_H[draw(st.sampled_from(sorted(SHARED_H)))]
+    system = make_sys(terms=terms, d1=d1, d2=d2)
+    pair = draw(st.sampled_from([None, (3, 2), (5, 3)]))
+    grid = draw(st.none() | st.tuples(*[st.integers(1, 2**64 - 1)] * 3))
+    if pair is not None:
+        system = build_joining(system, *pair)
+        start = grid and tuple(FixedReal.from_q64(c) for c in grid)
+    else:
+        start = grid and canonical_rep(GroupElement(*map(FixedReal.from_q64, grid), HEISENBERG))
+    fns = [draw(_value_fn(pair)) for _ in range(draw(st.integers(1, 3)))]
+    n = draw(st.integers(1, 300))
+    cps = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=4)))
+    weights = None
+    if draw(st.booleans()):
+        w = np.random.default_rng(draw(st.integers(0, 2**32))).integers(-1, 2, n + 1, np.int8)
+        weights = lambda lo, hi: w[lo:hi]  # noqa: E731
+    plan = OrbitSegmentPlan(n, 1 << draw(st.integers(0, 8)), draw(st.integers(1, 3)))
+    return system, start or None, plan, fns, weights, cps
+
+
+@settings(max_examples=60)
+@given(_evaluator_case())
+def test_evaluator_equals_the_naive_loop_on_drawn_cases(case):
+    """Several value functions of one stream -- observables on their support,
+    dense modes on sorted phases, plain callables and descent sinks, in any
+    order, weighted or not -- each sum what the naive loop sums for it alone,
+    bit for bit, from the identity or origin or a grid point with cross
+    terms, at any checkpoints, segment size and worker count."""
+    system, start, plan, fns, weights, cps = case
+    got = orbit_stream_multi(system, start, plan, fns, weights, cps)
+    assert got == [orbit_stream_naive(system, start, plan.n_total, fn, weights, cps)
+                   for fn in fns]
+
+
 @pytest.mark.parametrize("p, q", [(3, 2), (5, 3)])
 @pytest.mark.parametrize(
     "h", [(1, 0, (TrigTerm(1, 0, 0.1, 0.0),)),
@@ -227,10 +296,13 @@ def test_joining_lanes_equal_exact_stepping(p, q, h):
     js = build_joining(make_sys(terms=terms, d1=d1, d2=d2), p, q)
     n_max = 300
     stream = _make_stream(js, None)
-    (lanes,) = _scan_segments(
+    chunks = []
+    _scan_segments(
         (stream,), OrbitSegmentPlan(n_max),
         lambda lo, hi, s, ws: stream.lanes(np.arange(lo + 1, hi + 1, dtype=np.uint64), s),
+        chunks.append,
     )
+    (lanes,) = chunks
     pt = (FixedReal(0), FixedReal(0), FixedReal(0))
     for k in range(n_max):
         pt = js.step_trivialized(pt)
@@ -246,10 +318,13 @@ def test_joining_lanes_carry_the_low_z_limb():
     start = (FixedReal(0.25), FixedReal(0.625), FixedReal.from_scaled((7 << 64) | (2**64 - 5)))
     n_max = 200
     stream = _make_stream(js, start)
-    (lanes,) = _scan_segments(
+    chunks = []
+    _scan_segments(
         (stream,), OrbitSegmentPlan(n_max),
         lambda lo, hi, s, ws: stream.lanes(np.arange(lo + 1, hi + 1, dtype=np.uint64), s),
+        chunks.append,
     )
+    (lanes,) = chunks
     assert (lanes[3] < np.uint64(2**64 - 5)).mean() > 0.5  # the low limb carried
     pt = start
     for k in range(n_max):
@@ -379,7 +454,8 @@ def test_stride_prefixes_equal_exact_cocycle_sums(p, q):
     for size in (1 << k for k in range(11)):
         for workers in (1, 3):
             plan = OrbitSegmentPlan(n_pairs, size, workers)
-            chunks = _scan_segments(streams, plan, consume)
+            chunks = []
+            _scan_segments(streams, plan, consume, chunks.append)
             got = [[v for chunk in chunks for v in chunk[j]] for j in (0, 1)]
             if got != want:
                 wrong.append((size, workers))
