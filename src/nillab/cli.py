@@ -7,9 +7,7 @@ default the in-repo standard baseline) and accept only the overrides they
 read: ``run`` and the experiment subcommands ``--out``, ``--workers``,
 ``--segment-size`` and ``--checkpoints``; ``orbit`` ``--out`` and
 ``--checkpoints``; ``sieve`` ``--out``; ``reduce-joining`` and ``winding``
-none.  For the commands that accept ``--workers``, the default worker count
-comes from the ``LAB_WORKERS`` environment variable, which must then be a
-positive integer when set; the other commands ignore it.
+none.  The worker count comes from ``[run] workers`` and ``--workers`` alone.
 
 An experiment subcommand writes that experiment's reports and prints its
 summary entries and the files written.  ``run`` executes every experiment
@@ -24,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import os
 import sys
 import time
 from functools import cached_property
@@ -72,10 +69,8 @@ def _add_options(p: argparse.ArgumentParser, *names: str):
     p.add_argument("--config", type=str, default=None, help="INI config path")
     for name in names:
         p.add_argument(name, **_OPTIONS[name])
-    # an override the command does not accept reads as None in ``_load``, and
-    # only a command that accepts --workers takes its default from LAB_WORKERS
-    p.set_defaults(out=None, workers=None, segment_size=None, checkpoints=None,
-                   accepts_workers="--workers" in names)
+    # an override the command does not accept reads as None in ``_load``
+    p.set_defaults(out=None, workers=None, segment_size=None, checkpoints=None)
 
 
 def _check_plan_option(option: str, **field) -> None:
@@ -97,14 +92,9 @@ def _load(args) -> ExperimentConfig:
     patch = {}
     if args.out is not None:
         patch["out_dir"] = FIELDS["out_dir"].read(args.out, "--out")
-    env_workers = os.environ.get("LAB_WORKERS") if args.accepts_workers else None
     if args.workers is not None:
         _check_plan_option("--workers", worker_count=args.workers)
         patch["workers"] = args.workers
-    elif env_workers:
-        if not env_workers.strip().isdecimal() or int(env_workers) < 1:
-            raise ValueError(f"LAB_WORKERS must be a positive integer, got {env_workers!r}")
-        patch["workers"] = int(env_workers)
     if args.segment_size is not None:
         _check_plan_option("--segment-size", segment_size=args.segment_size)
         patch["segment_size"] = args.segment_size

@@ -16,8 +16,8 @@ Streaming is a single-pass scan, and every pass over segments goes through
 the one function :func:`_scan_segments`: each segment computes its cocycle
 values once and takes their local prefix sums, then adds the inclusive carry
 of the segment before it, publishes its own carry and evaluates its
-observables (on the caller's thread for one worker, on w threads for w
-workers).  A pass may scan several streams over the same n-chunks, one
+observables (on w workers, the caller and w - 1 threads, by one code path
+for every w).  A pass may scan several streams over the same n-chunks, one
 prefix each.  A stream of stride m sums the cocycle of the m steps
 n m .. n m + m - 1 at its step n, from a shift table m times as long, so
 its prefix at n is S_{mn}: the prime-pair route is one pass over the
@@ -31,8 +31,8 @@ evaluates them there too, into the ``sums`` of a :class:`PairScan`, a
 record of the joining, its frequencies and checkpoints: S* is never stored,
 and the joining scans none of its p + q lifts.  Its x lane is Davenport's,
 frac(n alpha), so the (1, 0, 0) mode's quantized values times mu give
-Davenport's sums too.  A chunk's results are folded
-into running sums in chunk order as they finish, so a pass keeps no
+Davenport's sums too.  Each chunk folds its results
+into running sums in its turn, in chunk order, so a pass keeps no
 per-chunk record.  Observable values are quantized to 2**-53 and summed in
 integer arithmetic, which makes checkpoint sums bit-identical for any
 worker count and segment size -- and equal to the naive single-loop oracle.
@@ -127,9 +127,9 @@ a branch-free exp, or without numpy's SIMD sort, the sort is pure cost.
 from __future__ import annotations
 
 import operator
-import threading
 from dataclasses import dataclass, replace
 from functools import partial
+from threading import Condition, Thread
 
 import numpy as np
 
@@ -231,6 +231,9 @@ def _integer(value, name: str) -> int:
         raise TypeError(f"{name} = {value!r} must be an integer") from None
 
 
+MAX_WORKERS = 256  # a plan's most workers: its passes start a thread for each but one
+
+
 @dataclass(frozen=True)
 class OrbitSegmentPlan:
     """Segmentation contract for a deterministic stream."""
@@ -245,8 +248,8 @@ class OrbitSegmentPlan:
         s = _integer(self.segment_size, "segment_size")
         if s < 1 or (s & (s - 1)) != 0:
             raise ValueError(f"segment_size = {s!r} must be a power of two")
-        if _integer(self.worker_count, "workers") < 1:
-            raise ValueError(f"workers = {self.worker_count!r} must be positive")
+        if not 1 <= _integer(self.worker_count, "workers") <= MAX_WORKERS:
+            raise ValueError(f"workers = {self.worker_count!r} is not in [1, {MAX_WORKERS}]")
 
 
 def resize_plan(plan: OrbitSegmentPlan | None, n_total: int) -> OrbitSegmentPlan:
@@ -518,79 +521,68 @@ def _scan_segments(streams, plan: OrbitSegmentPlan, consume, fold) -> None:
     its inclusive carries, adds them, and publishes its own, all at once,
     before it consumes.
 
-    On one worker the caller runs every chunk in order.  On w workers, w
-    threads each take the next chunk index under one lock, on whose
-    condition chunk k waits, and keep one :class:`Workspace` for the pass;
-    the caller waits for them.  A chunk's result is folded under the lock
-    as soon as every earlier one has been, and a chunk is taken only while
-    fewer than w chunks from the first unfolded one on are, so at most
-    w - 1 results wait, however long one worker stalls.  A failing chunk is
-    recorded against its index, stops further chunks from being taken and
-    further results from being folded and wakes every waiter, which gives
-    its chunk up; once every thread has ended, the failure of the lowest
-    chunk is raised.  No workspace or thread outlives the call.
+    Every worker count runs one code path: the caller and w - 1 threads
+    each take the next chunk index under one lock and keep one
+    :class:`Workspace` for the pass.  On the lock's condition chunk k waits
+    twice: for chunk k - 1's carries, then for its turn to fold its own
+    result.  So results fold in chunk order, and at most w - 1 wait, each
+    held by its worker, however long one worker stalls.  A failing chunk
+    (its scan, consume or fold) is recorded against its index, stops
+    further chunks from being taken or folded and wakes every waiter, which
+    gives its chunk up; once every thread has ended, the failure of the
+    lowest chunk is raised.  No workspace or thread outlives the call.
     """
     n_total, size = plan.n_total, plan.segment_size
     n_chunks = -(-n_total // size)
     offsets = np.arange(min(size, n_total), dtype=np.uint64)
-    pending = {}  # the results that wait for an earlier chunk's
     failures = {}
-    lock = threading.Condition()
+    lock = Condition()
     taken = ready = folded = 0  # chunks taken; carries published; results folded
     carries = [0] * len(streams)  # the last of them, per stream
 
-    def job(k, ws):
-        nonlocal ready, carries
-        lo, hi = k * size, min(k * size + size, n_total)
-        i = offsets[: hi - lo]
-        prefixes = []
-        for j, stream in enumerate(streams):
-            u = stream.u_values(i, ws, f"scan.{j}", lo)
-            prefixes.append(np.cumsum(u, dtype=np.uint64, out=u) if stream.shifts else u)
-        with lock:
-            lock.wait_for(lambda: ready == k or failures)
-            if failures:  # the chain is broken: give the chunk up
-                return None
-        for s, carry in zip(prefixes, carries):
-            if carry:  # the zero h's prefix, read-only, has carry 0
-                s += u64c(carry)
-        with lock:
-            ready, carries = k + 1, [int(s[-1]) for s in prefixes]
-            lock.notify_all()
-        return consume(lo, hi, *prefixes, ws)
-
     def work():
-        nonlocal taken, folded
+        nonlocal taken, ready, folded, carries
         ws = Workspace(offsets.size, offsets)
         while True:
             with lock:
-                # a chunk is taken only within w of the first unfolded one
-                lock.wait_for(lambda: taken - folded < workers or failures)
                 if taken == n_chunks or failures:
                     return
                 k, taken = taken, taken + 1
             try:
-                result = job(k, ws)
+                lo, hi = k * size, min(k * size + size, n_total)
+                i = offsets[: hi - lo]
+                prefixes = []
+                for j, stream in enumerate(streams):
+                    u = stream.u_values(i, ws, f"scan.{j}", lo)
+                    prefixes.append(np.cumsum(u, dtype=np.uint64, out=u) if stream.shifts else u)
                 with lock:
+                    lock.wait_for(lambda: ready == k or failures)
+                    if failures:  # the chain is broken: give the chunk up
+                        return
+                for s, carry in zip(prefixes, carries):
+                    if carry:  # the zero h's prefix, read-only, has carry 0
+                        s += u64c(carry)
+                with lock:
+                    ready, carries = k + 1, [int(s[-1]) for s in prefixes]
+                    lock.notify_all()
+                result = consume(lo, hi, *prefixes, ws)
+                with lock:
+                    lock.wait_for(lambda: folded == k or failures)
                     if failures:  # nothing is folded once the pass has failed
                         return
-                    pending[k] = result
-                    while folded in pending:
-                        fold(pending.pop(folded))
-                        folded += 1
+                    fold(result)
+                    folded += 1
                     lock.notify_all()
             except BaseException as exc:  # re-raised by the caller
                 with lock:
                     failures[k] = exc
                     lock.notify_all()
 
-    workers = min(plan.worker_count, n_chunks)
-    threads = [threading.Thread(target=work) for _ in range(workers)] if workers > 1 else []
+    threads = [Thread(target=work) for _ in range(min(plan.worker_count, n_chunks) - 1)]
     try:
         for thread in threads:
             thread.start()
-        if not threads:
-            work()
+        work()
     finally:
         for thread in threads:
             if thread.is_alive():  # one that failed to start never ran

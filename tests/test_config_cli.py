@@ -292,37 +292,6 @@ def test_cli_rejects_checkpoint_beyond_sieve(tmp_path, capsys):
         main(["run", "--config", str(cfg_path)])
 
 
-def test_cli_workers_env_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LAB_WORKERS", "3")
-    cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
-    assert main(["constants", "--config", str(cfg_path)]) == 0
-    assert (tmp_path / "out" / "constants.json").exists()
-
-
-@pytest.mark.parametrize("value", ["0", "two", "-2"])
-def test_cli_workers_env_rejects_bad_values(tmp_path, monkeypatch, value):
-    monkeypatch.setenv("LAB_WORKERS", value)
-    cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
-    with pytest.raises(ValueError, match="LAB_WORKERS"):
-        main(["constants", "--config", str(cfg_path)])
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_workers_env_reaches_only_commands_with_workers(tmp_path, monkeypatch, capsys):
-    """Commands without --workers ignore LAB_WORKERS; ``run`` still checks it."""
-    monkeypatch.setenv("LAB_WORKERS", "0")
-    cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
-    assert main(["sieve", "--config", str(cfg_path), "--bound", "1000"]) == 0
-    assert "M(1000) = 2" in capsys.readouterr().out
-    assert main(["winding", "--config", str(cfg_path), "--n", "2"]) == 0
-    with pytest.raises(ValueError, match="LAB_WORKERS"):
-        main(["run", "--config", str(cfg_path)])
-    assert not (tmp_path / "out").exists()
-
-
 def test_cli_checkpoints_override_names_the_option(tmp_path):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
@@ -346,7 +315,7 @@ def test_cli_empty_out_names_the_option(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("option, value", [("--workers", "0"), ("--workers", "-2"),
-                                           ("--segment-size", "1000")])
+                                           ("--workers", "100000"), ("--segment-size", "1000")])
 def test_cli_plan_overrides_name_the_option(tmp_path, option, value):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))
@@ -591,6 +560,7 @@ def test_run_bilinear_then_weyl_peak_does_not_grow_with_n(std_cfg):
     ("bump_center = 0.5,0.5", "bump_center = 0.9,0.5", r"\[observable\] bump_center"),
     ("freqs = 1,0,0; 0,0,1\n", "freqs = \n", r"\[weyl\] freqs"),
     ("freqs = 1,0,0; 0,0,1\n", "freqs = 1,0,0; 0,0,1; 1,0,0\n", r"\[weyl\] freqs .* repeats"),
+    ("workers = 2\n", "workers = 100000\n", r"\[run\] workers = 100000"),
     ("segment_size = ", "segment_sise = ", r"no field declares \[run\] segment_sise"),
     ("[weyl]", "[weil]", r"no field declares \[weil\] freqs"),
     ("[system]", "[DEFAULT]\nworkers = 2\n\n[system]", r"no field declares \[DEFAULT\] workers"),

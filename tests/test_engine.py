@@ -129,6 +129,9 @@ def test_plan_validation():
         OrbitSegmentPlan(10, segment_size=100)
     with pytest.raises(ValueError):
         OrbitSegmentPlan(10, worker_count=0)
+    assert OrbitSegmentPlan(10, worker_count=engine.MAX_WORKERS).worker_count == 256
+    with pytest.raises(ValueError, match="workers = 257"):
+        OrbitSegmentPlan(10, worker_count=engine.MAX_WORKERS + 1)
     with pytest.raises(ValueError):
         OrbitSegmentPlan(1 << 63)
 
@@ -1612,9 +1615,10 @@ def test_pair_stride_q_failure_raises_without_deadlock(monkeypatch):
 
 def test_a_stalled_chunk_holds_back_at_most_two_results_on_three_workers():
     """While one chunk's consume stalls on 3 workers, the others go on only
-    to the two chunks after it: a chunk is taken only within 3 of the first
-    unfolded one, so at most 2 results wait to be folded, however long the
-    stall.  The fold still gets every chunk's result, in chunk order."""
+    to the two chunks after it: a worker holds its chunk's result until that
+    chunk's turn to fold, so at most 2 results wait to be folded, however
+    long the stall.  The fold still gets every chunk's result, in chunk
+    order."""
     stream = _make_stream(make_sys(), None)
     done, folded, stalled = [], [], []
 
@@ -1642,10 +1646,16 @@ def test_one_worker_runs_every_chunk_on_the_callers_thread():
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["passes", "raises"])
-def test_no_worker_thread_outlives_its_pass(fails):
-    """On 3 workers the chunks run off the caller's thread, on at most 3
-    threads, and every one has ended when the pass returns or raises."""
-    threads = set()
+def test_no_worker_thread_outlives_its_pass(monkeypatch, fails):
+    """A pass on 3 workers starts 2 threads, the caller being the third
+    worker; the chunks run on at most 3 threads, and every thread the pass
+    started has ended when it returns or raises."""
+    threads, started = set(), []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
     def fn(x, y, z, n):
         threads.add(threading.get_ident())
@@ -1653,16 +1663,30 @@ def test_no_worker_thread_outlives_its_pass(fails):
             raise _Boom("value function failed")
         return x + 0j
 
-    def call():
-        caller.append(threading.get_ident())
-        orbit_stream(make_sys(), None, OrbitSegmentPlan(1000, 16, 3), fn)
-
-    caller = []
+    monkeypatch.setattr(engine, "Thread", Counted)
     before = threading.active_count()
-    raised = _finishes(call)
+    raised = _finishes(lambda: orbit_stream(make_sys(), None, OrbitSegmentPlan(1000, 16, 3), fn))
     assert [type(exc) for exc in raised] == ([_Boom] if fails else [])
     assert threading.active_count() == before
-    assert 1 <= len(threads) <= 3 and caller[0] not in threads
+    assert 1 <= len(threads) <= 3 and len(started) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_failing_fold_raises_without_deadlock(workers):
+    """A fold that raises on a middle chunk stops the pass: its error is
+    raised, on 1 worker and on 3, and no later chunk is folded."""
+    folded = []
+
+    def fold(lo):
+        if lo == 512:
+            raise _Boom("fold failed")
+        folded.append(lo)
+
+    stream = _make_stream(make_sys(), None)
+    plan = OrbitSegmentPlan(1000, 16, workers)
+    raised = _finishes(lambda: _scan_segments((stream,), plan, lambda lo, hi, s, ws: lo, fold))
+    assert len(raised) == 1 and isinstance(raised[0], _Boom)
+    assert folded == list(range(0, 512, 16))
 
 
 @pytest.mark.parametrize("workers", [1, 3])
