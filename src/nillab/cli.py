@@ -177,6 +177,8 @@ def cmd_winding(args) -> int:
     cfg = _load(args)
     js = cfg.joining()
     n = _count_option("--n", args.n, 0)
+    if not np.isfinite(args.y0):
+        raise ValueError(f"--y0 = {args.y0} must be finite")
     lift = js.Hn_lift(n)
     w = winding_in_x(lift, args.y0, n * js.lipschitz_H)
     expected = n * js.twist * cfg.d1

@@ -185,12 +185,16 @@ def winding_in_x(lift_fn, y0: float, lip_bound: float, max_refine: int = 24) -> 
 
     The mesh is sized so single-interval increments stay below 1/2 (spacing
     <= 1/(4 lip_bound)); if an increment exceeds 1/2 the mesh is refined, and
-    after ``max_refine`` doublings the lift is rejected as inconsistent.
+    after ``max_refine`` doublings the lift is rejected as inconsistent.  A
+    lift that is not finite on the mesh (as at a NaN y0) is rejected at once:
+    no refinement would settle it.
     """
     m = max(8, int(math.ceil(4.0 * max(lip_bound, 1.0))))
     for _ in range(max_refine + 1):
         xs = np.linspace(0.0, 1.0, m + 1)
         vals = np.asarray(lift_fn(xs, np.full(m + 1, y0)), dtype=np.float64)
+        if not np.isfinite(vals).all():
+            raise ValueError(f"the lift is not finite on the mesh at y0 = {y0}")
         inc = np.diff(vals)
         if np.max(np.abs(inc)) < 0.5:
             total = float(vals[-1] - vals[0])

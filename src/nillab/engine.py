@@ -88,26 +88,29 @@ function's ``__dict__``, as the benchmark's tracer does, keeps them, where
 it would lose a type.  The arrays a value function is given are valid only
 during the call: the next segment reuses them.
 
-Observables are evaluated only on their support.  F = e(xi z) bump(x, y)
-vanishes off the bump's box, a quarter of the torus, and whether step n
-lies there depends on the rotation lanes x = frac(x0 + n alpha) and y =
-frac(y0 + n beta) alone, not on the cocycle.  So a chunk first takes the
-support on them, without floats and without making them: the bump's
-``lane_box`` [lo, hi] is the exact u64 preimage of its float test, and a
-rotation lane is the affine form i step + base of the chunk's offsets i, so
-i step + (base - lo) <= hi - lo mod 2**64 on each axis, one multiply-add
-into scratch, keeps the same steps (on the descent's reductions, m step and
-m base).  It narrows the support, for a mu-weighted stream, to mu != 0; for
-the pair route to the steps where both T^{qn} x0 and T^{pn} x0 lie in the
-box; for :class:`StarDescentSink` to those where both of its reductions do.
-Only there does it build the lanes with their z and floats, evaluate F and
-the product and quantize them, and :func:`_cut_sums` sums values given at
-chunk offsets.  Davenport's wave, streamed alone, is likewise evaluated
-only where mu != 0.  A value dropped would be an exact +-0 (a zero bump or
-weight), which quantizes to 0, and at every step kept the same operations
-run in the same order, so every checkpoint sum keeps its bits.  The naive
-oracle still evaluates every step, and the dense paths test the box on
-floats, so both check the lane path.
+Observables are evaluated only on their support, by the joint-support
+rule.  F = e(xi z) bump(x, y) vanishes off the bump's box, a quarter of the
+torus, so a product of such factors can be nonzero only at the steps where
+every factor's point lies in the box, which its (x, y) decide alone: they
+follow the rotation lanes x = frac(x0 + n alpha) and y = frac(y0 + n beta),
+not the cocycle.  So a chunk first takes that support without floats and
+without making lanes: each lane is an affine form i step + base of the
+chunk's offsets i, the bump's ``lane_box`` [lo, hi] is the exact u64
+preimage of its float test, and one call of
+:meth:`~nillab.observables.BumpProfile.support_lanes` keeps the steps at
+which i step + (base - lo) <= hi - lo mod 2**64 on each axis of every
+point, and where a mask holds.  It has three users: :func:`_value_sums`
+passes the rotation, one point, and for a mu-weighted stream the mask
+mu != 0; :func:`pair_factor_values` the rotation at q n and at p n;
+:class:`StarDescentSink` its two reductions, the rotation's forms times p
+and q.  Only there does a chunk build the lanes with their z and floats,
+evaluate F and the product and quantize them, and :func:`_cut_sums` sums
+values given at chunk offsets.  Davenport's wave, streamed alone, is
+likewise evaluated only where mu != 0.  A value dropped would be an exact
++-0 (a zero bump or weight), which quantizes to 0, and at every step kept
+the same operations run in the same order, so every checkpoint sum keeps
+its bits.  The naive oracle still evaluates every step, and the dense
+paths test the box on floats, so both check the lane path.
 
 Order within a checkpoint interval is free.  :func:`_cut_sums` adds exact
 integers, so the values between two cuts of a chunk (its ends and each
@@ -136,7 +139,7 @@ import numpy as np
 from .dynamics import JoiningSystem, SkewSystem
 from .fixedpoint import FixedReal
 from .heisenberg import HEISENBERG, canonical_rep, check_prime_pair, identity
-from .observables import Observable, fourier_mode, fourier_phase, fourier_value, lane_form
+from .observables import Observable, fourier_mode, fourier_phase, fourier_value
 from .workspace import FRESH, Workspace
 
 MASK64 = (1 << 64) - 1
@@ -378,11 +381,13 @@ class _LaneStream:
 
     def rotation_forms(self, i: np.ndarray, lo: int = 0, m: int = 1):
         """(x frac, y frac) of steps m (lo + i) as affine forms (i, step,
-        base) of the offsets ``i`` (see :func:`~nillab.observables.lane_form`),
+        base) of the offsets ``i``, standing for i step + base mod 2**64,
         with lo folded into the base: the bits of the first two :meth:`lanes`
-        without their floor parts, and no array."""
-        return tuple((i, m * step & MASK64, (start + m * lo * step) & MASK64)
-                     for start, step in self.axes)
+        without their floor parts, and no array.  (A tuple of a list: the
+        tuple of a generator is resized, and CPython's tuple free list keeps
+        what each resize leaves, which a traced peak counts.)"""
+        return tuple([(i, m * step & MASK64, (start + m * lo * step) & MASK64)
+                      for start, step in self.axes])
 
     def lanes(self, n: np.ndarray, s: np.ndarray, ws: Workspace = FRESH):
         """(x frac, y frac, z hi, z lo) for step indices n with cocycle sums s,
@@ -674,11 +679,10 @@ def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s
     step's (no ``weights``, no support).
 
     Each value function is evaluated, and its lanes are built, only where
-    it can be nonzero.  An observable of nonzero frequency vanishes off its
-    bump's open box, a descent sink off the steps where both of its
-    reductions lie in that box; the rotation lanes alone give that support,
-    by the bump's lane box on their affine forms, which is narrowed to the
-    nonzero weights, and the lanes, their floats and the value follow there.
+    it can be nonzero.  An observable of nonzero frequency and a descent
+    sink take their support from the rotation's affine forms by the
+    joint-support rule (see the module docstring), narrowed to the nonzero
+    weights, and the lanes, their floats and the value follow there.
     The other value functions share the lanes of every step, or of every
     step of nonzero weight; without weights, a Fourier mode that reads z is
     evaluated on its phases sorted within each checkpoint interval
@@ -696,7 +700,7 @@ def _value_sums(stream: _LaneStream, value_fns, checkpoints, lo: int, hi: int, s
                 on = fn.support(*forms, ws, where)
                 v = fn.on_support(*_lanes_on(stream, lo, hi, s, on, ws)[1], ws)
             else:
-                on = fn.bump.support_lanes(*forms, ws, where)
+                on = fn.bump.support_lanes([forms], ws, where)
                 v = fn.on_support(*_float_lanes(*_lanes_on(stream, lo, hi, s, on, ws)[1], ws), ws)
             shared = None  # these lanes took the shared lanes' buffers
         else:
@@ -905,13 +909,14 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
 
     One :func:`_scan_segments` pass over the stride-p and stride-q skew
     streams and the n-chunks of ``plan_template``'s segment size: the chunk
-    (lo, hi] is given S_{pn} and S_{qn} for n in (lo, hi].  From the
-    rotation lanes at q n and p n alone, by the bump's lane box, it takes
-    the n at which both lie in the box, where the product can be nonzero
-    (every n for a base mode).  Only there does it build the lanes at q n
-    and p n, evaluate F at both and sum the quantized products, so no
-    per-step array longer than a chunk is formed.  Returns ``(N, sum)`` for each checkpoint N
-    (default ``[n_pairs]``), unnormalized, like :func:`orbit_stream_multi`.
+    (lo, hi] is given S_{pn} and S_{qn} for n in (lo, hi].  It takes the
+    n at which the product can be nonzero by the joint-support rule (see
+    the module docstring) from the rotation at q n and p n (every n for a
+    base mode).  Only there does it build the lanes at q n and p n,
+    evaluate F at both and sum the quantized products, so no per-step
+    array longer than a chunk is formed.  Returns ``(N, sum)`` for each
+    checkpoint N (default ``[n_pairs]``), unnormalized, like
+    :func:`orbit_stream_multi`.
 
     Given a ``pair_scan`` of the joining of ``(sys, p, q)``, a start at
     x = y = 0 and N at least its last checkpoint, each chunk then writes
@@ -944,15 +949,12 @@ def pair_factor_values(sys: SkewSystem, start, p: int, q: int, n_pairs: int,
             xf, yf, zf = _float_lanes(*_lanes_on(stream, lo, hi, s, on, ws, m)[1], ws)
             return obs.on_support(xf, yf, zf, ws, ws.take(name, zf.shape, np.complex128))
 
-        # the steps where both factors can be nonzero (all, for a base mode),
-        # from the rotation lanes at q n and p n; conj(F_q) * F_p there, in
-        # this order (see _product)
+        # the joint support of the points at q n and p n (every n, for a base
+        # mode); conj(F_q) * F_p there, in this order (see _product)
         on = None
         if obs.xi:
             i = ws.offsets[: hi - lo]
-            in_q = obs.bump.inside_lanes(*stream.rotation_forms(i, lo + 1, q), ws,
-                                         out=ws.take("pair.in", i.shape, np.bool_))
-            on = obs.bump.support_lanes(*stream.rotation_forms(i, lo + 1, p), ws, where=in_q)
+            on = obs.bump.support_lanes([stream.rotation_forms(i, lo + 1, m) for m in (q, p)], ws)
         f_q = factor(q, s_q, "pair.f")
         values = _product(np.conjugate(f_q, out=f_q), factor(p, s_p, "obs.e"), ws)
         pair = _cut_sums(values, lo, hi, checkpoints, ws, on)
@@ -987,10 +989,9 @@ class StarDescentSink:
     f(x1) conj f(x2) is invariant under the diagonal central shift, so it
     descends: at a trivialized star point (x, y, z) it is evaluated on the
     pair representative ((p x, p y, z), (q x, q y, 0)), each factor reduced
-    exactly to the fundamental domain of X on the u64 lanes.  The product
-    can be nonzero only where both reductions' (x, y) lie in the bump's
-    open box, which the x and y lanes decide alone: the engine takes that
-    :meth:`support` from the joining's rotation lanes and builds the z lanes
+    exactly to the fundamental domain of X on the u64 lanes.  The engine
+    takes its :meth:`support` from the joining's rotation by the
+    joint-support rule (see the module docstring) and builds the z lanes
     and evaluates :meth:`on_support` only there.  Called on lanes, the sink
     scatters the same values (+0 off the support); :meth:`eval_star` takes
     float star coordinates.
@@ -1004,32 +1005,14 @@ class StarDescentSink:
         self.p = p
         self.q = q
 
-    def support(self, fx, fy, ws: Workspace = FRESH, where=None, *, floats=False):
-        """The flat indices of the x, y lanes at which both reductions,
-        (p x, p y) and (q x, q y) mod 1, lie in the bump's open box, and
-        where ``where`` holds when it is given: by the bump's lane box on the
-        reduced lanes, whose affine forms (see
-        :func:`~nillab.observables.lane_form`) are the lanes' times m; or,
-        with ``floats``, on lane arrays, by its float test on the reduced
-        lanes' floats (``star.x`` and ``star.y`` in ``ws``), as the dense
-        :meth:`__call__` takes it."""
-        forms = lane_form(fx), lane_form(fy)
-        shape = np.broadcast_shapes(*(np.shape(i) for i, _, _ in forms))
-        bump = self.obs.bump
-        inside, support = (bump.inside, bump.support) if floats else (
-            bump.inside_lanes, bump.support_lanes)
-
-        def reduced(m):
-            if not floats:
-                return tuple((i, step * m & MASK64, base * m & MASK64) for i, step, base in forms)
-            xa, ya = (np.multiply(v, u64c(m), out=ws.take(name, shape))
-                      for v, name in ((fx, "star.x"), (fy, "star.y")))
-            return _xy_floats(xa, ya, ws)
-
-        on_p = inside(*reduced(self.p), ws, out=ws.take("star.in", shape, np.bool_))
-        if where is not None:
-            on_p &= where
-        return support(*reduced(self.q), ws, where=on_p)
+    def support(self, fx, fy, ws: Workspace = FRESH, where=None):
+        """The joint support of the reductions (p x, p y) and (q x, q y)
+        mod 1 of the lanes of affine forms ``fx``, ``fy`` (see
+        :meth:`_LaneStream.rotation_forms`), where ``where`` holds when it
+        is given: a reduction's forms are the lanes' times m."""
+        return self.obs.bump.support_lanes(
+            [tuple([(i, step * m & MASK64, base * m & MASK64) for i, step, base in (fx, fy)])
+             for m in (self.p, self.q)], ws, where)
 
     def _factor(self, m: int, fx, fy, z_hi, z_lo, ws: Workspace, out=None):
         """f at the X-reduction of (m x, m y, z), for lanes whose reduction
@@ -1060,9 +1043,14 @@ class StarDescentSink:
     def __call__(self, fx, fy, z_hi, z_lo, n, ws: Workspace = FRESH):
         """f_p conj(f_q) on lanes of one shape, in ``ws``'s buffer
         ``star.v``: :meth:`on_support` at the lanes on the support, +0
-        elsewhere.  The support is taken by the float test, so this dense
-        path checks the engine's lane box."""
-        on = self.support(fx, fy, ws, floats=True)
+        elsewhere.  The support is taken by the bump's float test on the
+        floats of the reduced lanes, made fresh, not by the lane box, so
+        this dense path checks the engine's."""
+        shape = np.broadcast_shapes(np.shape(fx), np.shape(fy))
+        (xp, yp), (xq, yq) = (
+            _xy_floats(*(np.multiply(v, u64c(m), out=np.empty(shape, np.uint64)) for v in (fx, fy)))
+            for m in (self.p, self.q))
+        on = self.obs.bump.support(xq, yq, ws, where=self.obs.bump.inside(xp, yp))
         lanes = (np.take(v, on, out=ws.take(name, on.shape), mode="clip") for v, name in
                  zip((fx, fy, z_hi, z_lo), ("star.fx", "star.fy", "star.zh", "star.zl")))
         out = ws.take("star.v", np.shape(fx), np.complex128)

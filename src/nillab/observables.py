@@ -10,9 +10,9 @@ torus Fourier modes.
 
 F vanishes off its bump's open box.  :meth:`BumpProfile.support` finds the
 points inside from x and y alone, and :meth:`BumpProfile.support_lanes`
-finds the same points from their u64 lanes, or the lanes' affine forms
-(:func:`lane_form`), without floats, by the box's exact preimage on u64
-(:attr:`BumpProfile.lane_box`).
+finds the steps at which every one of several points lies inside from the
+affine forms of their u64 lanes, without floats, by the box's exact
+preimage on u64 (:attr:`BumpProfile.lane_box`).
 :meth:`Observable.on_support` is the one formula of F there: the engine
 evaluates it only on the support it takes on lanes, and the dense
 :meth:`Observable.eval_arrays` scatters it on the support it takes on
@@ -100,12 +100,6 @@ def fourier_value(ks):
     return fn
 
 
-def lane_form(lane):
-    """A u64 lane as its affine form (i, step, base), standing for the lane
-    i step + base mod 2**64: a form is itself, an array u is (u, 1, 0)."""
-    return lane if isinstance(lane, tuple) else (lane, 1, 0)
-
-
 def _lane_interval(c: float, r: float) -> tuple[int, int]:
     """The lanes u, lo <= u <= hi, whose float x = fl(u) 2**-64 passes
     |x - c| < r, that is -r < x - c < r; 0 < c - r and c + r < 1 keep lo
@@ -158,17 +152,17 @@ class BumpProfile:
 
     def inside_lanes(self, xu, yu, ws: Workspace = FRESH, out=None):
         """:meth:`inside` at the points of u64 lanes (xu, yu), standing for
-        (xu 2**-64, yu 2**-64), bit for bit, without their floats; a lane is
-        an array or an affine form (:func:`lane_form`).  On each axis
+        (xu 2**-64, yu 2**-64), bit for bit, without their floats.  Each lane
+        is an affine form (i, step, base) of offsets i, standing for the lane
+        i step + base mod 2**64 (an array u is (u, 1, 0)).  On each axis
         i step + (base - lo) <= hi - lo mod 2**64 for the :attr:`lane_box`
         [lo, hi], one multiply-add into the scratch ``t1``, as booleans in
         ``out``, by default ``ws``'s buffer ``bump.in``."""
-        forms = lane_form(xu), lane_form(yu)
-        shape = np.broadcast_shapes(*(np.shape(i) for i, _, _ in forms))
+        shape = np.broadcast_shapes(np.shape(xu[0]), np.shape(yu[0]))
         d = ws.take("t1", shape)
         tests = (ws.take("bump.in", shape, np.bool_) if out is None else out,
                  ws.take("bump.iny", shape, np.bool_))
-        for (i, step, base), (lo, hi), test in zip(forms, self.lane_box, tests):
+        for (i, step, base), (lo, hi), test in zip((xu, yu), self.lane_box, tests):
             if step != 1:
                 i = np.multiply(i, np.uint64(step), out=d)
             np.add(i, np.uint64((base - lo) % 2**64), out=d)
@@ -177,14 +171,21 @@ class BumpProfile:
         inside &= inside_y
         return inside
 
-    def support_lanes(self, xu, yu, ws: Workspace = FRESH, where=None):
-        """:meth:`support` at the points of u64 lanes (xu, yu), arrays or
-        affine forms, by :meth:`inside_lanes`: the same flat indices,
-        without floats."""
-        inside = self.inside_lanes(xu, yu, ws)
-        if where is not None:
-            inside &= where
-        return np.flatnonzero(inside)
+    def support_lanes(self, points, ws: Workspace = FRESH, where=None):
+        """The joint support: the flat indices at which every point of
+        ``points``, pairs (xu, yu) of lanes as :meth:`inside_lanes` takes
+        them, lies in the open box, and ``where`` holds when it is given.
+        Each point is tested by :meth:`inside_lanes`; a test that the next
+        point's would overwrite is kept in ``ws``'s buffer ``support.in``."""
+        joint = where
+        for k, point in enumerate(points):
+            keep = (ws.take("support.in", np.shape(point[0][0]), np.bool_)
+                    if k < len(points) - 1 else None)
+            inside = self.inside_lanes(*point, ws, out=keep if joint is None else None)
+            if joint is not None:
+                inside = np.logical_and(inside, joint, out=inside if keep is None else keep)
+            joint = inside
+        return np.flatnonzero(joint)
 
     def inside(self, x, y, ws: Workspace = FRESH, out=None):
         """Whether each point (x, y) lies in the open support box

@@ -39,3 +39,19 @@ def std_js(std_cfg):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture()
+def mesh_sizes(monkeypatch):
+    """The sizes of the meshes ``np.linspace`` makes; it fails once a mesh
+    outgrows the first, so a mesh that would double without end fails fast."""
+    sizes = []
+    linspace = np.linspace
+
+    def spy(start, stop, num, **kwargs):
+        sizes.append(num)
+        assert num <= sizes[0], f"the mesh grew to {num} points"
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", spy)
+    return sizes

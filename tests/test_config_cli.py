@@ -346,6 +346,14 @@ def test_cli_two_route_rejects_xi_zero_before_streaming(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("y0", ["nan", "inf"])
+def test_cli_winding_rejects_a_non_finite_y0(mesh_sizes, y0):
+    """A non-finite --y0 fails naming the option, and no mesh grows: a lift
+    that is not finite never settles under refinement."""
+    with pytest.raises(ValueError, match="--y0"):
+        main(["winding", "--y0", y0])
+
+
 def test_cli_winding_and_constants(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(small_cfg_text(str(tmp_path / "out")))

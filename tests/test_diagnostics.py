@@ -44,6 +44,15 @@ def test_winding_deep_iterate():
     assert winding_in_x(js.Hn_lift(7), 0.123, 7 * js.lipschitz_H) == 7 * 16 * 2
 
 
+def test_winding_rejects_a_lift_that_is_not_finite(mesh_sizes):
+    """At y0 = NaN the lift is NaN on every mesh point: the winding fails at
+    once, naming y0, instead of refining the mesh up to 2**24-fold."""
+    js = build_joining(linear_system(), 3, 2)
+    with pytest.raises(ValueError, match="y0 = nan"):
+        winding_in_x(js.H_lift(), float("nan"), js.lipschitz_H)
+    assert len(mesh_sizes) == 1
+
+
 def test_winding_law_sampled_pairs():
     for (p, q) in ((3, 2), (5, 2), (7, 5), (13, 11)):
         for d1 in (0, 1, 3):

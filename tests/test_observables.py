@@ -263,10 +263,11 @@ def test_lane_box_is_the_float_box(rng, bump):
     want = bump.inside(*lanes(xu, yu))
     assert 0 < want.mean() < 1
     ws = Workspace(xu.size)
-    for got in (bump.inside_lanes(xu, yu), bump.inside_lanes(xu, yu, ws)):
+    for got in (bump.inside_lanes((xu, 1, 0), (yu, 1, 0)),
+                bump.inside_lanes((xu, 1, 0), (yu, 1, 0), ws)):
         assert np.array_equal(got, want)
     where = rng.random(xu.size) < 0.5
-    assert np.array_equal(bump.support_lanes(xu, yu, ws, where),
+    assert np.array_equal(bump.support_lanes([((xu, 1, 0), (yu, 1, 0))], ws, where),
                           bump.support(*lanes(xu, yu), where=where))
 
 
@@ -286,13 +287,34 @@ def test_lane_box_on_affine_forms_is_the_lane_box(rng, bump):
               ((2**64 - 1, xhi + 2048), (1, ylo - 2048))]
     for (sx, bx), (sy, by) in cases:
         forms = (i, sx, bx), (i, sy, by)
-        want = bump.inside_lanes(*(i * np.uint64(step) + np.uint64(base)
+        want = bump.inside_lanes(*((i * np.uint64(step) + np.uint64(base), 1, 0)
                                    for _, step, base in forms))
         assert 0 < want.sum() < i.size
         for ws in (Workspace(), Workspace(i.size)):
             assert np.array_equal(bump.inside_lanes(*forms, ws), want)
-            assert np.array_equal(bump.support_lanes(*forms, ws, where),
+            assert np.array_equal(bump.support_lanes([forms], ws, where),
                                   np.flatnonzero(want & where))
+
+
+def test_joint_support_is_every_point_inside(rng):
+    """support_lanes of one to three points, with and without ``where``,
+    fresh and in a workspace, keeps the offsets at which every point's
+    inside_lanes holds, and ``where`` does; ``where`` is left as it was."""
+    bump = LANE_BUMPS[1]
+    i = np.arange(4096, dtype=np.uint64)
+    points = [tuple((i, int(step), int(base)) for step, base in pair)
+              for pair in rng.integers(0, 2**64 - 1, (3, 2, 2), np.uint64, endpoint=True)]
+    inside = [bump.inside_lanes(*point).copy() for point in points]
+    where = rng.random(i.size) < 0.5
+    for k in (1, 2, 3):
+        for mask in (None, where):
+            want = np.logical_and.reduce(inside[:k] + ([] if mask is None else [mask]))
+            for ws in (Workspace(), Workspace(i.size)):
+                kept = where.copy()
+                assert np.array_equal(bump.support_lanes(points[:k], ws, mask),
+                                      np.flatnonzero(want))
+                assert np.array_equal(where, kept)
+    assert 0 < np.logical_and.reduce(inside).sum()
 
 
 def test_continuity_across_gluing():

@@ -42,12 +42,11 @@ def test_full_targets_resolve(tracing):
     assert _missing(targets) == []
 
 
-def test_run_streams_what_work_per_s_divides(tracing, tmp_path, monkeypatch, capsys):
+def test_run_streams_what_work_per_s_divides(tracing, tmp_path, capsys):
     """``work_per_s`` divides the steps the stream spans count: a ``run`` to N
     makes two skew streams (correlate, davenport), one pair route of p*N steps
     and one joining stream (Weyl).  Work moved between these calls changes the
     metric without changing speed, so it must fail here first."""
-    monkeypatch.delenv("LAB_WORKERS", raising=False)
     cfg = standard_config(checkpoints=(200, 500), sieve_bound=500, segment_size=128,
                           workers=2, out_dir=str(tmp_path / "out"), coboundary_cutoff=8)
     (tmp_path / "cfg.ini").write_text(cfg.to_ini())
